@@ -1,362 +1,45 @@
-"""Engine synchronization overhead: four generations of the rendezvous layer.
+"""Engine synchronization overhead: the event backend against the threaded oracle.
 
-Three comparisons, all raw wall-clock engine overhead (no cost model, no
-payloads):
-
-* **seed vs PR 1** — a 64-rank butterfly pattern on the keyed rendezvous
-  API (``Engine.collective``) against ``_BaselineEngine``, a vendored copy
-  of the seed synchronization layer (one global ``threading.Condition``,
-  1-second polling wakeups, fresh threads every ``run``).  The sharded
-  layer must be at least 2x faster.
-* **PR 1 vs fused** — a 64-rank all_reduce-heavy workload (every rank of
-  one big group issuing back-to-back collectives, the dominant pattern in
-  Cannon/SUMMA/Tesseract inner loops) on the keyed path against the fused
-  group-channel path (``Engine.fused_collective``) with a batch window:
-  one sleep/wake cycle per window instead of one per collective.  The
-  fused path must cut per-collective overhead by at least 1.5x.
-* **fused vs cooperative** — the same fused workload under the threaded
-  backend against the cooperative scheduler backend (greenlet when the
-  ``repro[fast]`` extra is installed, the stdlib baton fallback
-  otherwise).  The metric is *marginal* per-collective overhead: the
-  fused-workload run time minus a no-op run time on the same engine,
-  which subtracts the per-run fixed cost (context creation, pool
-  dispatch) both backends share and isolates the blocking-point cost the
-  scheduler actually controls.  Floors are backend-conditional: greenlet
-  hand-offs are userspace stack switches (no OS involvement), so the
-  greenlet arm must be >= 3x; a baton hand-off still pays one directed
-  futex wake (~3.3 us measured on a 1-core container) plus the engine
-  bookkeeping both arms share (~2.7 us/block), against ~11 us/block for
-  the threaded event-broadcast path — measured 1.5-1.8x, so the stdlib
-  fallback floor is a conservative 1.3x.
-* **threaded vs event (deferred)** — a large-group Communicator workload
-  (unwindowed symbolic barriers, tracing off) under the threaded backend
-  against the ``event`` backend, whose deferred collective timing lets
-  every rank run to completion without ever parking at a rendezvous: the
-  whole run degenerates to one inline sequential sweep over the ranks on
-  a single thread, so the hand-off count collapses from
-  ``O(ranks x collectives)`` to exactly zero (no rank ever blocks, so
-  the drive loop never migrates to another thread) and wall-clock drops
-  accordingly.  The wall floor is >= 10x at 512 ranks (nightly); the
-  *structural* gate — hand-offs per run == 0 — is deterministic and
-  enforced in tier-1 smoke at 64 ranks.
-
-The measurement helpers are parametric so ``tests/bench/test_regression.py``
-can run them in a fast smoke mode in tier-1.
+One comparison, raw wall-clock engine overhead on a large-group
+Communicator workload (unwindowed symbolic barriers, tracing off): the
+``threaded`` backend parks 511 of 512 ranks on OS events at every
+barrier, while the ``event`` backend's deferred collective timing lets
+every rank run to completion without ever parking at a rendezvous — the
+whole run degenerates to one inline sequential sweep over the ranks on a
+single thread, so the hand-off count collapses from
+``O(ranks x collectives)`` to exactly zero (no rank ever blocks, so the
+drive loop never migrates to another thread) and wall-clock drops
+accordingly.  The wall floor is >= 10x at 512 ranks and is asserted here
+only (nightly); the *structural* gates — hand-offs per run == 0 and
+bit-identical results — are deterministic and also enforced in tier-1
+smoke at 64 ranks (``tests/bench/test_regression.py``).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_engine_overhead.py -s``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Callable
 
-from repro.errors import CommError, DeadlockError
 from repro.sim.engine import Engine
-from repro.sim.schedulers import greenlet_available
 
-NRANKS = 64
-ROUNDS = 8  #: rendezvous rounds per run (butterfly partner pattern)
-RUNS = 15  #: repeated Engine.run calls (the harness reruns engines a lot)
 REPS = 3  #: interleaved repetitions to average out machine noise
-MIN_SPEEDUP = 2.0
-FUSED_ROUNDS = 32  #: back-to-back same-group collectives per run
-BATCH_WINDOW = 8  #: collectives fused per batch window
-MIN_FUSED_SPEEDUP = 1.5
-#: marginal per-collective overhead floor for the cooperative backend,
-#: relative to the threaded fused path (see module docstring)
-MIN_COOP_SPEEDUP = 3.0  #: greenlet arm: userspace hand-offs
-MIN_COOP_FALLBACK_SPEEDUP = 1.3  #: baton arm: one futex wake per hand-off
-EVENT_NRANKS = 512  #: the event arm's "large grid" (8x the paper's 64 GPUs)
+EVENT_NRANKS = 512  #: the "large grid" (8x the paper's 64 GPUs)
 EVENT_ROUNDS = 32  #: unwindowed symbolic collectives per run
 EVENT_RUNS = 5  #: threaded runs are ~0.6 s each at 512 ranks; cap the arm
 MIN_EVENT_SPEEDUP = 10.0  #: wall floor, threaded vs event at 512 ranks
 
 
 # --------------------------------------------------------------------------
-# Baseline: the engine's previous synchronization layer, reduced to the
-# rendezvous service (the part both engines share an API for).  Faithful to
-# the old implementation: one Condition guards every rendezvous, waiters
-# poll with capped 1 s timeouts, every completion broadcasts notify_all to
-# all waiting ranks, and each run spawns and joins fresh threads.
-# --------------------------------------------------------------------------
-
-
-class _BaselineRendezvous:
-    __slots__ = ("size", "arrivals", "results", "t_end", "done", "kind")
-
-    def __init__(self, size: int, kind: str):
-        self.size = size
-        self.arrivals: dict[int, Any] = {}
-        self.results: dict[int, Any] = {}
-        self.t_end = 0.0
-        self.done = False
-        self.kind = kind
-
-
-class _BaselineEngine:
-    def __init__(self, nranks: int, op_timeout: float = 120.0):
-        self.nranks = nranks
-        self.op_timeout = op_timeout
-        self._cond = threading.Condition()
-        self._rendezvous: dict[Any, _BaselineRendezvous] = {}
-        self._error: BaseException | None = None
-
-    def run(self, fn: Callable[[int], Any]) -> list[Any]:
-        self._rendezvous.clear()
-        self._error = None
-        results: list[Any] = [None] * self.nranks
-
-        def worker(rank: int) -> None:
-            results[rank] = fn(rank)
-
-        threads = [
-            threading.Thread(target=worker, args=(r,), daemon=True)
-            for r in range(self.nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return results
-
-    def collective(self, key, size, rank, arrival, kind, finisher):
-        deadline = time.monotonic() + self.op_timeout
-        with self._cond:
-            rv = self._rendezvous.get(key)
-            if rv is None:
-                rv = _BaselineRendezvous(size, kind)
-                self._rendezvous[key] = rv
-            if rank in rv.arrivals:
-                raise CommError(f"rank {rank} joined {key} twice")
-            rv.arrivals[rank] = arrival
-            if len(rv.arrivals) == rv.size:
-                rv.results, rv.t_end = finisher(rv.arrivals)
-                rv.done = True
-                self._cond.notify_all()
-            else:
-                while not rv.done:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlockError(f"rendezvous {key} timed out")
-                    self._cond.wait(timeout=min(remaining, 1.0))
-            result = rv.results.get(rank)
-            t_end = rv.t_end
-            rv.results.pop(rank, None)
-            rv.arrivals.pop(rank, None)
-            if not rv.arrivals:
-                self._rendezvous.pop(key, None)
-        return result, t_end
-
-
-# --------------------------------------------------------------------------
-# Workload: ROUNDS rounds of pairwise butterfly rendezvous (recursive
-# halving's communication pattern) — many small concurrent rendezvous, the
-# shape that stresses lock sharding and wakeup targeting.
-# --------------------------------------------------------------------------
-
-
-def _finisher(arrivals: dict[int, Any]):
-    return ({r: None for r in arrivals}, 0.0)
-
-
-def _butterfly(engine, rank: int, nranks: int, rounds: int) -> None:
-    bits = nranks.bit_length() - 1
-    for rnd in range(rounds):
-        partner = rank ^ (1 << (rnd % bits))
-        pair = (min(rank, partner), max(rank, partner))
-        engine.collective(
-            key=("bfly", rnd, pair),
-            size=2,
-            rank=rank,
-            arrival=None,
-            kind="pair",
-            finisher=_finisher,
-        )
-
-
-def _time_baseline(nranks: int, rounds: int, runs: int) -> float:
-    engine = _BaselineEngine(nranks=nranks)
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        engine.run(lambda rank: _butterfly(engine, rank, nranks, rounds))
-    return time.perf_counter() - t0
-
-
-def _time_current(nranks: int, rounds: int, runs: int) -> float:
-    engine = Engine(nranks=nranks, mode="symbolic", trace=False)
-    program = lambda ctx: _butterfly(  # noqa: E731
-        ctx.engine, ctx.rank, nranks, rounds)
-    engine.run(program)  # warm the worker pool once
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        engine.run(program)
-    return time.perf_counter() - t0
-
-
-# --------------------------------------------------------------------------
-# Fused-path workload: every rank of one big group issues back-to-back
-# collectives — the all_reduce-heavy inner-loop shape.  The keyed arm pays
-# one rendezvous (one sleep/wake per non-last rank) per collective; the
-# fused arm queues BATCH_WINDOW of them per generation of the group channel
-# and pays one sleep/wake per window.
-# --------------------------------------------------------------------------
-
-
-def _keyed_allreduce_run(engine, rank: int, granks, rounds: int) -> None:
-    for rnd in range(rounds):
-        engine.collective(
-            key=(granks, "coll", rnd),
-            size=len(granks),
-            rank=rank,
-            arrival=None,
-            kind="all_reduce",
-            finisher=_finisher,
-            ranks=granks,
-        )
-
-
-def _fused_allreduce_run(engine, rank: int, granks, rounds: int,
-                         window: int) -> None:
-    gen = 0
-    for start in range(0, rounds, window):
-        n_ops = min(window, rounds - start)
-        sig = ("all_reduce",) * n_ops
-
-        def finisher(arrivals, n_ops=n_ops):
-            return {r: [None] * n_ops for r in arrivals}, (0.0,) * n_ops
-
-        engine.fused_collective(
-            granks, gen, rank, ([None] * n_ops, 0.0), sig, finisher
-        )
-        gen += 1
-
-
-def _time_keyed(nranks: int, rounds: int, runs: int) -> float:
-    engine = Engine(nranks=nranks, mode="symbolic", trace=False)
-    granks = tuple(range(nranks))
-    program = lambda ctx: _keyed_allreduce_run(  # noqa: E731
-        ctx.engine, ctx.rank, granks, rounds)
-    engine.run(program)  # warm the worker pool once
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        engine.run(program)
-    return time.perf_counter() - t0
-
-
-def _time_fused(nranks: int, rounds: int, runs: int, window: int) -> float:
-    engine = Engine(nranks=nranks, mode="symbolic", trace=False)
-    granks = tuple(range(nranks))
-    program = lambda ctx: _fused_allreduce_run(  # noqa: E731
-        ctx.engine, ctx.rank, granks, rounds, window)
-    engine.run(program)
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        engine.run(program)
-    return time.perf_counter() - t0
-
-
-# --------------------------------------------------------------------------
-# Cooperative-backend arm: the fused workload under the cooperative
-# scheduler vs the threaded backend, on the *marginal* overhead metric
-# (fused run time minus a no-op run time on the same engine).
-# --------------------------------------------------------------------------
-
-
-def _noop_program(ctx) -> None:
-    return None
-
-
-def _coop_arm_backend() -> str:
-    """Concrete backend the ``cooperative`` alias resolves to."""
-    return "greenlet" if greenlet_available() else "baton"
-
-
-def measure_coop(nranks: int = NRANKS, fused_rounds: int = FUSED_ROUNDS,
-                 runs: int = RUNS, reps: int = REPS,
-                 window: int = BATCH_WINDOW) -> dict:
-    """Marginal per-collective overhead: threaded vs cooperative backend.
-
-    Each rep times, interleaved, a no-op run and the fused all_reduce
-    workload on a persistent engine per backend; the per-run minimum over
-    reps is kept (one-sided noise filter) and the marginal overhead is
-    ``(fused - noop) / collectives``.  Also reports the cooperative
-    scheduler's hand-off count per run — a deterministic function of the
-    schedule, exported to the nightly diff gate.
-    """
-    granks = tuple(range(nranks))
-
-    def fused_program(ctx):
-        _fused_allreduce_run(ctx.engine, ctx.rank, granks, fused_rounds,
-                             window)
-
-    coop_name = _coop_arm_backend()
-    engines = {
-        "threaded": Engine(nranks=nranks, mode="symbolic", trace=False,
-                           backend="threaded"),
-        coop_name: Engine(nranks=nranks, mode="symbolic", trace=False,
-                          backend="cooperative"),
-    }
-
-    def one_rep(engine: Engine, program) -> float:
-        # Per-run minimum: a one-sided filter against GC pauses and
-        # background load on shared CI boxes (overhead can only be
-        # *inflated* by noise, never deflated).
-        fastest = float("inf")
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            engine.run(program)
-            fastest = min(fastest, time.perf_counter() - t0)
-        return fastest
-
-    best: dict[tuple[str, str], float] = {}
-    for backend, engine in engines.items():
-        # warm the pool / carrier threads once per engine
-        engine.run(_noop_program)
-        engine.run(fused_program)
-    for _ in range(reps):
-        for backend, engine in engines.items():
-            for arm, program in (("noop", _noop_program),
-                                 ("fused", fused_program)):
-                t = one_rep(engine, program)
-                key = (backend, arm)
-                best[key] = min(best.get(key, float("inf")), t)
-
-    handoffs = engines[coop_name].scheduler.handoffs  # last run's count
-    marginal = {
-        b: (best[(b, "fused")] - best[(b, "noop")]) / fused_rounds * 1e6
-        for b in engines
-    }
-    for engine in engines.values():
-        engine.shutdown()
-    return {
-        "nranks": nranks,
-        "coop_backend": coop_name,
-        "threaded_fused_s": best[("threaded", "fused")],
-        "coop_fused_s": best[(coop_name, "fused")],
-        "threaded_marginal_us_per_coll": marginal["threaded"],
-        "coop_marginal_us_per_coll": marginal[coop_name],
-        "coop_speedup": marginal["threaded"] / marginal[coop_name],
-        "coop_total_speedup": (best[("threaded", "fused")]
-                               / best[(coop_name, "fused")]),
-        "coop_handoffs_per_run": handoffs,
-        "min_required": (MIN_COOP_SPEEDUP if coop_name == "greenlet"
-                         else MIN_COOP_FALLBACK_SPEEDUP),
-    }
-
-
-# --------------------------------------------------------------------------
-# Event-backend arm: the full Communicator stack (payloads, cost model) on a
-# large group, threaded vs event.  Unlike the arms above this one goes
-# through ``Communicator`` rather than raw engine rendezvous calls, because
-# deferred collective timing lives behind the Communicator's pricing path —
-# that is also what ``bench/runner.py`` sweeps actually execute.  The shape
-# is a plain unwindowed barrier sweep: each collective is a full-group
-# rendezvous with no payload work, so the threaded arm pays the wake-convoy
-# cost per collective while the event arm prices the group once per
-# barrier and never parks — the purest view of the per-collective engine
-# overhead this module is about.
+# The full Communicator stack (payloads, cost model) on a large group,
+# threaded vs event.  It goes through ``Communicator`` rather than raw
+# engine rendezvous calls, because deferred collective timing lives behind
+# the Communicator's pricing path — that is also what ``bench/runner.py``
+# sweeps actually execute.  The shape is a plain unwindowed barrier sweep:
+# each collective is a full-group rendezvous with no payload work, so the
+# threaded arm pays the wake-convoy cost per collective while the event
+# arm prices the group once per barrier and never parks — the purest view
+# of the per-collective engine overhead this module is about.
 # --------------------------------------------------------------------------
 
 
@@ -423,91 +106,6 @@ def measure_event(nranks: int = EVENT_NRANKS, rounds: int = EVENT_ROUNDS,
         "event_handoffs_per_run": handoffs,
         "results_match": results_match,
     }
-
-
-def measure(nranks: int = NRANKS, rounds: int = ROUNDS, runs: int = RUNS,
-            reps: int = REPS, fused_rounds: int = FUSED_ROUNDS,
-            window: int = BATCH_WINDOW) -> dict:
-    """Interleaved timings of all four arms; returns seconds and speedups."""
-    base = cur = keyed = fused = 0.0
-    for _ in range(reps):
-        base += _time_baseline(nranks, rounds, runs)
-        cur += _time_current(nranks, rounds, runs)
-        keyed += _time_keyed(nranks, fused_rounds, runs)
-        fused += _time_fused(nranks, fused_rounds, runs, window)
-    return {
-        "nranks": nranks,
-        "baseline_s": base,
-        "current_s": cur,
-        "keyed_s": keyed,
-        "fused_s": fused,
-        "speedup": base / cur,
-        "fused_speedup": keyed / fused,
-        "keyed_us_per_collective": keyed / (reps * runs * fused_rounds) * 1e6,
-        "fused_us_per_collective": fused / (reps * runs * fused_rounds) * 1e6,
-    }
-
-
-def test_engine_overhead_speedup():
-    """Rendezvous hot path: sharded engine >= 2x faster than the seed design."""
-    m = measure()
-    per_rendezvous = m["current_s"] / (REPS * RUNS * ROUNDS * NRANKS / 2)
-    print(
-        f"\n{NRANKS}-rank butterfly, {RUNS} runs x {ROUNDS} rounds x {REPS} reps:\n"
-        f"  baseline (global condition, thread-per-run): {m['baseline_s']:.3f} s\n"
-        f"  current  (sharded events, worker pool):      {m['current_s']:.3f} s\n"
-        f"  speedup: {m['speedup']:.1f}x  "
-        f"({per_rendezvous * 1e6:.1f} us per rendezvous)"
-    )
-    print(
-        f"{NRANKS}-rank all_reduce-heavy, {RUNS} runs x {FUSED_ROUNDS} "
-        f"collectives x {REPS} reps:\n"
-        f"  keyed (PR 1, one rendezvous per collective):  {m['keyed_s']:.3f} s "
-        f"({m['keyed_us_per_collective']:.1f} us/coll)\n"
-        f"  fused (group channel, window={BATCH_WINDOW}):            "
-        f"{m['fused_s']:.3f} s ({m['fused_us_per_collective']:.1f} us/coll)\n"
-        f"  fused speedup: {m['fused_speedup']:.1f}x"
-    )
-    assert m["speedup"] >= MIN_SPEEDUP, (
-        f"engine overhead regression: only {m['speedup']:.2f}x faster than "
-        f"the seed synchronization layer (need >= {MIN_SPEEDUP}x)"
-    )
-    assert m["fused_speedup"] >= MIN_FUSED_SPEEDUP, (
-        f"fused-path regression: only {m['fused_speedup']:.2f}x lower "
-        f"per-collective overhead than the keyed PR 1 layer "
-        f"(need >= {MIN_FUSED_SPEEDUP}x)"
-    )
-
-
-def test_cooperative_overhead_speedup(benchmark):
-    """Cooperative backend: marginal per-collective overhead vs threaded fused.
-
-    The floor is backend-conditional (see module docstring): >= 3x for the
-    greenlet arm, >= 1.5x for the stdlib baton fallback.  The hand-off
-    count is exported to the nightly diff gate — it is a deterministic
-    function of the schedule, so *any* drift means the scheduling
-    structure changed.  (The name ends in ``iterations`` so
-    ``diff_nightly.heuristic_direction`` classifies it better-lower.)
-    """
-    m = benchmark.pedantic(measure_coop, rounds=1, iterations=1)
-    print(
-        f"\n{m['nranks']}-rank fused all_reduce-heavy, marginal overhead "
-        f"(fused minus no-op run):\n"
-        f"  threaded:            {m['threaded_marginal_us_per_coll']:.1f} "
-        f"us/coll ({m['threaded_fused_s'] * 1e3:.2f} ms/run)\n"
-        f"  {m['coop_backend']:<20s} {m['coop_marginal_us_per_coll']:.1f} "
-        f"us/coll ({m['coop_fused_s'] * 1e3:.2f} ms/run)\n"
-        f"  cooperative speedup: {m['coop_speedup']:.2f}x marginal, "
-        f"{m['coop_total_speedup']:.2f}x total "
-        f"({m['coop_handoffs_per_run']} hand-offs/run)"
-    )
-    benchmark.extra_info["coop_handoff_iterations"] = (
-        m["coop_handoffs_per_run"])
-    assert m["coop_speedup"] >= m["min_required"], (
-        f"cooperative-backend regression ({m['coop_backend']}): only "
-        f"{m['coop_speedup']:.2f}x lower marginal per-collective overhead "
-        f"than the threaded fused path (need >= {m['min_required']}x)"
-    )
 
 
 def test_event_backend_speedup(benchmark):

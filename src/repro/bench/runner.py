@@ -60,15 +60,14 @@ ENGINE_CACHE_MAX_BYTES = 64 * 1024 * 1024
 #: One shared scheduler instance per multiplex-capable backend name.
 #: ``run_engines`` requires every multiplexed engine to be built on the
 #: *same* backend instance; caching it here lets every cached engine of a
-#: session join one event-scheduler loop.  Backends without
-#: ``supports_deferred_sync`` keep one instance per engine, as before.
+#: session join one event-scheduler loop.  The threaded backend keeps
+#: one instance per engine.
 _SHARED_BACKENDS: dict[str, SchedulerBackend] = {}
 
 
 def _session_backend() -> SchedulerBackend | None:
     """The session-shared backend instance, or None to let each engine
-    resolve its own (threaded/baton/greenlet — their per-engine instances
-    are the historical behaviour and ``run`` is not shareable-reentrant).
+    resolve its own (the threaded oracle, which cannot multiplex).
     """
     probe = resolve_backend(None)
     if not getattr(probe, "supports_deferred_sync", False):

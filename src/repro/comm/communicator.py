@@ -25,7 +25,7 @@ stream: stragglers dominate, then the wire time is paid once.  Because
 the completion time is a function of the arrival *map* (and reductions
 run in group-rank order), no result or timestamp depends on which rank
 physically executed first — the engine's scheduler backends
-(:mod:`repro.sim.schedulers`: threaded or cooperative) are therefore
+(:mod:`repro.sim.schedulers`: event or threaded) are therefore
 observationally interchangeable.
 
 Batch windows

@@ -275,8 +275,8 @@ def validate_topk(
 
     Under a deferred-sync backend (``event``) the candidate engines are
     multiplexed on one shared scheduler instance via ``run_engines``;
-    other backends fall back to sequential runs.  Results are identical
-    either way (the backend note in docs/paper-mapping.md).
+    the threaded backend falls back to sequential runs.  Results are
+    identical either way (the backend note in docs/paper-mapping.md).
     """
     chosen = diverse_topk(result, k)
     if not chosen:

@@ -1,11 +1,11 @@
 """Discrete-event SPMD simulator: clocks, cost models, engine, tracing.
 
 The simulator executes every rank's *real* algorithm code under a
-pluggable scheduler backend (:mod:`repro.sim.schedulers`): one OS thread
-per rank by default, or all ranks cooperatively multiplexed with explicit
-hand-off (greenlet, or a stdlib baton fallback) — backends change
-wall-clock dispatch cost only, never results or modeled time.  Wall-clock
-time is irrelevant: each rank owns a virtual
+scheduler backend (:mod:`repro.sim.schedulers`): all ranks multiplexed on
+one event-driven run loop with explicit hand-off by default, or one OS
+thread per rank as the reference the tests compare against — backends
+change wall-clock dispatch cost only, never results or modeled time.
+Wall-clock time is irrelevant: each rank owns a virtual
 :class:`~repro.sim.clock.VirtualClock` advanced by
 
 * the compute cost model for local ops (charged by :mod:`repro.varray`), and
@@ -37,12 +37,10 @@ from repro.sim.faults import (
 from repro.sim.memory import MemoryTracker
 from repro.sim.engine import Engine, RankContext
 from repro.sim.schedulers import (
-    BatonScheduler,
-    GreenletScheduler,
+    EventScheduler,
     SchedulerBackend,
     ThreadedScheduler,
     available_backends,
-    greenlet_available,
     resolve_backend,
 )
 from repro.sim.timeline import RankBreakdown, analyze, gantt
@@ -69,11 +67,9 @@ __all__ = [
     "RankContext",
     "SchedulerBackend",
     "ThreadedScheduler",
-    "BatonScheduler",
-    "GreenletScheduler",
+    "EventScheduler",
     "resolve_backend",
     "available_backends",
-    "greenlet_available",
     "analyze",
     "gantt",
     "RankBreakdown",

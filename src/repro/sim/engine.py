@@ -1,8 +1,8 @@
-"""Thread-per-rank SPMD engine with deterministic collective rendezvous.
+"""SPMD engine with deterministic collective rendezvous.
 
-Each simulated GPU is an OS thread running the *actual* parallel algorithm
-(the same lines of code a real SPMD program would run).  The engine
-provides:
+Each simulated GPU is a rank task running the *actual* parallel algorithm
+(the same lines of code a real SPMD program would run) under a scheduler
+backend (:mod:`repro.sim.schedulers`).  The engine provides:
 
 * one :class:`~repro.sim.clock.VirtualClock` per rank, advanced by the
   compute cost model for local work and synchronized at collectives;
@@ -11,57 +11,44 @@ provides:
   completion time, everyone proceeds with their clock moved to it;
 * buffered point-to-point messaging (MPI "bsend" semantics) so ring shifts
   like Cannon's algorithm do not deadlock;
-* deadlock detection: any wait exceeding ``op_timeout`` wall seconds raises
+* deadlock detection: a wait that can never complete raises
   :class:`~repro.errors.DeadlockError` naming the missing ranks;
 * fail-fast abort: if one rank raises, every other rank is released and
   :meth:`Engine.run` re-raises the original exception.
 
-Determinism: reductions are applied in group-rank order by a single thread,
+Determinism: reductions are applied in group-rank order by a single rank,
 so results (and therefore every downstream number) are bit-stable across
 runs and platforms.
 
 Synchronization design
 ----------------------
 The engine must itself run as fast as the hardware allows — the benchmark
-harness calls :meth:`Engine.run` hundreds of times at 64 ranks.  Four
-mechanisms keep the dispatch hot path off the floor:
+harness calls :meth:`Engine.run` hundreds of times at 64 ranks.
 
-* **Pluggable scheduler backends** (:mod:`repro.sim.schedulers`).  The
-  rendezvous/mailbox/fused-channel state machine below is written against
-  a small backend interface — ``make_event`` / ``make_lock`` / ``wait`` /
-  ``run`` — so *how* ranks wait is swappable.  ``Engine(backend=...)``
-  (or ``REPRO_ENGINE_BACKEND``) selects ``"threaded"`` (one preemptive OS
-  thread per rank, the default), or a **cooperative** backend that keeps
-  exactly one rank runnable and hands off explicitly at every blocking
-  point: ``"greenlet"`` (userspace stack switches, optional
-  ``repro[fast]`` extra) with a stdlib ``"baton"`` direct-handoff
-  fallback.  Backends change only wall-clock behaviour — results, traces
-  and virtual times are bit-identical across all of them.
-* **Per-rendezvous events under a sharded registry.**  Every in-flight
-  collective (and every pending p2p receive) owns its own backend event;
-  registry mutations take one of ``_N_SHARDS`` locks selected by key
-  hash.  Completing a collective wakes exactly its own waiters — there is
-  no global condition variable on which every rank of every group
-  contends, and no ``notify_all`` thundering herd.  (Cooperative backends
-  degrade the shard locks to no-ops: at most one rank runs at a time.)
-* **A persistent rank-worker pool with an event-driven watchdog**
-  (threaded backend).  Worker threads are process-global and outlive any
-  single :class:`Engine`; repeated ``run`` calls reuse them instead of
-  paying thread spawn/join per run.  One process-wide timer thread sleeps
-  until the earliest outstanding rendezvous deadline and raises
-  :class:`~repro.errors.DeadlockError` naming the ranks that never
-  arrived.  Cooperative backends need neither: a drained run queue with
-  blocked tasks *is* the deadlock condition, detected instantly with the
-  same error messages.
-* **Fused same-group scheduling.**  Collectives issued through
-  :meth:`Engine.fused_collective` rendezvous on a persistent per-group
-  *channel* instead of a fresh keyed registry entry: each group owns one
-  :class:`_GroupChannel` with an arrival counter per generation, the last
-  arriver completes the whole generation with a single wakeup broadcast,
-  and a *batch window* lets a rank queue several collectives on the same
-  group and pay one sleep/wake cycle for all of them.  The per-rank group
-  sequence counter doubles as the generation number, so matching is
-  deterministic under any thread interleaving.
+* **Two scheduler backends** (:mod:`repro.sim.schedulers`).  The
+  channel/mailbox state machine below is written against a small backend
+  interface — ``make_event`` / ``make_lock`` / ``wait`` / ``run`` — so
+  *how* ranks wait is swappable.  ``"event"`` (the default) keeps exactly
+  one rank runnable on a single drive loop and hands off explicitly at
+  every blocking point; a drained run queue with blocked tasks *is* the
+  deadlock condition, detected instantly.  ``"threaded"`` (one preemptive
+  OS thread per rank from a persistent pool, plus a process-wide watchdog
+  thread that sleeps until the earliest outstanding deadline) is the
+  independent oracle: ``Engine(backend=...)`` / ``REPRO_ENGINE_BACKEND``
+  select it so the fuzz, fault and deadlock suites can require that both
+  produce bit-identical results, traces, virtual times and error
+  messages.
+* **One blocking rendezvous, on a persistent per-group channel.**  Every
+  collective goes through :meth:`Engine.fused_collective`: each group
+  owns one :class:`_GroupChannel` with an arrival map per generation,
+  the last arriver completes the whole generation with a single wakeup
+  of exactly its own waiters, and a *batch window* lets a rank queue
+  several collectives on the same group and pay one sleep/wake cycle for
+  all of them.  The per-rank group sequence counter doubles as the
+  generation number, so matching is deterministic under any
+  interleaving.  Blocking arrival, wake-up, dead-member failure and
+  deadlock naming exist once, here; pending p2p receives own their own
+  backend event under one of ``_N_SHARDS`` mailbox locks.
 * **Deferred collective timing** (event backend only).  A symbolic-mode
   engine with no fault plan and tracing disabled does not need a
   collective's completion *time* at the moment the rank passes it — only
@@ -72,13 +59,12 @@ mechanisms keep the dispatch hot path off the floor:
   later as a dependency DAG (a node's true arrival is its members'
   resolved previous node plus their logged compute deltas — the same
   float fold the blocking path performs, hence bit-identical times).
-  Any observation of real time — ``ctx.now``, a p2p send/receive, a
-  keyed collective, the end of the run — force-syncs the rank first via
-  :meth:`Engine.sync_rank`.  A whole sweep then executes with roughly
-  one scheduler hand-off per rank instead of one per rank per
-  collective, and a run that ends with incomplete nodes raises the same
-  :class:`DeadlockError` the blocking backends produce, named from the
-  earliest incomplete node.
+  Any observation of real time — ``ctx.now``, a p2p send/receive, the
+  end of the run — force-syncs the rank first via
+  :meth:`Engine.sync_rank`.  A whole sweep then executes with no
+  scheduler hand-off at all, and a run that ends with incomplete nodes
+  raises the same :class:`DeadlockError` the blocking path produces,
+  named from the earliest incomplete node.
 
 Fault injection
 ---------------
@@ -87,7 +73,7 @@ simulates failures.  A scheduled :class:`~repro.sim.faults.RankCrash`
 kills its rank the first time that rank's *virtual* clock reaches the
 crash time; the engine marks the rank dead, records a
 :class:`~repro.sim.events.FaultEvent`, and **promptly** fails every
-rendezvous, fused generation or pending receive the dead rank can no
+channel generation or pending receive the dead rank can no
 longer join — surviving partners raise
 :class:`~repro.errors.RankFailureError` (naming the dead rank and crash
 time) instead of ever reaching the watchdog timeout.  Failure cascades
@@ -124,29 +110,9 @@ from repro.util.rng import rng_for
 
 __all__ = ["Engine", "RankContext", "run_engines"]
 
-#: Number of independent lock shards for the rendezvous/mailbox registry.
+#: Number of independent lock shards for the p2p mailbox registry.
 #: Must be a power of two (shard selection is ``hash & (_N_SHARDS - 1)``).
 _N_SHARDS = 16
-
-
-class _Rendezvous:
-    """State of one in-flight collective: who arrived, with what."""
-
-    __slots__ = ("size", "ranks", "arrivals", "results", "t_end", "done",
-                 "kind", "event", "failed")
-
-    def __init__(
-        self, size: int, kind: str, ranks: tuple[int, ...] | None, event: Any
-    ):
-        self.size = size
-        self.ranks = ranks  #: expected global ranks (None when unknown)
-        self.arrivals: dict[int, Any] = {}
-        self.results: dict[int, Any] = {}
-        self.t_end: float = 0.0
-        self.done = False
-        self.kind = kind
-        self.event = event  #: backend event; set once when done or failed
-        self.failed: RankFailureError | None = None  #: a member died
 
 
 class _FusedGen:
@@ -234,8 +200,7 @@ class _GroupChannel:
     """Persistent fused-rendezvous state for one rank group.
 
     The channel outlives individual collectives: back-to-back same-group
-    calls reuse its lock and its generation table instead of inserting and
-    deleting keyed entries in the shared sharded registry.  At most two
+    calls reuse its lock and its generation table.  At most two
     generations are ever live at once (a rank that completed generation
     ``g`` may arrive for ``g + 1`` while a peer has not yet picked up its
     ``g`` result), so the table stays tiny.
@@ -261,13 +226,12 @@ class _Mailbox:
 
 
 class _Shard:
-    """One lock's worth of the rendezvous/mailbox registry."""
+    """One lock's worth of the p2p mailbox registry."""
 
-    __slots__ = ("lock", "rendezvous", "mailboxes", "recv_waiters")
+    __slots__ = ("lock", "mailboxes", "recv_waiters")
 
     def __init__(self, lock: Any) -> None:
         self.lock = lock
-        self.rendezvous: dict[Any, _Rendezvous] = {}
         self.mailboxes: dict[Any, _Mailbox] = {}
         self.recv_waiters: dict[Any, Any] = {}
 
@@ -430,10 +394,10 @@ class Engine:
         Collective pricing family (see :class:`CollectiveAlg`).
     op_timeout:
         Wall-clock seconds a rank may wait inside one rendezvous before the
-        watchdog declares a deadlock.  Cooperative backends detect the
-        same deadlocks instantly (a drained run queue with blocked ranks
-        cannot recover); the value still appears in their error messages
-        so diagnostics are backend-independent.
+        threaded backend's watchdog declares a deadlock.  The event
+        backend detects the same deadlocks instantly (a drained run queue
+        with blocked ranks cannot recover); the value still appears in
+        its error messages so diagnostics are backend-independent.
     seed:
         Base seed for all RNG streams.
     fault_plan:
@@ -442,15 +406,14 @@ class Engine:
         stragglers, transient sends, delivery jitter).  ``None`` simulates
         a healthy cluster.
     backend:
-        Scheduler backend: ``"threaded"`` (default), ``"cooperative"``
-        (greenlet when installed, else the stdlib baton fallback),
-        ``"greenlet"``, ``"baton"``, ``"event"`` (cooperative with
-        deferred collective timing and multi-engine multiplexing), or a
-        :class:`~repro.sim.schedulers.SchedulerBackend` instance.
-        ``None`` consults ``REPRO_ENGINE_BACKEND``; an unrecognized name
-        raises :class:`ValueError`.  Backends trade wall-clock dispatch
-        cost only; modeled virtual time, results and traces are
-        bit-identical across all of them.
+        Scheduler backend: ``"event"`` (default: one drive loop, deferred
+        collective timing, multi-engine multiplexing), ``"threaded"``
+        (one OS thread per rank; the reference the test suites compare
+        against), or a :class:`~repro.sim.schedulers.SchedulerBackend`
+        instance.  ``None`` consults ``REPRO_ENGINE_BACKEND``; an
+        unrecognized name raises :class:`ValueError`.  Backends trade
+        wall-clock dispatch cost only; modeled virtual time, results and
+        traces are bit-identical between them.
 
     Examples
     --------
@@ -522,9 +485,9 @@ class Engine:
         self.trace = Trace(enabled=trace)
 
         self._sched = resolve_backend(backend)
-        #: resolved backend name ("threaded" / "baton" / "event" / "greenlet")
+        #: resolved backend name ("event" / "threaded")
         self.backend = self._sched.name
-        #: the live scheduler backend (cooperative ones expose ``handoffs``,
+        #: the live scheduler backend (the event one exposes ``handoffs``,
         #: the deterministic hand-off count of the most recent run)
         self.scheduler = self._sched
         self._shards = tuple(
@@ -575,10 +538,10 @@ class Engine:
         """Run ``fn(ctx, *args, **kwargs)`` on every rank; return all results.
 
         Results are ordered by rank.  If any rank raises, all ranks are
-        aborted and the first exception (by rank) is re-raised.  Rank
-        threads come from a persistent process-wide pool, so calling
-        ``run`` repeatedly (the benchmark harness does, hundreds of times)
-        does not pay thread spawn/join per call.
+        aborted and the first exception (by rank) is re-raised.  Any
+        threads the backend needs come from persistent process-wide
+        pools, so calling ``run`` repeatedly (the benchmark harness does,
+        hundreds of times) does not pay thread spawn/join per call.
         """
         worker, results, errors = self._prepare_run(fn, args, kwargs)
         if self.nranks == 1:
@@ -599,7 +562,6 @@ class Engine:
         loop."""
         kwargs = kwargs or {}
         for shard in self._shards:
-            shard.rendezvous.clear()
             shard.mailboxes.clear()
             shard.recv_waiters.clear()
         with self._channels_lock:
@@ -664,8 +626,6 @@ class Engine:
                 self._error = exc
         for shard in self._shards:
             with shard.lock:
-                for rv in shard.rendezvous.values():
-                    rv.event.set()
                 for evt in shard.recv_waiters.values():
                     evt.set()
         with self._channels_lock:
@@ -742,10 +702,10 @@ class Engine:
     def _mark_dead(self, rank: int, cause: RankFailureError) -> None:
         """Mark ``rank`` unable to communicate; promptly fail its waiters.
 
-        Every rendezvous, fused generation, or pending receive that is
-        still waiting for ``rank`` is marked failed and woken *now* — no
+        Every channel generation or pending receive that is still
+        waiting for ``rank`` is marked failed and woken *now* — no
         surviving partner ever rides out the watchdog timeout.  A
-        rendezvous the dead rank already deposited into is left alone: it
+        generation the dead rank already deposited into is left alone: it
         can still complete for the others (the crash happened after the
         rank's arrival in its own program order).  ``cause`` is the *root*
         failure, so cascaded deaths keep naming the originally-crashed
@@ -757,12 +717,6 @@ class Engine:
             self._dead[rank] = cause
         for shard in self._shards:
             with shard.lock:
-                for rv in shard.rendezvous.values():
-                    if (not rv.done and rv.failed is None
-                            and rv.ranks is not None and rank in rv.ranks
-                            and rank not in rv.arrivals):
-                        rv.failed = cause
-                        rv.event.set()
                 for key, evt in shard.recv_waiters.items():
                     if (isinstance(key, tuple) and len(key) >= 4
                             and key[1] == "p2p" and key[2] == rank
@@ -823,17 +777,18 @@ class Engine:
         """Release all rendezvous/trace state (engine-cache eviction).
 
         The engine stays usable — :meth:`run` rebuilds everything — but a
-        shut-down engine holds no payload references, no trace events and
-        no live rendezvous, so evicting it from a cache actually frees
-        memory.
+        shut-down engine holds no payload references (mailboxes, channel
+        generations, or the deferred nodes an aborted run leaves behind),
+        no trace events and no live rendezvous, so evicting it from a
+        cache actually frees memory.
         """
         for shard in self._shards:
             with shard.lock:
-                shard.rendezvous.clear()
                 shard.mailboxes.clear()
                 shard.recv_waiters.clear()
         with self._channels_lock:
             self._channels.clear()
+        self._dpending = {}
         self.trace.clear()
         self.contexts = []
         self._error = None
@@ -843,147 +798,7 @@ class Engine:
     def _shard(self, key: Any) -> _Shard:
         return self._shards[hash(key) & (_N_SHARDS - 1)]
 
-    # --- rendezvous service -------------------------------------------------------
-
-    def collective(
-        self,
-        key: Any,
-        size: int,
-        rank: int,
-        arrival: Any,
-        kind: str,
-        finisher: Callable[[dict[int, Any]], tuple[dict[int, Any], float]],
-        ranks: Sequence[int] | None = None,
-    ) -> tuple[Any, float]:
-        """Join collective ``key``; return (my result, completion time).
-
-        ``finisher`` runs exactly once, on the thread of the last arriver,
-        with the full ``{rank: arrival}`` map; it must return per-rank
-        results and the synchronized completion time.  ``ranks`` (the
-        expected global ranks) lets a timeout name the missing members.
-        """
-        if self._deferred and 0 <= rank < len(self.contexts):
-            # Keyed collectives carry absolute times in their arrivals:
-            # land this rank on true time before it deposits.
-            self.sync_rank(self.contexts[rank])
-        if self._error is not None:
-            self._check_abort()
-        if self._dead:
-            cause = self._dead.get(rank)
-            if cause is not None:
-                raise cause.clone()
-        shard = self._shard(key)
-        mismatch: CommError | None = None
-        failed: RankFailureError | None = None
-        with shard.lock:
-            rv = shard.rendezvous.get(key)
-            if rv is None:
-                rv = _Rendezvous(size, kind, tuple(ranks) if ranks else None,
-                                 self._sched.make_event())
-                shard.rendezvous[key] = rv
-            if rv.failed is not None:
-                failed = rv.failed
-            elif self._dead and rv.ranks is not None:
-                failed = self._dead_member(rv.ranks, rv.arrivals)
-                if failed is not None:
-                    rv.failed = failed
-                    rv.event.set()
-            if failed is not None:
-                pass
-            elif rv.kind != kind:
-                mismatch = CommError(
-                    f"collective mismatch at {key}: rank {rank} called {kind!r} "
-                    f"but the group already started {rv.kind!r}"
-                )
-            elif rank in rv.arrivals:
-                raise CommError(
-                    f"rank {rank} joined collective {key} twice (sequence "
-                    f"counters out of sync?)"
-                )
-            else:
-                rv.arrivals[rank] = arrival
-                is_last = len(rv.arrivals) == rv.size
-        if failed is not None:
-            raise self._fail_rank(rank, failed)
-        if mismatch is not None:
-            self._abort(mismatch)
-            raise mismatch
-
-        if is_last:
-            # The group is complete: no thread mutates rv anymore, so the
-            # finisher runs without holding any registry lock.
-            try:
-                rv.results, rv.t_end = finisher(rv.arrivals)
-            except BaseException as exc:
-                self._abort(exc)
-                raise
-            rv.done = True
-            rv.event.set()
-        else:
-            if self._error is not None:
-                # An abort may have swept the registry before our
-                # rendezvous was inserted; don't sleep on a dead run.
-                rv.event.set()
-            self._sched.wait(
-                rv.event, self.op_timeout,
-                lambda: self._fire_deadlock(key, kind, rv),
-            )
-            if not rv.done:
-                if rv.failed is not None:
-                    raise self._fail_rank(rank, rv.failed)
-                self._check_abort()
-                # Backstop: the watchdog itself failed to fire.
-                err = self._deadlock_error(key, kind, rv)
-                if isinstance(err, RankFailureError):
-                    raise self._fail_rank(rank, err)
-                self._abort(err)
-                raise err
-
-        with shard.lock:
-            result = rv.results.get(rank)
-            t_end = rv.t_end
-            # Last rank to pick up its result reclaims the slot.
-            rv.results.pop(rank, None)
-            rv.arrivals.pop(rank, None)
-            if not rv.arrivals:
-                shard.rendezvous.pop(key, None)
-        return result, t_end
-
-    def _deadlock_error(
-        self, key: Any, kind: str, rv: _Rendezvous
-    ) -> SimulationError:
-        arrived = sorted(rv.arrivals)
-        if rv.ranks is not None:
-            missing = sorted(set(rv.ranks) - set(arrived))
-            for r in missing:
-                cause = self._dead.get(r)
-                if cause is not None:
-                    # Not a deadlock: the missing partner is dead.
-                    return cause.clone()
-        detail = f"{len(arrived)}/{rv.size} ranks arrived {arrived}"
-        if rv.ranks is not None:
-            detail += f"; missing ranks {missing}"
-        return DeadlockError(
-            f"rendezvous {key} ({kind}) timed out after "
-            f"{self.op_timeout}s: {detail}"
-        )
-
-    def _fire_deadlock(self, key: Any, kind: str, rv: _Rendezvous) -> None:
-        if rv.done or rv.failed is not None or self._error is not None:
-            return
-        err = self._deadlock_error(key, kind, rv)
-        if isinstance(err, RankFailureError):
-            # A dead partner explains the stall; fail this rendezvous
-            # (and only it) rather than sweeping the whole run.
-            shard = self._shard(key)
-            with shard.lock:
-                if rv.failed is None and not rv.done:
-                    rv.failed = err
-                    rv.event.set()
-            return
-        self._abort(err)
-
-    # --- fused same-group rendezvous -----------------------------------------
+    # --- group-channel rendezvous ---------------------------------------------
 
     def _channel(self, granks: tuple[int, ...]) -> _GroupChannel:
         ch = self._channels.get(granks)
@@ -1017,10 +832,10 @@ class Engine:
         ``{rank: arrival}`` map; it returns per-rank result lists and the
         synchronized per-op completion times.
 
-        Compared to :meth:`collective` this path allocates no keyed
-        registry entry per call (the channel persists across the group's
-        whole lifetime), wakes the group with a single event broadcast,
-        and amortizes one sleep/wake cycle over the entire batch.
+        The channel persists across the group's whole lifetime (no
+        registry entry per call), the last arriver wakes the group with a
+        single event broadcast, and a batch amortizes one sleep/wake
+        cycle over all its ops.
         """
         if self._error is not None:
             self._check_abort()
@@ -1104,6 +919,10 @@ class Engine:
                 ch.gens.pop(gen, None)
         return result if result is not None else [], t_ends
 
+    #: Name kept only because ``benchmarks/e2e/e2e_tracer.py`` wraps
+    #: ``Engine.collective``; the keyed rendezvous it once named is gone.
+    collective = fused_collective
+
     @staticmethod
     def _sig_name(sig: tuple[str, ...]) -> str:
         return sig[0] if len(sig) == 1 else f"fused[{', '.join(sig)}]"
@@ -1141,9 +960,9 @@ class Engine:
 
     # --- deferred collective timing (event backend) ---------------------------
     #
-    # All state below is mutated without locks: deferral requires a
-    # cooperative backend, whose one-runner invariant makes every method
-    # here a critical section by construction.
+    # All state below is mutated without locks: deferral requires the
+    # event backend, whose one-runner invariant makes every method here a
+    # critical section by construction.
 
     def fused_collective_deferred(
         self,
@@ -1433,8 +1252,8 @@ class Engine:
         """Force ``ctx``'s deferred timeline to true virtual time.
 
         No-op unless the rank has an open deferred epoch.  Called before
-        anything that observes real time: ``ctx.now``, p2p send/receive,
-        keyed collectives, and the end-of-run finalization.  If the
+        anything that observes real time: ``ctx.now``, p2p send/receive
+        and the end-of-run finalization.  If the
         rank's pending nodes cannot resolve yet the rank parks; a drained
         run queue then names the earliest incomplete node, exactly like a
         blocked collective would.
@@ -1594,10 +1413,10 @@ def run_engines(
     ``backend=<instance>`` to each constructor): the backend's events
     route through its own run queue, so tasks of a foreign scheduler
     would never be woken.  With an :class:`~repro.sim.schedulers.
-    EventScheduler` the rank tasks of all engines interleave on one
-    cooperative run queue — a sweep over many engines shares a single
-    scheduler loop instead of paying one ``run`` cycle per engine; any
-    other backend falls back to running the jobs back to back.
+    EventScheduler` the rank tasks of all engines interleave on one run
+    queue — a sweep over many engines shares a single scheduler loop
+    instead of paying one ``run`` cycle per engine; the threaded backend
+    falls back to running the jobs back to back.
 
     Results are returned per job, in order.  Errors are surfaced after
     *every* engine's run has been finalized, first job first — one

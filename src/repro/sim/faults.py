@@ -16,9 +16,9 @@ never enters any fault decision.
 The same purity makes plans **scheduler-backend invariant**: crash
 times, retry draws and jitter depend only on virtual clocks and named
 RNG streams, never on how ranks are multiplexed onto the CPU, so the
-threaded and cooperative backends (:mod:`repro.sim.schedulers`) replay a
+event and threaded backends (:mod:`repro.sim.schedulers`) replay a
 plan identically — ``tests/sim/test_faults.py`` runs this whole module's
-guarantees under every available backend, and the fault-plan fuzzers in
+guarantees under both, and the fault-plan fuzzers in
 ``tests/sim/test_engine_fuzz.py`` assert cross-backend equality of
 outcomes, dead sets, traces and volumes.
 

@@ -1,46 +1,32 @@
-"""Pluggable rank-scheduling backends for the SPMD engine.
+"""Rank-scheduling backends for the SPMD engine.
 
-The engine's rendezvous/mailbox/fused-channel state machine is pure
-bookkeeping: who arrived at which collective, which receive is pending,
-which generation completed.  *How ranks wait* — what an event is, what a
-lock is, what happens when a rank blocks — is the scheduler backend's
-business, and this module provides four interchangeable answers:
+The engine's channel/mailbox state machine is pure bookkeeping: who
+arrived at which collective, which receive is pending, which generation
+completed.  *How ranks wait* — what an event is, what happens when a rank
+blocks — is the scheduler backend's business.  There are two:
 
-``threaded`` (the default)
-    One OS thread per rank from a persistent process-global pool
-    (:class:`RankPool`), real ``threading`` primitives, and an
+``event`` (the default)
+    All ranks of a run execute as steps of one *drive loop*: exactly one
+    rank is runnable at any instant, fresh rank tasks are called inline
+    on the loop's thread, and only a task that actually blocks parks its
+    stack on a per-task baton lock while the drive role moves on (a
+    directed hand-off, never a broadcast).  Two engine-visible
+    capabilities ride on that: ``run_many`` multiplexes the rank tasks of
+    *several engines* onto one run queue (so ``bench/runner.py`` sweeps
+    share a single scheduler loop), and ``supports_deferred_sync`` lets
+    the engine defer symbolic-mode collective timing entirely — ranks
+    deposit their arrival and run on without blocking, completion times
+    are resolved as a dependency DAG, and a whole sweep executes with
+    zero hand-offs.  Deadlock falls out instantly: a drained run queue
+    with blocked tasks *is* the deadlock.
+
+``threaded`` (the reference oracle)
+    One preemptive OS thread per rank from a persistent process-global
+    pool (:class:`RankPool`), real ``threading`` primitives, and an
     event-driven deadlock :class:`Watchdog` that sleeps until the
-    earliest outstanding deadline.  Ranks block in the kernel; wakeups
-    pay futex + context-switch cost.
-
-``baton`` (cooperative, stdlib-only)
-    Rank programs still live on pool threads, but **exactly one is
-    runnable at any instant**: every blocking point releases a pre-owned
-    per-task baton lock straight to the next runnable task (a direct
-    hand-off, never a broadcast).  Locks degenerate to no-ops, events to
-    a flag plus a waiter list, and the watchdog disappears entirely — a
-    drained run queue with blocked tasks *is* the deadlock condition, so
-    deadlocks are detected instantly instead of after ``op_timeout``
-    wall seconds.
-
-``greenlet`` (cooperative, optional extra — ``pip install repro[fast]``)
-    Same cooperative core, but ranks are greenlets multiplexed on the
-    calling thread: a blocking point is a userspace stack switch with no
-    OS involvement at all.  When :mod:`greenlet` is not installed the
-    ``cooperative`` alias resolves to ``baton`` so the default install
-    keeps working.
-
-``event`` (event-driven, stdlib-only)
-    The baton hand-off machinery plus two engine-visible capabilities:
-    ``run_many`` multiplexes the rank tasks of *several engines* onto one
-    cooperative run queue (so ``bench/runner.py`` sweeps share a single
-    scheduler loop), and ``supports_deferred_sync`` lets the engine defer
-    symbolic-mode collective timing entirely — ranks deposit their
-    arrival and run on without blocking, completion times are resolved
-    as a dependency DAG, and a whole sweep executes with ~one hand-off
-    per rank instead of one per rank per collective.  Deadlock falls out
-    instantly: a drained run queue with unfinished collective nodes *is*
-    the deadlock, named from the earliest incomplete node.
+    earliest outstanding deadline.  Shares no scheduling code with
+    ``event``, which is why the fuzz, fault and deadlock-message suites
+    replay every case under both and require identical output.
 
 Determinism across backends
 ---------------------------
@@ -49,25 +35,26 @@ are applied in group-rank order by the last arriver, completion times
 are functions of the full arrival map (not arrival order), and fault
 cascades are functions of per-rank program order and virtual time only.
 The engine-fuzzer corpus asserts bit-identical results, per-rank traces
-and virtual times across every available backend
+and virtual times across both backends
 (``tests/sim/test_engine_fuzz.py``).
 
-Deadlock semantics under cooperative backends
----------------------------------------------
+Deadlock semantics under the event backend
+------------------------------------------
 A waiting rank registers the same ``fire`` callback the threaded
-watchdog would run.  When the cooperative run queue drains while tasks
-are still blocked, the scheduler fires the registered callbacks in
-registration order (producing byte-identical :class:`DeadlockError`
-messages — they embed ``op_timeout``, not measured wall time), and as a
-final backstop force-wakes every blocked task so the engine's own
-post-wait recovery paths run, mirroring the ``_WATCHDOG_SLACK`` backstop
-of the threaded backend.
+watchdog would run.  When the run queue drains while tasks are still
+blocked, the scheduler fires the registered callbacks in registration
+order (producing byte-identical :class:`DeadlockError` messages — they
+embed ``op_timeout``, not measured wall time), and as a final backstop
+force-wakes every blocked task so the engine's own post-wait recovery
+paths run, mirroring the ``WATCHDOG_SLACK`` backstop of the threaded
+backend.
 """
 
 from __future__ import annotations
 
 import _thread
 import heapq
+import importlib.util
 import os
 import threading
 import time
@@ -79,8 +66,6 @@ from repro.errors import SimulationError
 __all__ = [
     "SchedulerBackend",
     "ThreadedScheduler",
-    "BatonScheduler",
-    "GreenletScheduler",
     "EventScheduler",
     "resolve_backend",
     "available_backends",
@@ -172,7 +157,7 @@ class Watchdog:
     records a :class:`DeadlockError` and releases all waiters) only if the
     wait was not cancelled first.  This replaces per-rank polling wakeups:
     nobody wakes up just to check a clock.  Only the threaded backend
-    needs it — cooperative backends detect a stall the instant their run
+    needs it — the event backend detects a stall the instant its run
     queue drains.
 
     Deadlines live in a min-heap keyed by ``(deadline, token)`` while the
@@ -256,26 +241,18 @@ class Watchdog:
                     self._cond.acquire()
 
 
-#: Process-global singletons shared by every engine (threaded backend) and
-#: by the baton backend's carrier threads.
+#: Process-global singletons shared by every threaded-backend engine.
 pool = RankPool()
 watchdog = Watchdog()
 
 
 def greenlet_available() -> bool:
-    """True when the optional :mod:`greenlet` extra is importable."""
-    global _HAVE_GREENLET
-    if _HAVE_GREENLET is None:
-        try:
-            import greenlet  # noqa: F401
+    """True when :mod:`greenlet` is importable.
 
-            _HAVE_GREENLET = True
-        except ImportError:
-            _HAVE_GREENLET = False
-    return _HAVE_GREENLET
-
-
-_HAVE_GREENLET: bool | None = None
+    No backend uses it; the name stays only because
+    ``benchmarks/e2e/e2e_child.py`` imports it for its ``env`` block.
+    """
+    return importlib.util.find_spec("greenlet") is not None
 
 
 class SchedulerBackend:
@@ -284,9 +261,9 @@ class SchedulerBackend:
     A backend supplies the synchronization primitives the engine's state
     machine is parameterized over:
 
-    * :meth:`make_lock` — guards registry shards / channels / error state;
-    * :meth:`make_event` — one per rendezvous / fused generation / pending
-      receive; the engine only ever calls ``.set()`` on it;
+    * :meth:`make_lock` — guards mailbox shards / channels / error state;
+    * :meth:`make_event` — one per fused generation / pending receive;
+      the engine only ever calls ``.set()`` on it;
     * :meth:`wait` — block the calling rank on an event with a deadlock
       deadline (``fire`` is the engine callback that names the missing
       ranks and releases everyone);
@@ -296,15 +273,12 @@ class SchedulerBackend:
     """
 
     name: str = "?"
-    #: True when at most one rank executes engine code at any instant
-    #: (locks degenerate to no-ops, deadlocks are detected instantly).
-    cooperative: bool = False
     #: True when the engine may defer symbolic-mode collective timing:
     #: deposit-and-run-on instead of blocking at every rendezvous, with
-    #: completion times resolved later as a dependency DAG.  Requires the
-    #: cooperative one-runner invariant *and* instant deadlock detection
-    #: (the engine leans on the drained-run-queue callback to name
-    #: incomplete collectives).  Only the event backend opts in.
+    #: completion times resolved later as a dependency DAG.  Requires
+    #: that at most one rank executes engine code at any instant *and*
+    #: instant deadlock detection (the engine leans on the
+    #: drained-run-queue callback to name incomplete collectives).
     supports_deferred_sync: bool = False
 
     def run(self, n: int, worker: Callable[[int], None]) -> None:
@@ -317,8 +291,8 @@ class SchedulerBackend:
 
         The default runs the jobs back to back — correct for any backend.
         The event backend overrides this to interleave all jobs' rank
-        tasks on one cooperative run queue, so a sweep over many engines
-        shares a single scheduler loop.
+        tasks on one run queue, so a sweep over many engines shares a
+        single scheduler loop.
         """
         for n, worker in jobs:
             self.run(n, worker)
@@ -336,10 +310,13 @@ class SchedulerBackend:
 
 
 class ThreadedScheduler(SchedulerBackend):
-    """One preemptive OS thread per rank (the original engine design)."""
+    """One preemptive OS thread per rank (the original engine design).
+
+    Kept as the independent reference the event backend is compared
+    against, not as a faster or slower alternative to choose between.
+    """
 
     name = "threaded"
-    cooperative = False
 
     def run(self, n: int, worker: Callable[[int], None]) -> None:
         pool.run(n, worker)
@@ -360,46 +337,15 @@ class ThreadedScheduler(SchedulerBackend):
             watchdog.cancel(token)
 
 
-class _NullLock:
-    """Lock stand-in for cooperative backends.
-
-    Safe because exactly one task executes engine code between hand-off
-    points — the critical sections the threaded backend locks are atomic
-    by construction here.  Cooperative backends nevertheless hand out a
-    *real* ``threading.Lock`` from :meth:`make_lock`: an uncontended C
-    lock's with-statement is cheaper than a Python-level no-op's
-    ``__enter__``/``__exit__`` calls, and contention is impossible by the
-    one-runner invariant.  This class remains for tests and as the
-    documented degenerate semantics.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-    def acquire(self) -> bool:
-        return True
-
-    def release(self) -> None:
-        pass
-
-
-_NULL_LOCK = _NullLock()
-
-
-class _CoopEvent:
+class _Event:
     """Flag + waiter list; ``set()`` moves waiters onto the run queue."""
 
     __slots__ = ("_sched", "_flag", "_waiters")
 
-    def __init__(self, sched: "_CooperativeCore"):
+    def __init__(self, sched: "EventScheduler"):
         self._sched = sched
         self._flag = False
-        self._waiters: list[_CoopTask] = []
+        self._waiters: list[_Task] = []
 
     def set(self) -> None:
         self._flag = True
@@ -419,241 +365,24 @@ class _CoopEvent:
         return self._flag
 
 
-class _CoopTask:
-    """One rank's scheduling state under a cooperative backend."""
+class _Task:
+    """One rank's scheduling state under the event backend."""
 
     __slots__ = ("index", "state", "wait_event", "fire", "fire_seq",
-                 "payload")
+                 "baton")
 
     def __init__(self, index: int):
         self.index = index
-        self.state = "new"  #: new | runnable | running | blocked | finished
-        self.wait_event: _CoopEvent | None = None
+        self.state = "runnable"  #: runnable | running | blocked | finished
+        self.wait_event: _Event | None = None
         #: one-shot deadline callback for the wait in progress, fired in
         #: registration (``fire_seq``) order when the run queue drains
         self.fire: Callable[[], None] | None = None
         self.fire_seq = 0
-        #: backend carrier: a baton lock (baton) or a greenlet (greenlet)
-        self.payload: Any = None
-
-
-class _CooperativeCore(SchedulerBackend):
-    """Shared run-queue machinery for the baton and greenlet backends.
-
-    Invariant: at most one task executes engine code at any instant; all
-    scheduler state below is therefore mutated without locks.  Hand-off
-    points are exactly the engine's blocking points — rendezvous wait,
-    fused-window flush, mailbox receive — plus task completion.  (Fault
-    *retry* sleeps advance virtual time only and never block, so they
-    need no hand-off.)
-    """
-
-    cooperative = True
-
-    def __init__(self) -> None:
-        self._tasks: list[_CoopTask] = []
-        self._runnable: deque[_CoopTask] = deque()
-        self._next_seq = 0
-        self._n = 0
-        self._finished = 0
-        self._current: _CoopTask | None = None
-        self._live = False
-        #: hand-offs performed during the most recent ``run`` — a
-        #: deterministic function of the schedule, exported by the
-        #: overhead bench as a nightly-diffable metric.
-        self.handoffs = 0
-
-    # --- primitives -----------------------------------------------------------
-
-    def make_event(self) -> _CoopEvent:
-        return _CoopEvent(self)
-
-    def make_lock(self) -> threading.Lock:
-        # Uncontended by the one-runner invariant; see _NullLock docstring
-        # for why a real C lock beats a Python no-op here.
-        return threading.Lock()
-
-    def wait(
-        self, event: _CoopEvent, timeout: float, fire: Callable[[], None]
-    ) -> None:
-        if event._flag:
-            return
-        task = self._current
-        if task is None:
-            # Inline single-rank execution (no scheduler run is active):
-            # nobody else exists to set the event, so the stall is already
-            # a deadlock — fire the deadline now and let the engine's
-            # post-wait recovery path raise.
-            fire()
-            return
-        # The deadline callback lives on the task itself (no registry):
-        # it is only consulted on the cold drained-run-queue path, and a
-        # task can be inside at most one wait at a time.
-        task.fire = fire
-        task.fire_seq = self._next_seq
-        self._next_seq += 1
-        task.state = "blocked"
-        task.wait_event = event
-        event._waiters.append(task)
-        self._suspend(task)
-        # No post-resume cleanup needed: every wake path (event set,
-        # force-wake, deadline fire) already cleared ``wait_event``/
-        # ``fire``, and a stale ``fire`` on a non-blocked task is ignored
-        # by ``_pick_next`` and overwritten by the next wait.
-
-    # --- run-queue core -------------------------------------------------------
-
-    def _suspend(self, task: _CoopTask) -> None:
-        # Hot path: hand straight to the next runnable task.
-        runnable = self._runnable
-        while runnable:
-            nxt = runnable.popleft()
-            if nxt.state == "runnable":
-                self._switch(task, nxt)
-                task.state = "running"
-                return
-        nxt = self._pick_next()
-        if nxt is None or nxt is task:
-            # Force-woken (or re-picked) without anyone else to run.
-            task.state = "running"
-            return
-        self._switch(task, nxt)
-        task.state = "running"
-
-    def _pick_next(self) -> _CoopTask | None:
-        """Next task to run, driving deadlock handling when none exists.
-
-        When the run queue drains with tasks still blocked, fire the
-        blocked tasks' deadline callbacks in registration (``fire_seq``)
-        order (instant, deterministic deadlock detection); if every
-        deadline fired and tasks are *still* blocked, force-wake them all
-        so the engine's own post-wait backstops raise.  Returns ``None``
-        only when every task has finished.
-        """
-        while True:
-            while self._runnable:
-                t = self._runnable.popleft()
-                if t.state == "runnable":
-                    return t
-            if self._finished >= self._n:
-                return None
-            pending = [t for t in self._tasks
-                       if t.state == "blocked" and t.fire is not None]
-            if pending:
-                t = min(pending, key=lambda t: t.fire_seq)
-                fire = t.fire
-                t.fire = None  # one-shot
-                fire()
-                continue
-            woke = False
-            for t in self._tasks:
-                if t.state == "blocked":
-                    t.state = "runnable"
-                    t.wait_event = None
-                    self._runnable.append(t)
-                    woke = True
-            if not woke:  # pragma: no cover - scheduler invariant
-                raise SimulationError(
-                    "cooperative scheduler wedged: no runnable, blocked, "
-                    "or unfinished task remains"
-                )
-
-    def _reset(self, n: int) -> None:
-        if self._live:
-            raise SimulationError(
-                f"{self.name} scheduler is already running a program; "
-                "one cooperative backend instance drives one engine run "
-                "at a time"
-            )
-        self._tasks = [_CoopTask(i) for i in range(n)]
-        self._runnable = deque()
-        self._next_seq = 0
-        self._n = n
-        self._finished = 0
-        self._current = None
-        self._live = True
-        self.handoffs = 0
-
-    def _switch(self, cur: _CoopTask, nxt: _CoopTask) -> None:
-        raise NotImplementedError
-
-
-class BatonScheduler(_CooperativeCore):
-    """Cooperative scheduling over pool threads via direct baton hand-off.
-
-    Each task owns a pre-acquired ``_thread`` lock (its *baton*); exactly
-    one baton is ever released, so exactly one task runs.  Blocking is a
-    release of the successor's baton followed by an acquire of one's own
-    — a directed kernel wake of one specific thread, with no broadcast,
-    no condition-variable bookkeeping and no watchdog registration.  This
-    is the stdlib fallback for ``backend="cooperative"`` when greenlet is
-    not installed.
-    """
-
-    name = "baton"
-
-    def _suspend(self, task: _CoopTask) -> None:
-        # Hot path, inlined from the core: release the successor's baton,
-        # park on our own.  One directed futex wake per hand-off.
-        runnable = self._runnable
-        while runnable:
-            nxt = runnable.popleft()
-            if nxt.state == "runnable":
-                self.handoffs += 1
-                nxt.payload.release()
-                task.payload.acquire()
-                self._current = task
-                task.state = "running"
-                return
-        nxt = self._pick_next()
-        if nxt is None or nxt is task:
-            task.state = "running"
-            return
-        self._switch(task, nxt)
-        task.state = "running"
-
-    def run(self, n: int, worker: Callable[[int], None]) -> None:
-        self._reset(n)
-        tasks = self._tasks
-        for t in tasks:
-            t.payload = _thread.allocate_lock()
-            t.payload.acquire()
-
-        def gated(rank: int) -> None:
-            t = tasks[rank]
-            t.payload.acquire()  # parked until scheduled
-            self._current = t
-            t.state = "running"
-            try:
-                worker(rank)
-            finally:
-                self._finish(t)
-
-        for t in tasks:
-            t.state = "runnable"
-        self._runnable.extend(tasks[1:])
-        try:
-            # Release task 0's baton *before* the (blocking) pool call;
-            # a lock released before its owner parks is simply found open.
-            tasks[0].payload.release()
-            pool.run(n, gated)
-        finally:
-            self._live = False
-
-    def _switch(self, cur: _CoopTask, nxt: _CoopTask) -> None:
-        self.handoffs += 1
-        nxt.payload.release()
-        cur.payload.acquire()
-        self._current = cur
-
-    def _finish(self, t: _CoopTask) -> None:
-        t.state = "finished"
-        self._finished += 1
-        nxt = self._pick_next()
-        if nxt is not None:
-            self.handoffs += 1
-            nxt.payload.release()
-        # else: every task finished; the pool unblocks the host.
+        #: pre-acquired lock this task's stack parks on once it has
+        #: blocked; ``None`` while the task is fresh (never started or
+        #: never blocked), which is what lets the drive loop call it inline
+        self.baton: Any = None
 
 
 class _DriverPool:
@@ -716,53 +445,154 @@ class _DriverPool:
 _drivers = _DriverPool()
 
 
-class EventScheduler(BatonScheduler):
+class EventScheduler(SchedulerBackend):
     """Single-thread run loop with resumable steps and deferred sync.
 
     All ranks of a run execute as steps of one *drive loop* on a single
     thread: the loop pops the explicit run queue and calls fresh rank
-    tasks inline — no OS thread per rank, no baton parked per task, no
-    futex wakes.  A symbolic-mode deferred sweep (``supports_deferred_
-    sync=True``: ranks deposit collective arrivals and run straight on)
-    therefore degenerates to a plain sequential loop with **zero**
-    hand-offs, which is where the backend's order-of-magnitude win over
-    the threaded backend comes from.
+    tasks inline — no OS thread per rank, no futex wakes.  A
+    symbolic-mode deferred sweep (``supports_deferred_sync=True``: ranks
+    deposit collective arrivals and run straight on) therefore
+    degenerates to a plain sequential loop with **zero** hand-offs, which
+    is where the backend's order-of-magnitude win over the threaded
+    backend comes from.
 
     Only a task that actually *blocks* (traced/real-mode rendezvous, p2p
-    receive, forced clock sync) is promoted to the baton machinery: its
-    stack parks on a lazily-allocated baton lock and the drive role
-    migrates — to a parked peer via a directed baton release, or to a
-    pooled driver thread (:class:`_DriverPool`) when the next step is a
-    fresh task needing a free stack.  ``handoffs`` counts exactly these
-    thread-switching transfers, so it stays a deterministic function of
-    the schedule and is ``0`` for a never-blocking deferred sweep.
+    receive, forced clock sync) parks: its stack waits on a
+    lazily-allocated baton lock and the drive role migrates — to a parked
+    peer via a directed baton release, or to a pooled driver thread
+    (:class:`_DriverPool`) when the next step is a fresh task needing a
+    free stack.  ``handoffs`` counts exactly these thread-switching
+    transfers, so it stays a deterministic function of the schedule and
+    is ``0`` for a never-blocking deferred sweep.
 
-    The run-queue semantics — one runnable at any instant, deadline
-    callbacks fired in ``fire_seq`` order when the queue drains, the
-    force-wake backstop — are the inherited cooperative core, unchanged,
-    which keeps results, traces, clocks and deadlock messages
-    bit-identical to ``threaded``/``baton``/``greenlet`` over the fuzzer
-    corpus.  :meth:`run_many` interleaves several engines' rank tasks on
-    this one loop so ``bench/runner.py`` sweeps share a scheduler.
+    Invariant: at most one task executes engine code at any instant, so
+    all scheduler state below is mutated without locks.  Hand-off points
+    are exactly the engine's blocking points — channel wait, mailbox
+    receive, deferred force-sync — plus task completion.  (Fault *retry*
+    sleeps advance virtual time only and never block.)  When the queue
+    drains with tasks still blocked, their deadline callbacks fire in
+    ``fire_seq`` order, then the force-wake backstop runs; that keeps
+    results, traces, clocks and deadlock messages bit-identical to
+    ``threaded`` over the fuzzer corpus.  :meth:`run_many` interleaves
+    several engines' rank tasks on this one loop so ``bench/runner.py``
+    sweeps share a scheduler.
     """
 
     name = "event"
     supports_deferred_sync = True
 
     def __init__(self) -> None:
-        super().__init__()
+        self._tasks: list[_Task] = []
+        self._runnable: deque[_Task] = deque()
+        self._next_seq = 0
+        self._finished = 0
+        self._current: _Task | None = None
+        self._live = False
+        #: hand-offs performed during the most recent ``run`` — a
+        #: deterministic function of the schedule, exported by the
+        #: overhead bench as a nightly-diffable metric.
+        self.handoffs = 0
         self._worker_fn: Callable[[int], None] | None = None
         self._done: threading.Event | None = None
         self._errors: list[BaseException] = []
 
+    # --- primitives -----------------------------------------------------------
+
+    def make_event(self) -> _Event:
+        return _Event(self)
+
+    def make_lock(self) -> threading.Lock:
+        # Uncontended by the one-runner invariant, and an uncontended C
+        # lock's with-statement is cheaper than a Python-level no-op's
+        # ``__enter__``/``__exit__`` calls.
+        return threading.Lock()
+
+    def wait(
+        self, event: _Event, timeout: float, fire: Callable[[], None]
+    ) -> None:
+        if event._flag:
+            return
+        task = self._current
+        if task is None:
+            # Inline single-rank execution (no scheduler run is active):
+            # nobody else exists to set the event, so the stall is already
+            # a deadlock — fire the deadline now and let the engine's
+            # post-wait recovery path raise.
+            fire()
+            return
+        # The deadline callback lives on the task itself (no registry):
+        # it is only consulted on the cold drained-run-queue path, and a
+        # task can be inside at most one wait at a time.
+        task.fire = fire
+        task.fire_seq = self._next_seq
+        self._next_seq += 1
+        task.state = "blocked"
+        task.wait_event = event
+        event._waiters.append(task)
+        self._suspend(task)
+        # No post-resume cleanup needed: every wake path (event set,
+        # force-wake, deadline fire) already cleared ``wait_event``/
+        # ``fire``, and a stale ``fire`` on a non-blocked task is ignored
+        # by ``_pick_next`` and overwritten by the next wait.
+
+    # --- run-queue core -------------------------------------------------------
+
+    def _pick_next(self) -> _Task | None:
+        """Next task to run, driving deadlock handling when none exists.
+
+        When the run queue drains with tasks still blocked, fire the
+        blocked tasks' deadline callbacks in registration (``fire_seq``)
+        order (instant, deterministic deadlock detection); if every
+        deadline fired and tasks are *still* blocked, force-wake them all
+        so the engine's own post-wait backstops raise.  Returns ``None``
+        only when every task has finished.
+        """
+        runnable = self._runnable
+        while True:
+            while runnable:
+                t = runnable.popleft()
+                if t.state == "runnable":
+                    return t
+            if self._finished >= len(self._tasks):
+                return None
+            pending = [t for t in self._tasks
+                       if t.state == "blocked" and t.fire is not None]
+            if pending:
+                t = min(pending, key=lambda t: t.fire_seq)
+                fire = t.fire
+                t.fire = None  # one-shot
+                fire()
+                continue
+            woke = False
+            for t in self._tasks:
+                if t.state == "blocked":
+                    t.state = "runnable"
+                    t.wait_event = None
+                    runnable.append(t)
+                    woke = True
+            if not woke:  # pragma: no cover - scheduler invariant
+                raise SimulationError(
+                    "event scheduler wedged: no runnable, blocked, or "
+                    "unfinished task remains"
+                )
+
     def run(self, n: int, worker: Callable[[int], None]) -> None:
-        self._reset(n)
+        if self._live:
+            raise SimulationError(
+                "event scheduler is already running a program; one "
+                "scheduler instance drives one run at a time (use "
+                "run_many to multiplex engines)"
+            )
+        self._tasks = [_Task(i) for i in range(n)]
+        self._runnable = deque(self._tasks)
+        self._next_seq = 0
+        self._finished = 0
+        self._live = True
+        self.handoffs = 0
         self._worker_fn = worker
         self._errors = []
         done = self._done = threading.Event()
-        for t in self._tasks:
-            t.state = "runnable"
-        self._runnable.extend(self._tasks)
         try:
             self._drive()
             # The drive role may have migrated to pool threads; wait for
@@ -787,21 +617,13 @@ class EventScheduler(BatonScheduler):
         it blocked on and that thread continues the loop — so this frame
         returns, handing the role away.
         """
-        runnable = self._runnable
         try:
             while True:
-                nxt = None
-                while runnable:
-                    c = runnable.popleft()
-                    if c.state == "runnable":
-                        nxt = c
-                        break
-                if nxt is None:
-                    nxt = self._pick_next()
+                nxt = self._pick_next()
                 if nxt is None:
                     self._done.set()  # every task finished
                     return
-                if nxt.payload is None:
+                if nxt.baton is None:
                     self._current = nxt
                     nxt.state = "running"
                     try:
@@ -813,48 +635,40 @@ class EventScheduler(BatonScheduler):
                         self._finished += 1
                     continue
                 self.handoffs += 1
-                nxt.payload.release()
+                nxt.baton.release()
                 return
         except BaseException as exc:  # pragma: no cover - wedge invariant
             self._errors.append(exc)
             self._done.set()
 
-    def _suspend(self, task: _CoopTask) -> None:
-        # The blocking task's stack owns this thread, so promote it to a
-        # baton park and move the drive role: a parked successor gets a
+    def _suspend(self, task: _Task) -> None:
+        # The blocking task's stack owns this thread, so park it on its
+        # baton and move the drive role: a parked successor gets a
         # directed baton release (it resumes and keeps driving); a fresh
         # successor needs a free stack, so a pooled driver thread takes
         # over the loop.  Either way: one futex wake per actual block.
-        runnable = self._runnable
-        nxt = None
-        while runnable:
-            c = runnable.popleft()
-            if c.state == "runnable":
-                nxt = c
-                break
-        if nxt is None:
-            nxt = self._pick_next()
-            if nxt is None or nxt is task:
-                # Force-woken (or re-picked) without anyone else to run.
-                task.state = "running"
-                return
-        if task.payload is None:
-            task.payload = _thread.allocate_lock()
-            task.payload.acquire()
+        nxt = self._pick_next()
+        if nxt is None or nxt is task:
+            # Force-woken (or re-picked) without anyone else to run.
+            task.state = "running"
+            return
+        if task.baton is None:
+            task.baton = _thread.allocate_lock()
+            task.baton.acquire()
         self.handoffs += 1
-        if nxt.payload is None:
-            runnable.appendleft(nxt)  # the driver re-pops it in order
+        if nxt.baton is None:
+            self._runnable.appendleft(nxt)  # the driver re-pops it in order
             _drivers.dispatch(self._drive)
         else:
-            nxt.payload.release()
-        task.payload.acquire()  # park until a drive loop resumes us
+            nxt.baton.release()
+        task.baton.acquire()  # park until a drive loop resumes us
         self._current = task
         task.state = "running"
 
     def run_many(
         self, jobs: "list[tuple[int, Callable[[int], None]]]"
     ) -> None:
-        """Interleave all jobs' rank tasks on one cooperative run loop.
+        """Interleave all jobs' rank tasks on one run loop.
 
         Task index ``i`` of the combined run maps onto the job covering
         ``i`` — rank hand-offs then flow freely across engine boundaries,
@@ -880,101 +694,29 @@ class EventScheduler(BatonScheduler):
         self.run(total, dispatch)
 
 
-class GreenletScheduler(_CooperativeCore):
-    """All ranks as greenlets on the calling thread (zero OS switches).
-
-    A blocking point is a userspace ``greenlet.switch()`` straight to the
-    next runnable task.  When a task's greenlet finishes it falls back to
-    its parent — the hub (the calling thread's greenlet) — which
-    dispatches the next runnable task until all have finished.
-    """
-
-    name = "greenlet"
-
-    def run(self, n: int, worker: Callable[[int], None]) -> None:
-        import greenlet
-
-        self._reset(n)
-        tasks = self._tasks
-
-        def main(t: _CoopTask) -> None:
-            self._current = t
-            t.state = "running"
-            try:
-                worker(t.index)
-            finally:
-                t.state = "finished"
-                self._finished += 1
-            # falling off the end kills the greenlet -> control to the hub
-
-        for t in tasks:
-            t.payload = greenlet.greenlet(main)
-            t.state = "runnable"
-        self._runnable.extend(tasks[1:])
-        try:
-            nxt: _CoopTask | None = tasks[0]
-            while nxt is not None:
-                self.handoffs += 1
-                self._current = nxt
-                nxt.payload.switch(nxt)
-                # A dispatched chain ended (some greenlet died); pick the
-                # next runnable task, firing deadlines if none exists.
-                nxt = self._pick_next()
-        finally:
-            self._live = False
-
-    def _switch(self, cur: _CoopTask, nxt: _CoopTask) -> None:
-        self.handoffs += 1
-        self._current = nxt
-        nxt.state = "running"
-        nxt.payload.switch(nxt)
-        # resumed: whoever switched here set themselves aside for us
-        self._current = cur
-
-
 def resolve_backend(
     spec: "str | SchedulerBackend | None" = None,
 ) -> SchedulerBackend:
     """Turn an ``Engine(backend=...)`` argument into a backend instance.
 
     ``None`` consults the ``REPRO_ENGINE_BACKEND`` environment variable
-    and defaults to ``"threaded"``.  ``"cooperative"`` resolves to
-    ``"greenlet"`` when the optional extra is installed and to the stdlib
-    ``"baton"`` fallback otherwise.
+    and defaults to ``"event"``.
     """
     if isinstance(spec, SchedulerBackend):
         return spec
     if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "threaded"
+        spec = os.environ.get(BACKEND_ENV) or "event"
     name = str(spec).strip().lower()
-    if name in ("cooperative", "coop"):
-        name = "greenlet" if greenlet_available() else "baton"
-    if name == "threaded":
-        return ThreadedScheduler()
-    if name == "baton":
-        return BatonScheduler()
     if name == "event":
         return EventScheduler()
-    if name == "greenlet":
-        if not greenlet_available():
-            raise SimulationError(
-                "engine backend 'greenlet' needs the optional greenlet "
-                "dependency (pip install 'repro[fast]'); use "
-                "backend='cooperative' to fall back to the stdlib baton "
-                "scheduler automatically"
-            )
-        return GreenletScheduler()
+    if name == "threaded":
+        return ThreadedScheduler()
     raise ValueError(
         f"unknown engine backend {name!r} (from Engine(backend=...) or "
-        f"${BACKEND_ENV}); valid backends: 'threaded', 'baton', 'event', "
-        f"'greenlet', or the 'cooperative' alias (greenlet when "
-        f"installed, else baton)"
+        f"${BACKEND_ENV}); valid backends: 'threaded', 'event'"
     )
 
 
 def available_backends() -> tuple[str, ...]:
-    """Concrete backend names usable in this environment (tests iterate)."""
-    names = ["threaded", "baton", "event"]
-    if greenlet_available():
-        names.append("greenlet")
-    return tuple(names)
+    """Backend names, oracle first (the cross-backend suites iterate)."""
+    return ("threaded", "event")

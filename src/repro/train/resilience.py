@@ -279,7 +279,7 @@ class ElasticController:
 
     Both respect the hysteresis floor ``min_step``.  Since the inputs are
     identical on every rank, every rank raises the same interrupt at the
-    same step — deterministically, on all four scheduler backends.
+    same step — deterministically, on both scheduler backends.
     """
 
     def __init__(self, *, base_time: float = 0.0, wake_at: float | None = None,

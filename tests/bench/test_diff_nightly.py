@@ -135,7 +135,6 @@ class TestHeuristicDirection:
         ("event_speedup", "higher"),
         ("event_us_per_coll", "lower"),
         ("event_handoff_iterations", "lower"),
-        ("coop_handoff_iterations", "lower"),
     ])
     def test_event_backend_metrics_classified(self, name, want):
         assert heuristic_direction(name) == want

@@ -72,63 +72,19 @@ class TestGoldenCollectiveCosts:
 class TestEngineOverheadSmoke:
     """Fast-mode run of ``benchmarks/bench_engine_overhead.py`` in tier-1.
 
-    The full bench (64 ranks, 15 runs, 3 reps) only runs nightly; this
-    smoke keeps engine-overhead regressions failing CI.  Thresholds are
-    deliberately looser than the bench's (2x / 1.5x) because at smoke
-    scale the measured times are a few tens of milliseconds and CI
-    machines are noisy — catching a *collapse* of the fast paths is the
-    point, not re-asserting the exact speedups.
+    The full bench (512 ranks, wall-clock floor) only runs nightly; the
+    merge gate keeps its deterministic gates only — no assertion here
+    compares two wall-clock measurements.
     """
-
-    def test_fast_mode_speedups(self):
-        from benchmarks.bench_engine_overhead import measure
-
-        m = measure(nranks=16, rounds=4, runs=4, reps=1, fused_rounds=16,
-                    window=4)
-        assert m["baseline_s"] > 0 and m["fused_s"] > 0
-        assert m["speedup"] >= 1.2, (
-            f"engine overhead collapsed: sharded layer only "
-            f"{m['speedup']:.2f}x faster than the seed design at smoke scale"
-        )
-        assert m["fused_speedup"] >= 1.1, (
-            f"fused path collapsed: only {m['fused_speedup']:.2f}x lower "
-            f"per-collective overhead than the keyed layer at smoke scale"
-        )
-
-    def test_cooperative_overhead_floor(self):
-        """Cooperative backend beats threaded on marginal overhead.
-
-        Floor is backend-conditional like the bench's: >= 2x for the
-        greenlet arm (userspace hand-offs), >= 1.2x for the stdlib baton
-        fallback, whose hand-off still pays one directed futex wake
-        (measured 1.5-1.8x on a 1-core container; see the bench module
-        docstring for the decomposition).  64 ranks even at smoke scale:
-        the threaded backend's wake-convoy cost — the thing the
-        cooperative backend removes — shrinks with the rank count, so
-        small-rank smokes underestimate the gap.
-        """
-        from benchmarks.bench_engine_overhead import measure_coop
-
-        m = measure_coop(nranks=64, fused_rounds=16, runs=4, reps=2,
-                         window=4)
-        floor = 2.0 if m["coop_backend"] == "greenlet" else 1.2
-        assert m["coop_marginal_us_per_coll"] > 0
-        assert m["coop_speedup"] >= floor, (
-            f"cooperative backend ({m['coop_backend']}) collapsed: only "
-            f"{m['coop_speedup']:.2f}x lower marginal per-collective "
-            f"overhead than the threaded fused path at smoke scale "
-            f"(floor {floor}x)"
-        )
 
     def test_event_backend_deferred_structure(self):
         """Event backend at smoke scale: structural gates are exact.
 
-        The wall-clock floor here is deliberately loose (the >= 10x
-        number is the nightly bench's, at 512 ranks); what tier-1 pins
-        is the *deterministic* structure of the deferred sweep — zero
-        hand-offs (no rank ever parks, the whole run is one inline
-        sequential sweep) and bit-identical results/virtual clocks
-        against the threaded backend.
+        The wall-clock floor lives in the nightly bench (>= 10x at 512
+        ranks); what tier-1 pins is the *deterministic* structure of the
+        deferred sweep — zero hand-offs (no rank ever parks, the whole
+        run is one inline sequential sweep) and bit-identical
+        results/virtual clocks against the threaded backend.
         """
         from benchmarks.bench_engine_overhead import measure_event
 
@@ -142,10 +98,6 @@ class TestEngineOverheadSmoke:
             f"{m['event_handoffs_per_run']} hand-offs per run, expected "
             f"exactly 0 (some rank parked at a rendezvous it should have "
             f"deferred)"
-        )
-        assert m["event_speedup"] >= 1.5, (
-            f"event backend collapsed: only {m['event_speedup']:.2f}x "
-            f"faster than threaded on the barrier sweep at smoke scale"
         )
 
 

@@ -225,6 +225,37 @@ class TestPoisonedEngineEviction:
         out = runner.run_table([row], seq_len=8, num_layers=1)
         assert len(out) == 1
 
+    def test_evicted_engine_holds_no_deferred_nodes(self, monkeypatch):
+        """An abort mid-sweep strands deposited-but-incomplete deferred
+        nodes (and the payloads they hold); eviction must drop them."""
+        from repro.comm.communicator import Communicator
+
+        def deposit_then_explode(row, batch, seq_len, num_layers):
+            def program(ctx):
+                Communicator(ctx, range(ctx.nranks)).barrier()
+                if ctx.rank == 0:
+                    raise RuntimeError("row exploded")
+            return program
+
+        row = _mrow(4)
+        poisoned = engine_for_row(row, cache=True, collect_comm=False)
+        assert poisoned._deferred
+        stranded = []
+        real_shutdown = poisoned.shutdown
+
+        def recording_shutdown():
+            stranded.append(len(poisoned._dpending))
+            real_shutdown()
+
+        monkeypatch.setattr(poisoned, "shutdown", recording_shutdown)
+        monkeypatch.setattr(runner, "_row_program", deposit_then_explode)
+        with pytest.raises(RuntimeError, match="row exploded"):
+            runner.run_table([row], seq_len=8, num_layers=1,
+                             collect_comm=False)
+        assert stranded == [1]  # rank 0 deposited, then aborted the run
+        assert poisoned.closed
+        assert not poisoned._dpending
+
     def test_clear_cache_survives_raising_shutdown(self, monkeypatch):
         engine = engine_for_row(_mrow(2), cache=True)
         monkeypatch.setattr(
@@ -244,12 +275,12 @@ class TestEngineCacheBackendKey:
     def test_backend_is_part_of_the_key(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "threaded")
         threaded = engine_for_row(_mrow(4), cache=True)
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "baton")
-        baton = engine_for_row(_mrow(4), cache=True)
-        assert threaded is not baton
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "event")
+        event = engine_for_row(_mrow(4), cache=True)
+        assert threaded is not event
         assert threaded.backend == "threaded"
-        assert baton.backend == "baton"
+        assert event.backend == "event"
         # each variant still hits its own entry
-        assert engine_for_row(_mrow(4), cache=True) is baton
+        assert engine_for_row(_mrow(4), cache=True) is event
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "threaded")
         assert engine_for_row(_mrow(4), cache=True) is threaded

@@ -3,9 +3,9 @@
 The golden test pins the full JSON payload of the tiny smoke plan —
 search ranking, predictions, and the simulator validation — byte for
 byte.  The payload is backend-independent (the symbolic engines produce
-identical virtual times under threaded, baton, and event scheduling), so
-the same golden gates the event-backend CI step and the default-backend
-tier-1 run.  Regenerate with::
+identical virtual times under event and threaded scheduling), so the
+same golden gates the default-backend tier-1 run and the threaded-oracle
+CI step.  Regenerate with::
 
     REPRO_ENGINE_BACKEND=event PYTHONPATH=src python -m repro plan \
         --model tiny --world 8 --global-batch 32 --validate 4 \

@@ -18,7 +18,7 @@ three invariants asserted per seed:
 (c) **accounting** — ``Trace.comm_volume`` (total and per rank) equals an
     expectation computed independently from the schedule via the per-rank
     convention table in :mod:`repro.comm.communicator`;
-(d) **backend parity** — every seed is replayed under each non-default
+(d) **backend parity** — every seed is replayed under each non-threaded
     scheduler backend (``repro.sim.schedulers.available_backends``), and
     results, per-rank event streams and virtual clocks must be
     bit-identical to the threaded reference run.  Backends change when
@@ -50,8 +50,8 @@ from repro.sim.schedulers import available_backends
 
 from repro.varray.varray import VArray
 
-#: non-default backends every seed is replayed under ("baton" always;
-#: "greenlet" too when the repro[fast] extra is installed)
+#: backends every seed is replayed under and compared with the threaded
+#: reference run
 ALT_BACKENDS = tuple(b for b in available_backends() if b != "threaded")
 
 #: real-mode payload dtypes the schedules mix freely
@@ -329,7 +329,7 @@ def test_fuzz_schedules(seed_block):
         assert events_a == events_b, f"seed {seed}: event streams diverged"
 
         # (d) backend parity: bit-identical results, event streams and
-        # virtual clocks under every cooperative backend
+        # virtual clocks under the event backend
         for alt in ALT_BACKENDS:
             alt_engine = engines.get((nranks, alt))
             if alt_engine is None:
@@ -398,7 +398,7 @@ def test_fuzz_fault_plans(seed):
     # Backend parity: a single-crash plan's whole failure trace — outcome
     # type and message, results, event streams, dead set, volumes — is a
     # function of program order and virtual time only, so it must be
-    # bit-identical under every cooperative backend too.
+    # bit-identical under the event backend too.
     for alt in ALT_BACKENDS:
         assert run_once(alt) == first, (
             f"seed {seed}: {alt} failure trace diverged from threaded"

@@ -3,7 +3,7 @@
 The engine-level contracts (bit-identical results/traces/clocks across
 backends, identical deadlock messages) live in ``test_engine_fuzz.py`` and
 ``test_deadlock_messages.py``; this module covers the scheduler layer
-itself: backend resolution, the cooperative run-queue machinery, hand-off
+itself: backend resolution, the event run-queue machinery, hand-off
 determinism, and the instant-deadlock property.
 """
 
@@ -15,109 +15,104 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.schedulers import (
     BACKEND_ENV,
-    BatonScheduler,
     EventScheduler,
-    GreenletScheduler,
     SchedulerBackend,
     ThreadedScheduler,
     Watchdog,
-    _NullLock,
     available_backends,
-    greenlet_available,
     resolve_backend,
 )
 
 
+#: names old configs and CI files may still pass: plain unknown names,
+#: no special-case error
+RETIRED_NAMES = ("baton", "greenlet", "cooperative", "coop")
+
+
 class TestResolveBackend:
-    def test_default_is_threaded(self, monkeypatch):
+    def test_default_is_event(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None).name == "threaded"
+        assert resolve_backend(None).name == "event"
 
     def test_explicit_names(self):
         assert isinstance(resolve_backend("threaded"), ThreadedScheduler)
-        assert isinstance(resolve_backend("baton"), BatonScheduler)
-
-    def test_cooperative_alias_resolves_to_available_arm(self):
-        sched = resolve_backend("cooperative")
-        expected = "greenlet" if greenlet_available() else "baton"
-        assert sched.name == expected
-        assert sched.cooperative
-        assert resolve_backend("coop").name == expected
+        assert isinstance(resolve_backend("event"), EventScheduler)
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "baton")
-        assert resolve_backend(None).name == "baton"
+        monkeypatch.setenv(BACKEND_ENV, "threaded")
+        assert resolve_backend(None).name == "threaded"
 
     def test_instance_passes_through(self):
-        sched = BatonScheduler()
+        sched = EventScheduler()
         assert resolve_backend(sched) is sched
 
-    def test_unknown_name_raises_value_error_listing_backends(self):
+    @pytest.mark.parametrize("name", ("fibers",) + RETIRED_NAMES)
+    def test_unknown_name_raises_value_error_listing_backends(self, name):
         with pytest.raises(ValueError, match="unknown engine backend") as ei:
-            resolve_backend("fibers")
+            resolve_backend(name)
         msg = str(ei.value)
-        for valid in ("'threaded'", "'baton'", "'event'", "'greenlet'",
-                      "'cooperative'"):
-            assert valid in msg
+        assert msg.endswith("valid backends: 'threaded', 'event'")
         assert BACKEND_ENV in msg
 
-    def test_unknown_env_backend_raises_value_error(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fibers")
+    @pytest.mark.parametrize("name", ("fibers",) + RETIRED_NAMES)
+    def test_unknown_env_backend_raises_value_error(self, monkeypatch, name):
+        monkeypatch.setenv(BACKEND_ENV, name)
         with pytest.raises(ValueError, match="unknown engine backend"):
             resolve_backend(None)
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            Engine(nranks=2)
 
-    def test_event_backend_resolves(self):
-        sched = resolve_backend("event")
-        assert isinstance(sched, EventScheduler)
-        assert sched.name == "event"
-        assert sched.cooperative
-        assert sched.supports_deferred_sync
+    def test_retired_name_via_engine_kwarg_raises_value_error(self):
+        with pytest.raises(ValueError, match="'threaded', 'event'"):
+            Engine(nranks=2, backend="baton")
 
-    def test_greenlet_without_extra_raises_helpfully(self):
-        if greenlet_available():
-            pytest.skip("greenlet installed: the error path is unreachable")
-        with pytest.raises(SimulationError, match=r"repro\[fast\]"):
-            resolve_backend("greenlet")
+    def test_event_backend_supports_deferred_sync(self):
+        assert resolve_backend("event").supports_deferred_sync
+        assert not resolve_backend("threaded").supports_deferred_sync
 
     def test_available_backends_is_concrete(self):
         names = available_backends()
-        assert names[:2] == ("threaded", "baton")
-        assert "event" in names
-        assert ("greenlet" in names) == greenlet_available()
+        assert names == ("threaded", "event")
         for name in names:
             backend = resolve_backend(name)
             assert isinstance(backend, SchedulerBackend)
             assert backend.name == name
 
 
-class TestCooperativeCore:
+class TestEventRunQueue:
     def test_single_rank_inline_wait_fires_deadline(self):
         """A wait with no scheduler run active is already a deadlock."""
-        sched = BatonScheduler()
+        sched = EventScheduler()
         fired = []
         event = sched.make_event()
         sched.wait(event, timeout=60.0, fire=lambda: fired.append(True))
         assert fired == [True]
 
     def test_set_event_skips_the_wait(self):
-        sched = BatonScheduler()
+        sched = EventScheduler()
         event = sched.make_event()
         event.set()
         sched.wait(event, timeout=60.0,
                    fire=lambda: pytest.fail("deadline fired on a set event"))
 
     def test_run_executes_all_ranks_in_order_without_blocking(self):
-        sched = BatonScheduler()
+        sched = EventScheduler()
         order = []
         sched.run(5, order.append)
         assert sorted(order) == [0, 1, 2, 3, 4]
 
     def test_handoff_count_is_deterministic(self):
-        """The hand-off count is a pure function of the schedule."""
+        """The hand-off count is a pure function of the schedule.
+
+        Tracing is on, so every barrier takes the blocking path (the
+        deferred path never hands off — ``TestEngineOverheadSmoke``
+        pins that count at exactly zero).
+        """
 
         def run_once():
-            engine = Engine(nranks=8, mode="symbolic", trace=False,
-                            backend="baton", op_timeout=5.0)
+            engine = Engine(nranks=8, mode="symbolic", trace=True,
+                            backend="event", op_timeout=5.0)
+            assert not engine._deferred
             from repro.comm.communicator import Communicator
 
             def program(ctx):
@@ -135,7 +130,7 @@ class TestCooperativeCore:
         assert counts.pop() > 0
 
     def test_reentrant_run_is_rejected(self):
-        sched = BatonScheduler()
+        sched = EventScheduler()
         errors = []
 
         def worker(rank):
@@ -148,19 +143,13 @@ class TestCooperativeCore:
         sched.run(2, worker)
         assert errors and "already running" in errors[0]
 
-    def test_null_lock_degenerate_semantics(self):
-        lock = _NullLock()
-        with lock:
-            assert lock.acquire()
-            lock.release()
-
 
 class TestInstantDeadlockDetection:
-    def test_cooperative_deadlock_does_not_wait_for_timeout(self):
+    def test_event_deadlock_does_not_wait_for_timeout(self):
         """A drained run queue *is* the deadlock — no wall-clock sleep.
 
         The threaded watchdog can only fire after ``op_timeout`` wall
-        seconds; cooperative backends fire the same callback the moment
+        seconds; the event backend fires the same callback the moment
         no task can run.  With a 30 s timeout, finishing in well under a
         second proves the detection is instant.
         """
@@ -171,27 +160,17 @@ class TestInstantDeadlockDetection:
                 return  # rank 1 skips the barrier: guaranteed deadlock
             Communicator(ctx, (0, 1, 2)).barrier()
 
-        engine = Engine(nranks=3, op_timeout=30.0, backend="cooperative")
+        engine = Engine(nranks=3, op_timeout=30.0, backend="event")
         t0 = time.monotonic()
         with pytest.raises(DeadlockError, match=r"missing ranks \[1\]"):
             engine.run(prog)
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0, (
-            f"cooperative deadlock detection took {elapsed:.1f}s — it slept "
+            f"event deadlock detection took {elapsed:.1f}s — it slept "
             f"toward the wall-clock timeout instead of firing instantly"
         )
         # the message still reports the *configured* timeout
         engine.shutdown()
-
-
-@pytest.mark.skipif(not greenlet_available(),
-                    reason="repro[fast] extra not installed")
-class TestGreenletBackend:
-    def test_runs_and_matches_baton_handoff_semantics(self):
-        sched = GreenletScheduler()
-        order = []
-        sched.run(4, order.append)
-        assert sorted(order) == [0, 1, 2, 3]
 
 
 class TestWatchdogHeapBounded:
@@ -315,7 +294,7 @@ class TestEventDeferredParity:
         assert not Engine(nranks=4, mode="real", trace=False,
                           backend="event")._deferred
         assert not Engine(nranks=4, mode="symbolic", trace=False,
-                          backend="baton")._deferred
+                          backend="threaded")._deferred
 
     def test_deferred_deadlock_matches_threaded_message(self):
         from repro.comm.communicator import Communicator
