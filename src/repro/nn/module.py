@@ -105,10 +105,12 @@ class Module:
                 )
             self.ctx.mem.free(self._saved_bytes, "activations")
         self._saved = tensors
-        self._saved_bytes = sum(
-            t.nbytes for t in tensors if isinstance(t, VArray)
-        )
-        self.ctx.mem.alloc(self._saved_bytes, "activations")
+        nbytes = 0
+        for t in tensors:
+            if isinstance(t, VArray):
+                nbytes += t.nbytes
+        self._saved_bytes = nbytes
+        self.ctx.mem.alloc(nbytes, "activations")
 
     def saved(self) -> tuple:
         """Retrieve and release the tensors stashed by the forward pass."""

@@ -264,6 +264,12 @@ class BlockPool:
         self._blocks: dict[int, _Block] = {}
         self._table: dict[tuple[int, ...], int] = {}  #: history -> bid
         self._tick = 0
+        # occupancy, kept at the refcount 0 <-> 1 and token-append
+        # transitions (the scheduler reads it several times a frame);
+        # :meth:`check` re-derives all three from the blocks
+        self.live_blocks = 0  #: blocks with refcount > 0
+        self.cached_blocks = 0  #: refcount 0 but prefix-registered
+        self.live_tokens = 0  #: tokens held by live blocks
         # cumulative counters (report material)
         self.cow_copies = 0
         self.evictions = 0
@@ -277,19 +283,6 @@ class BlockPool:
     @property
     def free_blocks(self) -> int:
         return len(self._free)
-
-    @property
-    def cached_blocks(self) -> int:
-        return sum(1 for b in self._blocks.values() if b.refcount == 0)
-
-    @property
-    def live_blocks(self) -> int:
-        return sum(1 for b in self._blocks.values() if b.refcount > 0)
-
-    @property
-    def live_tokens(self) -> int:
-        return sum(len(b.tokens) for b in self._blocks.values()
-                   if b.refcount > 0)
 
     @property
     def available_blocks(self) -> int:
@@ -327,7 +320,12 @@ class BlockPool:
 
     def retain(self, bid: int) -> None:
         """One more table maps this block (revives a cached block)."""
-        self._blocks[bid].refcount += 1
+        b = self._blocks[bid]
+        b.refcount += 1
+        if b.refcount == 1:  # cached -> live
+            self.cached_blocks -= 1
+            self.live_blocks += 1
+            self.live_tokens += len(b.tokens)
         self.touch(bid)
         self._note_peaks()
 
@@ -340,7 +338,12 @@ class BlockPool:
         if b.refcount <= 0:
             raise SimulationError(f"release of unreferenced block {bid}")
         b.refcount -= 1
-        if b.refcount > 0 or b.key is not None:
+        if b.refcount > 0:
+            return False
+        self.live_blocks -= 1
+        self.live_tokens -= len(b.tokens)
+        if b.key is not None:  # live -> cached
+            self.cached_blocks += 1
             return False
         del self._blocks[bid]
         bisect.insort(self._free, bid)
@@ -379,11 +382,13 @@ class BlockPool:
             victim = min(cands, key=lambda b: (b.last_use, b.bid))
             del self._table[victim.key]
             del self._blocks[victim.bid]
+            self.cached_blocks -= 1
             bisect.insort(self._free, victim.bid)
             self.evictions += 1
             evicted = victim.bid
         bid = self._free.pop(0)
         self._blocks[bid] = _Block(bid)
+        self.live_blocks += 1
         self.touch(bid)
         self._note_peaks()
         return bid, evicted
@@ -400,6 +405,7 @@ class BlockPool:
         src = self._blocks[bid]
         new_bid, evicted = self.alloc()
         self._blocks[new_bid].tokens = list(src.tokens)
+        self.live_tokens += len(src.tokens)
         self.cow_copies += 1
         if self.release(bid):
             raise SimulationError(
@@ -418,6 +424,7 @@ class BlockPool:
         if len(b.tokens) >= self.block_tokens:
             raise SimulationError(f"block {bid} is full")
         b.tokens.append(int(token))
+        self.live_tokens += 1
         self.touch(bid)
         self._note_peaks()
 
@@ -464,9 +471,15 @@ class BlockPool:
         refs = Counter(bid for t in tables.values() for bid in t)
         if set(refs) - set(self._blocks):
             raise SimulationError("a slot table references a freed block")
+        live = cached = live_tokens = 0
         for bid, b in self._blocks.items():
             if b.refcount < 0:
                 raise SimulationError(f"negative refcount on block {bid}")
+            if b.refcount:
+                live += 1
+                live_tokens += len(b.tokens)
+            else:
+                cached += 1
             if b.refcount != refs.get(bid, 0):
                 raise SimulationError(
                     f"block {bid} refcount {b.refcount} != "
@@ -474,6 +487,14 @@ class BlockPool:
                 )
             if len(b.tokens) > self.block_tokens:
                 raise SimulationError(f"block {bid} over capacity")
+        if (live, cached, live_tokens) != (s["live"], s["cached"],
+                                           s["live_tokens"]):
+            raise SimulationError(
+                f"occupancy counters diverged from the blocks: counted "
+                f"{s['live']} live / {s['cached']} cached / "
+                f"{s['live_tokens']} live tokens, blocks hold {live} / "
+                f"{cached} / {live_tokens}"
+            )
         for key, bid in self._table.items():
             b = self._blocks.get(bid)
             if b is None or b.key != key:

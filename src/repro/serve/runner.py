@@ -366,6 +366,13 @@ def _restore_state(sch, records, snapshot) -> None:
     sch.queue = inflight + queued
 
 
+def _count_open(records) -> int:
+    """Requests not completed yet.  Each serving loop takes this once, after
+    any snapshot restore, and counts down wherever ``completion_time`` is
+    set, instead of scanning every record every frame."""
+    return sum(1 for rec in records.values() if not rec.done)
+
+
 # --- the real (engine-backed) iteration pieces --------------------------------
 
 
@@ -482,11 +489,14 @@ def _serve_rank(
         max_queue = snapshot["max_queue"]
         base_peak_kv = snapshot["peak_kv"]
         ctx.clock.sync_to(snapshot["now"])
+    outstanding = _count_open(records)
 
     def finish(slot: int, t: float) -> None:
+        nonlocal outstanding
         rid = sch.complete(slot)
         cache.evict(slot)
         records[rid].completion_time = t
+        outstanding -= 1
 
     while True:
         wcomm.barrier("serve_iter")
@@ -497,7 +507,7 @@ def _serve_rank(
                 ctx.now, sch, records, iterations, max_queue,
                 max(base_peak_kv, cache.peak_tokens),
             )
-        if all(rec.done for rec in records.values()):
+        if not outstanding:
             break
         sch.poll_arrivals(ctx.now)
         max_queue = max(max_queue, len(sch.queue))
@@ -794,6 +804,7 @@ def _serve_rank_paged(
         spec_tokens = pg.get("spec_tokens", 0)
         ctx.clock.sync_to(snapshot["now"])
     pool = cache.pool
+    outstanding = _count_open(records)
 
     def paged_counters() -> dict:
         return {
@@ -808,9 +819,11 @@ def _serve_rank_paged(
         }
 
     def finish(slot: int, t: float) -> None:
+        nonlocal outstanding
         rid = sch.complete(slot)
         cache.evict(slot)
         records[rid].completion_time = t
+        outstanding -= 1
 
     while True:
         wcomm.barrier("serve_iter")
@@ -823,7 +836,7 @@ def _serve_rank_paged(
                             "spec_steps": spec_steps,
                             "spec_tokens": spec_tokens}
             snap_box["snap"] = snap
-        if all(rec.done for rec in records.values()):
+        if not outstanding:
             break
         sch.poll_arrivals(ctx.now)
         max_queue = max(max_queue, len(sch.queue))
@@ -913,8 +926,9 @@ def _serve_rank_paged(
 # --- autoscaled fleet ---------------------------------------------------------
 
 
-def _tick_replica(rep: _Replica, records, t: float) -> int:
-    """One fleet iteration of a bookkeeping replica; 1 if it did work.
+def _tick_replica(rep: _Replica, records, t: float) -> tuple[int, int]:
+    """One fleet iteration of a bookkeeping replica: ``(1 if it did work,
+    requests it completed)``.
 
     Mirrors the real iteration shape — admit (prefill emits the first
     token), preempt if the +1-token step would blow the budget, one
@@ -923,6 +937,7 @@ def _tick_replica(rep: _Replica, records, t: float) -> int:
     the fleet's barrier-synced iteration time ``t``.
     """
     sch = rep.sch
+    finished = 0
     for slot, rid in sch.admit(rep.used_tokens):
         req = sch.requests[rid]
         rec = records[rid]
@@ -934,8 +949,9 @@ def _tick_replica(rep: _Replica, records, t: float) -> int:
             sch.complete(slot)
             del rep.lens[slot]
             rec.completion_time = t
+            finished += 1
     if not sch.active:
-        return 0
+        return 0, finished
     for slot in sch.choose_preemptions(rep.used_tokens, dict(rep.lens)):
         rid = sch.preempt(slot)
         del rep.lens[slot]
@@ -950,7 +966,8 @@ def _tick_replica(rep: _Replica, records, t: float) -> int:
             sch.complete(slot)
             del rep.lens[slot]
             rec.completion_time = t
-    return 1
+            finished += 1
+    return 1, finished
 
 
 def _snapshot_fleet(base: dict, replicas, scale_state: dict) -> dict:
@@ -1079,11 +1096,14 @@ def _serve_rank_fleet(
         outage_back = set(sc.get("outage_back", []))
         ctx.clock.sync_to(snapshot["now"])
     sch = replicas[0].sch  # the engine-backed replica
+    outstanding = _count_open(records)
 
     def finish(slot: int, t: float) -> None:
+        nonlocal outstanding
         rid = sch.complete(slot)
         cache.evict(slot)
         records[rid].completion_time = t
+        outstanding -= 1
 
     while True:
         wcomm.barrier("serve_iter")
@@ -1102,7 +1122,7 @@ def _serve_rank_fleet(
                  "outage_down": sorted(outage_down),
                  "outage_back": sorted(outage_back)},
             )
-        if all(rec.done for rec in records.values()):
+        if not outstanding:
             break
 
         # Arrivals land in the shared fleet queue; every ready replica
@@ -1208,7 +1228,9 @@ def _serve_rank_fleet(
         for rep in replicas[1:]:
             if iterations < rep.ready_at:
                 continue  # still spinning up
-            replica_iterations += _tick_replica(rep, records, t)
+            worked, finished = _tick_replica(rep, records, t)
+            replica_iterations += worked
+            outstanding -= finished
         iterations += 1
 
     report = summarize(

@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Sequence
 
 from repro.errors import CommError
 from repro.hardware.spec import GPUSpec, LinkSpec
@@ -113,18 +113,42 @@ class NodePlan:
 
 @dataclass(frozen=True)
 class ComputeCostModel:
-    """Prices local device work for one GPU spec."""
+    """Prices local device work for one GPU spec.
+
+    A sweep prices millions of kernels of a few thousand distinct sizes, and
+    the roofline is a pure function of the frozen :class:`GPUSpec`, so
+    :meth:`op_time` keeps every price it has computed in :attr:`op_times`:
+    a hit returns the very float the roofline returned, bit for bit.
+    """
 
     gpu: GPUSpec
+    #: ``(flops, bytes_touched, min_dim) -> seconds``.  Insert-only (an entry
+    #: never changes, so rank threads may read it unlocked) and it stops
+    #: growing at :attr:`MAX_OP_TIMES`.  Only valid work is ever stored;
+    #: :meth:`repro.sim.engine.RankContext.compute` reads it before calling
+    #: :meth:`op_time`.
+    op_times: dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    #: table bound: the serving sweeps see 1.4-2.6k distinct kernels per run,
+    #: Table 1 under 200; past the bound prices are computed, not stored
+    MAX_OP_TIMES: ClassVar[int] = 1 << 14
 
     def op_time(
         self, flops: float, bytes_touched: float = 0.0,
         min_dim: float | None = None,
     ) -> float:
         """Time of a single kernel (see :class:`GPUSpec`)."""
-        if flops < 0 or bytes_touched < 0:
-            raise CommError("negative work is not a thing")
-        return self.gpu.compute_time(flops, bytes_touched, min_dim)
+        key = (flops, bytes_touched, min_dim)
+        t = self.op_times.get(key)
+        if t is None:
+            if flops < 0 or bytes_touched < 0:
+                raise CommError("negative work is not a thing")
+            t = self.gpu.compute_time(flops, bytes_touched, min_dim)
+            if len(self.op_times) < self.MAX_OP_TIMES:
+                self.op_times[key] = t
+        return t
 
 
 def _log2_steps(g: int) -> int:

@@ -253,6 +253,8 @@ class RankContext:
         self.trace = engine.trace
         self.mode = engine.mode
         self.mem = MemoryTracker(capacity_bytes=engine.cluster.gpu.memory_bytes)
+        #: the compute model's price table, read directly by :meth:`compute`
+        self._op_times = engine.compute_model.op_times
         #: per-group collective sequence counters (consistent across ranks
         #: because every rank issues the same collectives in the same order)
         self._group_seq: dict[tuple[int, ...], int] = {}
@@ -310,24 +312,30 @@ class RankContext:
         ``min_dim`` is the smallest matmul dimension, used by the compute
         model's tile-quantization penalty (see :class:`GPUSpec`).
         """
-        t0 = self.clock.now
-        dt = self.engine.compute_model.op_time(flops, bytes_touched, min_dim)
+        clock = self.clock
+        t0 = clock.now
+        # the healthy-GPU price depends on the kernel's size alone, so it is
+        # read from the cost model's table; slow-downs apply to that price
+        dt = self._op_times.get((flops, bytes_touched, min_dim))
+        if dt is None:
+            dt = self.engine.compute_model.op_time(flops, bytes_touched, min_dim)
         if self._windowed_slowdown:
             dt *= self.engine.fault_plan.compute_factor(self.rank, now=t0)
         elif self._compute_factor != 1.0:
             dt *= self._compute_factor
-        self.clock.advance(dt)
+        t1 = clock.advance(dt)
         self.compute_seconds += dt
-        self.trace.record(
-            ComputeEvent(
-                rank=self.rank,
-                t_start=t0,
-                t_end=self.clock.now,
-                flops=flops,
-                bytes_touched=bytes_touched,
-                tag=tag,
+        if self.trace.enabled:
+            self.trace.record(
+                ComputeEvent(
+                    rank=self.rank,
+                    t_start=t0,
+                    t_end=t1,
+                    flops=flops,
+                    bytes_touched=bytes_touched,
+                    tag=tag,
+                )
             )
-        )
         if self._crash_at is not None:
             self.check_faults()
 

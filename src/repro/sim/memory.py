@@ -42,10 +42,15 @@ class MemoryTracker:
         self._check_cat(category)
         if nbytes < 0:
             raise SimulationError(f"cannot allocate negative bytes {nbytes}")
-        self._current[category] += nbytes
-        self._peak[category] = max(self._peak[category], self._current[category])
-        total = self.current_total
-        self.peak_total = max(self.peak_total, total)
+        current = self._current
+        current[category] = held = current[category] + nbytes
+        if held > self._peak[category]:
+            self._peak[category] = held
+        # summed afresh in category order, never kept as a running total:
+        # a float sum depends on its order and peaks appear in reports
+        total = sum(current.values())
+        if total > self.peak_total:
+            self.peak_total = total
         if (
             self.strict
             and self.capacity_bytes is not None

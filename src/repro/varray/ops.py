@@ -19,12 +19,13 @@ Flop conventions (matching the usual DL accounting):
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.util.mathutil import prod
 from repro.varray.varray import VArray
 
 __all__ = [
@@ -128,46 +129,64 @@ def _fold_sum(x: np.ndarray, axis: int) -> np.ndarray:
 # --- helpers ---------------------------------------------------------------------
 
 
-def _any_symbolic(*arrays: VArray) -> bool:
-    return any(a.is_symbolic for a in arrays)
+_INT64 = np.dtype(np.int64)
 
 
-def _result(shape, dtype, value_fn, symbolic: bool) -> VArray:
-    """Build the output VArray, evaluating ``value_fn`` only in real mode."""
+def _result(shape: tuple[int, ...], dtype: np.dtype, value_fn, symbolic: bool) -> VArray:
+    """Build the output VArray, evaluating ``value_fn`` only in real mode.
+
+    ``shape`` and ``dtype`` come from the op's own inference (a tuple of
+    ints derived from validated operand shapes, an operand's ``np.dtype``),
+    and the real value is checked against them here, so the output is built
+    with the trusted constructor.
+    """
     if symbolic:
-        return VArray.symbolic(shape, dtype)
-    value = value_fn()
-    value = np.asarray(value, dtype=dtype)
-    if tuple(value.shape) != tuple(shape):
+        return VArray._trusted(shape, dtype, None)
+    value = np.asarray(value_fn(), dtype=dtype)
+    if value.shape != shape:
         raise ShapeError(
-            f"op produced shape {value.shape}, inference said {tuple(shape)}"
+            f"op produced shape {value.shape}, inference said {shape}"
         )
-    return VArray(shape, dtype, value)
+    return VArray._trusted(shape, dtype, value)
 
 
-def _broadcast_shape(a: VArray, b: VArray) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=4096)
+def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    """numpy's broadcast rule, asked once per distinct pair of shapes."""
     try:
-        return tuple(np.broadcast_shapes(a.shape, b.shape))
+        return tuple(np.broadcast_shapes(sa, sb))
     except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {a.shape} with {b.shape}") from exc
+        raise ShapeError(f"cannot broadcast {sa} with {sb}") from exc
+
+
+def _axis(op: str, shape: tuple[int, ...], axis: int) -> int:
+    """Normalize ``axis`` against ``shape``; a 0-d array has no axis."""
+    if not shape:
+        raise ShapeError(f"{op} along axis {axis} of a 0-d array (shape {shape})")
+    return axis % len(shape)
 
 
 def _binary(ctx, a: VArray, b: VArray, np_fn, flops_per_el: float, tag: str) -> VArray:
-    shape = _broadcast_shape(a, b)
-    out_size = prod(shape)
+    shape = a.shape
+    if shape == b.shape:
+        out_size = a.size
+    else:
+        shape = _broadcast_shape(shape, b.shape)
+        out_size = math.prod(shape)
     ctx.compute(
-        flops=flops_per_el * out_size,
-        bytes_touched=a.nbytes + b.nbytes + out_size * a.dtype.itemsize,
-        tag=tag,
+        flops_per_el * out_size,
+        a.nbytes + b.nbytes + out_size * a.dtype.itemsize,
+        tag,
     )
     return _result(
-        shape, a.dtype, lambda: np_fn(a.numpy(), b.numpy()), _any_symbolic(a, b)
+        shape, a.dtype, lambda: np_fn(a.numpy(), b.numpy()),
+        a.data is None or b.data is None,
     )
 
 
 def _unary(ctx, a: VArray, np_fn, flops_per_el: float, tag: str) -> VArray:
-    ctx.compute(flops=flops_per_el * a.size, bytes_touched=2 * a.nbytes, tag=tag)
-    return _result(a.shape, a.dtype, lambda: np_fn(a.numpy()), a.is_symbolic)
+    ctx.compute(flops_per_el * a.size, 2 * a.nbytes, tag)
+    return _result(a.shape, a.dtype, lambda: np_fn(a.numpy()), a.data is None)
 
 
 # --- matmul ---------------------------------------------------------------------
@@ -186,33 +205,31 @@ def matmul(
     Shapes follow :func:`numpy.matmul`: leading (batch) dimensions must
     match exactly or be absent on one side.
     """
-    a_shape = list(a.shape)
-    b_shape = list(b.shape)
+    a_shape, b_shape = a.shape, b.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} x {b.shape}")
+        raise ShapeError(f"matmul needs >=2-D operands, got {a_shape} x {b_shape}")
+    m, ka = a_shape[-2:]
     if transpose_a:
-        a_shape[-1], a_shape[-2] = a_shape[-2], a_shape[-1]
+        m, ka = ka, m
+    kb, n = b_shape[-2:]
     if transpose_b:
-        b_shape[-1], b_shape[-2] = b_shape[-2], b_shape[-1]
-    m, ka = a_shape[-2], a_shape[-1]
-    kb, n = b_shape[-2], b_shape[-1]
+        kb, n = n, kb
     if ka != kb:
         raise ShapeError(
-            f"matmul inner dims differ: {a.shape}"
-            f"{'ᵀ' if transpose_a else ''} x {b.shape}{'ᵀ' if transpose_b else ''}"
+            f"matmul inner dims differ: {a_shape}"
+            f"{'ᵀ' if transpose_a else ''} x {b_shape}{'ᵀ' if transpose_b else ''}"
         )
-    batch_a, batch_b = tuple(a_shape[:-2]), tuple(b_shape[:-2])
+    batch_a, batch_b = a_shape[:-2], b_shape[:-2]
     if batch_a and batch_b and batch_a != batch_b:
         raise ShapeError(f"matmul batch dims differ: {batch_a} vs {batch_b}")
     batch = batch_a or batch_b
     shape = batch + (m, n)
-    nbatch = prod(batch)
-    flops = 2.0 * nbatch * m * ka * n
+    nbatch = math.prod(batch)
     ctx.compute(
-        flops=flops,
-        bytes_touched=a.nbytes + b.nbytes + prod(shape) * a.dtype.itemsize,
-        tag=tag,
-        min_dim=float(min(m, ka, n)),
+        2.0 * nbatch * m * ka * n,
+        a.nbytes + b.nbytes + nbatch * m * n * a.dtype.itemsize,
+        tag,
+        float(min(m, ka, n)),
     )
 
     def value():
@@ -226,7 +243,7 @@ def matmul(
             return _fold_matmul(x, y)
         return np.matmul(x, y)
 
-    return _result(shape, a.dtype, value, _any_symbolic(a, b))
+    return _result(shape, a.dtype, value, a.data is None or b.data is None)
 
 
 # --- elementwise binary ----------------------------------------------------------
@@ -345,8 +362,8 @@ def softmax(ctx, a: VArray, axis: int = -1, tag: str = "softmax") -> VArray:
             return e / _fold_sum(e, axis)
         return e / e.sum(axis=axis, keepdims=True)
 
-    ctx.compute(flops=5.0 * a.size, bytes_touched=2 * a.nbytes, tag=tag)
-    return _result(a.shape, a.dtype, value, a.is_symbolic)
+    ctx.compute(5.0 * a.size, 2 * a.nbytes, tag)
+    return _result(a.shape, a.dtype, value, a.data is None)
 
 
 def softmax_grad(
@@ -361,29 +378,30 @@ def softmax_grad(
         dot = (yv * dv).sum(axis=axis, keepdims=True)
         return yv * (dv - dot)
 
-    ctx.compute(flops=4.0 * y.size, bytes_touched=3 * y.nbytes, tag=tag)
-    return _result(y.shape, y.dtype, value, _any_symbolic(y, dy))
+    ctx.compute(4.0 * y.size, 3 * y.nbytes, tag)
+    return _result(y.shape, y.dtype, value, y.data is None or dy.data is None)
 
 
 # --- reductions ------------------------------------------------------------------
 
 
-def _reduced_shape(shape: tuple[int, ...], axis: int, keepdims: bool) -> tuple[int, ...]:
-    nd = len(shape)
-    ax = axis % nd
+def _reduced_shape(
+    op: str, shape: tuple[int, ...], axis: int, keepdims: bool
+) -> tuple[int, ...]:
+    ax = _axis(op, shape, axis)
     if keepdims:
-        return tuple(1 if i == ax else s for i, s in enumerate(shape))
-    return tuple(s for i, s in enumerate(shape) if i != ax)
+        return shape[:ax] + (1,) + shape[ax + 1 :]
+    return shape[:ax] + shape[ax + 1 :]
 
 
 def reduce_sum(
     ctx, a: VArray, axis: int = -1, keepdims: bool = True, tag: str = "sum"
 ) -> VArray:
     """Sum along one axis."""
-    shape = _reduced_shape(a.shape, axis, keepdims)
-    ctx.compute(flops=float(a.size), bytes_touched=a.nbytes, tag=tag)
+    shape = _reduced_shape("reduce_sum", a.shape, axis, keepdims)
+    ctx.compute(float(a.size), a.nbytes, tag)
     return _result(
-        shape, a.dtype, lambda: a.numpy().sum(axis=axis, keepdims=keepdims), a.is_symbolic
+        shape, a.dtype, lambda: a.numpy().sum(axis=axis, keepdims=keepdims), a.data is None
     )
 
 
@@ -391,13 +409,13 @@ def reduce_mean(
     ctx, a: VArray, axis: int = -1, keepdims: bool = True, tag: str = "mean"
 ) -> VArray:
     """Mean along one axis."""
-    shape = _reduced_shape(a.shape, axis, keepdims)
-    ctx.compute(flops=float(a.size), bytes_touched=a.nbytes, tag=tag)
+    shape = _reduced_shape("reduce_mean", a.shape, axis, keepdims)
+    ctx.compute(float(a.size), a.nbytes, tag)
     return _result(
         shape,
         a.dtype,
         lambda: a.numpy().mean(axis=axis, keepdims=keepdims),
-        a.is_symbolic,
+        a.data is None,
     )
 
 
@@ -405,20 +423,18 @@ def reduce_max(
     ctx, a: VArray, axis: int = -1, keepdims: bool = True, tag: str = "max"
 ) -> VArray:
     """Max along one axis."""
-    shape = _reduced_shape(a.shape, axis, keepdims)
-    ctx.compute(flops=float(a.size), bytes_touched=a.nbytes, tag=tag)
+    shape = _reduced_shape("reduce_max", a.shape, axis, keepdims)
+    ctx.compute(float(a.size), a.nbytes, tag)
     return _result(
-        shape, a.dtype, lambda: a.numpy().max(axis=axis, keepdims=keepdims), a.is_symbolic
+        shape, a.dtype, lambda: a.numpy().max(axis=axis, keepdims=keepdims), a.data is None
     )
 
 
 def argmax(ctx, a: VArray, axis: int = -1, tag: str = "argmax") -> VArray:
     """Index of the max along one axis (int64 output)."""
-    shape = _reduced_shape(a.shape, axis, keepdims=False)
-    ctx.compute(flops=float(a.size), bytes_touched=a.nbytes, tag=tag)
-    if a.is_symbolic:
-        return VArray.symbolic(shape, np.int64)
-    return VArray(shape, np.int64, a.numpy().argmax(axis=axis).astype(np.int64))
+    shape = _reduced_shape("argmax", a.shape, axis, keepdims=False)
+    ctx.compute(float(a.size), a.nbytes, tag)
+    return _result(shape, _INT64, lambda: a.numpy().argmax(axis=axis), a.data is None)
 
 
 # --- data movement ---------------------------------------------------------------
@@ -428,13 +444,13 @@ def transpose(ctx, a: VArray, axes: Sequence[int], tag: str = "transpose") -> VA
     """Permute axes (charged as memory traffic only)."""
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"bad transpose axes {axes} for ndim {a.ndim}")
-    shape = tuple(a.shape[i] for i in axes)
-    ctx.compute(flops=0.0, bytes_touched=2 * a.nbytes, tag=tag)
+    shape = tuple([a.shape[i] for i in axes])
+    ctx.compute(0.0, 2 * a.nbytes, tag)
     return _result(
         shape,
         a.dtype,
         lambda: np.ascontiguousarray(np.transpose(a.numpy(), axes)),
-        a.is_symbolic,
+        a.data is None,
     )
 
 
@@ -447,11 +463,11 @@ def swap_last_two(ctx, a: VArray, tag: str = "transpose") -> VArray:
 
 def reshape(ctx, a: VArray, shape: Sequence[int], tag: str = "reshape") -> VArray:
     """Reshape without data movement (must preserve element count)."""
-    shape = tuple(int(s) for s in shape)
-    if prod(shape) != a.size:
+    shape = tuple([int(s) for s in shape])
+    if math.prod(shape) != a.size or min(shape, default=0) < 0:
         raise ShapeError(f"cannot reshape {a.shape} ({a.size} el) to {shape}")
-    ctx.compute(flops=0.0, bytes_touched=0.0, tag=tag)
-    return _result(shape, a.dtype, lambda: a.numpy().reshape(shape), a.is_symbolic)
+    ctx.compute(0.0, 0.0, tag)
+    return _result(shape, a.dtype, lambda: a.numpy().reshape(shape), a.data is None)
 
 
 def concat(ctx, arrays: Sequence[VArray], axis: int = 0, tag: str = "concat") -> VArray:
@@ -459,25 +475,32 @@ def concat(ctx, arrays: Sequence[VArray], axis: int = 0, tag: str = "concat") ->
     if not arrays:
         raise ShapeError("concat needs at least one array")
     first = arrays[0]
-    nd = first.ndim
-    ax = axis % nd
-    for arr in arrays[1:]:
-        if arr.ndim != nd:
-            raise ShapeError("concat rank mismatch")
-        for i in range(nd):
-            if i != ax and arr.shape[i] != first.shape[i]:
+    fshape = first.shape
+    nd = len(fshape)
+    ax = _axis("concat", fshape, axis)
+    head, tail = fshape[:ax], fshape[ax + 1 :]
+    along = total_bytes = 0
+    symbolic = False
+    for arr in arrays:
+        shape = arr.shape
+        if shape != fshape:  # may differ along ``ax`` only
+            if len(shape) != nd:
+                raise ShapeError("concat rank mismatch")
+            if shape[:ax] != head or shape[ax + 1 :] != tail:
+                i = next(i for i in range(nd) if i != ax and shape[i] != fshape[i])
                 raise ShapeError(
-                    f"concat shape mismatch on axis {i}: {arr.shape} vs {first.shape}"
+                    f"concat shape mismatch on axis {i}: {shape} vs {fshape}"
                 )
-    shape = list(first.shape)
-    shape[ax] = sum(a.shape[ax] for a in arrays)
-    total_bytes = sum(a.nbytes for a in arrays)
-    ctx.compute(flops=0.0, bytes_touched=2 * total_bytes, tag=tag)
+        along += shape[ax]
+        total_bytes += arr.nbytes
+        if arr.data is None:
+            symbolic = True
+    ctx.compute(0.0, 2 * total_bytes, tag)
     return _result(
-        tuple(shape),
+        head + (along,) + tail,
         first.dtype,
         lambda: np.concatenate([a.numpy() for a in arrays], axis=ax),
-        _any_symbolic(*arrays),
+        symbolic,
     )
 
 
@@ -485,18 +508,21 @@ def split(
     ctx, a: VArray, sections: int, axis: int = 0, tag: str = "split"
 ) -> list[VArray]:
     """Split into ``sections`` equal parts along an axis."""
-    ax = axis % a.ndim
-    if a.shape[ax] % sections != 0:
+    ashape = a.shape
+    ax = _axis("split", ashape, axis)
+    if ashape[ax] % sections != 0:
         raise ShapeError(
-            f"cannot split axis {ax} of {a.shape} into {sections} equal parts"
+            f"cannot split axis {ax} of {ashape} into {sections} equal parts"
         )
-    shape = list(a.shape)
-    shape[ax] //= sections
-    ctx.compute(flops=0.0, bytes_touched=2 * a.nbytes, tag=tag)
-    if a.is_symbolic:
-        return [VArray.symbolic(tuple(shape), a.dtype) for _ in range(sections)]
-    parts = np.split(a.numpy(), sections, axis=ax)
-    return [VArray(tuple(shape), a.dtype, np.ascontiguousarray(p)) for p in parts]
+    shape = ashape[:ax] + (ashape[ax] // sections,) + ashape[ax + 1 :]
+    ctx.compute(0.0, 2 * a.nbytes, tag)
+    if a.data is None:
+        return [VArray._trusted(shape, a.dtype, None) for _ in range(sections)]
+    # equal sections of an array of a's dtype: numpy fixes shape and dtype
+    return [
+        VArray._trusted(shape, a.dtype, np.ascontiguousarray(p))
+        for p in np.split(a.data, sections, axis=ax)
+    ]
 
 
 def take_rows(ctx, table: VArray, idx: VArray, tag: str = "take_rows") -> VArray:
@@ -504,11 +530,14 @@ def take_rows(ctx, table: VArray, idx: VArray, tag: str = "take_rows") -> VArray
     if table.ndim != 2:
         raise ShapeError(f"take_rows table must be 2-D, got {table.shape}")
     shape = idx.shape + (table.shape[1],)
-    out_bytes = prod(shape) * table.dtype.itemsize
-    ctx.compute(flops=0.0, bytes_touched=out_bytes * 2, tag=tag)
-    if _any_symbolic(table, idx):
-        return VArray.symbolic(shape, table.dtype)
-    return VArray(shape, table.dtype, table.numpy()[idx.numpy()])
+    out_bytes = idx.size * table.shape[1] * table.dtype.itemsize
+    ctx.compute(0.0, out_bytes * 2, tag)
+    return _result(
+        shape,
+        table.dtype,
+        lambda: table.numpy()[idx.numpy()],
+        table.data is None or idx.data is None,
+    )
 
 
 def add_at_rows(
@@ -521,8 +550,8 @@ def add_at_rows(
             f"add_at_rows values shape {values.shape} does not match "
             f"idx {idx.shape} + dim {table_shape[1]}"
         )
-    ctx.compute(flops=float(values.size), bytes_touched=2 * values.nbytes, tag=tag)
-    if _any_symbolic(idx, values):
+    ctx.compute(float(values.size), 2 * values.nbytes, tag)
+    if idx.data is None or values.data is None:
         return VArray.symbolic(table_shape, values.dtype)
     out = np.zeros(table_shape, dtype=values.dtype)
     np.add.at(out, idx.numpy().reshape(-1), values.numpy().reshape(-1, table_shape[1]))
@@ -532,7 +561,5 @@ def add_at_rows(
 def cast(ctx, a: VArray, dtype: np.dtype | str, tag: str = "cast") -> VArray:
     """Convert dtype (memory traffic only)."""
     dt = np.dtype(dtype)
-    ctx.compute(flops=0.0, bytes_touched=a.nbytes + a.size * dt.itemsize, tag=tag)
-    if a.is_symbolic:
-        return VArray.symbolic(a.shape, dt)
-    return VArray(a.shape, dt, a.numpy().astype(dt))
+    ctx.compute(0.0, a.nbytes + a.size * dt.itemsize, tag)
+    return _result(a.shape, dt, lambda: a.numpy().astype(dt), a.data is None)

@@ -10,16 +10,18 @@ Design notes
   guaranteed to run real data through the same code path.
 * Symbolic mode stores nothing per element, so Table 1's hidden-8192 /
   batch-768 configurations simulate in constant memory.
+* ``size`` and ``nbytes`` are computed once, at construction: every priced
+  op reads them several times and a shape never changes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.util.mathutil import prod
 
 __all__ = ["VArray"]
 
@@ -31,7 +33,9 @@ class VArray:
     :meth:`full` rather than the raw constructor.
     """
 
-    __slots__ = ("shape", "dtype", "data")
+    #: ``size`` (element count) and ``nbytes`` (storage footprint in bytes,
+    #: real or would-be) are derived from ``shape`` and ``dtype`` once, here
+    __slots__ = ("shape", "dtype", "data", "size", "nbytes")
 
     def __init__(
         self,
@@ -39,21 +43,46 @@ class VArray:
         dtype: np.dtype | str = np.float32,
         data: np.ndarray | None = None,
     ):
-        self.shape: tuple[int, ...] = tuple(int(s) for s in shape)
-        for s in self.shape:
+        shape = tuple([int(s) for s in shape])
+        for s in shape:
             if s < 0:
-                raise ShapeError(f"negative dimension in shape {self.shape}")
-        self.dtype = np.dtype(dtype)
+                raise ShapeError(f"negative dimension in shape {shape}")
+        dtype = np.dtype(dtype)
         if data is not None:
-            if tuple(data.shape) != self.shape:
+            if tuple(data.shape) != shape:
                 raise ShapeError(
-                    f"data shape {data.shape} does not match declared {self.shape}"
+                    f"data shape {data.shape} does not match declared {shape}"
                 )
-            if data.dtype != self.dtype:
-                data = data.astype(self.dtype)
+            if data.dtype != dtype:
+                data = data.astype(dtype)
+        self.shape: tuple[int, ...] = shape
+        self.dtype = dtype
         self.data = data
+        self.size: int = math.prod(shape)
+        self.nbytes: int = self.size * dtype.itemsize
 
     # --- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _trusted(
+        cls, shape: tuple[int, ...], dtype: np.dtype, data: np.ndarray | None
+    ) -> "VArray":
+        """Build an op output without re-validating what the op just inferred.
+
+        The caller guarantees what ``__init__`` would otherwise check or
+        convert: ``shape`` is a tuple of non-negative Python ints, ``dtype``
+        is an ``np.dtype`` instance, and ``data`` is either ``None`` or an
+        array of exactly that shape and dtype.  Internal to
+        :mod:`repro.varray`; everything else goes through the public
+        constructors.
+        """
+        self = object.__new__(cls)
+        self.shape = shape
+        self.dtype = dtype
+        self.data = data
+        self.size = size = math.prod(shape)
+        self.nbytes = size * dtype.itemsize
+        return self
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray, dtype: np.dtype | str | None = None) -> "VArray":
@@ -102,18 +131,8 @@ class VArray:
         return self.data is None
 
     @property
-    def size(self) -> int:
-        """Element count."""
-        return prod(self.shape)
-
-    @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Storage footprint in bytes (real or would-be)."""
-        return self.size * self.dtype.itemsize
 
     # --- accessors --------------------------------------------------------------
 
@@ -128,9 +147,10 @@ class VArray:
 
     def copy(self) -> "VArray":
         """A deep copy (symbolic arrays copy trivially)."""
-        if self.data is None:
-            return VArray.symbolic(self.shape, self.dtype)
-        return VArray(self.shape, self.dtype, self.data.copy())
+        data = self.data
+        return VArray._trusted(
+            self.shape, self.dtype, None if data is None else data.copy()
+        )
 
     def like(self, shape: Sequence[int]) -> "VArray":
         """A symbolic/real-*consistent* empty-ish array of a new shape.

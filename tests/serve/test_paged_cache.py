@@ -162,6 +162,60 @@ def test_check_catches_refcount_table_mismatch():
         pool.check({0: [bid], 1: [bid]})  # two refs, refcount 1
 
 
+def _occupancy(pool):
+    return pool.live_blocks, pool.cached_blocks, pool.live_tokens
+
+
+def test_occupancy_counters_follow_every_transition():
+    pool = BlockPool(num_blocks=3, block_tokens=BS)
+    assert _occupancy(pool) == (0, 0, 0)
+    a, _ = pool.alloc()  # free -> live
+    pool.append(a, 1)
+    pool.append(a, 2)
+    assert _occupancy(pool) == (1, 0, 2)
+    pool.register((1, 2), a)
+    pool.retain(a)  # a second sharer: still one live block
+    assert _occupancy(pool) == (1, 0, 2)
+    pool.release(a)
+    assert _occupancy(pool) == (1, 0, 2)
+    pool.release(a)  # live -> cached
+    assert _occupancy(pool) == (0, 1, 0)
+    pool.retain(a)  # cached -> live (a prefix hit revives it)
+    assert _occupancy(pool) == (1, 0, 2)
+    b, _ = pool.cow(a)  # private copy carries the tokens; a goes back to cached
+    assert _occupancy(pool) == (1, 1, 2)
+    pool.append(b, 3)
+    assert _occupancy(pool) == (1, 1, 3)
+    c, _ = pool.alloc()
+    d, evicted = pool.alloc()  # no free block left: the cached one is evicted
+    assert evicted == a and _occupancy(pool) == (3, 0, 3)
+    assert pool.release(c) is True  # private: live -> free
+    assert _occupancy(pool) == (2, 0, 3)
+    assert pool.available_blocks == 1
+    pool.check({0: [b], 1: [d]})
+    assert (pool.peak_live_blocks, pool.peak_live_tokens) == (3, 3)
+
+
+@pytest.mark.parametrize("drift", [
+    {"live_tokens": 1},
+    {"live_blocks": 1, "cached_blocks": -1},  # conservation still balances
+    {"live_blocks": -1, "cached_blocks": 1},
+])
+def test_check_rederives_the_occupancy_counters(drift):
+    pool = BlockPool(num_blocks=4, block_tokens=BS)
+    live, _ = pool.alloc()
+    pool.append(live, 1)
+    cached, _ = pool.alloc()
+    pool.append(cached, 2)
+    pool.register((2,), cached)
+    pool.release(cached)
+    pool.check({0: [live]})
+    for counter, delta in drift.items():
+        setattr(pool, counter, getattr(pool, counter) + delta)
+    with pytest.raises(SimulationError, match="occupancy counters diverged"):
+        pool.check({0: [live]})
+
+
 # --- fuzz machine ------------------------------------------------------------
 #
 # Random slot traffic mirroring PagedKVCache's bookkeeping walk: chains

@@ -1,12 +1,22 @@
 """End-to-end tests for the serving simulation loop."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.hardware.spec import GPUSpec
 from repro.models.configs import TransformerConfig
-from repro.serve import SchedulerConfig, WorkloadConfig, run_serving
+from repro.serve import (
+    AutoscaleConfig,
+    SchedulerConfig,
+    SpecDecodeConfig,
+    WorkloadConfig,
+    run_serving,
+)
+from repro.sim.engine import RankContext
+from repro.sim.events import ComputeEvent
 
 WORKLOAD = WorkloadConfig(
     seed=0, num_requests=10, arrival_rate=64.0,
@@ -85,6 +95,56 @@ class TestRunServing:
         real = run_serving("serial", model_cfg=MODEL, workload=WORKLOAD,
                            sched=SCHED, engine_mode="real")
         assert sym == real
+
+
+#: one configuration per serving loop (contiguous, paged, autoscaled fleet)
+LOOPS = {
+    "contiguous": {"sched": SchedulerConfig(max_slots=4, kv_budget_tokens=64,
+                                            policy="continuous")},
+    "paged": {"sched": SchedulerConfig(
+        max_slots=4, kv_budget_tokens=64, policy="continuous",
+        kv_block_tokens=4, prefill_chunk_tokens=6,
+        spec=SpecDecodeConfig(spec_k=2, accept_rate=0.6))},
+    "fleet": {"sched": SCHED, "autoscale": AutoscaleConfig(
+        min_replicas=1, max_replicas=3, scale_up_queue=2,
+        scale_down_patience=4, spinup_iters=2)},
+}
+
+
+class TestHostCostOfAPricedOp:
+    """An untraced serving run builds no compute events and asks the
+    roofline for each distinct kernel size once; the report is unchanged."""
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    def test_no_events_and_one_roofline_call_per_size(self, loop, monkeypatch):
+        hot = dataclasses.replace(WORKLOAD, arrival_rate=256.0)
+        want = run_serving("serial", model_cfg=MODEL, workload=hot,
+                           **LOOPS[loop])
+
+        built, priced, kernels = [], Counter(), []
+        roofline, compute = GPUSpec.compute_time, RankContext.compute
+
+        def counting_time(gpu, flops, bytes_touched=0.0, min_dim=None):
+            priced[(flops, bytes_touched, min_dim)] += 1
+            return roofline(gpu, flops, bytes_touched, min_dim)
+
+        def counting_event(*args, **kwargs):
+            built.append(1)
+            return ComputeEvent(*args, **kwargs)
+
+        def counting_compute(ctx, *args, **kwargs):
+            kernels.append(1)
+            return compute(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(GPUSpec, "compute_time", counting_time)
+        monkeypatch.setattr(RankContext, "compute", counting_compute)
+        monkeypatch.setattr("repro.sim.engine.ComputeEvent", counting_event)
+        got = run_serving("serial", model_cfg=MODEL, workload=hot,
+                          **LOOPS[loop])
+        assert got == want and got["completed"] == hot.num_requests
+        assert not built
+        assert priced and set(priced.values()) == {1}
+        assert 10 * len(priced) < len(kernels)  # measured: 19-39x fewer
 
 
 class TestValidation:

@@ -260,3 +260,91 @@ class TestRowOps:
         idx = VArray.from_numpy(np.array([0], dtype=np.int64))
         with pytest.raises(ShapeError):
             ops.add_at_rows(ctx1, (3, 2), idx, VArray.symbolic((1, 5)))
+
+    def test_take_rows_boolean_index_is_caught(self, ctx1):
+        # a boolean mask selects rows instead of gathering them: the real
+        # result's shape differs from the inferred one and must not pass
+        table = _v([[0, 0], [1, 1], [2, 2]])
+        mask = VArray.from_numpy(np.array([True, False, False]))
+        with pytest.raises(ShapeError, match="inference said"):
+            ops.take_rows(ctx1, table, mask)
+
+
+#: ops that take an axis: on a 0-d array ``axis % ndim`` used to divide by zero
+AXIS_OPS = {
+    "reduce_sum": lambda ctx, a: ops.reduce_sum(ctx, a),
+    "reduce_mean": lambda ctx, a: ops.reduce_mean(ctx, a, axis=0),
+    "reduce_max": lambda ctx, a: ops.reduce_max(ctx, a, keepdims=False),
+    "argmax": lambda ctx, a: ops.argmax(ctx, a),
+    "concat": lambda ctx, a: ops.concat(ctx, [a, a]),
+    "split": lambda ctx, a: ops.split(ctx, a, 1),
+}
+
+
+class TestZeroDimensional:
+    @pytest.mark.parametrize("op", sorted(AXIS_OPS))
+    @pytest.mark.parametrize("symbolic", [True, False])
+    def test_axis_ops_name_op_and_shape(self, ctx1, op, symbolic):
+        a = (VArray.symbolic(()) if symbolic
+             else VArray.from_numpy(np.float32(3.0)))
+        before = ctx1.clock.now
+        with pytest.raises(ShapeError, match=rf"{op} .*0-d.*shape \(\)"):
+            AXIS_OPS[op](ctx1, a)
+        assert ctx1.clock.now == before  # rejected before anything is charged
+
+    def test_elementwise_ops_still_take_scalars(self, ctx1):
+        out = ops.add(ctx1, VArray.from_numpy(np.float32(1.0)), _v([1, 2]))
+        assert np.array_equal(out.numpy(), [2, 3])
+        assert ops.exp(ctx1, VArray.symbolic(())).shape == ()
+
+
+class TestShapeInference:
+    """The shape prologues that no longer go through numpy on every call."""
+
+    def test_reshape_rejects_negative_dims_with_matching_count(self, ctx1):
+        with pytest.raises(ShapeError):
+            ops.reshape(ctx1, VArray.symbolic((2, 3)), (-2, -3))
+
+    def test_broadcast_error_is_raised_every_time(self, ctx1):
+        # the broadcast rule is memoized; a failure must not be
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="cannot broadcast"):
+                ops.add(ctx1, VArray.symbolic((2, 3)), VArray.symbolic((4,)))
+
+    @pytest.mark.parametrize("sa,sb", [
+        ((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 1, 4), (5, 1)), ((), (2, 2)),
+        ((0, 3), (1, 3)), ((4, 1), (1, 6)),
+    ])
+    def test_broadcast_matches_numpy(self, ctx1, sa, sb):
+        for _ in range(2):  # cold, then memoized
+            out = ops.mul(ctx1, VArray.symbolic(sa), VArray.symbolic(sb))
+            assert out.shape == np.broadcast_shapes(sa, sb)
+
+    def test_concat_names_the_mismatching_axis(self, ctx1):
+        with pytest.raises(ShapeError, match=r"axis 2: \(2, 5, 4\) vs \(2, 3, 7\)"):
+            ops.concat(ctx1, [VArray.symbolic((2, 3, 7)),
+                              VArray.symbolic((2, 5, 4))], axis=1)
+        with pytest.raises(ShapeError, match="rank mismatch"):
+            ops.concat(ctx1, [VArray.symbolic((2, 3)), VArray.symbolic((2,))])
+
+    def test_concat_mixed_lengths_and_symbolic(self, ctx1):
+        parts = [_v(np.ones((2, n, 3))) for n in (1, 4, 2)]
+        out = ops.concat(ctx1, parts, axis=1)
+        assert out.shape == (2, 7, 3) and not out.is_symbolic
+        parts[1] = VArray.symbolic((2, 4, 3))
+        assert ops.concat(ctx1, parts, axis=-2).astuple() == (
+            (2, 7, 3), "float32", True)
+
+    def test_concat_accounting(self, ctx1):
+        before = len(ctx1.trace)
+        ops.concat(ctx1, [VArray.symbolic((2, 3)), VArray.symbolic((5, 3))])
+        event = ctx1.trace.events[before]
+        assert (event.flops, event.bytes_touched) == (0.0, 2 * (6 + 15) * 4)
+
+    def test_matmul_accounting_with_transposes(self, ctx1):
+        before = len(ctx1.trace)
+        ops.matmul(ctx1, VArray.symbolic((2, 7, 3)), VArray.symbolic((5, 7)),
+                   transpose_a=True, transpose_b=True)
+        event = ctx1.trace.events[before]
+        assert event.flops == 2.0 * 2 * 3 * 7 * 5
+        assert event.bytes_touched == (2 * 7 * 3 + 5 * 7 + 2 * 3 * 5) * 4
