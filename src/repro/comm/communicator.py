@@ -253,6 +253,7 @@ class Communicator:
         """
         if self._window is not None:
             raise CommError("batch windows cannot nest")
+        self.ctx.abandon_recording()
         win = _BatchWindow(self, tag)
         self._window = win
         try:
@@ -286,6 +287,7 @@ class Communicator:
 
     def _immediate(self, value: Any) -> Any:
         """Wrap trivial (size-1) results so in-window types stay uniform."""
+        self.ctx.abandon_recording()
         if self._window is not None:
             return PendingResult._resolved(value)
         return value
@@ -323,13 +325,14 @@ class Communicator:
         deferred path hand a non-last arriver its result early — see
         ``Engine.fused_collective_deferred``.
         """
+        ctx = self.ctx
+        ctx.abandon_recording()
         if self._window is not None:
             return self._window._enqueue(
                 _CollectiveOp(kind, payload, finisher_data, cost_fn,
                               price_kind, price_bytes, nbytes, tag,
                               local_result=local_result)
             )
-        ctx = self.ctx
         if ctx.engine._deferred:
             # Deferred timing: deposit and run on, skipping op/closure
             # construction entirely — the engine wraps ``finisher_data``/
@@ -803,6 +806,7 @@ class Communicator:
         volume accounting is invariant under retries.
         """
         self._no_window("send")
+        self.ctx.abandon_recording()
         self.ctx.check_faults()
         # p2p observes and publishes real timestamps: land any deferred
         # epoch on true virtual time first (no-op outside the event path).
@@ -871,6 +875,7 @@ class Communicator:
         immediately.
         """
         self._no_window("recv")
+        self.ctx.abandon_recording()
         self.ctx.check_faults()
         self.ctx.engine.sync_rank(self.ctx)
         self._check_root(src)

@@ -59,19 +59,6 @@ def _pos_global(ctx: RankContext, seq_len: int, hidden: int) -> VArray:
     )
 
 
-def _position_ids(ctx: RankContext, idx: np.ndarray) -> VArray:
-    """Host position indices -> an int64 device array."""
-    return VArray.from_numpy(np.asarray(idx, dtype=np.int64))
-
-
-def _check_inference(model: Module, api: str) -> None:
-    if model.training:
-        raise SimulationError(
-            f"{type(model).__name__}.{api} requires eval() mode — the cached "
-            f"decode path never runs backward"
-        )
-
-
 def _embed_positions(model, tokens: VArray, positions: VArray) -> VArray:
     """Token embedding + gathered position rows (incremental variant).
 
@@ -86,6 +73,54 @@ def _embed_positions(model, tokens: VArray, positions: VArray) -> VArray:
     x = model.embed.forward(tokens)
     p = ops.take_rows(ctx, model.pos.value, positions, tag="lm_pos")
     return ops.add(ctx, x, p, tag="lm_pos")
+
+
+def _cached_pass(
+    model,
+    api: str,
+    tokens: VArray,
+    positions: VArray | None,
+    past_kv: list,
+    extra_mask: VArray | None = None,
+    pc: ParallelContext | None = None,
+) -> tuple[VArray, list]:
+    """The pass behind every LM's ``prefill`` (``positions`` None: ``0 ..
+    s-1``) and ``decode_step``; ``pc`` keeps this rank's A-layout block of
+    the embedded batch (the Tesseract bridge).
+
+    It goes through :meth:`RankContext.replay`, keyed by the model, the
+    entry point and every operand's signature: symbolic weights carry no
+    data, so prices, stashes and the shape-only result follow from those.
+    """
+    if model.training:
+        raise SimulationError(
+            f"{type(model).__name__}.{api} requires eval() mode — the cached "
+            f"decode path never runs backward"
+        )
+
+    def run() -> tuple[VArray, list]:
+        pos = positions
+        if pos is None:
+            pos = VArray.from_numpy(
+                np.arange(tokens.shape[1], dtype=np.int64))
+        x = _embed_positions(model, tokens, pos)
+        if pc is not None:
+            x = _slice_a_layout(pc, x)
+        new_kv: list = []
+        for block, pkv in zip(model.blocks, past_kv):
+            x, layer_kv = block.forward_cached(x, pkv, extra_mask)
+            new_kv.append(layer_kv)
+        return model.head.forward(model.final_ln.forward(x)), new_kv
+
+    key = (
+        model, api, tokens.signature(),
+        None if positions is None else positions.signature(),
+        tuple([None if pkv is None
+               else (pkv[0].signature(), pkv[1].signature())
+               for pkv in past_kv]),
+        None if extra_mask is None else extra_mask.signature(),
+    )
+    return model.ctx.replay(key, run)
 
 
 class SerialTransformerLM(Module):
@@ -134,15 +169,8 @@ class SerialTransformerLM(Module):
         """Run the prompt ``[B, s]`` through the causal stack, returning
         ``(logits [B, s, vocab], kv)`` where ``kv[i]`` is layer ``i``'s
         ``(k, v)`` tensors ``[B, s, hidden]`` for the caller's cache."""
-        _check_inference(self, "prefill")
-        ctx = self.ctx
-        s = tokens.shape[1]
-        x = _embed_positions(self, tokens, _position_ids(ctx, np.arange(s)))
-        kv: list = []
-        for block in self.blocks:
-            x, layer_kv = block.forward_cached(x)
-            kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), kv
+        return _cached_pass(self, "prefill", tokens, None,
+                            [None] * len(self.blocks))
 
     def decode_step(
         self,
@@ -158,13 +186,8 @@ class SerialTransformerLM(Module):
         history.  Returns ``(logits [B, 1, vocab], new_kv)`` with
         ``new_kv[i]`` holding only this step's keys/values.
         """
-        _check_inference(self, "decode_step")
-        x = _embed_positions(self, tokens, positions)
-        new_kv: list = []
-        for block, pkv in zip(self.blocks, past_kv):
-            x, layer_kv = block.forward_cached(x, pkv, extra_mask)
-            new_kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), new_kv
+        return _cached_pass(self, "decode_step", tokens, positions, past_kv,
+                            extra_mask)
 
     def backward(self, dlogits: VArray) -> VArray:
         ctx = self.ctx
@@ -228,14 +251,8 @@ class MegatronTransformerLM(Module):
     def prefill(self, tokens: VArray) -> tuple[VArray, list]:
         """See :meth:`SerialTransformerLM.prefill`; KV blocks here are this
         rank's head slice ``[B, s, hidden / group]``."""
-        _check_inference(self, "prefill")
-        s = tokens.shape[1]
-        x = _embed_positions(self, tokens, _position_ids(self.ctx, np.arange(s)))
-        kv: list = []
-        for block in self.blocks:
-            x, layer_kv = block.forward_cached(x)
-            kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), kv
+        return _cached_pass(self, "prefill", tokens, None,
+                            [None] * len(self.blocks))
 
     def decode_step(
         self,
@@ -245,13 +262,8 @@ class MegatronTransformerLM(Module):
         extra_mask: VArray | None = None,
     ) -> tuple[VArray, list]:
         """See :meth:`SerialTransformerLM.decode_step`."""
-        _check_inference(self, "decode_step")
-        x = _embed_positions(self, tokens, positions)
-        new_kv: list = []
-        for block, pkv in zip(self.blocks, past_kv):
-            x, layer_kv = block.forward_cached(x, pkv, extra_mask)
-            new_kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), new_kv
+        return _cached_pass(self, "decode_step", tokens, positions, past_kv,
+                            extra_mask)
 
 
 class TesseractTransformerLM(Module):
@@ -329,16 +341,8 @@ class TesseractTransformerLM(Module):
         rank's batch band / hidden slice: logits ``[B/(dq), s, vocab]``, KV
         ``[B/(dq), s, hidden/q]`` per layer.
         """
-        _check_inference(self, "prefill")
-        ctx, pc = self.ctx, self.pc
-        s = tokens.shape[1]
-        x_global = _embed_positions(self, tokens, _position_ids(ctx, np.arange(s)))
-        x = _slice_a_layout(pc, x_global)
-        kv: list = []
-        for block in self.blocks:
-            x, layer_kv = block.forward_cached(x)
-            kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), kv
+        return _cached_pass(self, "prefill", tokens, None,
+                            [None] * len(self.blocks), pc=self.pc)
 
     def decode_step(
         self,
@@ -350,15 +354,8 @@ class TesseractTransformerLM(Module):
         """One decode step; ``tokens``/``positions`` are global ``[B, 1]``,
         the returned logits/KV are this rank's blocks (see :meth:`prefill`).
         """
-        _check_inference(self, "decode_step")
-        pc = self.pc
-        x_global = _embed_positions(self, tokens, positions)
-        x = _slice_a_layout(pc, x_global)
-        new_kv: list = []
-        for block, pkv in zip(self.blocks, past_kv):
-            x, layer_kv = block.forward_cached(x, pkv, extra_mask)
-            new_kv.append(layer_kv)
-        return self.head.forward(self.final_ln.forward(x)), new_kv
+        return _cached_pass(self, "decode_step", tokens, positions, past_kv,
+                            extra_mask, pc=self.pc)
 
     def backward(self, dlogits: VArray) -> VArray:
         ctx, pc = self.ctx, self.pc

@@ -97,23 +97,36 @@ class Module:
         ``forward`` repeatedly without a matching backward, while a lone
         eval-mode backward still sees the latest activations.
         """
+        mem = self.ctx.mem
+        before = mem.changes
         if self._saved is not None:
             if self.training:
                 raise SimulationError(
                     f"{type(self).__name__}.forward called again before "
                     f"backward consumed the previous activation cache"
                 )
-            self.ctx.mem.free(self._saved_bytes, "activations")
+            mem.free(self._saved_bytes, "activations")
         self._saved = tensors
         nbytes = 0
         for t in tensors:
             if isinstance(t, VArray):
                 nbytes += t.nbytes
         self._saved_bytes = nbytes
-        self.ctx.mem.alloc(nbytes, "activations")
+        mem.alloc(nbytes, "activations")
+        tape = self.ctx._tape
+        if tape is not None:
+            # a pass being recorded (RankContext.replay): a replay repeats
+            # this call, and these tracker changes are the expected ones
+            tape.stashes.append((self, tensors))
+            tape.mem_changes += mem.changes - before
 
     def saved(self) -> tuple:
-        """Retrieve and release the tensors stashed by the forward pass."""
+        """Retrieve and release the tensors stashed by the forward pass.
+
+        (The release is a tracker change no stash accounts for, so a pass
+        that calls this while ``RankContext.replay`` records it is never
+        replayed.)
+        """
         if self._saved is None:
             raise SimulationError(
                 f"{type(self).__name__}.backward called without a matching forward"

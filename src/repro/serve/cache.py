@@ -65,6 +65,30 @@ from repro.varray.varray import VArray
 __all__ = ["KVCacheManager", "BlockPool", "PagedKVCache"]
 
 
+def _append_kv(ctx: RankContext, owner, entry: list, new: list) -> list:
+    """Per-layer ``(k, v)`` of ``entry`` with ``new``'s pieces appended along
+    the token axis: the per-slot body of both caches' appends.
+
+    Pure ``ops`` calls fixed by the operands' signatures, so it goes through
+    :meth:`RankContext.replay`.  The op order is the one the loops around it
+    always had; the clock's float adds depend on it.
+    """
+
+    def run() -> list:
+        return [
+            (
+                ops.concat(ctx, [k_old, k_new], axis=1, tag="kv_append"),
+                ops.concat(ctx, [v_old, v_new], axis=1, tag="kv_append"),
+            )
+            for (k_old, v_old), (k_new, v_new) in zip(entry, new)
+        ]
+
+    key = (owner, "append",
+           tuple([(k.signature(), v.signature()) for k, v in entry]),
+           tuple([(k.signature(), v.signature()) for k, v in new]))
+    return ctx.replay(key, run)
+
+
 class KVCacheManager:
     """KV cache for ``num_slots`` fixed decode slots on one rank.
 
@@ -149,13 +173,10 @@ class KVCacheManager:
         for row, slot in enumerate(order):
             if slot is None:
                 continue
-            entry = self._kv[slot]
-            for layer, (ks, vs) in enumerate(split):
-                k_old, v_old = entry[layer]
-                entry[layer] = (
-                    ops.concat(ctx, [k_old, ks[row]], axis=1, tag="kv_append"),
-                    ops.concat(ctx, [v_old, vs[row]], axis=1, tag="kv_append"),
-                )
+            self._kv[slot] = _append_kv(
+                ctx, self, self._kv[slot],
+                [(ks[row], vs[row]) for ks, vs in split],
+            )
             ctx.mem.alloc(self.bytes_per_token, "kvcache")
 
     def grow(self, slot: int) -> None:
@@ -705,17 +726,7 @@ class PagedKVCache:
                 if entry is None:
                     self._store[bid] = list(parts[i])
                 else:
-                    self._store[bid] = [
-                        (
-                            ops.concat(ctx, [k_old, k_new], axis=1,
-                                       tag="kv_append"),
-                            ops.concat(ctx, [v_old, v_new], axis=1,
-                                       tag="kv_append"),
-                        )
-                        for (k_old, v_old), (k_new, v_new) in zip(
-                            entry, parts[i]
-                        )
-                    ]
+                    self._store[bid] = _append_kv(ctx, self, entry, parts[i])
                 self._stored[bid] = self._stored.get(bid, 0) + 1
                 ctx.mem.alloc(self.bytes_per_token, "kvcache")
             if register and st.ntokens % bs == 0:

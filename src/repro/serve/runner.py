@@ -78,7 +78,7 @@ from repro.serve.model import (
     serving_nranks,
 )
 from repro.serve.scheduler import PagedScheduler, Scheduler, SchedulerConfig
-from repro.serve.workload import WorkloadConfig, generate_workload
+from repro.serve.workload import Request, WorkloadConfig, generate_workload
 from repro.sim.engine import Engine
 from repro.util.rng import rng_for
 from repro.varray.varray import VArray
@@ -258,6 +258,9 @@ def run_serving(
     kv_width = local_kv_width(mode, model_cfg, q=gq if bands > 1 else None,
                               world=world)
 
+    # drawn once per call, restarts included, and shared by every rank
+    # (schedulers copy what they reorder; a Request is frozen)
+    requests = generate_workload(workload)
     snap_box: dict = {}
     snapshot: dict | None = None
     plan = fault_plan
@@ -270,7 +273,7 @@ def run_serving(
                 serve = _serve_rank if autoscale is None else _serve_rank_fleet
             extra = {} if autoscale is None else {"outages": outages}
             return serve(
-                ctx, mode, model_cfg, workload, sched,
+                ctx, mode, model_cfg, workload, sched, requests=requests,
                 q=q, d=d, world=world, bands=bands, kv_width=kv_width,
                 autoscale=autoscale,
                 snapshot=_snapshot,
@@ -450,6 +453,7 @@ def _serve_rank(
     workload: WorkloadConfig,
     sched_cfg: SchedulerConfig,
     *,
+    requests: list[Request] | None = None,
     q: int | None,
     d: int | None,
     world: int | None,
@@ -467,7 +471,8 @@ def _serve_rank(
     band = model.pc.block_row if bands > 1 else 0
     band_slots = range(band * rows_local, (band + 1) * rows_local)
 
-    requests = generate_workload(workload)
+    if requests is None:  # a direct caller; run_serving draws them once
+        requests = generate_workload(workload)
     sch = Scheduler(sched_cfg, requests)
     cache = KVCacheManager(
         ctx, model_cfg.num_layers, rows, band_slots, kv_width,
@@ -742,6 +747,7 @@ def _serve_rank_paged(
     workload: WorkloadConfig,
     sched_cfg: SchedulerConfig,
     *,
+    requests: list[Request] | None = None,
     q: int | None,
     d: int | None,
     world: int | None,
@@ -771,7 +777,8 @@ def _serve_rank_paged(
     band = model.pc.block_row if bands > 1 else 0
     band_slots = range(band * rows_local, (band + 1) * rows_local)
 
-    requests = generate_workload(workload)
+    if requests is None:
+        requests = generate_workload(workload)
     sch = PagedScheduler(sched_cfg, requests)
     cache = PagedKVCache(
         ctx, model_cfg.num_layers, rows, band_slots, kv_width,
@@ -1032,6 +1039,7 @@ def _serve_rank_fleet(
     workload: WorkloadConfig,
     sched_cfg: SchedulerConfig,
     *,
+    requests: list[Request] | None = None,
     q: int | None,
     d: int | None,
     world: int | None,
@@ -1052,7 +1060,8 @@ def _serve_rank_fleet(
     band = model.pc.block_row if bands > 1 else 0
     band_slots = range(band * rows_local, (band + 1) * rows_local)
 
-    requests = generate_workload(workload)
+    if requests is None:
+        requests = generate_workload(workload)
     # The dispatcher owns the arrival stream; its queue is the single
     # fleet-global FIFO every replica's scheduler admits from.
     dispatcher = Scheduler(sched_cfg, requests)

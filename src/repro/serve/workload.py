@@ -31,6 +31,7 @@ attainment out per class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,7 +240,17 @@ def _draw_priority(cfg: WorkloadConfig, rid: int) -> int:
 
 
 def generate_workload(cfg: WorkloadConfig) -> list[Request]:
-    """Materialize the full request list for ``cfg`` (sorted by arrival)."""
+    """Materialize the full request list for ``cfg`` (sorted by arrival).
+
+    A sweep runs several arms over identical traffic, so the last few
+    configurations' requests are kept: the list is new on every call, the
+    frozen :class:`Request` objects in it are shared.
+    """
+    return list(_generate(cfg))
+
+
+@functools.lru_cache(maxsize=8)
+def _generate(cfg: WorkloadConfig) -> tuple[Request, ...]:
     pool = [_pool_prefix(cfg, pid) for pid in range(cfg.prefix_pool)]
     requests = []
     arrival = 0.0
@@ -289,4 +300,4 @@ def generate_workload(cfg: WorkloadConfig) -> list[Request]:
                     output_tokens=output, prefix_id=prefix_id,
                     priority=priority, ttft_slo_s=slo)
         )
-    return requests
+    return tuple(requests)

@@ -60,6 +60,24 @@ class VirtualClock:
             self._epoch_log.append(dt)
         return self._now
 
+    def advance_each(self, dts: tuple[float, ...], total: float) -> float:
+        """Replay ``dts``: what one :meth:`advance` call per delta does.
+
+        The deltas were validated by :meth:`advance` when they were first
+        recorded.  They are added one at a time, in order, never as a
+        sum, so the clock lands on the same bits.  ``total`` is folded
+        with the same adds and returned (the caller's running
+        ``compute_seconds``, which takes one add per kernel too).
+        """
+        now = self._now
+        for dt in dts:
+            now += dt
+            total += dt
+        self._now = now
+        if self._epoch_log is not None:
+            self._epoch_log.extend(dts)
+        return total
+
     def sync_to(self, t: float) -> float:
         """Jump forward to absolute time ``t`` (no-op if already past it)."""
         if t > self._now:

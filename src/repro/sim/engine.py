@@ -107,6 +107,7 @@ from repro.sim.memory import MemoryTracker
 from repro.sim.schedulers import SchedulerBackend, resolve_backend
 from repro.util.mathutil import ceil_div
 from repro.util.rng import rng_for
+from repro.varray.varray import VArray
 
 __all__ = ["Engine", "RankContext", "run_engines"]
 
@@ -236,6 +237,48 @@ class _Shard:
         self.recv_waiters: dict[Any, Any] = {}
 
 
+class _Tape:
+    """What the pass being recorded by :meth:`RankContext.replay` did."""
+
+    __slots__ = ("dts", "stashes", "mem_changes")
+
+    def __init__(self, mem_changes: int):
+        #: healthy price of every ``compute``, in program order; one entry
+        #: per kernel, never summed, so a replay makes the same float adds
+        self.dts: list[float] = []
+        #: ``(module, tensors)`` of every ``Module.save_for_backward``
+        self.stashes: list[tuple[Any, tuple]] = []
+        #: ``MemoryTracker.changes`` if nothing but those stashes touched
+        #: the tracker since the recording began
+        self.mem_changes = mem_changes
+
+
+class _NotShapeOnly(Exception):
+    """A pass returned something a replay cannot hand out again."""
+
+
+def _copy_shapes(x: Any) -> Any:
+    """Copy a pass result so that it can be handed out more than once.
+
+    Lists and tuples are rebuilt, because callers edit them; shape-only
+    arrays are shared, because nothing writes ``.data`` or ``.shape`` of
+    a :class:`VArray` after construction.  Real data, or any other kind
+    of object, raises :class:`_NotShapeOnly`.
+    """
+    kind = type(x)
+    if kind is list:
+        return [_copy_shapes(v) for v in x]
+    if kind is tuple:
+        return tuple([_copy_shapes(v) for v in x])
+    if x is None or (kind is VArray and x.data is None):
+        return x
+    raise _NotShapeOnly
+
+
+#: ``RankContext._recordings`` lookup miss (``None`` means "never replay")
+_UNSEEN = object()
+
+
 class RankContext:
     """Everything one simulated rank needs: identity, clock, accounting.
 
@@ -282,6 +325,24 @@ class RankContext:
         #: this isolates per-rank compute, so the elastic controller can
         #: detect stragglers from it (deterministic across backends)
         self.compute_seconds = 0.0
+        #: kernels priced on this rank, whether executed or replayed: the
+        #: same in a real-mode and a symbolic run of one program
+        self.kernels = 0
+        #: :meth:`replay` state.  Only a healthy symbolic rank replays: a
+        #: crash site needs the fault check after every kernel and a
+        #: slow-down (the factor counts windowed entries too) reprices each
+        #: kernel by its start time, so a faulted rank, like a real-mode or
+        #: a traced one, executes every pass.
+        self._replays = (
+            self.mode == "symbolic"
+            and self._crash_at is None
+            and self._compute_factor == 1.0
+        )
+        self._tape: _Tape | None = None  #: the open recording, if any
+        #: key -> (dts, stashes, result), or None for a key whose pass did
+        #: something that cannot be replayed; cleared when the run ends
+        self._recordings: dict[Any, tuple | None] = {}
+        self._stash_pool: dict[tuple, tuple] = {}  #: see :meth:`_pooled`
         #: deferred-timing state (event backend): the last deferred node
         #: this rank picked up, how many of its nodes are unresolved, and
         #: the event a force-sync is parked on (swept by ``_abort``)
@@ -294,6 +355,7 @@ class RankContext:
     @property
     def now(self) -> float:
         """Current simulated time of this rank."""
+        self._tape = None  # a pass that reads the clock is not replayable
         if self._prev_node is not None:
             self.engine.sync_rank(self)
         return self.clock.now
@@ -319,6 +381,9 @@ class RankContext:
         dt = self._op_times.get((flops, bytes_touched, min_dim))
         if dt is None:
             dt = self.engine.compute_model.op_time(flops, bytes_touched, min_dim)
+        self.kernels += 1
+        if self._tape is not None:
+            self._tape.dts.append(dt)
         if self._windowed_slowdown:
             dt *= self.engine.fault_plan.compute_factor(self.rank, now=t0)
         elif self._compute_factor != 1.0:
@@ -341,7 +406,97 @@ class RankContext:
 
     def marker(self, name: str) -> None:
         """Drop a named marker at the current simulated time."""
+        self._tape = None  # reads the clock, like ``now``
         self.trace.record(MarkerEvent(rank=self.rank, t=self.clock.now, name=name))
+
+    # --- replaying a symbolic pass ------------------------------------------------
+
+    #: recordings kept per rank; like the price table, a full table stops
+    #: growing and later keys simply execute
+    MAX_RECORDINGS = 1 << 8
+
+    def replay(self, key: Any, fn: Callable[[], Any]) -> Any:
+        """Run the communication-free pass ``fn``, or replay its recording.
+
+        The caller guarantees that in symbolic mode everything ``fn``
+        does to this rank is fixed by ``key`` (the owning object, the
+        entry point, the shape, dtype and symbolic flag of every
+        operand).  The first time the rank sees a key the pass executes
+        while a :class:`_Tape` notes each kernel's price, each
+        ``save_for_backward`` stash and the result; afterwards the pass
+        is not run: the same prices are added to the clock and to
+        ``compute_seconds`` one by one, the stashes go through
+        ``save_for_backward`` again (so the memory tracker sees an
+        executed pass) and the result's containers are rebuilt around the
+        recorded shape-only arrays.
+
+        Whether to replay is decided from what the rank can observe, not
+        by an option: real-mode, traced and faulted ranks call ``fn()``.
+        A pass that communicates, reads the clock, changes the memory
+        tracker other than by stashing (``Module.saved`` frees, so it
+        counts), returns real data or reaches another ``replay`` abandons
+        its recording: it still runs to the end, and its key is never
+        replayed.
+        """
+        if not self._replays or self.trace.enabled:
+            return fn()
+        self._tape = None  # a pass that nests another is not replayable
+        recordings = self._recordings
+        rec = recordings.get(key, _UNSEEN)
+        if rec is None:
+            return fn()
+        if rec is _UNSEEN:
+            if len(recordings) >= self.MAX_RECORDINGS:
+                return fn()
+            return self._record(key, fn)
+        dts, stashes, result = rec
+        self.compute_seconds = self.clock.advance_each(
+            dts, self.compute_seconds
+        )
+        self.kernels += len(dts)
+        for module, tensors in stashes:
+            module.save_for_backward(*tensors)
+        return _copy_shapes(result)
+
+    def _record(self, key: Any, fn: Callable[[], Any]) -> Any:
+        """Execute ``fn`` under a fresh tape; keep it if nothing abandoned."""
+        recordings = self._recordings
+        recordings[key] = None  # until the pass proves replayable
+        tape = self._tape = _Tape(self.mem.changes)
+        try:
+            result = fn()
+        finally:
+            intact = self._tape is tape
+            self._tape = None
+        if intact and self.mem.changes == tape.mem_changes:
+            try:
+                kept = _copy_shapes(result)
+            except _NotShapeOnly:
+                return result
+            recordings[key] = (tuple(tape.dts), self._pooled(tape.stashes),
+                               kept)
+        return result
+
+    def _pooled(self, stashes: list[tuple[Any, tuple]]) -> tuple:
+        """``stashes`` as a tuple, shared with every earlier recording that
+        stashed signature-equal arrays on the same modules: passes that
+        differ only in, say, the KV length they attend over stash the same
+        activations, and the stashes are most of a recording's bytes."""
+        try:
+            signature = tuple([
+                (module, tuple([t.signature() if type(t) is VArray else t
+                                for t in tensors]))
+                for module, tensors in stashes
+            ])
+            return self._stash_pool.setdefault(signature, tuple(stashes))
+        except TypeError:  # an unhashable stash member: keep it apart
+            return tuple(stashes)
+
+    def abandon_recording(self) -> None:
+        """The running pass did something no replay could repeat (called
+        by :class:`~repro.comm.communicator.Communicator` on every
+        collective, p2p and batch window)."""
+        self._tape = None
 
     def check_faults(self) -> None:
         """Die if this rank's scheduled crash time has passed.
@@ -586,8 +741,9 @@ class Engine:
         errors: list[BaseException | None] = [None] * self.nranks
 
         def worker(rank: int) -> None:
+            ctx = self.contexts[rank]
             try:
-                results[rank] = fn(self.contexts[rank], *args, **kwargs)
+                results[rank] = fn(ctx, *args, **kwargs)
             except RankFailureError as exc:
                 # Injected-fault path: the failure already propagated to
                 # exactly the ranks that depend on the dead one (see
@@ -598,6 +754,12 @@ class Engine:
             except BaseException as exc:  # noqa: BLE001 - must abort peers
                 errors[rank] = exc
                 self._abort(exc)
+            finally:
+                # recordings die with the program: their keys hold the
+                # modules that hold this context, a cycle that would
+                # otherwise outlive the engine until the collector ran
+                ctx._recordings.clear()
+                ctx._stash_pool.clear()
 
         return worker, results, errors
 

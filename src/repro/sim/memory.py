@@ -36,12 +36,16 @@ class MemoryTracker:
         self._current = {c: 0.0 for c in _CATEGORIES}
         self._peak = {c: 0.0 for c in _CATEGORIES}
         self.peak_total = 0.0
+        #: calls that changed the accounting so far; equal readings mean
+        #: nothing touched the tracker in between
+        self.changes = 0
 
     def alloc(self, nbytes: float, category: str = "buffers") -> None:
         """Record an allocation."""
         self._check_cat(category)
         if nbytes < 0:
             raise SimulationError(f"cannot allocate negative bytes {nbytes}")
+        self.changes += 1
         current = self._current
         current[category] = held = current[category] + nbytes
         if held > self._peak[category]:
@@ -66,6 +70,7 @@ class MemoryTracker:
         self._check_cat(category)
         if nbytes < 0:
             raise SimulationError(f"cannot free negative bytes {nbytes}")
+        self.changes += 1
         self._current[category] -= nbytes
         if self._current[category] < -1e-6:
             raise SimulationError(
@@ -75,6 +80,7 @@ class MemoryTracker:
 
     def reset_activations(self) -> None:
         """Clear activation accounting at a step boundary."""
+        self.changes += 1
         self._current["activations"] = 0.0
 
     @property

@@ -545,6 +545,8 @@ def add_at_rows(
 ) -> VArray:
     """Scatter-add rows (embedding gradient): out[idx[i]] += values[i]."""
     table_shape = tuple(int(s) for s in table_shape)
+    if len(table_shape) != 2:
+        raise ShapeError(f"add_at_rows table must be 2-D, got {table_shape}")
     if values.shape != idx.shape + (table_shape[1],):
         raise ShapeError(
             f"add_at_rows values shape {values.shape} does not match "

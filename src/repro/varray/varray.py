@@ -165,6 +165,12 @@ class VArray:
         """(shape, dtype name, is_symbolic) — handy for assertions."""
         return (self.shape, self.dtype.name, self.is_symbolic)
 
+    def signature(self) -> tuple[tuple[int, ...], np.dtype, bool]:
+        """(shape, dtype, is_symbolic): all that a shape-only pass over this
+        array can depend on.  Hashable, and cheaper than :meth:`astuple`
+        (no dtype name); ``RankContext.replay`` keys are built from it."""
+        return (self.shape, self.dtype, self.data is None)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "symbolic" if self.is_symbolic else "real"
         return f"VArray(shape={self.shape}, dtype={self.dtype.name}, {kind})"

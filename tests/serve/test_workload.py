@@ -78,3 +78,13 @@ class TestGenerateWorkload:
         assert r.prompt_len == 3
         assert r.output_len == 2
         assert r.total_tokens == 5
+
+    def test_repeated_config_shares_requests_not_the_list(self):
+        cfg = WorkloadConfig(seed=3, num_requests=6)
+        first, again = generate_workload(cfg), generate_workload(cfg)
+        assert first == again and first is not again
+        assert all(a is b for a, b in zip(first, again))
+        first.clear()  # a caller's own list: the next one is whole
+        assert len(generate_workload(cfg)) == 6
+        other = generate_workload(WorkloadConfig(seed=4, num_requests=6))
+        assert other != again

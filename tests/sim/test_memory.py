@@ -73,3 +73,13 @@ class TestMemoryTracker:
         s = m.summary()
         assert s["peak_optimizer"] == 10
         assert s["peak_total"] == 10
+
+    def test_changes_counts_every_call_that_moves_the_accounting(self):
+        m = MemoryTracker()
+        assert m.changes == 0
+        m.alloc(30, "activations")
+        m.free(10, "activations")
+        m.reset_activations()
+        assert m.changes == 3
+        m.current("activations"), m.summary(), m.would_fit()
+        assert m.changes == 3

@@ -261,6 +261,13 @@ class TestRowOps:
         with pytest.raises(ShapeError):
             ops.add_at_rows(ctx1, (3, 2), idx, VArray.symbolic((1, 5)))
 
+    @pytest.mark.parametrize("table_shape", [(3,), (), (3, 2, 1)])
+    def test_add_at_rows_table_must_be_2d(self, ctx1, table_shape):
+        # a 1-D shape used to escape as IndexError from table_shape[1]
+        idx = VArray.from_numpy(np.array([0], dtype=np.int64))
+        with pytest.raises(ShapeError, match=r"add_at_rows table must be 2-D"):
+            ops.add_at_rows(ctx1, table_shape, idx, _v([[1, 1]]))
+
     def test_take_rows_boolean_index_is_caught(self, ctx1):
         # a boolean mask selects rows instead of gathering them: the real
         # result's shape differs from the inferred one and must not pass
