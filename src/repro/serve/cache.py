@@ -1,10 +1,12 @@
 """Per-rank KV-cache management for the serving engine.
 
-Two cache designs live here:
+Two cache designs live here — the two the serving simulator models and
+compares — behind one frame-level call surface:
 
 :class:`KVCacheManager`
-    The original contiguous design — one variable-length KV region per
-    slot, freed wholesale on completion or preemption.
+    The contiguous design — one variable-length KV region per slot,
+    filled by one whole-prompt prefill, freed wholesale on completion or
+    preemption.  Capacity is token-exact and nothing is ever shared.
 
 :class:`PagedKVCache` (on top of :class:`BlockPool`)
     The paged design: KV storage is carved into fixed-size token blocks,
@@ -15,6 +17,17 @@ Two cache designs live here:
     re-storing them.  Appending into a shared or registered block goes
     through copy-on-write, so a cached prefix is immutable once
     published.
+
+The serving frame (:mod:`repro.serve.runner`) asks either the same
+things: ``admit(slot, prompt)`` (claim a slot; returns the prefix-hit
+length), ``prompt_len`` / ``prefill_pos`` / ``prefill_done``,
+``append_prefill(slot, kv, ntokens)``, ``append_decode(order, new_kv,
+counts, tokens)``, ``fits({slot: tokens})`` (do these appends fit *now*),
+``assemble(order, s_max)`` and ``evict(slot)``.  The designs stay two
+classes because they price and store differently: a contiguous insert
+prices nothing and stores band-locally, a paged prefill prices a
+per-token split and concat on every rank; one counts capacity in tokens,
+the other in blocks.
 
 Bookkeeping vs storage
 ----------------------
@@ -34,6 +47,11 @@ differs between the designs:
   band-agnostically is what lets a prefix cached by a slot in one band
   be re-mapped by a slot in another.  Decode-appended blocks stay
   band-local (they are never registered for sharing).
+
+A fleet's bookkeeping replicas are that separation taken to its end: a
+cache over an *empty* band (``band_slots=range(0)``) fed ``kv=None`` does
+the same admit / append / evict bookkeeping and stores, prices and
+charges nothing.
 
 Slots are fixed frame rows: slot ``s`` always occupies decode-frame row
 ``s``, so the band that serves a slot never changes and no cross-band KV
@@ -89,6 +107,53 @@ def _append_kv(ctx: RankContext, owner, entry: list, new: list) -> list:
     return ctx.replay(key, run)
 
 
+def _assemble_frame(ctx: RankContext, num_layers: int, kv_width: int,
+                    rows: list, s_max: int) -> list:
+    """Padded past-KV frame for one rank's band rows, either design.
+
+    ``rows[i]`` is ``None`` for a padding row, else ``(parts, ntokens)``
+    with ``parts[layer] = (k_parts, v_parts)``: the stored tensors, each
+    over consecutive tokens, that make up the slot's ``ntokens`` of KV —
+    the one region of a contiguous slot, or a paged slot's blocks in table
+    order.  Returns per-layer ``(K, V)`` of shape ``[len(rows), s_max,
+    kv_width]``: each slot's cache zero-padded to ``s_max`` tokens (padding
+    rows are all zeros).  Padded/empty positions must be masked by the
+    caller's ``extra_mask`` — zeros are *valid* values to the attention
+    kernel.
+    """
+    # one block of zeros per row, shared by its layers and by k and v
+    lengths = [0 if row is None else row[1] for row in rows]
+    pads = [VArray.zeros((1, s_max - n, kv_width), symbolic=ctx.symbolic)
+            if n < s_max else None for n in lengths]
+    out = []
+    for layer in range(num_layers):
+        ks, vs = [], []
+        for row, pad in zip(rows, pads):
+            if row is None:
+                ks.append(pad)
+                vs.append(pad)
+                continue
+            parts_k, parts_v = row[0][layer]
+            if pad is not None:
+                parts_k = (*parts_k, pad)
+                parts_v = (*parts_v, pad)
+            ks.append(
+                parts_k[0] if len(parts_k) == 1
+                else ops.concat(ctx, parts_k, axis=1, tag="kv_frame")
+            )
+            vs.append(
+                parts_v[0] if len(parts_v) == 1
+                else ops.concat(ctx, parts_v, axis=1, tag="kv_frame")
+            )
+        out.append(
+            (
+                ops.concat(ctx, ks, axis=0, tag="kv_frame"),
+                ops.concat(ctx, vs, axis=0, tag="kv_frame"),
+            )
+        )
+    return out
+
+
 class KVCacheManager:
     """KV cache for ``num_slots`` fixed decode slots on one rank.
 
@@ -124,6 +189,7 @@ class KVCacheManager:
         #: bytes per cached token on THIS rank (k and v, all layers)
         self.bytes_per_token = 2 * dtype_bytes * kv_width * num_layers
         self._lens: dict[int, int] = {}  #: slot -> tokens (all slots)
+        self._prompts: dict[int, int] = {}  #: slot -> prompt length
         self._kv: dict[int, list] = {}  #: slot -> per-layer (k, v) (band only)
         self.peak_tokens = 0
 
@@ -136,21 +202,48 @@ class KVCacheManager:
     def length(self, slot: int) -> int:
         return self._lens[slot]
 
-    def fits(self, extra_tokens: int) -> bool:
-        return self.used_tokens + extra_tokens <= self.budget_tokens
+    def prompt_len(self, slot: int) -> int:
+        return self._prompts[slot]
+
+    def prefill_pos(self, slot: int) -> int:
+        return min(self._lens[slot], self._prompts[slot])
+
+    def prefill_done(self, slot: int) -> bool:
+        return self._lens[slot] >= self._prompts[slot]
+
+    def fits(self, appends: dict[int, int]) -> bool:
+        """Would appending ``appends[slot]`` tokens to each slot stay
+        within the budget?  Token-exact; which slot grows does not matter."""
+        return (self.used_tokens + sum(appends.values())
+                <= self.budget_tokens)
+
+    def admit(self, slot: int, prompt) -> int:
+        """Claim ``slot`` for a request.  Nothing is ever shared, so the
+        prefix hit is always 0 tokens: the whole prompt needs computing."""
+        if slot in self._lens:
+            raise SimulationError(f"slot {slot} already occupied")
+        self._lens[slot] = 0
+        self._prompts[slot] = len(prompt)
+        return 0
 
     # --- storage -------------------------------------------------------------
 
-    def insert(self, slot: int, kv: list, ntokens: int) -> None:
+    def insert(self, slot: int, kv: list | None, ntokens: int) -> None:
         """Install a freshly prefilled slot (``kv`` is per-layer ``(k, v)``
         of shape ``[1, ntokens, kv_width]``; ignored off-band)."""
-        if slot in self._lens:
+        if self._lens.get(slot):  # an admitted slot is claimed, still empty
             raise SimulationError(f"slot {slot} already occupied")
         self._lens[slot] = ntokens
+        self._prompts.setdefault(slot, ntokens)
         self.peak_tokens = max(self.peak_tokens, self.used_tokens)
         if slot in self.band_slots:
             self._kv[slot] = list(kv)
             self.ctx.mem.alloc(ntokens * self.bytes_per_token, "kvcache")
+
+    def append_prefill(self, slot: int, kv: list | None, ntokens: int) -> None:
+        """Store a prompt's KV.  The contiguous design prefills a prompt
+        whole, so the one chunk is the slot's initial region."""
+        self.insert(slot, kv, ntokens)
 
     def append_rows(self, order: list[int | None], new_kv: list) -> None:
         """Append one decode step's keys/values to this rank's band slots.
@@ -184,9 +277,26 @@ class KVCacheManager:
         self._lens[slot] += 1
         self.peak_tokens = max(self.peak_tokens, self.used_tokens)
 
+    def append_decode(self, order: list[int | None], new_kv: list | None,
+                      counts, tokens) -> None:
+        """Append one decode step's KV across the frame.
+
+        ``order`` is the *global* frame order and ``new_kv`` covers this
+        rank's band rows (see :meth:`append_rows`; ``None`` on a cache
+        with no band).  Every slot in ``counts`` grows by its one token on
+        every rank — a multi-token step needs the paged cache; the token
+        ids are not kept here.
+        """
+        band = self.band_slots
+        if band:
+            self.append_rows(order[band.start:band.stop], new_kv)
+        for slot in counts:
+            self.grow(slot)
+
     def evict(self, slot: int) -> None:
         """Release a slot (completion or preemption)."""
         ntokens = self._lens.pop(slot)
+        del self._prompts[slot]
         if slot in self._kv:
             del self._kv[slot]
             self.ctx.mem.free(ntokens * self.bytes_per_token, "kvcache")
@@ -194,41 +304,13 @@ class KVCacheManager:
     # --- decode-frame assembly ----------------------------------------------
 
     def assemble(self, order: list[int | None], s_max: int) -> list:
-        """Build the padded past-KV frame for this rank's band rows.
-
-        Returns per-layer ``(K, V)`` of shape ``[len(order), s_max,
-        kv_width]``: each slot's cache zero-padded to ``s_max`` tokens
-        (padding rows are all zeros).  Padded/empty positions must be
-        masked by the caller's ``extra_mask`` — zeros are *valid* values
-        to the attention kernel.
-        """
-        ctx = self.ctx
-        out = []
-        for layer in range(self.num_layers):
-            ks, vs = [], []
-            for slot in order:
-                if slot is None:
-                    pad = VArray.zeros((1, s_max, self.kv_width),
-                                       symbolic=ctx.symbolic)
-                    ks.append(pad)
-                    vs.append(pad)
-                    continue
-                k, v = self._kv[slot][layer]
-                gap = s_max - self._lens[slot]
-                if gap:
-                    pad = VArray.zeros((1, gap, self.kv_width),
-                                       symbolic=ctx.symbolic)
-                    k = ops.concat(ctx, [k, pad], axis=1, tag="kv_frame")
-                    v = ops.concat(ctx, [v, pad], axis=1, tag="kv_frame")
-                ks.append(k)
-                vs.append(v)
-            out.append(
-                (
-                    ops.concat(ctx, ks, axis=0, tag="kv_frame"),
-                    ops.concat(ctx, vs, axis=0, tag="kv_frame"),
-                )
-            )
-        return out
+        """Build the padded past-KV frame for this rank's band rows (see
+        :func:`_assemble_frame`): each slot is its one stored region."""
+        rows = [None if slot is None
+                else ([((k,), (v,)) for k, v in self._kv[slot]],
+                      self._lens[slot]) for slot in order]
+        return _assemble_frame(self.ctx, self.num_layers, self.kv_width,
+                               rows, s_max)
 
 
 # --- paged KV cache -----------------------------------------------------------
@@ -539,11 +621,11 @@ class _PagedSlot:
 class PagedKVCache:
     """Paged per-rank KV cache: a :class:`BlockPool` plus tensor storage.
 
-    Drop-in peer of :class:`KVCacheManager` for the paged serving loop.
-    ``budget_tokens // block_tokens`` blocks are available; a slot's
-    past-KV frame is the concatenation of its blocks' tensors in table
-    order (see the module docstring for why that preserves bitwise
-    decode equivalence).
+    Answers the same frame-level calls as :class:`KVCacheManager` (see
+    the module docstring).  ``budget_tokens // block_tokens`` blocks are
+    available; a slot's past-KV frame is the concatenation of its blocks'
+    tensors in table order (see the module docstring for why that
+    preserves bitwise decode equivalence).
 
     Sharing rules
     -------------
@@ -755,15 +837,16 @@ class PagedKVCache:
     def append_prefill(self, slot: int, kv, ntokens: int) -> None:
         """Store one prefill chunk's KV (``kv`` per-layer ``(k, v)`` of
         shape ``[1, ntokens, kv_width]``) — on every rank, so the prompt
-        blocks are band-agnostic and cross-band sharable."""
+        blocks are band-agnostic and cross-band sharable.  ``kv=None``
+        advances the bookkeeping alone (a cache that stores nothing)."""
         st = self._slots[slot]
         if st.prefill_pos != st.ntokens:
             raise SimulationError(f"slot {slot} already started decoding")
         if st.prefill_pos + ntokens > len(st.prompt):
             raise SimulationError(f"prefill chunk overruns slot {slot}")
         tokens = st.prompt[st.prefill_pos:st.prefill_pos + ntokens]
-        self._append(slot, tokens, self._split_tokens(kv, ntokens),
-                     register=True)
+        parts = None if kv is None else self._split_tokens(kv, ntokens)
+        self._append(slot, tokens, parts, register=True)
         st.prefill_pos += ntokens
 
     def append_decode(self, order: list[int | None], new_kv, counts,
@@ -775,18 +858,20 @@ class PagedKVCache:
         this rank's band rows; ``counts[slot]`` is how many of the
         ``t_max`` query tokens are real for that slot and
         ``tokens[slot]`` their ids.  Bookkeeping advances for every slot
-        on every rank; tensors are stored band-locally.
+        on every rank; tensors are stored band-locally (none, and
+        ``new_kv`` is ignored, on a cache with no band).
         """
         ctx = self.ctx
         rows_local = len(self.band_slots)
-        t_max = new_kv[0][0].shape[1]
-        row_splits = [
-            (
-                ops.split(ctx, k, rows_local, axis=0, tag="kv_append"),
-                ops.split(ctx, v, rows_local, axis=0, tag="kv_append"),
-            )
-            for k, v in new_kv
-        ]
+        if rows_local:
+            t_max = new_kv[0][0].shape[1]
+            row_splits = [
+                (
+                    ops.split(ctx, k, rows_local, axis=0, tag="kv_append"),
+                    ops.split(ctx, v, rows_local, axis=0, tag="kv_append"),
+                )
+                for k, v in new_kv
+            ]
         for row, slot in enumerate(order):
             if slot is None or slot not in counts:
                 continue
@@ -837,69 +922,48 @@ class PagedKVCache:
             return rest
         return 1 + rest  # COW replaces the tail with a fresh block
 
+    def fits(self, appends: dict[int, int]) -> bool:
+        """Can the pool supply the blocks that appending ``appends[slot]``
+        tokens to each slot would claim, from its free plus
+        evictable-cached blocks?"""
+        need = sum(self.blocks_for_append(slot, t)
+                   for slot, t in appends.items())
+        return need <= self.pool.available_blocks
+
     # --- decode-frame assembly -----------------------------------------------
 
     def assemble_slot(self, slot: int):
         """Per-layer ``(k, v) [1, ntokens, kv_width]`` for one slot — the
         unpadded past used to resume a chunked prefill (every rank holds
         prompt-block tensors).  None when the slot has no KV yet."""
-        ctx = self.ctx
         st = self._slots[slot]
         if not st.table:
             return None
-        out = []
-        for layer in range(self.num_layers):
-            ks = [self._store[bid][layer][0] for bid in st.table]
-            vs = [self._store[bid][layer][1] for bid in st.table]
-            out.append(
-                (
-                    ks[0] if len(ks) == 1
-                    else ops.concat(ctx, ks, axis=1, tag="kv_frame"),
-                    vs[0] if len(vs) == 1
-                    else ops.concat(ctx, vs, axis=1, tag="kv_frame"),
-                )
-            )
-        return out
+        if len(st.table) == 1:
+            return list(self._store[st.table[0]])
+        ctx = self.ctx
+        return [(ops.concat(ctx, ks, axis=1, tag="kv_frame"),
+                 ops.concat(ctx, vs, axis=1, tag="kv_frame"))
+                for ks, vs in self._parts(st.table)]
+
+    def _parts(self, table: list[int]) -> list:
+        """Per layer, the ``(k_parts, v_parts)`` of a block table's
+        tensors in table order."""
+        entries = [self._store[bid] for bid in table]
+        return [([entry[layer][0] for entry in entries],
+                 [entry[layer][1] for entry in entries])
+                for layer in range(self.num_layers)]
 
     def assemble(self, order: list[int | None], s_max: int) -> list:
-        """Padded past-KV frame for this rank's band rows — same contract
-        as :meth:`KVCacheManager.assemble`, with each slot's past built
-        by concatenating its blocks' tensors in table order."""
-        ctx = self.ctx
-        out = []
-        for layer in range(self.num_layers):
-            ks, vs = [], []
-            for slot in order:
-                if slot is None:
-                    pad = VArray.zeros((1, s_max, self.kv_width),
-                                       symbolic=ctx.symbolic)
-                    ks.append(pad)
-                    vs.append(pad)
-                    continue
-                st = self._slots[slot]
-                parts_k = [self._store[bid][layer][0] for bid in st.table]
-                parts_v = [self._store[bid][layer][1] for bid in st.table]
-                gap = s_max - st.ntokens
-                if gap:
-                    pad = VArray.zeros((1, gap, self.kv_width),
-                                       symbolic=ctx.symbolic)
-                    parts_k.append(pad)
-                    parts_v.append(pad)
-                ks.append(
-                    parts_k[0] if len(parts_k) == 1
-                    else ops.concat(ctx, parts_k, axis=1, tag="kv_frame")
-                )
-                vs.append(
-                    parts_v[0] if len(parts_v) == 1
-                    else ops.concat(ctx, parts_v, axis=1, tag="kv_frame")
-                )
-            out.append(
-                (
-                    ops.concat(ctx, ks, axis=0, tag="kv_frame"),
-                    ops.concat(ctx, vs, axis=0, tag="kv_frame"),
-                )
-            )
-        return out
+        """Padded past-KV frame for this rank's band rows (see
+        :func:`_assemble_frame`): each slot's past is its blocks' tensors
+        in table order."""
+        slots = self._slots
+        rows = [None if slot is None
+                else (self._parts(slots[slot].table), slots[slot].ntokens)
+                for slot in order]
+        return _assemble_frame(self.ctx, self.num_layers, self.kv_width,
+                               rows, s_max)
 
     # --- audit ---------------------------------------------------------------
 

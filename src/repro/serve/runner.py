@@ -8,61 +8,86 @@ synchronizes all members' virtual clocks to the same instant, so TTFT /
 completion times (and therefore the whole report) are identical on every
 rank; the runner verifies this before returning.
 
-Iteration shape (continuous batching)::
+One loop, one frame, uniform replicas
+-------------------------------------
+Every run is a *fleet*.  A dispatcher :class:`Scheduler` owns the arrival
+stream and one shared queue; each :class:`_Replica` is a scheduler
+admitting from that queue plus a KV cache.  Replica 0 is engine-backed:
+it holds the model and a cache over this rank's batch band, runs the
+forwards and barriers, and drives the clock.  Every other replica has no
+model and a cache over an *empty* band, and goes through the same frame,
+which for it skips only the forwards, barriers and clock advances — the
+admit / preempt / grow / finish bookkeeping is the same code.  (Every
+request carries its full pre-drawn token trace, see
+:mod:`repro.serve.workload`, so an added replica needs no tensors.)
+Without an :class:`AutoscaleConfig` the fleet is pinned at replica 0.
 
-    barrier -> poll arrivals -> admit + prefill each admission
-            -> preempt if the next step would blow the KV budget
-            -> one batched decode step over all active slots
+One iteration (:func:`_serve_rank`) and one replica frame
+(:meth:`_Frames.frame`)::
+
+    barrier -> poll arrivals -> outages, scale decisions
+            -> replica 0's frame, then every other ready replica's
+    frame:     admit -> (contiguous: prefill each admission whole, now)
+            -> decode counts -> preempt until this frame's appends fit
+            -> (paged: plan prefill chunks, run them)
+            -> one batched decode step over the decode-ready slots
             -> barrier -> record emissions/completions
 
-Static batching runs the same loop; only the admission rule differs
-(see :mod:`repro.serve.scheduler`).  Idle periods fast-forward the
-virtual clock to the next arrival instead of spinning.
+The two KV designs (:mod:`repro.serve.cache`) answer the same frame-level
+calls, and the two schedulers (:mod:`repro.serve.scheduler`) the same
+admission and victim-order calls, so the frame consults
+``SchedulerConfig.paged`` only where the designs really differ: which LM
+entry point feeds a prompt (a whole-prompt ``prefill`` vs ``decode_step``
+resuming from the slot's blocks; they price differently on a grid),
+prefill-at-admission vs planned chunks, and the paged / speculative / SLO
+report sections.  Static batching runs the same frame; only the admission
+rule differs.  Idle periods fast-forward the virtual clock to the next
+arrival instead of spinning.  Every replica's block pool is audited
+(``check()``) after every frame.
 
 Crash recovery
 --------------
 With a :class:`~repro.sim.faults.FaultPlan` and ``max_restarts > 0`` the
-runner survives injected rank crashes: rank 0 publishes a scheduler
-snapshot at every iteration boundary (a consistent point — all ranks are
+runner survives injected rank crashes: rank 0 publishes a snapshot of
+the fleet at every iteration boundary (a consistent point — all ranks are
 barrier-synced there), and when a :class:`RankFailureError` escapes
-:meth:`Engine.run` the loop rebuilds a fresh engine, replays the
-scheduler from the snapshot, and resumes at
-``max(snapshot_now, crash_t)``.  KV state dies with the engine, so
-in-flight requests restart from their prompts at the *front* of the queue
-(the same contract as a preemption — and counted as one); completed
-requests keep their recorded timestamps.  Crashes that already fired are
-filtered from the plan so each planned crash costs exactly one restart
-(a correlated node crash is one event: every rank it killed is filtered
-together).
+:meth:`Engine.run` the loop rebuilds a fresh engine, replays the fleet
+from the snapshot, and resumes at ``max(snapshot_now, crash_t)``.  The
+engine hosted every replica's clock and KV state dies with it, so *all*
+in-flight requests fleet-wide restart from their prompts at the *front*
+of the queue (the same contract as a preemption — and counted as one);
+completed requests keep their recorded timestamps, and the block pools'
+cumulative counters are carried through the snapshot so the report
+survives restarts.  A crash before the first snapshot restarts the
+configured initial fleet.  Crashes that already fired are filtered from
+the plan so each planned crash costs exactly one restart (a correlated
+node crash is one event: every rank it killed is filtered together).
 
 Autoscaling
 -----------
-With an :class:`AutoscaleConfig` the runner simulates a *fleet*: replica
-0 is the real engine-backed instance above; replicas ``>= 1`` are
-bookkeeping-only — because every request carries its full pre-drawn
-token trace (see :mod:`repro.serve.workload`), an added replica needs no
-tensors at all, just a scheduler plus per-slot KV-token counters ticked
-once per fleet iteration at the same one-decode-step cadence as replica
-0.  A dispatcher owns the arrival stream and a single fleet-global FIFO
-from which every *ready* replica admits, replica 0 first then in index
-order; the fleet grows when the queue backs up and shrinks — after a
-patience window of sustained low load — by draining the highest replica,
-whose in-flight requests are front-requeued as preemptions for the
-survivors to pick up.  Scale decisions read only shared deterministic
-state, so every rank makes the same ones; crash recovery composes with
-autoscaling because the snapshot carries the whole fleet.
+With an :class:`AutoscaleConfig` the fleet grows and shrinks.  Every
+*ready* replica admits from the shared queue, replica 0 first then in
+index order, at the same one-frame cadence; the fleet grows when the
+queue backs up and shrinks — after a patience window of sustained low
+load — by draining the highest replica, whose in-flight requests are
+front-requeued as preemptions for the survivors to pick up.  A drained
+replica's cache (and, paged, its prefix cache) goes with it; its
+cumulative counters stay in the report.  Scale decisions read only shared
+deterministic state, so every rank makes the same ones.
 
 Planned :class:`ReplicaOutage` events compose with the fleet: at
-``out_at`` the highest bookkeeping replica is drained out (replica 0
-hosts the engine and never goes out); at ``repair_at`` the repaired
-instance rejoins, but only starts admitting from the shared FIFO after a
+``out_at`` the highest replica is drained out (replica 0 hosts the
+engine and never goes out); at ``repair_at`` the repaired instance
+rejoins, but only starts admitting from the shared queue after a
 ``warmup_iters`` health-check window — the same ``ready_at`` gate a
 scaled-up replica waits behind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -125,11 +150,11 @@ class AutoscaleConfig:
 class ReplicaOutage:
     """A planned replica outage with a scheduled repair.
 
-    At iteration ``out_at`` the highest bookkeeping replica is taken out
-    of the fleet — its in-flight requests are front-requeued as
+    At iteration ``out_at`` the highest replica is taken out of the
+    fleet — its in-flight requests are front-requeued as
     preemptions, exactly like a scale-down drain.  At ``repair_at`` the
     repaired instance rejoins (respecting ``max_replicas``), but only
-    starts admitting from the shared FIFO ``warmup_iters`` iterations
+    starts admitting from the shared queue ``warmup_iters`` iterations
     later: model reload plus health check, the same ``ready_at`` gate a
     scaled-up replica waits behind.  Replica 0 hosts the real engine and
     never goes out; an outage that finds only replica 0 is a no-op.
@@ -151,23 +176,39 @@ class ReplicaOutage:
             raise SimulationError("warmup_iters must be >= 0")
 
 
+@dataclass
 class _Replica:
-    """One fleet member's scheduling state.
+    """One fleet member: a scheduler admitting from the fleet's shared
+    queue, and the KV cache it fills."""
 
-    Index 0 wraps the real engine-backed scheduler (its KV lives in the
-    :class:`KVCacheManager`); higher indices are bookkeeping-only, so
-    ``lens`` tracks their virtual per-slot KV footprint directly.  All
-    replicas admit from the same fleet-global ``queue`` list.
-    """
+    sch: Scheduler
+    cache: KVCacheManager | PagedKVCache
+    #: the LM on the engine-backed replica 0; ``None`` on a bookkeeping
+    #: replica, whose cache is built over an empty band
+    model: object | None
+    ready_at: int  #: first iteration that may admit work
 
-    def __init__(self, cfg: SchedulerConfig, requests, queue, ready_at: int):
-        self.sch = Scheduler.for_dispatch(cfg, requests, queue=queue)
-        self.lens: dict[int, int] = {}  #: slot -> prompt + emitted tokens
-        self.ready_at = ready_at  #: first iteration that may admit work
 
-    @property
-    def used_tokens(self) -> int:
-        return sum(self.lens.values())
+@dataclass
+class _Ledger:
+    """What the loop has counted so far.  All of it goes through the
+    crash-recovery snapshot, so a restarted run reports the whole run."""
+
+    iterations: int = 0
+    max_queue: int = 0
+    peak_kv: int = 0  #: replica 0's peak KV tokens before the last restart
+    #: cumulative counters of block pools that are gone (crashed engines,
+    #: drained replicas); see :func:`_pool_counters`
+    pools: dict = field(default_factory=dict)
+    spec_steps: int = 0  #: decode steps of one slot
+    spec_tokens: int = 0  #: tokens those steps emitted
+    scale_events: list = field(default_factory=list)  #: (iter, kind, size)
+    replicas_peak: int = 0
+    replica_iterations: int = 0  #: decode steps, summed over replicas
+    down_streak: int = 0  #: consecutive low-load iterations
+    step_dt: float = 0.0  #: duration of the last real decode step
+    outage_down: set = field(default_factory=set)  #: outages taken out
+    outage_back: set = field(default_factory=set)  #: outages rejoined
 
 
 def _validate(
@@ -250,10 +291,6 @@ def run_serving(
         raise SimulationError(
             "outages require an AutoscaleConfig fleet to rejoin"
         )
-    if sched.paged and autoscale is not None:
-        raise SimulationError(
-            "paged serving does not compose with the autoscaled fleet yet"
-        )
     nranks = serving_nranks(mode, q, d, world)
     kv_width = local_kv_width(mode, model_cfg, q=gq if bands > 1 else None,
                               world=world)
@@ -267,18 +304,13 @@ def run_serving(
     recoveries = 0
     while True:
         def fn(ctx, _snapshot=snapshot):
-            if sched.paged:
-                serve = _serve_rank_paged
-            else:
-                serve = _serve_rank if autoscale is None else _serve_rank_fleet
-            extra = {} if autoscale is None else {"outages": outages}
-            return serve(
+            return _serve_rank(
                 ctx, mode, model_cfg, workload, sched, requests=requests,
                 q=q, d=d, world=world, bands=bands, kv_width=kv_width,
                 autoscale=autoscale,
                 snapshot=_snapshot,
                 snap_box=snap_box if fault_plan is not None else None,
-                **extra,
+                outages=outages,
             )
 
         engine = Engine(nranks=nranks, mode=engine_mode, trace=False,
@@ -301,10 +333,9 @@ def run_serving(
                 node_crashes=tuple(nc for nc in plan.node_crashes
                                    if nc.node not in fired_nodes),
             )
-            snapshot = snap_box.get("snap")
-            resume_t = max(snapshot["now"] if snapshot else 0.0, exc.t)
-            snapshot = dict(snapshot) if snapshot else _empty_snapshot()
-            snapshot["now"] = resume_t
+            # nothing published yet: restart the configured initial fleet
+            snapshot = dict(snap_box.get("snap") or _empty_snapshot())
+            snapshot["now"] = max(snapshot["now"], exc.t)
             continue
         for rank, rep in enumerate(reports[1:], start=1):
             if rep != reports[0]:
@@ -318,13 +349,18 @@ def run_serving(
 
 
 def _empty_snapshot() -> dict:
-    """Pre-first-iteration state: nothing arrived, admitted, or emitted."""
-    return {"now": 0.0, "records": {}, "active": [], "queue": [],
-            "iterations": 0, "max_queue": 0, "peak_kv": 0}
+    """Pre-first-iteration state: nothing arrived, admitted, or emitted,
+    and no fleet yet (``replicas=None``: the configured initial one)."""
+    return {"now": 0.0, "records": {}, "replicas": None, "queue": [],
+            "ledger": _Ledger()}
 
 
-def _snapshot_state(now, sch, records, iterations, max_queue, peak_kv) -> dict:
-    """Scheduler + record state at an iteration boundary (rank 0 only)."""
+def _snapshot(now, records, replicas, queue, ledger, paged) -> dict:
+    """Fleet state at an iteration boundary (rank 0 only)."""
+    kept = copy.deepcopy(ledger)
+    kept.peak_kv = max(kept.peak_kv, replicas[0].cache.peak_tokens)
+    if paged:  # the live pools die with the engine
+        kept.pools = _pool_counters(kept.pools, replicas)
     return {
         "now": now,
         "records": {
@@ -332,233 +368,43 @@ def _snapshot_state(now, sch, records, iterations, max_queue, peak_kv) -> dict:
                   rec.preemptions)
             for rid, rec in records.items()
         },
-        # admission order, so the requeue after a restart preserves it
-        "active": [sch.active[s] for s in
-                   sorted(sch.active, key=lambda s: sch._admit_seq[s])],
-        "queue": list(sch.queue),
-        "iterations": iterations,
-        "max_queue": max_queue,
-        "peak_kv": peak_kv,
+        # per replica: its in-flight rids in admission order (so the
+        # requeue after a restart preserves it), and its readiness
+        "replicas": [
+            ([r.sch.active[s] for s in
+              sorted(r.sch.active, key=r.sch._admit_seq.get)], r.ready_at)
+            for r in replicas
+        ],
+        "queue": list(queue),
+        "ledger": kept,
     }
 
 
-def _restore_state(sch, records, snapshot) -> None:
-    """Replay a snapshot into a fresh scheduler and record table.
-
-    KV contents died with the crashed engine, so every in-flight request
-    restarts from its prompt: emitted resets to zero and the request is
-    requeued at the *front* (in admission order, ahead of the previously
-    queued requests) — exactly the preemption contract, and counted as
-    one preemption on the record.
-    """
-    for rid, (emitted, ftt, ct, pre) in snapshot["records"].items():
-        rec = records[rid]
-        rec.emitted = emitted
-        rec.first_token_time = ftt
-        rec.completion_time = ct
-        rec.preemptions = pre
-    inflight = list(snapshot["active"])
-    queued = list(snapshot["queue"])
-    done = {rid for rid, st in snapshot["records"].items()
-            if st[2] is not None}
-    known = set(inflight) | set(queued) | done
-    sch._pending = [r for r in sch._pending if r.rid not in known]
-    for rid in inflight:
-        records[rid].emitted = 0
-        records[rid].preemptions += 1
-    sch.queue = inflight + queued
+_POOL_SUMS = ("prefix_hit_tokens", "prompt_tokens", "cow_copies", "evictions")
 
 
-def _count_open(records) -> int:
-    """Requests not completed yet.  Each serving loop takes this once, after
-    any snapshot restore, and counts down wherever ``completion_time`` is
-    set, instead of scanning every record every frame."""
-    return sum(1 for rec in records.values() if not rec.done)
+def _pool_counters(gone: dict, replicas) -> dict:
+    """The run's cumulative block-pool counters: ``gone`` (pools lost to a
+    crash or drained away with their replica) plus these replicas' pools.
+    Counts add up; ``blocks_peak`` is the most any one pool held live."""
+    pools = [rep.cache.pool for rep in replicas]
+    out = {key: gone.get(key, 0) + sum(getattr(p, key) for p in pools)
+           for key in _POOL_SUMS}
+    out["blocks_peak"] = max([gone.get("blocks_peak", 0)]
+                             + [p.peak_live_blocks for p in pools])
+    return out
 
 
-# --- the real (engine-backed) iteration pieces --------------------------------
-
-
-def _prefill_admissions(ctx, model, wcomm, sch, cache, records, bands,
-                        finish) -> None:
-    """Admit from the queue and prefill each admission immediately."""
-    for slot, rid in sch.admit(cache.used_tokens):
-        req = sch.requests[rid]
-        rec = records[rid]
-        prompt = np.tile(
-            np.asarray(req.prompt_tokens, dtype=np.int64)[None, :],
-            (bands, 1),
-        )
-        _, kv = model.prefill(VArray.from_numpy(prompt))
-        cache.insert(slot, kv, req.prompt_len)
-        wcomm.barrier("serve_prefill")
-        t = ctx.now
-        rec.emitted = 1  # prefill yields the first output token
-        if rec.first_token_time is None:
-            rec.first_token_time = t
-        if rec.emitted == req.output_len:
-            finish(slot, t)
-
-
-def _preempt_over_budget(sch, cache, records) -> None:
-    """Preempt (youngest first) if this step's +1 token per slot would
-    blow the budget; victims restart from their prompt later."""
-    lens = {s: cache.length(s) for s in sch.active}
-    for slot in sch.choose_preemptions(cache.used_tokens, lens):
-        rid = sch.preempt(slot)
-        cache.evict(slot)
+def _requeued(records, rids) -> None:
+    """Requests sent back to the queue (preempted, drained with their
+    replica, or lost to a crash) restart from their prompts, and each is
+    counted as one preemption."""
+    for rid in rids:
         records[rid].preemptions += 1
         records[rid].emitted = 0
 
 
-def _decode_active(ctx, model, sch, cache, records, rows, band,
-                   rows_local) -> None:
-    """One batched decode step over the fixed-slot frame."""
-    order = sch.frame_order()
-    lens = {s: cache.length(s) for s in sch.active}
-    s_max = max(lens.values())
-    tokens = np.zeros((rows, 1), dtype=np.int64)
-    positions = np.zeros((rows, 1), dtype=np.int64)
-    # extra_mask [rows, 1, 1, s_max + 1]: -inf over each slot's KV
-    # padding; the last column is the new token, valid everywhere so
-    # padding rows still softmax over at least one finite score.
-    mask = np.zeros((rows, 1, 1, s_max + 1), dtype=np.float32)
-    for row, slot in enumerate(order):
-        if slot is None:
-            mask[row, :, :, :s_max] = -np.inf
-            continue
-        req = sch.requests[sch.active[slot]]
-        rec = records[req.rid]
-        tokens[row, 0] = req.output_tokens[rec.emitted - 1]
-        positions[row, 0] = req.prompt_len + rec.emitted - 1
-        mask[row, :, :, lens[slot]:s_max] = -np.inf
-
-    band_order = order[band * rows_local:(band + 1) * rows_local]
-    past = cache.assemble(band_order, s_max)
-    _, new_kv = model.decode_step(
-        VArray.from_numpy(tokens),
-        VArray.from_numpy(positions),
-        past,
-        VArray.from_numpy(mask[band * rows_local:(band + 1) * rows_local]),
-    )
-    cache.append_rows(band_order, new_kv)
-    for slot in sch.active:
-        cache.grow(slot)
-
-
-def _serve_rank(
-    ctx,
-    mode: str,
-    model_cfg: TransformerConfig,
-    workload: WorkloadConfig,
-    sched_cfg: SchedulerConfig,
-    *,
-    requests: list[Request] | None = None,
-    q: int | None,
-    d: int | None,
-    world: int | None,
-    bands: int,
-    kv_width: int,
-    autoscale=None,
-    snapshot: dict | None = None,
-    snap_box: dict | None = None,
-) -> dict:
-    model = build_lm(ctx, mode, model_cfg, q=q, d=d, world=world)
-    model.eval()
-    wcomm = Communicator(ctx, range(ctx.nranks))
-    rows = sched_cfg.max_slots
-    rows_local = rows // bands
-    band = model.pc.block_row if bands > 1 else 0
-    band_slots = range(band * rows_local, (band + 1) * rows_local)
-
-    if requests is None:  # a direct caller; run_serving draws them once
-        requests = generate_workload(workload)
-    sch = Scheduler(sched_cfg, requests)
-    cache = KVCacheManager(
-        ctx, model_cfg.num_layers, rows, band_slots, kv_width,
-        sched_cfg.kv_budget_tokens,
-    )
-    records = {
-        r.rid: RequestRecord(
-            rid=r.rid, arrival=r.arrival,
-            prompt_len=r.prompt_len, output_len=r.output_len,
-        )
-        for r in requests
-    }
-    iterations = 0
-    max_queue = 0
-    base_peak_kv = 0
-    if snapshot is not None:
-        _restore_state(sch, records, snapshot)
-        iterations = snapshot["iterations"]
-        max_queue = snapshot["max_queue"]
-        base_peak_kv = snapshot["peak_kv"]
-        ctx.clock.sync_to(snapshot["now"])
-    outstanding = _count_open(records)
-
-    def finish(slot: int, t: float) -> None:
-        nonlocal outstanding
-        rid = sch.complete(slot)
-        cache.evict(slot)
-        records[rid].completion_time = t
-        outstanding -= 1
-
-    while True:
-        wcomm.barrier("serve_iter")
-        if snap_box is not None and ctx.rank == 0:
-            # Published whole: a crash mid-iteration leaves the previous
-            # consistent snapshot in place, never a half-written one.
-            snap_box["snap"] = _snapshot_state(
-                ctx.now, sch, records, iterations, max_queue,
-                max(base_peak_kv, cache.peak_tokens),
-            )
-        if not outstanding:
-            break
-        sch.poll_arrivals(ctx.now)
-        max_queue = max(max_queue, len(sch.queue))
-
-        if sch.idle:
-            nxt = sch.next_arrival()
-            assert nxt is not None  # else all requests would be done
-            ctx.clock.sync_to(nxt)
-            continue
-
-        # Admission: each admitted request is prefilled immediately, one
-        # engine-level forward per request.
-        _prefill_admissions(ctx, model, wcomm, sch, cache, records, bands,
-                            finish)
-        if not sch.active:
-            iterations += 1
-            continue
-
-        _preempt_over_budget(sch, cache, records)
-        _decode_active(ctx, model, sch, cache, records, rows, band,
-                       rows_local)
-
-        wcomm.barrier("serve_step")
-        t = ctx.now
-        for slot in list(sch.active):
-            req = sch.requests[sch.active[slot]]
-            rec = records[req.rid]
-            rec.emitted += 1
-            if rec.emitted == req.output_len:
-                finish(slot, t)
-        iterations += 1
-
-    report = summarize(
-        sorted(records.values(), key=lambda r: r.rid),
-        makespan=ctx.now,
-        peak_kv_tokens=max(base_peak_kv, cache.peak_tokens),
-        max_queue_depth=max_queue,
-        iterations=iterations,
-    )
-    report["mode"] = mode
-    report["policy"] = sched_cfg.policy
-    report["nranks"] = ctx.nranks
-    return report
-
-
-# --- the paged serving loop ---------------------------------------------------
+# --- the pieces of a frame ----------------------------------------------------
 
 
 def _chunk_plan(sch, cache, budget: int) -> list[tuple[int, int]]:
@@ -596,12 +442,11 @@ def _spec_counts(sch, cache, records, spec) -> dict[int, int]:
     requests replay identical draws — capped by the remaining output.
     """
     counts: dict[int, int] = {}
-    for slot in sorted(sch.active):
+    for slot, rid in sorted(sch.active.items()):
         if not cache.prefill_done(slot):
             continue
-        rid = sch.active[slot]
         rec = records[rid]
-        remaining = sch.requests[rid].output_len - rec.emitted
+        remaining = rec.output_len - rec.emitted
         if rec.emitted < 1 or remaining <= 0:
             continue
         a = 1
@@ -612,135 +457,215 @@ def _spec_counts(sch, cache, records, spec) -> dict[int, int]:
                 if float(u) >= spec.accept_rate:
                     break
                 a += 1
-        counts[slot] = min(a, remaining)
+        counts[slot] = a if a < remaining else remaining
     return counts
 
 
-def _preempt_over_budget_paged(sch, cache, records, counts, chunk_budget):
-    """Preempt until this frame's chunk and decode appends fit the pool.
+def _preempt_until_fit(sch, cache, records, counts, plan) -> None:
+    """Preempt until this frame's chunk and decode appends fit the cache.
 
-    Victims are lowest priority class first, youngest within a class;
-    each preemption is enacted immediately (its blocks become free or
-    cached-evictable) and the remaining need recomputed, since a victim
+    The cache answers whether the ``{slot: tokens}`` appends fit; the
+    scheduler orders the victims (youngest first; paged: lowest priority
+    class first, youngest within a class).  Each preemption is enacted
+    immediately (its tokens or blocks are released) and the appends are
+    taken again — ``plan()`` re-plans the prefill chunks — since a victim
     may itself have been a prefilling or decoding slot.
     """
-    while True:
-        need = sum(
-            cache.blocks_for_append(slot, take)
-            for slot, take in _chunk_plan(sch, cache, chunk_budget)
-        )
-        need += sum(
-            cache.blocks_for_append(slot, counts[slot])
-            for slot in sch.active if slot in counts
-        )
-        if need <= cache.pool.available_blocks:
-            return
+    while not cache.fits({**dict(plan()), **counts}):
         order = sch.preemption_order()
         if len(order) <= 1:
             raise SimulationError(
-                "kv block pool cannot hold a single active request"
+                "kv cache cannot hold a single active request"
             )
-        slot = order[0]
-        rid = sch.preempt(slot)
-        cache.evict(slot)
-        records[rid].preemptions += 1
-        records[rid].emitted = 0
+        _requeued(records, [sch.preempt(order[0])])
+        cache.evict(order[0])
+        counts.pop(order[0], None)  # a victim no longer decodes
 
 
-def _prefill_chunks_paged(ctx, model, model_cfg, wcomm, sch, cache,
-                          records, bands, plan, finish) -> None:
-    """Run this frame's prefill chunks (multi-token cached forwards).
+class _Frames:
+    """One rank's frame machinery: what the frames of every replica of a
+    run share (the rank, its world barrier group, the record table, the
+    ledger) and the frame itself."""
 
-    Each chunk resumes from the slot's assembled block table — including
-    blocks re-mapped from the prefix cache — with positions offset to
-    the resume point; ``decode_step``'s offset causal mask makes the
-    chunked forward bitwise-equal to a monolithic prefill under exact
-    kernels.  A chunk that completes the prompt emits the first token at
-    its barrier (that pins TTFT identically on every rank).
-    """
-    for slot, take in plan:
-        if slot not in sch.active:
-            continue  # preempted after planning
-        rid = sch.active[slot]
-        req = sch.requests[rid]
-        rec = records[rid]
-        pos = cache.prefill_pos(slot)
-        chunk = req.prompt_tokens[pos:pos + take]
-        toks = np.tile(np.asarray(chunk, dtype=np.int64)[None, :],
-                       (bands, 1))
-        positions = np.tile(
-            np.arange(pos, pos + take, dtype=np.int64)[None, :], (bands, 1)
-        )
-        past = cache.assemble_slot(slot)
-        if past is None:
-            past = [None] * model_cfg.num_layers
-        _, kv = model.decode_step(
-            VArray.from_numpy(toks), VArray.from_numpy(positions), past
-        )
-        cache.append_prefill(slot, kv, take)
-        wcomm.barrier("serve_prefill")
-        if cache.prefill_done(slot):
+    def __init__(self, ctx, cfg: SchedulerConfig, num_layers: int,
+                 bands: int, band_slots: range, records, ledger: _Ledger):
+        self.ctx = ctx
+        self.wcomm = Communicator(ctx, range(ctx.nranks))
+        self.cfg = cfg
+        self.paged = cfg.paged
+        self.num_layers = num_layers
+        self.bands = bands
+        self.band = slice(band_slots.start, band_slots.stop)  #: frame rows
+        self.records = records
+        self.ledger = ledger
+        #: requests not completed yet, counted down where one completes
+        self.outstanding = sum(1 for rec in records.values() if not rec.done)
+
+    def finish(self, rep: _Replica, slot: int, t: float) -> None:
+        rid = rep.sch.complete(slot)
+        rep.cache.evict(slot)
+        self.records[rid].completion_time = t
+        self.outstanding -= 1
+
+    def first_token(self, rep: _Replica, slot: int, t: float) -> None:
+        """A completed prefill yields the first output token, at ``t``."""
+        rec = self.records[rep.sch.active[slot]]
+        rec.emitted = 1
+        if rec.first_token_time is None:
+            rec.first_token_time = t
+        if rec.emitted == rec.output_len:
+            self.finish(rep, slot, t)
+
+    def frame(self, rep: _Replica, t: float | None = None) -> bool:
+        """One scheduler frame of one replica; True if it ran a decode step.
+
+        The engine-backed replica stamps tokens with its own
+        barrier-pinned clock; a bookkeeping replica (``rep.model is
+        None``) moves no tensors and no clock — the token traces are
+        pre-drawn, so only counters change — and stamps everything with
+        ``t``, the fleet's barrier-synced time for this iteration.
+        """
+        ctx, cfg, sch, cache = self.ctx, self.cfg, rep.sch, rep.cache
+        real, paged = rep.model is not None, self.paged
+        t_admit = ctx.now if real else t
+        for slot in sch.admit_to(cache, t_admit):
+            if cache.prefill_done(slot):
+                # A full-prompt prefix hit needs no forward at all: its
+                # first token is emitted at the (barrier-pinned) frame time.
+                self.first_token(rep, slot, t_admit)
+            elif not paged:
+                # Contiguous: each admission is prefilled whole, now, one
+                # engine-level forward per request.
+                self.prefill(rep, slot, cache.prompt_len(slot), t)
+        if not sch.active:
+            return False
+
+        counts = _spec_counts(sch, cache, self.records, cfg.spec)
+        # only the paged design leaves a slot mid-prefill to plan for
+        plan = (partial(_chunk_plan, sch, cache, cfg.prefill_chunk_tokens)
+                if paged else list)
+        _preempt_until_fit(sch, cache, self.records, counts, plan)
+        for slot, take in plan():
+            self.prefill(rep, slot, take, t)
+        if not counts:
+            return False
+
+        t_before = ctx.now if real else t
+        self.decode(rep, counts)
+        if real:
+            self.wcomm.barrier("serve_step")
             t = ctx.now
-            rec.emitted = 1  # prefill yields the first output token
-            if rec.first_token_time is None:
-                rec.first_token_time = t
-            if rec.emitted == req.output_len:
-                finish(slot, t)
+            self.ledger.step_dt = t - t_before
+        self.ledger.spec_steps += len(counts)
+        self.ledger.spec_tokens += sum(counts.values())
+        for slot in sorted(counts):
+            rec = self.records[sch.active[slot]]
+            rec.emitted += counts[slot]
+            if rec.emitted == rec.output_len:
+                self.finish(rep, slot, t)
+        return True
 
+    def prefill(self, rep: _Replica, slot: int, take: int,
+                t: float | None) -> None:
+        """Feed the next ``take`` prompt tokens of ``slot`` to the model.
 
-def _decode_active_paged(ctx, model, sch, cache, records, rows, band,
-                         rows_local, counts, spec) -> dict[int, int]:
-    """One batched (possibly multi-token) decode step over the frame.
+        Contiguous: the whole prompt through ``prefill``.  Paged: a
+        multi-token cached forward that resumes from the slot's assembled
+        block table — including blocks re-mapped from the prefix cache —
+        with positions offset to the resume point; ``decode_step``'s
+        offset causal mask makes the chunked forward bitwise-equal to a
+        monolithic prefill under exact kernels.  A chunk that completes
+        the prompt emits the first token at its barrier (that pins TTFT
+        identically on every rank).
+        """
+        cache = rep.cache
+        kv = None
+        if rep.model is not None:
+            req = rep.sch.requests[rep.sch.active[slot]]
+            pos = cache.prefill_pos(slot)
+            toks = np.tile(
+                np.asarray(req.prompt_tokens[pos:pos + take],
+                           dtype=np.int64)[None, :],
+                (self.bands, 1),
+            )
+            if self.paged:
+                positions = np.tile(
+                    np.arange(pos, pos + take, dtype=np.int64)[None, :],
+                    (self.bands, 1),
+                )
+                past = cache.assemble_slot(slot) or [None] * self.num_layers
+                _, kv = rep.model.decode_step(
+                    VArray.from_numpy(toks), VArray.from_numpy(positions),
+                    past,
+                )
+            else:
+                _, kv = rep.model.prefill(VArray.from_numpy(toks))
+        cache.append_prefill(slot, kv, take)
+        if rep.model is not None:
+            self.wcomm.barrier("serve_prefill")
+        if cache.prefill_done(slot):
+            self.first_token(rep, slot,
+                             self.ctx.now if rep.model is not None else t)
 
-    With speculation each row verifies its accepted draft run in one
-    forward: row ``slot`` feeds ``counts[slot]`` query tokens, padded to
-    the frame-wide ``t_max`` (padding queries clamp to the last real
-    token and are masked out of every other row's attention; their
-    outputs and KV are discarded).  The draft model is priced as a
-    value-independent clock advance before the verify forward.
-    """
-    order = [s if s in counts else None for s in range(rows)]
-    lens = {s: cache.length(s) for s in counts}
-    s_max = max(lens.values())
-    t_max = max(counts.values())
-    if spec is not None and spec.draft_step_s > 0:
-        ctx.clock.sync_to(ctx.now + spec.spec_k * spec.draft_step_s)
-    tokens = np.zeros((rows, t_max), dtype=np.int64)
-    positions = np.zeros((rows, t_max), dtype=np.int64)
-    # extra_mask [rows, 1, t_max, s_max + t_max]: -inf over each slot's
-    # KV padding and over the padding query tokens' keys; padding rows
-    # keep their own new-token columns so every softmax row stays finite.
-    mask = np.zeros((rows, 1, t_max, s_max + t_max), dtype=np.float32)
-    appended: dict[int, tuple[int, ...]] = {}
-    for row, slot in enumerate(order):
-        if slot is None:
-            mask[row, :, :, :s_max] = -np.inf
-            continue
-        req = sch.requests[sch.active[slot]]
-        rec = records[req.rid]
-        a = counts[slot]
-        for j in range(t_max):
-            jj = min(j, a - 1)
-            tokens[row, j] = req.output_tokens[rec.emitted - 1 + jj]
-            positions[row, j] = req.prompt_len + rec.emitted - 1 + jj
-        mask[row, :, :, lens[slot]:s_max] = -np.inf
-        mask[row, :, :, s_max + a:] = -np.inf
-        appended[slot] = tuple(
-            req.output_tokens[rec.emitted - 1:rec.emitted - 1 + a]
+    def decode(self, rep: _Replica, counts: dict[int, int]) -> None:
+        """One batched (possibly multi-token) decode step over the frame.
+
+        With speculation each row verifies its accepted draft run in one
+        forward: row ``slot`` feeds ``counts[slot]`` query tokens, padded to
+        the frame-wide ``t_max`` (padding queries clamp to the last real
+        token and are masked out of every other row's attention; their
+        outputs and KV are discarded).  The draft model is priced as a
+        value-independent clock advance before the verify forward.  With
+        every count 1 this is the plain one-token frame.
+        """
+        ctx, sch, cache, spec = self.ctx, rep.sch, rep.cache, self.cfg.spec
+        rows = self.cfg.max_slots
+        order = [s if s in counts else None for s in range(rows)]
+        appended: dict[int, tuple[int, ...]] = {}
+        for slot, a in counts.items():
+            rid = sch.active[slot]
+            first = self.records[rid].emitted - 1
+            appended[slot] = sch.requests[rid].output_tokens[first:first + a]
+        if rep.model is None:
+            cache.append_decode(order, None, counts, appended)
+            return
+
+        lens = {s: cache.length(s) for s in counts}
+        s_max = max(lens.values())
+        t_max = max(counts.values())
+        if spec is not None and spec.draft_step_s > 0:
+            ctx.clock.sync_to(ctx.now + spec.spec_k * spec.draft_step_s)
+        tokens = np.zeros((rows, t_max), dtype=np.int64)
+        positions = np.zeros((rows, t_max), dtype=np.int64)
+        # extra_mask [rows, 1, t_max, s_max + t_max]: -inf over each slot's
+        # KV padding and over the padding query tokens' keys; padding rows
+        # keep their own new-token columns so every softmax row stays finite.
+        mask = np.zeros((rows, 1, t_max, s_max + t_max), dtype=np.float32)
+        for row, slot in enumerate(order):
+            if slot is None:
+                mask[row, :, :, :s_max] = -np.inf
+                continue
+            toks, held = appended[slot], lens[slot]
+            a = len(toks)
+            for j in range(t_max):
+                jj = j if j < a else a - 1
+                tokens[row, j] = toks[jj]
+                # a decode-ready slot holds prompt + emitted - 1 tokens
+                positions[row, j] = held + jj
+            mask[row, :, :, held:s_max] = -np.inf
+            if a < t_max:
+                mask[row, :, :, s_max + a:] = -np.inf
+        past = cache.assemble(order[self.band], s_max)
+        _, new_kv = rep.model.decode_step(
+            VArray.from_numpy(tokens),
+            VArray.from_numpy(positions),
+            past,
+            VArray.from_numpy(mask[self.band]),
         )
-    band_order = order[band * rows_local:(band + 1) * rows_local]
-    past = cache.assemble(band_order, s_max)
-    _, new_kv = model.decode_step(
-        VArray.from_numpy(tokens),
-        VArray.from_numpy(positions),
-        past,
-        VArray.from_numpy(mask[band * rows_local:(band + 1) * rows_local]),
-    )
-    cache.append_decode(order, new_kv, counts, appended)
-    return counts
+        cache.append_decode(order, new_kv, counts, appended)
 
 
-def _serve_rank_paged(
+def _serve_rank(
     ctx,
     mode: str,
     model_cfg: TransformerConfig,
@@ -753,37 +678,41 @@ def _serve_rank_paged(
     world: int | None,
     bands: int,
     kv_width: int,
-    autoscale=None,
+    autoscale: AutoscaleConfig | None = None,
     snapshot: dict | None = None,
     snap_box: dict | None = None,
+    outages: tuple = (),
 ) -> dict:
-    """The paged variant of :func:`_serve_rank`.
-
-    Same barrier-pinned iteration skeleton; admission maps cached prefix
-    blocks (a full-prompt hit emits its first token without any
-    forward), prefills run in chunks interleaved with decode, and the
-    decode step is multi-token under speculation.  The block pool is
-    conservation-audited after every frame.  Crash recovery follows the
-    legacy contract — KV and prefix cache die with the engine, in-flight
-    requests restart from their prompts — with the pool's cumulative
-    counters carried through the snapshot so the report survives
-    restarts.
-    """
+    """One rank's serving program: the loop over the fleet's frames (see
+    the module docstring)."""
     model = build_lm(ctx, mode, model_cfg, q=q, d=d, world=world)
     model.eval()
-    wcomm = Communicator(ctx, range(ctx.nranks))
     rows = sched_cfg.max_slots
     rows_local = rows // bands
     band = model.pc.block_row if bands > 1 else 0
     band_slots = range(band * rows_local, (band + 1) * rows_local)
+    paged = sched_cfg.paged
 
-    if requests is None:
+    if requests is None:  # a direct caller; run_serving draws them once
         requests = generate_workload(workload)
-    sch = PagedScheduler(sched_cfg, requests)
-    cache = PagedKVCache(
-        ctx, model_cfg.num_layers, rows, band_slots, kv_width,
-        sched_cfg.kv_budget_tokens, sched_cfg.kv_block_tokens,
-    )
+    # The dispatcher owns the arrival stream; its queue is the single
+    # fleet-global queue every replica's scheduler admits from.
+    dispatcher = Scheduler(sched_cfg, requests)
+    queue = dispatcher.queue
+
+    def new_replica(ready_at: int, engine_backed: bool = False) -> _Replica:
+        slots = band_slots if engine_backed else range(0)
+        args = (ctx, model_cfg.num_layers, rows, slots, kv_width,
+                sched_cfg.kv_budget_tokens)
+        if paged:
+            sch = PagedScheduler.for_dispatch(sched_cfg, requests, queue)
+            cache = PagedKVCache(*args, sched_cfg.kv_block_tokens)
+        else:
+            sch = Scheduler.for_dispatch(sched_cfg, requests, queue)
+            cache = KVCacheManager(*args)
+        return _Replica(sch, cache, model if engine_backed else None,
+                        ready_at)
+
     records = {
         r.rid: RequestRecord(
             rid=r.rid, arrival=r.arrival,
@@ -792,413 +721,108 @@ def _serve_rank_paged(
         )
         for r in requests
     }
-    iterations = 0
-    max_queue = 0
-    peak_kv_base = 0
-    counter_base = {"prefix_hit_tokens": 0, "prompt_tokens": 0,
-                    "cow_copies": 0, "evictions": 0, "blocks_peak": 0}
-    spec_steps = 0
-    spec_tokens = 0
-    if snapshot is not None:
-        _restore_state(sch, records, snapshot)
-        iterations = snapshot["iterations"]
-        max_queue = snapshot["max_queue"]
-        peak_kv_base = snapshot["peak_kv"]
-        pg = snapshot.get("paged", {})
-        for key in counter_base:
-            counter_base[key] = pg.get(key, 0)
-        spec_steps = pg.get("spec_steps", 0)
-        spec_tokens = pg.get("spec_tokens", 0)
-        ctx.clock.sync_to(snapshot["now"])
-    pool = cache.pool
-    outstanding = _count_open(records)
 
-    def paged_counters() -> dict:
-        return {
-            "prefix_hit_tokens": (counter_base["prefix_hit_tokens"]
-                                  + pool.prefix_hit_tokens),
-            "prompt_tokens": (counter_base["prompt_tokens"]
-                              + pool.prompt_tokens),
-            "cow_copies": counter_base["cow_copies"] + pool.cow_copies,
-            "evictions": counter_base["evictions"] + pool.evictions,
-            "blocks_peak": max(counter_base["blocks_peak"],
-                               pool.peak_live_blocks),
-        }
-
-    def finish(slot: int, t: float) -> None:
-        nonlocal outstanding
-        rid = sch.complete(slot)
-        cache.evict(slot)
-        records[rid].completion_time = t
-        outstanding -= 1
-
-    while True:
-        wcomm.barrier("serve_iter")
-        if snap_box is not None and ctx.rank == 0:
-            snap = _snapshot_state(
-                ctx.now, sch, records, iterations, max_queue,
-                max(peak_kv_base, cache.peak_tokens),
-            )
-            snap["paged"] = {**paged_counters(),
-                            "spec_steps": spec_steps,
-                            "spec_tokens": spec_tokens}
-            snap_box["snap"] = snap
-        if not outstanding:
-            break
-        sch.poll_arrivals(ctx.now)
-        max_queue = max(max_queue, len(sch.queue))
-
-        if sch.idle:
-            nxt = sch.next_arrival()
-            assert nxt is not None  # else all requests would be done
-            ctx.clock.sync_to(nxt)
-            continue
-
-        # Admission maps each request's cached prefix immediately; a
-        # full-prompt hit needs no forward at all — its first token is
-        # emitted at the (barrier-pinned) frame time.
-        t_admit = ctx.now
-        for slot, rid, _hit in sch.admit_paged(cache, ctx.now):
-            if cache.prefill_done(slot):
-                rec = records[rid]
-                rec.emitted = 1
-                if rec.first_token_time is None:
-                    rec.first_token_time = t_admit
-                if rec.emitted == sch.requests[rid].output_len:
-                    finish(slot, t_admit)
-
-        if sch.active:
-            counts = _spec_counts(sch, cache, records, sched_cfg.spec)
-            _preempt_over_budget_paged(sch, cache, records, counts,
-                                       sched_cfg.prefill_chunk_tokens)
-            plan = _chunk_plan(sch, cache, sched_cfg.prefill_chunk_tokens)
-            _prefill_chunks_paged(ctx, model, model_cfg, wcomm, sch, cache,
-                                  records, bands, plan, finish)
-            counts = {s: a for s, a in counts.items() if s in sch.active}
-            if counts:
-                _decode_active_paged(ctx, model, sch, cache, records, rows,
-                                     band, rows_local, counts,
-                                     sched_cfg.spec)
-                wcomm.barrier("serve_step")
-                t = ctx.now
-                spec_steps += len(counts)
-                spec_tokens += sum(counts.values())
-                for slot in sorted(counts):
-                    req = sch.requests[sch.active[slot]]
-                    rec = records[req.rid]
-                    rec.emitted += counts[slot]
-                    if rec.emitted == req.output_len:
-                        finish(slot, t)
-        cache.check()
-        iterations += 1
-
-    counters = paged_counters()
-    prompt_total = counters["prompt_tokens"]
-    paged_report = {
-        "block_tokens": sched_cfg.kv_block_tokens,
-        "num_blocks": pool.num_blocks,
-        "prefix_hit_rate": (
-            counters["prefix_hit_tokens"] / prompt_total
-            if prompt_total else 0.0
-        ),
-        **counters,
-    }
-    spec_report = None
-    if sched_cfg.spec is not None:
-        spec_report = {
-            "steps": spec_steps,
-            "tokens": spec_tokens,
-            "accepted_per_step": (
-                spec_tokens / spec_steps if spec_steps else 0.0
-            ),
-        }
-    names = (tuple(c.name for c in workload.priorities)
-             if workload.priorities else None)
-    report = summarize(
-        sorted(records.values(), key=lambda r: r.rid),
-        makespan=ctx.now,
-        peak_kv_tokens=max(peak_kv_base, cache.peak_tokens),
-        max_queue_depth=max_queue,
-        iterations=iterations,
-        paged=paged_report,
-        priority_classes=names,
-        spec=spec_report,
-    )
-    report["mode"] = mode
-    report["policy"] = sched_cfg.policy
-    report["nranks"] = ctx.nranks
-    return report
-
-
-# --- autoscaled fleet ---------------------------------------------------------
-
-
-def _tick_replica(rep: _Replica, records, t: float) -> tuple[int, int]:
-    """One fleet iteration of a bookkeeping replica: ``(1 if it did work,
-    requests it completed)``.
-
-    Mirrors the real iteration shape — admit (prefill emits the first
-    token), preempt if the +1-token step would blow the budget, one
-    decode step over every active slot — but moves no tensors: the token
-    traces are pre-drawn, so only counters change.  All timestamps use
-    the fleet's barrier-synced iteration time ``t``.
-    """
-    sch = rep.sch
-    finished = 0
-    for slot, rid in sch.admit(rep.used_tokens):
-        req = sch.requests[rid]
-        rec = records[rid]
-        rep.lens[slot] = req.prompt_len
-        rec.emitted = 1
-        if rec.first_token_time is None:
-            rec.first_token_time = t
-        if rec.emitted == req.output_len:
-            sch.complete(slot)
-            del rep.lens[slot]
-            rec.completion_time = t
-            finished += 1
-    if not sch.active:
-        return 0, finished
-    for slot in sch.choose_preemptions(rep.used_tokens, dict(rep.lens)):
-        rid = sch.preempt(slot)
-        del rep.lens[slot]
-        records[rid].preemptions += 1
-        records[rid].emitted = 0
-    for slot in list(sch.active):
-        rid = sch.active[slot]
-        rec = records[rid]
-        rec.emitted += 1
-        rep.lens[slot] += 1
-        if rec.emitted == sch.requests[rid].output_len:
-            sch.complete(slot)
-            del rep.lens[slot]
-            rec.completion_time = t
-            finished += 1
-    return 1, finished
-
-
-def _snapshot_fleet(base: dict, replicas, scale_state: dict) -> dict:
-    """Extend the rank-0 snapshot with the bookkeeping fleet's state.
-
-    The shared fleet queue is already in ``base["queue"]`` (replica 0's
-    scheduler holds the same list object); per-replica entries only need
-    their active sets and readiness.
-    """
-    base["replicas"] = [
-        {
-            "active": [r.sch.active[s]
-                       for s in sorted(r.sch.active,
-                                       key=lambda s: r.sch._admit_seq[s])],
-            "ready_at": r.ready_at,
-        }
-        for r in replicas[1:]
-    ]
-    base["scale"] = dict(scale_state)
-    return base
-
-
-def _restore_fleet(dispatcher, records, snapshot, sched_cfg, requests,
-                   fleet_queue) -> list[_Replica]:
-    """Rebuild the whole fleet from a snapshot after a crash.
-
-    The engine hosted every replica's clock, so the crash preempts *all*
-    in-flight requests fleet-wide (replica 0's KV died with the engine;
-    bookkeeping replicas restart from prompts for symmetry — a real
-    deployment would lose their instances with the failed node too).
-    The shared queue restarts as: every replica's inflight work first
-    (replica order, admission order within), then the queued backlog.
-    """
-    for rid, (emitted, ftt, ct, pre) in snapshot["records"].items():
+    # Start from the snapshot; a fresh run starts from the empty one.  The
+    # snapshot is one object handed to every rank's program, so whatever
+    # the loop mutates is copied out of it.  KV contents died with the
+    # crashed engine, so every in-flight request fleet-wide restarts from
+    # its prompt, requeued at the *front*: every replica's in-flight work
+    # first (replica order, admission order within), then the backlog.
+    snap = snapshot if snapshot is not None else _empty_snapshot()
+    ledger = copy.deepcopy(snap["ledger"])
+    # without autoscaling the fleet is pinned at its engine-backed replica
+    fleet = snap["replicas"] or [((), 0)] * (
+        autoscale.min_replicas if autoscale is not None else 1)
+    replicas = [new_replica(ready_at, engine_backed=(i == 0))
+                for i, (_, ready_at) in enumerate(fleet)]
+    ledger.replicas_peak = max(ledger.replicas_peak, len(replicas))
+    for rid, (emitted, ftt, ct, pre) in snap["records"].items():
         rec = records[rid]
         rec.emitted = emitted
         rec.first_token_time = ftt
         rec.completion_time = ct
         rec.preemptions = pre
-    inflight = list(snapshot["active"])
-    replicas = [_Replica(sched_cfg, requests, fleet_queue, ready_at=0)]
-    for rs in snapshot.get("replicas", []):
-        replicas.append(_Replica(sched_cfg, requests, fleet_queue,
-                                 ready_at=rs["ready_at"]))
-        inflight.extend(rs["active"])
-    for rid in inflight:
-        records[rid].emitted = 0
-        records[rid].preemptions += 1
-    fleet_queue[:] = inflight + list(snapshot["queue"])
-    done = {rid for rid, st in snapshot["records"].items()
-            if st[2] is not None}
-    known = set(fleet_queue) | done
+    inflight = [rid for active, _ in fleet for rid in active]
+    _requeued(records, inflight)
+    queue[:] = inflight + snap["queue"]
+    known = set(queue) | {rid for rid, rec in records.items() if rec.done}
     dispatcher._pending = [r for r in dispatcher._pending
                            if r.rid not in known]
-    return replicas
+    ctx.clock.sync_to(snap["now"])
 
+    frames = _Frames(ctx, sched_cfg, model_cfg.num_layers, bands, band_slots,
+                     records, ledger)
+    head = replicas[0]  # the engine-backed replica
 
-def _serve_rank_fleet(
-    ctx,
-    mode: str,
-    model_cfg: TransformerConfig,
-    workload: WorkloadConfig,
-    sched_cfg: SchedulerConfig,
-    *,
-    requests: list[Request] | None = None,
-    q: int | None,
-    d: int | None,
-    world: int | None,
-    bands: int,
-    kv_width: int,
-    autoscale: AutoscaleConfig,
-    snapshot: dict | None = None,
-    snap_box: dict | None = None,
-    outages: tuple = (),
-) -> dict:
-    """The autoscaled variant of :func:`_serve_rank` (see module docs)."""
-    auto = autoscale
-    model = build_lm(ctx, mode, model_cfg, q=q, d=d, world=world)
-    model.eval()
-    wcomm = Communicator(ctx, range(ctx.nranks))
-    rows = sched_cfg.max_slots
-    rows_local = rows // bands
-    band = model.pc.block_row if bands > 1 else 0
-    band_slots = range(band * rows_local, (band + 1) * rows_local)
+    def grow(kind: str, delay: int) -> None:
+        replicas.append(new_replica(ledger.iterations + delay))
+        ledger.replicas_peak = max(ledger.replicas_peak, len(replicas))
+        ledger.scale_events.append((ledger.iterations, kind, len(replicas)))
 
-    if requests is None:
-        requests = generate_workload(workload)
-    # The dispatcher owns the arrival stream; its queue is the single
-    # fleet-global FIFO every replica's scheduler admits from.
-    dispatcher = Scheduler(sched_cfg, requests)
-    fleet_queue = dispatcher.queue
-    replicas = [_Replica(sched_cfg, requests, fleet_queue, ready_at=0)
-                for _ in range(auto.min_replicas)]
-    cache = KVCacheManager(
-        ctx, model_cfg.num_layers, rows, band_slots, kv_width,
-        sched_cfg.kv_budget_tokens,
-    )
-    records = {
-        r.rid: RequestRecord(
-            rid=r.rid, arrival=r.arrival,
-            prompt_len=r.prompt_len, output_len=r.output_len,
-        )
-        for r in requests
-    }
-    iterations = 0
-    max_queue = 0
-    base_peak_kv = 0
-    scale_events: list[tuple] = []
-    replicas_peak = len(replicas)
-    replica_iterations = 0
-    down_streak = 0
-    step_dt = 0.0  #: duration of the last real decode step
-    outage_down: set[int] = set()  #: outage indices already taken out
-    outage_back: set[int] = set()  #: outage indices already rejoined
-    if snapshot is not None:
-        replicas = _restore_fleet(dispatcher, records, snapshot, sched_cfg,
-                                  requests, fleet_queue)
-        iterations = snapshot["iterations"]
-        max_queue = snapshot["max_queue"]
-        base_peak_kv = snapshot["peak_kv"]
-        sc = snapshot.get("scale", {})
-        scale_events = [tuple(e) for e in sc.get("events", [])]
-        replicas_peak = sc.get("peak", len(replicas))
-        replica_iterations = sc.get("replica_iterations", 0)
-        down_streak = sc.get("down_streak", 0)
-        step_dt = sc.get("step_dt", 0.0)
-        outage_down = set(sc.get("outage_down", []))
-        outage_back = set(sc.get("outage_back", []))
-        ctx.clock.sync_to(snapshot["now"])
-    sch = replicas[0].sch  # the engine-backed replica
-    outstanding = _count_open(records)
-
-    def finish(slot: int, t: float) -> None:
-        nonlocal outstanding
-        rid = sch.complete(slot)
-        cache.evict(slot)
-        records[rid].completion_time = t
-        outstanding -= 1
+    def shrink(kind: str) -> None:
+        # drain() front-requeues the victim's in-flight work in admission
+        # order; survivors re-admit it from the shared queue next
+        # iteration (restarting from prompts).
+        victim = replicas.pop()
+        _requeued(records, victim.sch.drain())
+        if paged:
+            ledger.pools = _pool_counters(ledger.pools, [victim])
+        ledger.scale_events.append((ledger.iterations, kind, len(replicas)))
+        ledger.down_streak = 0
 
     while True:
-        wcomm.barrier("serve_iter")
+        frames.wcomm.barrier("serve_iter")
         if snap_box is not None and ctx.rank == 0:
-            snap_box["snap"] = _snapshot_fleet(
-                _snapshot_state(
-                    ctx.now, sch, records, iterations, max_queue,
-                    max(base_peak_kv, cache.peak_tokens),
-                ),
-                replicas,
-                {"events": [list(e) for e in scale_events],
-                 "peak": replicas_peak,
-                 "replica_iterations": replica_iterations,
-                 "down_streak": down_streak,
-                 "step_dt": step_dt,
-                 "outage_down": sorted(outage_down),
-                 "outage_back": sorted(outage_back)},
-            )
-        if not outstanding:
+            # Published whole: a crash mid-iteration leaves the previous
+            # consistent snapshot in place, never a half-written one.
+            snap_box["snap"] = _snapshot(ctx.now, records, replicas, queue,
+                                         ledger, paged)
+        if not frames.outstanding:
             break
 
-        # Arrivals land in the shared fleet queue; every ready replica
-        # admits from it below (replica 0 first, then index order).
+        # Arrivals land in the shared queue; every ready replica admits
+        # from it below (replica 0 first, then index order).
         dispatcher.poll_arrivals(ctx.now)
+        now_iter = ledger.iterations
 
         # Planned outages and their repairs.  Like a scale-down, an
-        # outage drains the highest bookkeeping replica (replica 0 hosts
-        # the engine and never goes out); the repaired instance rejoins
-        # at ``repair_at`` but only starts admitting from the shared
-        # FIFO once its warm-up health check passes (``ready_at``).
+        # outage drains the highest replica (replica 0 hosts the engine
+        # and never goes out); the repaired instance rejoins at
+        # ``repair_at`` but only starts admitting from the shared queue
+        # once its warm-up health check passes (``ready_at``).
         for idx, outage in enumerate(outages):
-            if idx not in outage_down and iterations >= outage.out_at:
-                outage_down.add(idx)
+            if idx not in ledger.outage_down and now_iter >= outage.out_at:
+                ledger.outage_down.add(idx)
                 if len(replicas) > 1:
-                    victim = replicas.pop()
-                    for rid in victim.sch.drain():
-                        records[rid].preemptions += 1
-                        records[rid].emitted = 0
-                    scale_events.append((iterations, "out", len(replicas)))
-                    down_streak = 0
+                    shrink("out")
                 else:
                     # Only the engine-backed replica is left: nothing
                     # went out, so nothing comes back at repair time.
-                    outage_back.add(idx)
-            if (idx in outage_down and idx not in outage_back
-                    and iterations >= outage.repair_at
-                    and len(replicas) < auto.max_replicas):
-                replicas.append(_Replica(
-                    sched_cfg, requests, fleet_queue,
-                    ready_at=iterations + outage.warmup_iters,
-                ))
-                replicas_peak = max(replicas_peak, len(replicas))
-                scale_events.append((iterations, "rejoin", len(replicas)))
-                outage_back.add(idx)
+                    ledger.outage_back.add(idx)
+            if (idx in ledger.outage_down and idx not in ledger.outage_back
+                    and now_iter >= outage.repair_at
+                    and len(replicas) < autoscale.max_replicas):
+                grow("rejoin", outage.warmup_iters)
+                ledger.outage_back.add(idx)
 
-        ready = sum(1 for r in replicas if iterations >= r.ready_at)
-        total_q = len(fleet_queue)
-        total_load = total_q + sum(len(r.sch.active) for r in replicas)
-        max_queue = max(max_queue, total_q)
+        ledger.max_queue = max(ledger.max_queue, len(queue))
 
         # Scale decisions: pure functions of shared state, so every rank
         # reaches the same fleet shape at the same iteration.
-        if (total_q > auto.scale_up_queue * ready
-                and len(replicas) < auto.max_replicas):
-            replicas.append(_Replica(
-                sched_cfg, requests, fleet_queue,
-                ready_at=iterations + auto.spinup_iters,
-            ))
-            replicas_peak = max(replicas_peak, len(replicas))
-            scale_events.append((iterations, "up", len(replicas)))
-            down_streak = 0
-        elif (len(replicas) > auto.min_replicas
-              and total_load <= (len(replicas) - 1) * sched_cfg.max_slots):
-            down_streak += 1
-            if down_streak >= auto.scale_down_patience:
-                victim = replicas.pop()
-                # drain() front-requeues the victim's in-flight work in
-                # admission order; survivors re-admit it from the shared
-                # queue next iteration (restarting from prompts).
-                for rid in victim.sch.drain():
-                    records[rid].preemptions += 1
-                    records[rid].emitted = 0
-                scale_events.append((iterations, "down", len(replicas)))
-                down_streak = 0
-        else:
-            down_streak = 0
+        if autoscale is not None:
+            ready = sum(1 for r in replicas if now_iter >= r.ready_at)
+            load = len(queue) + sum(len(r.sch.active) for r in replicas)
+            if (len(queue) > autoscale.scale_up_queue * ready
+                    and len(replicas) < autoscale.max_replicas):
+                grow("up", autoscale.spinup_iters)
+                ledger.down_streak = 0
+            elif (len(replicas) > autoscale.min_replicas
+                  and load <= (len(replicas) - 1) * rows):
+                ledger.down_streak += 1
+                if ledger.down_streak >= autoscale.scale_down_patience:
+                    shrink("down")
+            else:
+                ledger.down_streak = 0
 
         if all(r.sch.idle for r in replicas):
             nxt = dispatcher.next_arrival()
@@ -1207,56 +831,67 @@ def _serve_rank_fleet(
             continue
 
         # Replica 0 does the real tensor work and drives the clock.
-        _prefill_admissions(ctx, model, wcomm, sch, cache, records, bands,
-                            finish)
-        if sch.active:
-            _preempt_over_budget(sch, cache, records)
-            t_before = ctx.now
-            _decode_active(ctx, model, sch, cache, records, rows, band,
-                           rows_local)
-            wcomm.barrier("serve_step")
-            step_dt = ctx.now - t_before
-            t = ctx.now
-            for slot in list(sch.active):
-                req = sch.requests[sch.active[slot]]
-                rec = records[req.rid]
-                rec.emitted += 1
-                if rec.emitted == req.output_len:
-                    finish(slot, t)
-            replica_iterations += 1
-        else:
+        decoded = frames.frame(head)
+        if autoscale is not None and not decoded:
             # No real decode this iteration, but bookkeeping replicas
             # still tick — advance the shared clock by the last decode's
             # cost so their token timestamps keep moving.  (step_dt is
             # already set whenever this branch can matter: replica 0
             # admits first from the shared queue, so it decodes before
             # any bookkeeping replica ever holds work.)
-            ctx.clock.sync_to(ctx.now + step_dt)
+            ctx.clock.sync_to(ctx.now + ledger.step_dt)
+        ledger.replica_iterations += decoded
+        if len(replicas) > 1:
             t = ctx.now
+            for rep in replicas[1:]:
+                if now_iter >= rep.ready_at:  # else still spinning up
+                    ledger.replica_iterations += frames.frame(rep, t)
+        if paged:  # every block pool's conservation audit, every frame
+            for rep in replicas:
+                rep.cache.check()
+        ledger.iterations += 1
 
-        for rep in replicas[1:]:
-            if iterations < rep.ready_at:
-                continue  # still spinning up
-            worked, finished = _tick_replica(rep, records, t)
-            replica_iterations += worked
-            outstanding -= finished
-        iterations += 1
-
+    sections: dict = {}
+    if paged:
+        counters = _pool_counters(ledger.pools, replicas)
+        prompt_total = counters["prompt_tokens"]
+        sections["paged"] = {
+            "block_tokens": sched_cfg.kv_block_tokens,
+            "num_blocks": head.cache.pool.num_blocks,
+            "prefix_hit_rate": (
+                counters["prefix_hit_tokens"] / prompt_total
+                if prompt_total else 0.0
+            ),
+            **counters,
+        }
+        if workload.priorities:
+            sections["priority_classes"] = tuple(
+                c.name for c in workload.priorities)
+        if sched_cfg.spec is not None:
+            steps, tokens = ledger.spec_steps, ledger.spec_tokens
+            sections["spec"] = {
+                "steps": steps,
+                "tokens": tokens,
+                "accepted_per_step": tokens / steps if steps else 0.0,
+            }
     report = summarize(
         sorted(records.values(), key=lambda r: r.rid),
         makespan=ctx.now,
-        peak_kv_tokens=max(base_peak_kv, cache.peak_tokens),
-        max_queue_depth=max_queue,
-        iterations=iterations,
+        peak_kv_tokens=max(ledger.peak_kv, head.cache.peak_tokens),
+        max_queue_depth=ledger.max_queue,
+        iterations=ledger.iterations,
+        **sections,
     )
     report["mode"] = mode
     report["policy"] = sched_cfg.policy
     report["nranks"] = ctx.nranks
-    report["scale_events"] = len(scale_events)
-    report["replicas_peak"] = replicas_peak
-    report["replicas_final"] = len(replicas)
-    report["replica_iterations"] = replica_iterations
-    if outages:
-        report["outages"] = sum(1 for e in scale_events if e[1] == "out")
-        report["rejoins"] = sum(1 for e in scale_events if e[1] == "rejoin")
+    if autoscale is not None:
+        events = [kind for _, kind, _ in ledger.scale_events]
+        report["scale_events"] = len(events)
+        report["replicas_peak"] = ledger.replicas_peak
+        report["replicas_final"] = len(replicas)
+        report["replica_iterations"] = ledger.replica_iterations
+        if outages:
+            report["outages"] = events.count("out")
+            report["rejoins"] = events.count("rejoin")
     return report

@@ -6,6 +6,14 @@ counts.  It never touches tensors, so it runs identically on every rank
 (the runner feeds every rank the same inputs in the same order) and is
 unit-testable without an engine.
 
+The serving frame (:mod:`repro.serve.runner`) asks every scheduler the
+same three things: :meth:`Scheduler.admit_to` a cache, the
+:meth:`Scheduler.preemption_order` when the cache says this frame's
+appends do not fit, and :meth:`Scheduler.preempt` / ``complete`` to
+release a slot.  :class:`Scheduler` and :class:`PagedScheduler` differ
+only in the two decisions: which queued request is next, and who is
+preempted first.
+
 Policies
 --------
 ``continuous``
@@ -19,9 +27,9 @@ Policies
 
 Paged mode
 ----------
-With ``kv_block_tokens > 0`` the runner swaps the contiguous
-:class:`~repro.serve.cache.KVCacheManager` for the paged
-:class:`~repro.serve.cache.PagedKVCache` and this module's
+With ``kv_block_tokens > 0`` every replica pairs the paged
+:class:`~repro.serve.cache.PagedKVCache` (instead of the contiguous
+:class:`~repro.serve.cache.KVCacheManager`) with this module's
 :class:`PagedScheduler`, whose admission is *block-granular* and
 SLO-aware: the queue is served highest priority class first,
 earliest-TTFT-deadline first inside a class (requests whose deadline has
@@ -87,7 +95,6 @@ class SchedulerConfig:
     kv_budget_tokens: int = 256
     policy: str = "continuous"
     #: block size of the paged KV cache; 0 keeps the contiguous cache
-    #: (and the legacy code path, byte-for-byte)
     kv_block_tokens: int = 0
     #: max prompt tokens prefilled per scheduler frame (0 = unchunked);
     #: requires paged mode
@@ -188,29 +195,24 @@ class Scheduler:
             self._seq += 1
         return admitted
 
+    def admit_to(self, cache, now: float) -> list[int]:
+        """Admit into ``cache`` and claim the slots there; returns them in
+        admission order.  FIFO and token-exact (:meth:`admit`); ``now`` is
+        for schedulers that rank the queue by deadline."""
+        admitted = self.admit(cache.used_tokens)
+        for slot, rid in admitted:
+            cache.admit(slot, self.requests[rid].prompt_tokens)
+        return [slot for slot, _ in admitted]
+
     # --- preemption -----------------------------------------------------------
 
-    def choose_preemptions(
-        self, used_tokens: int, lens: dict[int, int]
-    ) -> list[int]:
-        """Slots to preempt so the next decode step fits the budget.
-
-        Victims are youngest-admitted first (their requeued work is the
-        cheapest to redo); preempting requeues the request at the *front*
-        of the queue so it reclaims a slot as soon as space frees.
-        """
-        victims: list[int] = []
-        used = used_tokens
-        order = sorted(self.active, key=lambda s: -self._admit_seq[s])
-        while used + (len(self.active) - len(victims)) > self.cfg.kv_budget_tokens:
-            if len(victims) == len(order):
-                raise SimulationError(
-                    "kv budget cannot hold a single active request"
-                )
-            slot = order[len(victims)]
-            victims.append(slot)
-            used -= lens[slot]
-        return victims
+    def preemption_order(self) -> list[int]:
+        """Victim candidates when a frame's appends do not fit the cache:
+        youngest admission first (its requeued work is the cheapest to
+        redo).  The loop preempts down this order until the cache says
+        the appends fit; preempting requeues the request at the *front*
+        of the queue so it reclaims a slot as soon as space frees."""
+        return sorted(self.active, key=lambda s: -self._admit_seq[s])
 
     def preempt(self, slot: int) -> int:
         """Release ``slot`` and requeue its request; returns the rid."""
@@ -269,11 +271,6 @@ class Scheduler:
         del self._admit_seq[slot]
         return rid
 
-    def frame_order(self) -> list[int | None]:
-        """Frame row -> slot mapping (row ``s`` is always slot ``s``)."""
-        return [s if s in self.active else None
-                for s in range(self.cfg.max_slots)]
-
     @property
     def idle(self) -> bool:
         return not self.active and not self.queue
@@ -329,6 +326,11 @@ class PagedScheduler(Scheduler):
             self._seq += 1
             admitted.append((slot, rid, cache.admit(slot, req.prompt_tokens)))
         return admitted
+
+    def admit_to(self, cache, now: float) -> list[int]:
+        """Ranked and block-granular (:meth:`admit_paged`, which also maps
+        each admission's cached prefix into its slot)."""
+        return [slot for slot, _, _ in self.admit_paged(cache, now)]
 
     def preemption_order(self) -> list[int]:
         """Victim candidates: lowest priority class first, youngest

@@ -11,8 +11,13 @@ Covers the satellite contracts of ``run_serving(..., autoscale=...)``:
   replica), visible scale events, spin-up delay, drain-as-preemption;
 * composition with crash recovery: rank crashes *and* whole-node losses
   during an autoscaled run restore the entire fleet from the snapshot
-  and still complete every request, bit-deterministically.
+  and still complete every request, bit-deterministically;
+* composition with the paged cache: every replica owns its block pool,
+  audited every frame, and a fleet out-serves one replica on
+  shared-prefix overload.
 """
+
+import dataclasses
 
 import pytest
 
@@ -20,13 +25,18 @@ from repro.errors import SimulationError
 from repro.models.configs import TransformerConfig
 from repro.serve import (
     AutoscaleConfig,
+    PriorityClass,
     SchedulerConfig,
+    SpecDecodeConfig,
     WorkloadConfig,
     run_serving,
 )
+from repro.serve.cache import PagedKVCache
 from repro.serve.scheduler import Scheduler
 from repro.serve.workload import generate_workload
 from repro.sim.faults import FaultPlan, NodeCrash, RankCrash
+
+from tests.serve.pins import assert_pinned
 
 #: diurnal + bursty arrivals: the load swings that make scaling worth it
 WORKLOAD = WorkloadConfig(
@@ -56,12 +66,16 @@ def _serve(**kwargs):
 @pytest.fixture(scope="module")
 def single_replica():
     """The same workload pinned to one replica (no autoscale)."""
-    return _serve(**MODE_KWARGS)
+    rep = _serve(**MODE_KWARGS)
+    assert_pinned("autoscale.single_replica", rep)
+    return rep
 
 
 @pytest.fixture(scope="module")
 def fleet():
-    return _serve(autoscale=AUTO, **MODE_KWARGS)
+    rep = _serve(autoscale=AUTO, **MODE_KWARGS)
+    assert_pinned("autoscale.fleet", rep)
+    return rep
 
 
 class TestAutoscaleConfigValidation:
@@ -212,6 +226,16 @@ class TestFleetCrashRecovery:
         assert rep["scale_events"] >= 1
         assert rep["replicas_peak"] >= fleet["replicas_peak"] - 1
 
+    def test_crash_before_the_first_snapshot_restarts_the_whole_fleet(self):
+        """Nothing was published yet, so the restart is a fresh start: the
+        configured initial fleet (``min_replicas``), not one replica."""
+        two = AutoscaleConfig(min_replicas=2, max_replicas=2)
+        kwargs = {"mode": "megatron", "world": 2, "autoscale": two}
+        healthy = _serve(**kwargs)
+        plan = FaultPlan(seed=1, crashes=(RankCrash(rank=1, at=0.0),))
+        rep = _serve(fault_plan=plan, max_restarts=1, **kwargs)
+        assert rep == {**healthy, "recoveries": 1}
+
     def test_recovery_under_preemption_pressure(self):
         """Crash + a KV budget tight enough to force preemptions."""
         tight = SchedulerConfig(max_slots=4, kv_budget_tokens=64,
@@ -231,3 +255,77 @@ class TestFleetCrashRecovery:
         assert reps[0] == reps[1]
         assert reps[0]["completed"] == WORKLOAD.num_requests
         assert reps[0]["recoveries"] == 1
+
+
+#: shared-prefix overload: a few dominant system prompts, two classes
+PREFIX_WORKLOAD = dataclasses.replace(
+    WORKLOAD, num_requests=64, arrival_rate=600.0,
+    prefix_pool=2, prefix_len=(8, 8), prefix_zipf=1.5,
+    priorities=(PriorityClass("gold", weight=1.0, ttft_slo_s=0.02),
+                PriorityClass("bronze", weight=2.0)))
+PREFIX_MODEL = dataclasses.replace(
+    MODEL, seq_len=PREFIX_WORKLOAD.max_request_tokens)
+PAGED = SchedulerConfig(
+    max_slots=4, kv_budget_tokens=96, kv_block_tokens=4,
+    prefill_chunk_tokens=6, spec=SpecDecodeConfig(spec_k=2, accept_rate=0.6))
+
+
+def _serve_paged(mode="serial", **kwargs):
+    return run_serving(mode, model_cfg=PREFIX_MODEL,
+                       workload=PREFIX_WORKLOAD, sched=PAGED, **kwargs)
+
+
+class TestPagedFleet:
+    """``kv_block_tokens`` x ``autoscale``: each replica has its own pool."""
+
+    @pytest.fixture(scope="class")
+    def paged_fleet(self):
+        return _serve_paged(autoscale=AUTO)
+
+    def test_fleet_out_serves_one_replica(self, paged_fleet):
+        single = _serve_paged()
+        assert paged_fleet["completed"] == PREFIX_WORKLOAD.num_requests
+        assert paged_fleet["replicas_peak"] == AUTO.max_replicas
+        assert (paged_fleet["goodput_tokens_per_s"]
+                >= single["goodput_tokens_per_s"])
+        # every pool's counters are in the report: each prompt token was
+        # admitted somewhere, hit or computed, at least once
+        assert (paged_fleet["paged"]["prompt_tokens"]
+                >= single["paged"]["prompt_tokens"] > 0)
+        assert paged_fleet["paged"]["prefix_hit_rate"] > 0.0
+        assert set(paged_fleet["slo_by_class"]) <= {"gold", "bronze"}
+
+    @pytest.mark.parametrize("mode,kwargs", [
+        ("serial", {}), ("tesseract", {"q": 2, "d": 1})])
+    def test_symbolic_matches_real(self, mode, kwargs, paged_fleet):
+        symbolic = _serve_paged(mode, autoscale=AUTO, **kwargs)
+        real = _serve_paged(mode, autoscale=AUTO, engine_mode="real",
+                            **kwargs)
+        assert symbolic == real
+        if mode == "serial":
+            assert symbolic == paged_fleet  # and deterministic
+
+    def test_every_replica_is_audited_every_frame(self, paged_fleet,
+                                                  monkeypatch):
+        audits: dict[int, int] = {}
+        check = PagedKVCache.check
+
+        def counting(cache):
+            audits[id(cache)] = audits.get(id(cache), 0) + 1
+            return check(cache)
+
+        monkeypatch.setattr(PagedKVCache, "check", counting)
+        assert _serve_paged(autoscale=AUTO) == paged_fleet
+        # replica 0 lives through every frame; each scale-up brought a
+        # cache of its own, audited from the frame it joined
+        assert max(audits.values()) == paged_fleet["iterations"]
+        assert len(audits) >= paged_fleet["replicas_peak"]
+        assert sum(audits.values()) > paged_fleet["iterations"]
+
+    def test_invalid_combinations_still_raise(self):
+        with pytest.raises(SimulationError, match="requires the paged cache"):
+            SchedulerConfig(prefill_chunk_tokens=4)
+        with pytest.raises(SimulationError, match="requires the paged cache"):
+            SchedulerConfig(spec=SpecDecodeConfig())
+        with pytest.raises(SimulationError, match="continuous policy"):
+            SchedulerConfig(kv_block_tokens=4, policy="static")

@@ -35,7 +35,7 @@ class TestBookkeeping:
             cache.insert(0, _kv(2, 5), 5)
             cache.insert(1, _kv(2, 3), 3)
             assert cache.used_tokens == 8
-            assert cache.fits(56) and not cache.fits(57)
+            assert cache.fits({0: 56}) and not cache.fits({0: 57})
             cache.grow(0)
             assert cache.length(0) == 6
             assert cache.peak_tokens == 9

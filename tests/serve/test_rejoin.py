@@ -18,9 +18,12 @@ from repro.serve import (
     ReplicaOutage,
     SchedulerConfig,
     WorkloadConfig,
+    generate_workload,
     run_serving,
 )
 from repro.sim.faults import FaultPlan, RankCrash
+
+from tests.serve.pins import assert_pinned
 
 WORKLOAD = WorkloadConfig(
     seed=7, num_requests=48, arrival_rate=400.0, burst_size=4,
@@ -50,7 +53,9 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def outaged():
-    return _serve(autoscale=AUTO, outages=(OUTAGE,))
+    rep = _serve(autoscale=AUTO, outages=(OUTAGE,))
+    assert_pinned("rejoin.outaged", rep)
+    return rep
 
 
 class TestReplicaOutageValidation:
@@ -95,6 +100,23 @@ class TestOutageAndRejoin:
         assert report["outages"] == 0
         assert report["rejoins"] == 0
         assert report["completed"] == WORKLOAD.num_requests
+
+    def test_paged_fleet_outage_and_rejoin(self):
+        """The drained replica takes its block pool (and prefix cache)
+        with it; the rejoined one starts cold behind the warm-up gate."""
+        paged = SchedulerConfig(max_slots=4, kv_budget_tokens=256,
+                                kv_block_tokens=4, prefill_chunk_tokens=6)
+        kwargs = {"autoscale": AUTO, "outages": (OUTAGE,)}
+        report = run_serving("serial", model_cfg=MODEL, workload=WORKLOAD,
+                             sched=paged, **kwargs)
+        assert report["outages"] == report["rejoins"] == 1
+        assert report["completed"] == WORKLOAD.num_requests
+        # the drained pool's counters stayed in the report
+        assert report["paged"]["prompt_tokens"] >= sum(
+            r.prompt_len for r in generate_workload(WORKLOAD))
+        assert report == run_serving("serial", model_cfg=MODEL,
+                                     workload=WORKLOAD, sched=paged,
+                                     **kwargs)
 
     def test_composes_with_crash_recovery(self):
         """A rank crash mid-run restores the fleet snapshot — including

@@ -26,6 +26,8 @@ from repro.serve import (
 from repro.sim.engine import Engine, RankContext
 from repro.sim.faults import ComputeSlowdown, FaultPlan, RankCrash
 
+from tests.serve.pins import assert_pinned
+
 WORKLOAD = WorkloadConfig(
     seed=5, num_requests=96, arrival_rate=300.0,
     prompt_len=(4, 8), output_short=(4, 8), output_long=(24, 32),
@@ -50,6 +52,8 @@ LOOPS = {
     "paged": ({"sched": PAGED}, {"decode_step", "append"}),
     "fleet": ({"sched": CONTIGUOUS, "autoscale": AUTO},
               {"prefill", "decode_step", "append"}),
+    "paged_fleet": ({"sched": PAGED, "autoscale": AUTO},
+                    {"decode_step", "append"}),
 }
 
 
@@ -102,6 +106,7 @@ class TestEveryLoopReplaysAndMatchesRealMode:
         symbolic = _serve(**kwargs)
         assert json.dumps(symbolic, sort_keys=True) == \
             json.dumps(real, sort_keys=True)
+        assert_pinned(f"replay_parity.{loop}", symbolic)
         assert symbolic["completed"] == WORKLOAD.num_requests
         assert symbolic["preemptions"] > 0  # the tight budget did bite
         assert _rank_states(engines.pop()) == real_states
@@ -148,6 +153,8 @@ class TestFaultedServingStaysByteIdentical:
         calls.clear()
         rep = self._pair("megatron", world=2, sched=sched, fault_plan=plan,
                          max_restarts=1)
+        assert_pinned("replay_parity.crash."
+                      + ("paged" if sched.paged else "contiguous"), rep)
         assert rep["recoveries"] == 1 and rep["completed"] == 96
         # before the crash rank 1 executes and rank 0 replays; after the
         # restart both are healthy
@@ -161,13 +168,22 @@ class TestFaultedServingStaysByteIdentical:
         healthy = _serve(sched=CONTIGUOUS)
         calls.clear()
         slow = self._pair(sched=CONTIGUOUS, fault_plan=plan)
+        assert_pinned("replay_parity.slowed", slow)
         assert slow["makespan_s"] > healthy["makespan_s"]
         assert {kind for _, kind in calls} == {"executed"}
 
-    def test_outage_rejoin_with_a_crash(self):
+    @pytest.mark.parametrize("mode,kwargs", [
+        ("serial", {}), ("megatron", {"world": 2})])
+    def test_outage_rejoin_with_a_crash(self, mode, kwargs):
+        # two ranks: the recovery snapshot is one object handed to every
+        # rank's program, so a restore that shares what it later mutates
+        # (the outage ledger) makes the ranks' reports diverge
         outage = ReplicaOutage(out_at=6, repair_at=12, warmup_iters=2)
         plan = FaultPlan(seed=11, crashes=(RankCrash(rank=0, at=2e-3),))
-        rep = self._pair(sched=CONTIGUOUS, autoscale=AUTO,
-                         outages=(outage,), fault_plan=plan, max_restarts=2)
+        rep = self._pair(mode, sched=CONTIGUOUS, autoscale=AUTO,
+                         outages=(outage,), fault_plan=plan, max_restarts=2,
+                         **kwargs)
+        assert_pinned("replay_parity.outage_crash"
+                      + ("" if mode == "serial" else f".{mode}"), rep)
         assert rep["outages"] == rep["rejoins"] == 1
         assert rep["recoveries"] == 1

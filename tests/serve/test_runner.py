@@ -10,6 +10,7 @@ from repro.hardware.spec import GPUSpec
 from repro.models.configs import TransformerConfig
 from repro.serve import (
     AutoscaleConfig,
+    PriorityClass,
     SchedulerConfig,
     SpecDecodeConfig,
     WorkloadConfig,
@@ -17,6 +18,8 @@ from repro.serve import (
 )
 from repro.sim.engine import RankContext
 from repro.sim.events import ComputeEvent
+
+from tests.serve.pins import assert_pinned
 
 WORKLOAD = WorkloadConfig(
     seed=0, num_requests=10, arrival_rate=64.0,
@@ -53,6 +56,7 @@ class TestRunServing:
         rep = run_serving(mode, model_cfg=MODEL, workload=WORKLOAD,
                           sched=SCHED, **kwargs)
         # run_serving raises if any rank's report diverges from rank 0's.
+        assert_pinned(f"runner.{mode}", rep)
         assert rep["completed"] == 10
         assert rep["mode"] == mode
 
@@ -97,7 +101,8 @@ class TestRunServing:
         assert sym == real
 
 
-#: one configuration per serving loop (contiguous, paged, autoscaled fleet)
+#: one configuration per shape of the serving loop: each cache, pinned at
+#: one replica and behind the autoscaled dispatcher
 LOOPS = {
     "contiguous": {"sched": SchedulerConfig(max_slots=4, kv_budget_tokens=64,
                                             policy="continuous")},
@@ -109,6 +114,44 @@ LOOPS = {
         min_replicas=1, max_replicas=3, scale_up_queue=2,
         scale_down_patience=4, spinup_iters=2)},
 }
+LOOPS["paged_fleet"] = {**LOOPS["paged"],
+                        "autoscale": LOOPS["fleet"]["autoscale"]}
+
+
+HOT = dataclasses.replace(WORKLOAD, arrival_rate=256.0)
+PRIORITIZED = dataclasses.replace(
+    HOT, prefix_pool=2, prefix_len=(8, 8), prefix_zipf=1.5,
+    priorities=(PriorityClass("gold", weight=1.0, ttft_slo_s=0.02),
+                PriorityClass("bronze", weight=2.0)))
+#: configurations whose reports no other test pins:
+#: name -> (mode, run_serving arguments, what the run must have exercised)
+PINNED_HOLES = {
+    "static_fleet": ("megatron", {
+        "world": 2, "workload": HOT,
+        "sched": dataclasses.replace(SCHED, policy="static"),
+        "autoscale": LOOPS["fleet"]["autoscale"]},
+        lambda rep: rep["policy"] == "static" and rep["replicas_peak"] > 1),
+    "paged_spec_two_bands": ("tesseract", {
+        "q": 2, "d": 1, "workload": HOT, **LOOPS["paged"]},
+        lambda rep: rep["spec"]["steps"] > 0 and rep["preemptions"] > 0),
+    # priorities on the contiguous cache order nothing and report
+    # nothing: no SLO section
+    "prioritized_contiguous": ("serial", {
+        "workload": PRIORITIZED, **LOOPS["contiguous"]},
+        lambda rep: "slo_attainment" not in rep and "paged" not in rep),
+}
+
+
+class TestPinnedHoles:
+    @pytest.mark.parametrize("name", sorted(PINNED_HOLES))
+    def test_report_is_byte_identical(self, name):
+        mode, kwargs, exercised = PINNED_HOLES[name]
+        model = dataclasses.replace(
+            MODEL, seq_len=kwargs["workload"].max_request_tokens)
+        rep = run_serving(mode, model_cfg=model, **kwargs)
+        assert_pinned(f"runner.{name}", rep)
+        assert rep["completed"] == rep["num_requests"]
+        assert exercised(rep)
 
 
 class TestHostCostOfAPricedOp:

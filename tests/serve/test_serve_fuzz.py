@@ -19,6 +19,7 @@ import pytest
 from repro.errors import RankFailureError
 from repro.models.configs import TransformerConfig
 from repro.serve import (
+    AutoscaleConfig,
     PriorityClass,
     SchedulerConfig,
     SpecDecodeConfig,
@@ -27,6 +28,8 @@ from repro.serve import (
 )
 from repro.sim.faults import FaultPlan, RankCrash
 from repro.sim.schedulers import available_backends
+
+from tests.serve.pins import assert_pinned
 
 WORKLOAD = WorkloadConfig(
     seed=0, num_requests=10, arrival_rate=64.0,
@@ -55,7 +58,9 @@ def _serve(**kwargs):
 @pytest.fixture(scope="module")
 def baseline():
     """The fault-free report (also pins the makespan crashes land in)."""
-    return _serve(**MODE_KWARGS)
+    rep = _serve(**MODE_KWARGS)
+    assert_pinned("serve_fuzz.baseline", rep)
+    return rep
 
 
 def _crash_plan(seed: int, makespan: float) -> FaultPlan:
@@ -164,7 +169,9 @@ def _serve_paged(**kwargs):
 
 @pytest.fixture(scope="module")
 def paged_baseline():
-    return _serve_paged(**MODE_KWARGS)
+    rep = _serve_paged(**MODE_KWARGS)
+    assert_pinned("serve_fuzz.paged_baseline", rep)
+    return rep
 
 
 class TestPagedServeCrashRecovery:
@@ -221,6 +228,25 @@ class TestPagedServeCrashRecovery:
     def test_no_plan_report_is_unchanged(self, paged_baseline):
         assert "recoveries" not in paged_baseline
         assert paged_baseline == _serve_paged(**MODE_KWARGS)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_paged_fleet_recovers_and_completes(self, backend, monkeypatch):
+        """The snapshot carries every replica's in-flight work and the
+        pools' cumulative counters; the restart rebuilds the fleet."""
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
+        auto = AutoscaleConfig(min_replicas=1, max_replicas=3,
+                               scale_up_queue=2, scale_down_patience=4)
+        healthy = _serve_paged(autoscale=auto, **MODE_KWARGS)
+        assert healthy["replicas_peak"] > 1
+        plan = _crash_plan(1, healthy["makespan_s"])
+        reps = [_serve_paged(autoscale=auto, fault_plan=plan,
+                             max_restarts=len(plan.crashes), **MODE_KWARGS)
+                for _ in range(2)]
+        assert reps[0] == reps[1]
+        assert reps[0]["completed"] == PAGED_WORKLOAD.num_requests
+        assert 1 <= reps[0]["recoveries"] <= len(plan.crashes)
+        assert (reps[0]["paged"]["prompt_tokens"]
+                >= healthy["paged"]["prompt_tokens"])
 
 
 class TestEventMultiplexedServing:
