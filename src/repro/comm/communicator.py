@@ -28,6 +28,14 @@ physically executed first — the engine's scheduler backends
 (:mod:`repro.sim.schedulers`: event or threaded) are therefore
 observationally interchangeable.
 
+Every collective takes one path, :meth:`Communicator._issue`: a plain
+call is a one-op list, a flushed batch window its queued ops.  The ops
+join one ``Engine.fused_collective`` generation and are priced by
+:meth:`CommCostModel.fused`, which prices a single op exactly as that
+op's own method.  Whether the completion time is known at once or
+resolved later (deferred timing) is the engine's business; the
+communicator reads no engine state to decide it.
+
 Batch windows
 -------------
 :meth:`Communicator.batch` opens an opt-in *fused batch window*: inside
@@ -153,25 +161,24 @@ class PendingResult:
 
 class _CollectiveOp:
     """One issued or queued collective: everything needed to finish,
-    price and account for it (see :meth:`Communicator._run`)."""
+    price and account for it (see :meth:`Communicator._issue`)."""
 
-    __slots__ = ("kind", "payload", "finisher_data", "cost_fn", "price_kind",
+    __slots__ = ("kind", "payload", "finisher_data", "price_kind",
                  "price_bytes", "nbytes", "tag", "t_post", "handle",
                  "local_result")
 
-    def __init__(self, kind, payload, finisher_data, cost_fn, price_kind,
-                 price_bytes, nbytes, tag, local_result=None):
+    def __init__(self, kind, payload, finisher_data, price_kind,
+                 price_bytes, nbytes, tag, t_post, local_result):
         self.kind = kind
         self.payload = payload
         self.finisher_data = finisher_data
-        self.cost_fn = cost_fn  #: zero-arg pricing for the unbatched path
         self.price_kind = price_kind  #: base kind for fused pricing
         self.price_bytes = price_bytes  #: float or zero-arg callable
         self.nbytes = nbytes  #: trace convention bytes (float or callable)
         self.tag = tag
-        self.t_post: float = 0.0
+        self.t_post = t_post
         self.handle: PendingResult | None = None
-        #: deferred-mode early result: a ``LOCAL_NONE``/``LOCAL_ECHO``
+        #: deferring-engine early result: a ``LOCAL_NONE``/``LOCAL_ECHO``
         #: sentinel, a ``(op_index, arrivals) -> (ok, value)`` callable
         #: over the raw arrival map deposited so far, or None when the
         #: result cannot be known before the last member arrives
@@ -193,10 +200,9 @@ def _describe_ops(win: "_BatchWindow") -> str:
 class _BatchWindow:
     """Collects the ops queued inside one ``with comm.batch()`` block."""
 
-    __slots__ = ("_comm", "_tag", "_ops")
+    __slots__ = ("_tag", "_ops")
 
-    def __init__(self, comm: "Communicator", tag: str = ""):
-        self._comm = comm
+    def __init__(self, tag: str = ""):
         self._tag = tag
         self._ops: list[_CollectiveOp] = []
 
@@ -204,7 +210,6 @@ class _BatchWindow:
         return len(self._ops)
 
     def _enqueue(self, op: _CollectiveOp) -> PendingResult:
-        op.t_post = self._comm.ctx.clock.now
         op.handle = PendingResult()
         self._ops.append(op)
         return op.handle
@@ -228,7 +233,6 @@ class Communicator:
         self.size = group.size
         self._cost = ctx.engine.comm_model
         self._window: _BatchWindow | None = None
-        self._barrier_cost = None  #: lazily built once (hot-path closure)
 
     # --- batch window ---------------------------------------------------------
 
@@ -254,12 +258,20 @@ class Communicator:
         if self._window is not None:
             raise CommError("batch windows cannot nest")
         self.ctx.abandon_recording()
-        win = _BatchWindow(self, tag)
+        win = _BatchWindow(tag)
         self._window = win
         try:
             yield win
             self._window = None
-            self._flush_window(win)
+            ops = win._ops
+            if ops:
+                results = self._issue(
+                    ops, tuple([op.kind for op in ops]),
+                    [op.payload for op in ops],
+                    [op.local_result for op in ops], win,
+                )
+                for op, value in zip(ops, results):
+                    op.handle._resolve(value)
         except RankFailureError as exc:
             # Fail fast instead of leaving queued handles undrained: a
             # dead partner means this window can never flush, so every
@@ -307,7 +319,6 @@ class Communicator:
         kind: str,
         payload: Any,
         finisher_data,
-        cost_fn,
         nbytes,
         tag: str = "",
         price_kind: str = "",
@@ -316,148 +327,78 @@ class Communicator:
     ):
         """Issue one collective: rendezvous now, or queue it on the window.
 
-        ``nbytes`` is this rank's traffic per the module convention table —
-        either a number, or a callable applied to this rank's *result*
-        (needed e.g. by broadcast, where non-root callers post None and
-        only learn the payload size from the result).  ``price_kind`` and
-        ``price_bytes`` feed :meth:`CommCostModel.fused` when the op is
-        queued inside a batch window.  ``local_result`` (optional) lets the
-        deferred path hand a non-last arriver its result early — see
-        ``Engine.fused_collective_deferred``.
+        ``finisher_data`` maps the ordered ``{grank: payload}`` of every
+        member to each member's result.  ``price_kind`` and
+        ``price_bytes`` (a number, or a callable read after the data
+        pass, for root-relative ops that only learn the size there) are
+        what :meth:`CommCostModel.fused` prices.  ``nbytes`` is this
+        rank's traffic per the module convention table — either a
+        number, or a callable applied to this rank's *result* (needed
+        e.g. by broadcast, where non-root callers post None).
+        ``local_result`` lets a deferring engine hand a non-last arriver
+        its result early — see ``Engine.fused_collective``.
         """
         ctx = self.ctx
         ctx.abandon_recording()
+        op = _CollectiveOp(kind, payload, finisher_data, price_kind,
+                           price_bytes, nbytes, tag, ctx.clock.now,
+                           local_result)
         if self._window is not None:
-            return self._window._enqueue(
-                _CollectiveOp(kind, payload, finisher_data, cost_fn,
-                              price_kind, price_bytes, nbytes, tag,
-                              local_result=local_result)
-            )
-        if ctx.engine._deferred:
-            # Deferred timing: deposit and run on, skipping op/closure
-            # construction entirely — the engine wraps ``finisher_data``/
-            # ``cost_fn`` into the same data pass and pricing as the
-            # blocking finisher exactly once, on the last arriver, and
-            # returns cost *offsets* (the group arrival time is added
-            # when the node resolves, the same float arithmetic the
-            # blocking path does eagerly).  The deferred gate implies no
-            # fault plan, so the full fault check is only needed once a
-            # rank is actually marked dead (abort cascades).
-            if ctx._crash_at is not None or ctx.engine._dead:
-                ctx.check_faults()
-            return ctx.engine.collective_deferred_single(
-                self.group, ctx, payload, kind,
-                finisher_data, cost_fn, local_result,
-            )
-        return self._run_single(
-            _CollectiveOp(kind, payload, finisher_data, cost_fn,
-                          price_kind, price_bytes, nbytes, tag,
-                          local_result=local_result)
-        )
+            return self._window._enqueue(op)
+        return self._issue([op], (kind,), [payload], [local_result])[0]
 
-    def _run_single(self, op: _CollectiveOp):
-        """Unbatched blocking path: one op, one group-channel generation."""
-        self.ctx.check_faults()
-        granks = self.group.ranks
-        gen = self.ctx.next_group_seq(granks)
-        op.t_post = self.ctx.clock.now
-        finisher_data, cost_fn = op.finisher_data, op.cost_fn
+    def _issue(
+        self,
+        ops: list[_CollectiveOp],
+        sig: tuple[str, ...],
+        payloads: list[Any],
+        local_fns: list[Any],
+        win: _BatchWindow | None = None,
+    ) -> list[Any]:
+        """Rendezvous once for ``ops`` (one collective, or every op queued
+        in ``win``, in issue order) and return their results.
 
-        def finisher(arrivals: dict[int, Any]):
-            t_arrive = max(t for (_, t) in arrivals.values())
-            ordered = {g: arrivals[g][0][0] for g in granks}
-            per_rank = finisher_data(ordered)
-            t_end = t_arrive + cost_fn()
-            return {g: [per_rank[g]] for g in granks}, (t_end,)
-
-        res, t_ends = self.ctx.engine.fused_collective(
-            granks, gen, self.ctx.rank, ([op.payload], op.t_post),
-            (op.kind,), finisher,
-        )
-        result = res[0] if res else None
-        self.ctx.clock.sync_to(t_ends[0])
-        if self.ctx.trace.enabled:
-            nbytes = op.nbytes(result) if callable(op.nbytes) else op.nbytes
-            self.ctx.trace.record(
-                CommEvent(
-                    rank=self.ctx.rank,
-                    kind=op.kind,
-                    group=granks,
-                    nbytes=nbytes,
-                    t_start=op.t_post,
-                    t_end=self.ctx.clock.now,
-                    tag=op.tag,
-                )
-            )
-        return result
-
-    def _flush_window(self, win: _BatchWindow):
-        """Rendezvous once for every op queued in ``win`` (in issue order)."""
-        ops = win._ops
-        if not ops:
-            return
-        self.ctx.check_faults()
-        granks = self.group.ranks
+        ``sig``, ``payloads`` and ``local_fns`` are the ops' kind, payload
+        and local-result columns, passed in because a plain call has them
+        at hand: rebuilding them from ``ops`` on every collective is a
+        measurable share of a deferred deposit.  The last arriver runs
+        each op's data pass, then prices the whole sequence with
+        :meth:`CommCostModel.fused` (a single op prices as its own
+        method; consecutive same-kind ops of a window coalesce).
+        """
         ctx = self.ctx
-        t_flush = ctx.clock.now
-        sig = tuple(op.kind for op in ops)
+        granks = self.group.ranks
         cost = self._cost
 
-        def run_data_pass(arrivals: dict[int, Any]):
-            # Pass 1: data results per op (fills the byte holders that
-            # root-relative ops like broadcast only learn here).
-            per_op = []
-            for k in range(len(ops)):
-                ordered = {g: arrivals[g][0][k] for g in granks}
-                per_op.append(ops[k].finisher_data(ordered))
-            # Pass 2: fused pricing over the whole sequence.
-            items = [
+        def complete(arrivals: dict[int, Any]):
+            # Data first: it fills the byte holders that root-relative
+            # ops like broadcast only learn here.
+            per_op = [
+                op.finisher_data({g: arrivals[g][0][k] for g in granks})
+                for k, op in enumerate(ops)
+            ]
+            offsets = cost.fused(granks, [
                 (op.price_kind,
                  float(op.price_bytes() if callable(op.price_bytes)
                        else op.price_bytes))
                 for op in ops
-            ]
-            offsets = cost.fused(granks, items)
-            results = {
-                g: [per_op[k][g] for k in range(len(ops))] for g in granks
-            }
+            ])
+            # per rank, the op results in issue order (plain loops: a
+            # comprehension per member would cost a call per member)
+            results = {g: [v] for g, v in per_op[0].items()}
+            for res in per_op[1:]:
+                for g, v in res.items():
+                    results[g].append(v)
             return results, offsets
 
-        if ctx.engine._deferred:
-            def completer(arrivals: dict[int, Any]):
-                results, offsets = run_data_pass(arrivals)
-                return results, tuple(offsets)
-
-            # Same group-keyed generation domain as the unbatched
-            # deferred path, so a window/non-window mismatch on one
-            # generation still meets in the same node.
-            res, _ = ctx.engine.fused_collective_deferred(
-                self.group, ctx.next_group_seq(self.group), ctx.rank,
-                ([op.payload for op in ops], t_flush),
-                sig, completer, tuple(op.local_result for op in ops),
-            )
-            for k, op in enumerate(ops):
-                op.handle._resolve(res[k])
-            return
-
-        gen = ctx.next_group_seq(granks)
-
-        def finisher(arrivals: dict[int, Any]):
-            t_arrive = max(t for (_, t) in arrivals.values())
-            results, offsets = run_data_pass(arrivals)
-            t_ends = tuple(t_arrive + off for off in offsets)
-            return results, t_ends
-
         res, t_ends = ctx.engine.fused_collective(
-            granks, gen, ctx.rank, ([op.payload for op in ops], t_flush),
-            sig, finisher,
+            self.group, ctx, payloads, sig, complete, local_fns,
         )
         ctx.clock.sync_to(t_ends[-1])
-        trace_on = ctx.trace.enabled
-        total = 0.0
-        for k, op in enumerate(ops):
-            value = res[k]
-            if trace_on:
+        if ctx.trace.enabled:
+            total = 0.0
+            for k, op in enumerate(ops):
+                value = res[k]
                 nbytes = op.nbytes(value) if callable(op.nbytes) else op.nbytes
                 total += nbytes
                 ctx.trace.record(
@@ -471,19 +412,19 @@ class Communicator:
                         tag=op.tag,
                     )
                 )
-            op.handle._resolve(value)
-        if trace_on:
-            ctx.trace.record(
-                FusedBatchEvent(
-                    rank=ctx.rank,
-                    group=granks,
-                    kinds=sig,
-                    nbytes=total,
-                    t_start=ops[0].t_post,
-                    t_end=t_ends[-1],
-                    tag=win._tag,
+            if win is not None:
+                ctx.trace.record(
+                    FusedBatchEvent(
+                        rank=ctx.rank,
+                        group=granks,
+                        kinds=sig,
+                        nbytes=total,
+                        t_start=ops[0].t_post,
+                        t_end=t_ends[-1],
+                        tag=win._tag,
+                    )
                 )
-            )
+        return res
 
     @staticmethod
     def _expect_varray(value: Any, what: str) -> VArray:
@@ -518,9 +459,6 @@ class Communicator:
             kind=f"broadcast[root={root}]",
             payload=arr if self.rank == root else None,
             finisher_data=data,
-            cost_fn=lambda: self._cost.broadcast(
-                self.group.ranks, holder.get("nbytes", nbytes)
-            ),
             nbytes=lambda res: res.nbytes,
             tag=tag,
             price_kind="broadcast",
@@ -555,7 +493,6 @@ class Communicator:
             kind=f"reduce[root={root},op={op.value}]",
             payload=arr,
             finisher_data=data,
-            cost_fn=lambda: self._cost.reduce(self.group.ranks, arr.nbytes),
             nbytes=lambda res: res.nbytes if res is not None else arr.nbytes,
             tag=tag,
             price_kind="reduce",
@@ -579,7 +516,6 @@ class Communicator:
             kind=f"all_reduce[op={op.value}]",
             payload=arr,
             finisher_data=data,
-            cost_fn=lambda: self._cost.all_reduce(self.group.ranks, arr.nbytes),
             nbytes=arr.nbytes,
             tag=tag,
             price_kind="all_reduce",
@@ -608,7 +544,6 @@ class Communicator:
             kind="all_gather",
             payload=arr,
             finisher_data=data,
-            cost_fn=lambda: self._cost.all_gather(self.group.ranks, total),
             nbytes=lambda res: sum(
                 p.nbytes for i, p in enumerate(res) if i != self.rank
             ),
@@ -645,7 +580,6 @@ class Communicator:
             kind=f"reduce_scatter[op={op.value}]",
             payload=list(chunks),
             finisher_data=data,
-            cost_fn=lambda: self._cost.reduce_scatter(self.group.ranks, total),
             nbytes=lambda res: res.nbytes,
             tag=tag,
             price_kind="reduce_scatter",
@@ -695,9 +629,6 @@ class Communicator:
             kind=f"scatter[root={root}]",
             payload=list(chunks) if self.rank == root else None,
             finisher_data=data,
-            cost_fn=lambda: self._cost.scatter(
-                self.group.ranks, holder.get("nbytes", nbytes)
-            ),
             nbytes=my_bytes,
             tag=tag,
             price_kind="scatter",
@@ -728,7 +659,6 @@ class Communicator:
             kind=f"gather[root={root}]",
             payload=arr,
             finisher_data=data,
-            cost_fn=lambda: self._cost.gather(self.group.ranks, total),
             nbytes=lambda res: arr.nbytes if res is None else sum(
                 p.nbytes for i, p in enumerate(res) if i != self.rank
             ),
@@ -759,7 +689,6 @@ class Communicator:
             kind="all_to_all",
             payload=list(chunks),
             finisher_data=data,
-            cost_fn=lambda: self._cost.all_to_all(self.group.ranks, per_pair),
             nbytes=lambda res: sum(
                 p.nbytes for i, p in enumerate(res) if i != self.rank
             ),
@@ -772,18 +701,10 @@ class Communicator:
         """Synchronize all members' virtual clocks."""
         if self.size == 1:
             return self._immediate(None)
-        # Barriers are the leanest op on the deferred hot path; both
-        # closures are capture-free per call, so build them once.
-        cost_fn = self._barrier_cost
-        if cost_fn is None:
-            cost_fn = self._barrier_cost = (
-                lambda: self._cost.barrier(self.group.ranks)
-            )
         return self._run(
             kind="barrier",
             payload=None,
             finisher_data=_barrier_data,
-            cost_fn=cost_fn,
             nbytes=0,
             tag=tag,
             price_kind="barrier",

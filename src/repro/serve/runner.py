@@ -59,9 +59,11 @@ of the queue (the same contract as a preemption — and counted as one);
 completed requests keep their recorded timestamps, and the block pools'
 cumulative counters are carried through the snapshot so the report
 survives restarts.  A crash before the first snapshot restarts the
-configured initial fleet.  Crashes that already fired are filtered from
-the plan so each planned crash costs exactly one restart (a correlated
-node crash is one event: every rank it killed is filtered together).
+configured initial fleet.  Crashes that already fired
+(:meth:`Engine.fired`) are filtered from the plan so each planned crash
+costs exactly one restart (a correlated node crash is one event: every
+rank it killed is filtered together); a rank that merely died with its
+partners keeps its own crash for a later attempt.
 
 Autoscaling
 -----------
@@ -318,18 +320,19 @@ def run_serving(
         try:
             reports = engine.run(fn)
         except RankFailureError as exc:
-            fired = set(engine._dead) | {exc.rank} | engine.lost_ranks()
-            fired_nodes = set(engine._fired_nodes)
+            lost = engine.lost_ranks()
+            fired_nodes = engine.fired()[1]
             engine.shutdown()
             if recoveries >= max_restarts:
                 raise
             recoveries += 1
             # Each planned crash fires at most once across restarts; a
-            # node crash is one event covering all its member ranks.
+            # node crash is one event covering all its member ranks.  A
+            # rank that only cascaded dead keeps its crash for later.
             plan = replace(
                 plan,
                 crashes=tuple(c for c in plan.crashes
-                              if c.rank not in fired),
+                              if c.rank not in lost),
                 node_crashes=tuple(nc for nc in plan.node_crashes
                                    if nc.node not in fired_nodes),
             )

@@ -38,33 +38,34 @@ harness calls :meth:`Engine.run` hundreds of times at 64 ranks.
   select it so the fuzz, fault and deadlock suites can require that both
   produce bit-identical results, traces, virtual times and error
   messages.
-* **One blocking rendezvous, on a persistent per-group channel.**  Every
-  collective goes through :meth:`Engine.fused_collective`: each group
-  owns one :class:`_GroupChannel` with an arrival map per generation,
-  the last arriver completes the whole generation with a single wakeup
-  of exactly its own waiters, and a *batch window* lets a rank queue
-  several collectives on the same group and pay one sleep/wake cycle for
-  all of them.  The per-rank group sequence counter doubles as the
+* **One rendezvous, on a persistent per-group channel.**  Every
+  collective — a single op or a whole *batch window* of queued ops on
+  one group — goes through :meth:`Engine.fused_collective`: each group
+  owns one :class:`_GroupChannel` with one :class:`_Gen` per generation,
+  and the last arriver computes every member's results and the per-op
+  cost offsets once.  The per-rank group sequence counter doubles as the
   generation number, so matching is deterministic under any
-  interleaving.  Blocking arrival, wake-up, dead-member failure and
-  deadlock naming exist once, here; pending p2p receives own their own
-  backend event under one of ``_N_SHARDS`` mailbox locks.
-* **Deferred collective timing** (event backend only).  A symbolic-mode
-  engine with no fault plan and tracing disabled does not need a
-  collective's completion *time* at the moment the rank passes it — only
-  its result, which for most op kinds is locally computable from shapes.
-  Under a backend with ``supports_deferred_sync`` the engine therefore
-  *deposits* the arrival in a :class:`_DeferredNode` and lets the rank
-  run straight on with a provisional clock; completion times resolve
-  later as a dependency DAG (a node's true arrival is its members'
-  resolved previous node plus their logged compute deltas — the same
-  float fold the blocking path performs, hence bit-identical times).
-  Any observation of real time — ``ctx.now``, a p2p send/receive, the
-  end of the run — force-syncs the rank first via
-  :meth:`Engine.sync_rank`.  A whole sweep then executes with no
-  scheduler hand-off at all, and a run that ends with incomplete nodes
-  raises the same :class:`DeadlockError` the blocking path produces,
-  named from the earliest incomplete node.
+  interleaving.  Deposit, dead-member failure, mismatch, joined-twice
+  and deadlock naming exist once, here; pending p2p receives own their
+  own backend event under one of ``_N_SHARDS`` mailbox locks.
+* **Two ways a generation completes**, chosen by the engine alone.
+  *Blocking*: completion is ``max(arrivals) + offset``, every non-last
+  member parks on the generation's one event and the last arriver wakes
+  them with a single broadcast.  *Deferred* (a symbolic-mode engine with
+  no fault plan and tracing off, on a backend with
+  ``supports_deferred_sync``): a rank needs a collective's result when
+  it passes it, not its completion *time*, and for most op kinds the
+  result is computable from shapes.  The rank deposits its arrival and
+  runs straight on with a provisional clock; completion times resolve
+  later as a dependency DAG over the generations (a generation's true
+  arrival is its members' resolved previous generation plus their
+  logged compute deltas — the same float fold blocking completion
+  performs, hence bit-identical times).  Any observation of real time —
+  ``ctx.now``, a p2p send/receive, the end of the run — force-syncs the
+  rank first via :meth:`Engine.sync_rank`.  A whole sweep then executes
+  with no scheduler hand-off at all, and a run that ends with incomplete
+  generations raises the same :class:`DeadlockError` blocking
+  completion produces, named from the earliest incomplete generation.
 
 Fault injection
 ---------------
@@ -116,71 +117,44 @@ __all__ = ["Engine", "RankContext", "run_engines"]
 _N_SHARDS = 16
 
 
-class _FusedGen:
-    """One generation of a group channel: the in-flight fused rendezvous.
+class _Gen:
+    """One generation of a group channel: one collective or one window.
 
-    A generation covers *one or more* collectives (a batch window queues
-    several); ``sig`` is the tuple of op kinds every rank must agree on,
-    ``arrivals`` maps rank to ``(per-op payload list, flush time)``, and
-    ``t_ends`` are the synchronized per-op completion times produced by
-    the finisher on the last arriver's thread.
+    ``sig`` is the tuple of op kinds every member must agree on,
+    ``arrivals`` maps rank to ``(per-op payload list, arrival time)`` and
+    the last arriver fills ``results``.  A blocking engine then sets the
+    absolute per-op completion times ``t_ends`` at once; a deferring one
+    keeps the cost ``offsets`` and wires the generation into the
+    resolution DAG (``links`` to each member's previous generation plus
+    the clock deltas logged since, dependency counters), which fills
+    ``t_ends`` later.  ``event`` is made only when a rank parks.
     """
 
-    __slots__ = ("sig", "arrivals", "results", "t_ends", "done", "event",
-                 "failed")
-
-    def __init__(self, sig: tuple[str, ...], event: Any):
-        self.sig = sig
-        self.arrivals: dict[int, Any] = {}
-        self.results: dict[int, list[Any]] = {}
-        self.t_ends: tuple[float, ...] = ()
-        self.done = False
-        self.event = event  #: backend event; set once when done or failed
-        self.failed: RankFailureError | None = None  #: a member died
-
-
-class _DeferredNode:
-    """One deferred fused generation: arrivals now, timing later.
-
-    Duck-types the ``arrivals``/``sig``/``done``/``failed`` surface of
-    :class:`_FusedGen` so :meth:`Engine._fused_deadlock_error` names an
-    incomplete node with the byte-identical message the blocking path
-    produces.  On top of that it carries the resolution DAG: per-member
-    links to the member's previous node (plus the clock deltas logged in
-    between), the completer's results/offsets, and dependency counters
-    so completion times resolve in topological order.
-    """
-
-    __slots__ = ("granks", "gen", "sig", "seq", "size", "arrivals", "links",
-                 "waiters", "results", "offsets", "t_ends", "done",
-                 "resolved", "unresolved_inputs", "dependents", "failed")
+    __slots__ = ("granks", "gen", "sig", "seq", "arrivals", "results",
+                 "t_ends", "done", "event", "failed", "links", "offsets",
+                 "resolved", "unresolved_inputs", "dependents")
 
     def __init__(self, granks: tuple[int, ...], gen: int,
                  sig: tuple[str, ...], seq: int):
         self.granks = granks
         self.gen = gen
         self.sig = sig
-        self.seq = seq  #: global creation order (deadlock naming)
-        self.size = len(granks)
-        #: rank -> (per-op payload list, provisional arrival time)
+        self.seq = seq  #: engine-wide creation order (deferred stall naming)
         self.arrivals: dict[int, tuple[list[Any], float]] = {}
-        #: rank -> (previous node or None, clock deltas since its pickup)
-        self.links: dict[int, tuple["_DeferredNode | None",
-                                    tuple[float, ...]]] = {}
-        #: ranks blocked for a result that is not locally computable
-        self.waiters: dict[int, Any] = {}
         self.results: dict[int, list[Any]] = {}
-        #: per-op completion offsets from the group arrival time
-        self.offsets: tuple[float, ...] = ()
         self.t_ends: tuple[float, ...] = ()
-        self.done = False        #: all members deposited
-        self.resolved = False    #: t_ends computed
+        self.done = False  #: every member deposited and results exist
+        self.event: Any = None  #: backend event; set once done or failed
+        self.failed: RankFailureError | None = None  #: a member died
+        #: deferred only: rank -> (previous generation or None, deltas)
+        self.links: dict[int, tuple["_Gen | None", tuple[float, ...]]] = {}
+        self.offsets: Sequence[float] = ()
+        self.resolved = False  #: deferred only: ``t_ends`` computed
         self.unresolved_inputs = 0
-        self.dependents: list["_DeferredNode"] = []
-        self.failed = None  #: _FusedGen duck-typing (never set: no faults)
+        self.dependents: list["_Gen"] = []
 
 
-#: Sentinel ``local_result`` markers for the deferred path.  The common
+#: Sentinel ``local_fns`` entries for a deferring engine.  The common
 #: early-result shapes need no per-op closure: a timing-only op whose
 #: result is always ``None`` (barrier, non-root reduce/gather) passes
 #: ``LOCAL_NONE``; a symbolic op whose result is value-identical to the
@@ -191,20 +165,16 @@ class _DeferredNode:
 LOCAL_NONE = object()
 LOCAL_ECHO = object()
 
-#: Interned single-op signature tuples: the unbatched deposit path runs
-#: once per rank per collective, so even the ``(kind,)`` allocation is
-#: worth hoisting.
-_SIG1: dict[str, tuple[str, ...]] = {}
-
 
 class _GroupChannel:
-    """Persistent fused-rendezvous state for one rank group.
+    """Persistent rendezvous state for one rank group.
 
     The channel outlives individual collectives: back-to-back same-group
-    calls reuse its lock and its generation table.  At most two
-    generations are ever live at once (a rank that completed generation
-    ``g`` may arrive for ``g + 1`` while a peer has not yet picked up its
-    ``g`` result), so the table stays tiny.
+    calls reuse its lock and its generation table.  A blocking engine
+    has at most two generations live at once (a rank that completed
+    generation ``g`` may arrive for ``g + 1`` while a peer has not yet
+    picked up its ``g`` result); a deferring one keeps every incomplete
+    generation its ranks have run past.
     """
 
     __slots__ = ("lock", "granks", "size", "gens")
@@ -213,7 +183,7 @@ class _GroupChannel:
         self.lock = lock
         self.granks = granks
         self.size = len(granks)
-        self.gens: dict[int, _FusedGen] = {}
+        self.gens: dict[int, _Gen] = {}
 
 
 class _Mailbox:
@@ -299,8 +269,9 @@ class RankContext:
         #: the compute model's price table, read directly by :meth:`compute`
         self._op_times = engine.compute_model.op_times
         #: per-group collective sequence counters (consistent across ranks
-        #: because every rank issues the same collectives in the same order)
-        self._group_seq: dict[tuple[int, ...], int] = {}
+        #: because every rank issues the same collectives in the same
+        #: order), keyed by the interned group, whose hash is cached
+        self._group_seq: dict[Any, int] = {}
         #: per-(src, dst, tag) p2p sequence counters
         self._p2p_seq: dict[tuple[int, int, Any], int] = {}
         plan = engine.fault_plan
@@ -343,10 +314,10 @@ class RankContext:
         #: something that cannot be replayed; cleared when the run ends
         self._recordings: dict[Any, tuple | None] = {}
         self._stash_pool: dict[tuple, tuple] = {}  #: see :meth:`_pooled`
-        #: deferred-timing state (event backend): the last deferred node
-        #: this rank picked up, how many of its nodes are unresolved, and
-        #: the event a force-sync is parked on (swept by ``_abort``)
-        self._prev_node: _DeferredNode | None = None
+        #: deferred-timing state: the last generation this rank deposited
+        #: into, how many of its generations are unresolved, and the event
+        #: a force-sync is parked on (swept by ``_abort``)
+        self._prev_gen: _Gen | None = None
         self._pending = 0
         self._sync_event: Any = None
 
@@ -356,7 +327,7 @@ class RankContext:
     def now(self) -> float:
         """Current simulated time of this rank."""
         self._tape = None  # a pass that reads the clock is not replayable
-        if self._prev_node is not None:
+        if self._prev_gen is not None:
             self.engine.sync_rank(self)
         return self.clock.now
 
@@ -526,11 +497,6 @@ class RankContext:
 
     # --- sequence numbers -------------------------------------------------------
 
-    def next_group_seq(self, granks: tuple[int, ...]) -> int:
-        seq = self._group_seq.get(granks, 0)
-        self._group_seq[granks] = seq + 1
-        return seq
-
     def next_p2p_seq(self, src: int, dst: int, tag: Any) -> int:
         key = (src, dst, tag)
         seq = self._p2p_seq.get(key, 0)
@@ -656,18 +622,19 @@ class Engine:
         self._shards = tuple(
             _Shard(self._sched.make_lock()) for _ in range(_N_SHARDS)
         )
-        self._channels: dict[tuple[int, ...], _GroupChannel] = {}
+        #: group -> its rendezvous channel
+        self._channels: dict[Any, _GroupChannel] = {}
         self._channels_lock = self._sched.make_lock()
         self._err_lock = self._sched.make_lock()
         self._error: BaseException | None = None
-        #: deferred collective timing: sound only when nothing observable
-        #: depends on mid-run wall order — symbolic data (results are
+        #: how collectives complete (see :meth:`fused_collective`).
+        #: Deferring is sound only when nothing observable depends on
+        #: mid-run wall order — symbolic data (results are
         #: shape-functions), no fault plan (crash times compare against
         #: live clocks), tracing off (events embed times at record time),
-        #: and a backend whose one-runner invariant makes the node
-        #: bookkeeping below lock-free.  Everything else takes the
-        #: blocking path, which is what keeps the event backend
-        #: bit-identical over the fuzzer corpus.
+        #: and a backend whose one-runner invariant makes the DAG
+        #: bookkeeping lock-free.  Everything else blocks, which is what
+        #: keeps the event backend bit-identical over the fuzzer corpus.
         self._deferred = (
             mode == "symbolic"
             and fault_plan is None
@@ -675,10 +642,7 @@ class Engine:
             and self.nranks > 1
             and getattr(self._sched, "supports_deferred_sync", False)
         )
-        #: (granks, gen) -> incomplete deferred node (deadlock naming
-        #: scans this; completed nodes leave it immediately)
-        self._dpending: dict[tuple[tuple[int, ...], int], _DeferredNode] = {}
-        self._node_seq = 0
+        self._gen_seq = 0  #: generations created this run
         #: global rank -> root-cause failure, for ranks that can no longer
         #: communicate (crashed, or cascaded out by a partner's crash)
         self._dead: dict[int, RankFailureError] = {}
@@ -733,8 +697,7 @@ class Engine:
         self._dead = {}
         self._crashed = set()
         self._fired_nodes = set()
-        self._dpending = {}
-        self._node_seq = 0
+        self._gen_seq = 0
         self.closed = False
         self.contexts = [RankContext(self, r) for r in range(self.nranks)]
         results: list[Any] = [None] * self.nranks
@@ -802,13 +765,10 @@ class Engine:
             channels = list(self._channels.values())
         for ch in channels:
             with ch.lock:
-                for fg in ch.gens.values():
-                    fg.event.set()
-        # Deferred-timing waiters (event backend): ranks parked for a
-        # non-local result or inside a force-sync.
-        for node in self._dpending.values():
-            for evt in node.waiters.values():
-                evt.set()
+                for g in ch.gens.values():
+                    if g.event is not None:
+                        g.event.set()
+        # Ranks parked inside a deferred force-sync.
         for ctx in self.contexts:
             evt = ctx._sync_event
             if evt is not None:
@@ -854,6 +814,16 @@ class Engine:
         self._mark_dead(rank, cause)
         return cause.clone()
 
+    def fired(self) -> tuple[set[int], set[int]]:
+        """What the last run's fault plan actually did: the ranks whose
+        own scheduled crash fired, and the nodes whose
+        :class:`~repro.sim.faults.NodeCrash` fired.
+
+        Ranks that died only because a partner did (a cascade) are not
+        in it, so a restart strips exactly these crashes from its plan.
+        """
+        return set(self._crashed), set(self._fired_nodes)
+
     def lost_ranks(self) -> set[int]:
         """Ranks lost to *fired* scheduled crashes, expanded to whole nodes.
 
@@ -864,8 +834,8 @@ class Engine:
         own are *not* included: that hardware is healthy and available to
         the next restart attempt.
         """
-        lost = set(self._crashed)
-        for node in self._fired_nodes:
+        lost, nodes = self.fired()
+        for node in nodes:
             lost.update(self.topology.node_ranks(node))
         return lost
 
@@ -898,11 +868,12 @@ class Engine:
             ]
         for ch in channels:
             with ch.lock:
-                for fg in ch.gens.values():
-                    if (not fg.done and fg.failed is None
-                            and rank not in fg.arrivals):
-                        fg.failed = cause
-                        fg.event.set()
+                for g in ch.gens.values():
+                    if (not g.done and g.failed is None
+                            and rank not in g.arrivals):
+                        g.failed = cause
+                        if g.event is not None:
+                            g.event.set()
 
     def _fail_rank(self, rank: int, cause: RankFailureError) -> RankFailureError:
         """Cascade: ``rank`` can never finish this op, so it dies too.
@@ -947,10 +918,10 @@ class Engine:
         """Release all rendezvous/trace state (engine-cache eviction).
 
         The engine stays usable — :meth:`run` rebuilds everything — but a
-        shut-down engine holds no payload references (mailboxes, channel
-        generations, or the deferred nodes an aborted run leaves behind),
-        no trace events and no live rendezvous, so evicting it from a
-        cache actually frees memory.
+        shut-down engine holds no payload references (mailboxes, or the
+        channel generations an aborted run leaves behind), no trace
+        events and no live rendezvous, so evicting it from a cache
+        actually frees memory.
         """
         for shard in self._shards:
             with shard.lock:
@@ -958,7 +929,6 @@ class Engine:
                 shard.recv_waiters.clear()
         with self._channels_lock:
             self._channels.clear()
-        self._dpending = {}
         self.trace.clear()
         self.contexts = []
         self._error = None
@@ -970,80 +940,104 @@ class Engine:
 
     # --- group-channel rendezvous ---------------------------------------------
 
-    def _channel(self, granks: tuple[int, ...]) -> _GroupChannel:
-        ch = self._channels.get(granks)
+    def _channel(self, group: Any) -> _GroupChannel:
+        ch = self._channels.get(group)
         if ch is None:
             with self._channels_lock:
-                ch = self._channels.get(granks)
+                ch = self._channels.get(group)
                 if ch is None:
-                    ch = _GroupChannel(granks, self._sched.make_lock())
-                    self._channels[granks] = ch
+                    ch = _GroupChannel(group.ranks, self._sched.make_lock())
+                    self._channels[group] = ch
         return ch
 
     def fused_collective(
         self,
-        granks: tuple[int, ...],
-        gen: int,
-        rank: int,
-        arrival: tuple[list[Any], float],
+        group: Any,
+        ctx: RankContext,
+        payloads: list[Any],
         sig: tuple[str, ...],
-        finisher: Callable[
-            [dict[int, Any]], tuple[dict[int, list[Any]], tuple[float, ...]]
+        complete: Callable[
+            [dict[int, Any]], tuple[dict[int, list[Any]], Sequence[float]]
         ],
+        local_fns: Sequence[Any],
     ) -> tuple[list[Any], tuple[float, ...]]:
-        """Join generation ``gen`` of group ``granks``'s fused channel.
+        """Join ``ctx``'s next generation of ``group``'s channel.
 
-        ``arrival`` is ``(per-op payload list, flush time)`` — a plain
-        collective passes a one-element list, a batch window passes one
-        entry per queued op.  ``sig`` is the tuple of op kinds; every rank
-        of the generation must pass an identical ``sig`` or the engine
-        aborts with :class:`CommError`.  ``finisher`` runs exactly once,
-        on the thread of the last arriver, with the full
-        ``{rank: arrival}`` map; it returns per-rank result lists and the
-        synchronized per-op completion times.
+        ``payloads`` holds one entry per op — a plain collective passes
+        one, a batch window one per queued op — and ``sig`` their kinds;
+        every member of the generation must pass an identical ``sig`` or
+        the engine aborts with :class:`CommError`.  ``complete`` runs
+        exactly once, on the last arriver, with the full ``{rank:
+        (payloads, arrival time)}`` map, and returns per-rank result
+        lists plus per-op cost offsets from the group's arrival.  Returns
+        this rank's results and the per-op completion times.
 
-        The channel persists across the group's whole lifetime (no
-        registry entry per call), the last arriver wakes the group with a
-        single event broadcast, and a batch amortizes one sleep/wake
-        cycle over all its ops.
+        A blocking engine completes at ``max(arrivals) + offset``: every
+        non-last rank parks on the generation's one event, and the last
+        arriver wakes them all.  A deferring engine (symbolic, untraced,
+        unfaulted, one-runner backend) leaves the rank at its provisional
+        arrival time and wires the generation into the resolution DAG
+        (see :meth:`_resolve`); a non-last rank takes its results from
+        ``local_fns`` (:meth:`_local_results`) and parks only when they
+        cannot answer.
+
+        The channel and the rank's generation counter are keyed by the
+        group object, whose value hash is cached, so a deposit costs
+        O(ops), not O(members).
         """
+        if ctx._crash_at is not None or self._dead:
+            ctx.check_faults()
         if self._error is not None:
             self._check_abort()
-        if self._dead:
-            cause = self._dead.get(rank)
-            if cause is not None:
-                raise cause.clone()
-        ch = self._channel(granks)
+        rank = ctx.rank
+        seqs = ctx._group_seq
+        gen = seqs.get(group, 0)
+        seqs[group] = gen + 1
+        ch = self._channels.get(group)
+        if ch is None:
+            ch = self._channel(group)
+        clock = ctx.clock
+        t = clock._now
+        deferred = self._deferred
         mismatch: CommError | None = None
-        failed: RankFailureError | None = None
         with ch.lock:
-            fg = ch.gens.get(gen)
-            if fg is None:
-                fg = _FusedGen(sig, self._sched.make_event())
-                ch.gens[gen] = fg
-            if fg.failed is not None:
-                failed = fg.failed
-            elif self._dead:
-                failed = self._dead_member(granks, fg.arrivals)
+            g = ch.gens.get(gen)
+            if g is None:
+                g = ch.gens[gen] = _Gen(ch.granks, gen, sig, self._gen_seq)
+                self._gen_seq += 1
+            failed = g.failed
+            if failed is None and self._dead:
+                failed = self._dead_member(ch.granks, g.arrivals)
                 if failed is not None:
-                    fg.failed = failed
-                    fg.event.set()
+                    g.failed = failed
+                    if g.event is not None:
+                        g.event.set()
             if failed is not None:
                 pass
-            elif fg.sig != sig:
+            elif g.sig != sig:
                 mismatch = CommError(
-                    f"collective mismatch in group {granks} (gen {gen}): "
+                    f"collective mismatch in group {ch.granks} (gen {gen}): "
                     f"rank {rank} called {self._sig_name(sig)!r} but the "
-                    f"group already started {self._sig_name(fg.sig)!r}"
+                    f"group already started {self._sig_name(g.sig)!r}"
                 )
-            elif rank in fg.arrivals:
+            elif rank in g.arrivals:
                 raise CommError(
-                    f"rank {rank} joined generation {gen} of group {granks} "
-                    f"twice (sequence counters out of sync?)"
+                    f"rank {rank} joined generation {gen} of group "
+                    f"{ch.granks} twice (sequence counters out of sync?)"
                 )
             else:
-                fg.arrivals[rank] = arrival
-                is_last = len(fg.arrivals) == ch.size
+                g.arrivals[rank] = (payloads, t)
+                if deferred:
+                    # the link carries the clock deltas logged since the
+                    # rank's previous deposit; a new epoch starts here
+                    g.links[rank] = (ctx._prev_gen, clock.begin_epoch())
+                    ctx._prev_gen = g
+                    ctx._pending += 1
+                is_last = len(g.arrivals) == ch.size
+                if not (is_last or deferred) and g.event is None:
+                    # made under the lock, so an abort or death sweep
+                    # that runs before this rank parks still finds it
+                    g.event = self._sched.make_event()
         if failed is not None:
             raise self._fail_rank(rank, failed)
         if mismatch is not None:
@@ -1051,56 +1045,90 @@ class Engine:
             raise mismatch
 
         if is_last:
-            # The generation is complete: no thread mutates fg anymore, so
-            # the finisher runs without holding the channel lock.
-            try:
-                fg.results, fg.t_ends = finisher(fg.arrivals)
-            except BaseException as exc:
-                self._abort(exc)
-                raise
-            fg.done = True
-            fg.event.set()  # one wakeup broadcast for the whole group
+            self._complete(ch, g, complete)
         else:
-            if self._error is not None:
-                # An abort may have swept the channels before our
-                # generation was inserted; don't sleep on a dead run.
-                fg.event.set()
-            self._sched.wait(
-                fg.event, self.op_timeout,
-                lambda: self._fire_fused_deadlock(granks, gen, fg),
-            )
-            if not fg.done:
-                if fg.failed is not None:
-                    raise self._fail_rank(rank, fg.failed)
-                self._check_abort()
-                # Backstop: the watchdog itself failed to fire.
-                err = self._fused_deadlock_error(granks, gen, fg)
-                if isinstance(err, RankFailureError):
-                    raise self._fail_rank(rank, err)
-                self._abort(err)
-                raise err
-
+            if deferred:
+                results = self._local_results(g, rank, local_fns)
+                if results is not None:
+                    return results, (t,) * len(sig)
+            self._park(ch, g, rank)
+        if deferred:
+            return g.results.pop(rank), (t,) * len(sig)
         with ch.lock:
-            result = fg.results.pop(rank, None)
-            t_ends = fg.t_ends
-            fg.arrivals.pop(rank, None)
+            results = g.results.pop(rank)
+            g.arrivals.pop(rank, None)
             # Last rank to pick up its results reclaims the generation.
-            if not fg.arrivals:
+            if not g.arrivals:
                 ch.gens.pop(gen, None)
-        return result if result is not None else [], t_ends
+        return results, g.t_ends
 
-    #: Name kept only because ``benchmarks/e2e/e2e_tracer.py`` wraps
-    #: ``Engine.collective``; the keyed rendezvous it once named is gone.
-    collective = fused_collective
+    #: Names kept only because ``benchmarks/e2e/e2e_tracer.py`` wraps them;
+    #: each is the one rendezvous above.
+    collective = fused_collective_deferred = fused_collective
+    collective_deferred_single = fused_collective
+
+    def _complete(self, ch: _GroupChannel, g: _Gen,
+                  complete: Callable[..., Any]) -> None:
+        """Last arriver: compute results and prices, time the generation
+        (now, or through the resolution DAG), wake any parked member."""
+        try:
+            g.results, offsets = complete(g.arrivals)
+        except BaseException as exc:
+            self._abort(exc)
+            raise
+        if self._deferred:
+            g.offsets = offsets
+            g.done = True
+            del ch.gens[g.gen]
+            inputs = {
+                id(prev): prev
+                for prev, _ in g.links.values()
+                if prev is not None and not prev.resolved
+            }
+            g.unresolved_inputs = len(inputs)
+            for prev in inputs.values():
+                prev.dependents.append(g)
+            if not g.unresolved_inputs:
+                self._resolve(g)
+        else:
+            t_arrive = max([t for _, t in g.arrivals.values()])
+            g.t_ends = tuple([t_arrive + off for off in offsets])
+            g.done = True
+        if g.event is not None:
+            g.event.set()  # one wakeup broadcast for the whole group
+
+    def _park(self, ch: _GroupChannel, g: _Gen, rank: int) -> None:
+        """Block until ``g`` completes; raise if it never can."""
+        if g.event is None:
+            g.event = self._sched.make_event()
+        if self._error is not None:
+            # An abort may have swept the channels before this generation
+            # existed; don't sleep on a dead run.
+            g.event.set()
+        if self._deferred:
+            fire = self._fire_stall
+        else:
+            def fire() -> None:
+                self._fire_deadlock(ch, g)
+        self._sched.wait(g.event, self.op_timeout, fire)
+        if not g.done:
+            if g.failed is not None:
+                raise self._fail_rank(rank, g.failed)
+            self._check_abort()
+            # Backstop: the deadline callback itself failed to fire.
+            err = self._deadlock_error(g)
+            if isinstance(err, RankFailureError):
+                raise self._fail_rank(rank, err)
+            self._abort(err)
+            raise err
 
     @staticmethod
     def _sig_name(sig: tuple[str, ...]) -> str:
         return sig[0] if len(sig) == 1 else f"fused[{', '.join(sig)}]"
 
-    def _fused_deadlock_error(
-        self, granks: tuple[int, ...], gen: int, fg: _FusedGen
-    ) -> SimulationError:
-        arrived = sorted(fg.arrivals)
+    def _deadlock_error(self, g: _Gen) -> SimulationError:
+        granks = g.granks
+        arrived = sorted(g.arrivals)
         missing = sorted(set(granks) - set(arrived))
         for r in missing:
             cause = self._dead.get(r)
@@ -1108,227 +1136,44 @@ class Engine:
                 # Not a deadlock: the missing partner is dead.
                 return cause.clone()
         return DeadlockError(
-            f"rendezvous {(granks, 'coll', gen)} ({self._sig_name(fg.sig)}) "
+            f"rendezvous {(granks, 'coll', g.gen)} ({self._sig_name(g.sig)}) "
             f"timed out after {self.op_timeout}s: {len(arrived)}/"
             f"{len(granks)} ranks arrived {arrived}; missing ranks {missing}"
         )
 
-    def _fire_fused_deadlock(
-        self, granks: tuple[int, ...], gen: int, fg: _FusedGen
-    ) -> None:
-        if fg.done or fg.failed is not None or self._error is not None:
+    def _fire_deadlock(self, ch: _GroupChannel, g: _Gen) -> None:
+        if g.done or g.failed is not None or self._error is not None:
             return
-        err = self._fused_deadlock_error(granks, gen, fg)
+        err = self._deadlock_error(g)
         if isinstance(err, RankFailureError):
-            ch = self._channel(granks)
             with ch.lock:
-                if fg.failed is None and not fg.done:
-                    fg.failed = err
-                    fg.event.set()
+                if g.failed is None and not g.done:
+                    g.failed = err
+                    g.event.set()
             return
         self._abort(err)
 
-    # --- deferred collective timing (event backend) ---------------------------
+    # --- deferred timing ------------------------------------------------------
     #
     # All state below is mutated without locks: deferral requires the
     # event backend, whose one-runner invariant makes every method here a
     # critical section by construction.
 
-    def fused_collective_deferred(
-        self,
-        group: Any,
-        gen: int,
-        rank: int,
-        arrival: tuple[list[Any], float],
-        sig: tuple[str, ...],
-        completer: Callable[
-            [dict[int, Any]], tuple[dict[int, list[Any]], tuple[float, ...]]
-        ],
-        local_fns: Sequence[Callable[[int, dict[int, Any]],
-                                     tuple[bool, Any]] | None],
-    ) -> tuple[list[Any], tuple[float, ...]]:
-        """Deposit into generation ``gen`` of ``granks`` without blocking
-        on the completion *time*.
-
-        The deferred twin of :meth:`fused_collective`: ``completer`` runs
-        exactly once on the last arriver with the full arrival map and
-        returns per-rank result lists plus per-op cost *offsets* (not
-        absolute times — the group arrival time is not known yet).  A
-        non-last rank takes a locally computed result when every op's
-        ``local_fns`` entry can produce one from the arrivals so far
-        (shapes mostly can), and only otherwise parks until completion.
-        Either way the rank's clock stays at its own arrival time and a
-        new deferred epoch starts; true times materialize later in
-        :meth:`_resolve_deferred` / :meth:`sync_rank`.
-
-        ``group`` is the communicator's :class:`ProcessGroup`; deferred
-        state is keyed by the group object (cached value hash) — see
-        :meth:`collective_deferred_single`.
-        """
-        if self._error is not None:
-            self._check_abort()
-        granks = group.ranks
-        key = (group, gen)
-        node = self._dpending.get(key)
-        if node is None:
-            node = _DeferredNode(granks, gen, sig, self._node_seq)
-            self._node_seq += 1
-            self._dpending[key] = node
-        if node.sig != sig:
-            mismatch = CommError(
-                f"collective mismatch in group {granks} (gen {gen}): "
-                f"rank {rank} called {self._sig_name(sig)!r} but the "
-                f"group already started {self._sig_name(node.sig)!r}"
-            )
-            self._abort(mismatch)
-            raise mismatch
-        if rank in node.arrivals:
-            raise CommError(
-                f"rank {rank} joined generation {gen} of group {granks} "
-                f"twice (sequence counters out of sync?)"
-            )
-        ctx = self.contexts[rank]
-        prev = ctx._prev_node
-        # Pickup happens at deposit: the link captures the clock deltas
-        # logged since the previous node's pickup, the new epoch bases
-        # this rank's provisional time on the current node.
-        node.links[rank] = (prev, ctx.clock.begin_epoch())
-        node.arrivals[rank] = arrival
-        ctx._prev_node = node
-        ctx._pending += 1
-        if len(node.arrivals) == node.size:
-            self._complete_deferred(key, node, completer)
-            results = node.results.pop(rank)
-        else:
-            results = self._local_results(node, rank, local_fns)
-            if results is None:
-                evt = self._sched.make_event()
-                node.waiters[rank] = evt
-                self._sched.wait(
-                    evt, self.op_timeout, self._fire_deferred_deadlock
-                )
-                if not node.done:
-                    self._check_abort()
-                    # Backstop (mirrors fused_collective): nothing fired.
-                    err = self._fused_deadlock_error(granks, gen, node)
-                    self._abort(err)
-                    raise err
-                results = node.results.pop(rank)
-        # Provisional completion: the rank resumes at its own arrival
-        # time; the communicator's sync_to of this is a no-op.
-        return results, (arrival[1],) * len(sig)
-
-    def collective_deferred_single(
-        self,
-        group: Any,
-        ctx: RankContext,
-        payload: Any,
-        kind: str,
-        finisher_data: Callable[[dict[int, Any]], dict[int, Any]],
-        cost_fn: Callable[[], float],
-        local: Any,
-    ) -> Any:
-        """Unbatched deferred deposit, specialized for the per-op hot path.
-
-        Semantically :meth:`fused_collective_deferred` with a one-op
-        signature, but shaped for throughput: the per-rank deposit builds
-        *no closures and no op object* — ``finisher_data``/``cost_fn``
-        are carried raw and wrapped into a completer only by the last
-        arriver, so each collective is priced exactly once and the offset
-        is broadcast to every member when the node resolves.  The group
-        generation counter and arrival clock are read inline here rather
-        than through their accessors.  ``local`` is a
-        :data:`LOCAL_NONE`/:data:`LOCAL_ECHO` sentinel, a
-        ``(op_index, arrivals) -> (ok, value)`` callable, or ``None``.
-
-        ``group`` is the communicator's :class:`ProcessGroup` — deferred
-        state (generation counters, pending nodes) is keyed by the group
-        *object*, whose value hash is cached, rather than by the rank
-        tuple, whose hash is O(members) and would make every deposit's
-        bookkeeping linear in group size.  Nodes keep the fused arrival
-        shape (``([payload], t)``), so a rank entering a mismatching
-        *fused* window on the same generation still gets the
-        byte-identical mismatch error.
-        """
-        if self._error is not None:
-            self._check_abort()
-        rank = ctx.rank
-        granks = group.ranks
-        group_seq = ctx._group_seq
-        gen = group_seq.get(group, 0)
-        group_seq[group] = gen + 1
-        sig = _SIG1.get(kind)
-        if sig is None:
-            sig = _SIG1[kind] = (kind,)
-        key = (group, gen)
-        node = self._dpending.get(key)
-        if node is None:
-            node = _DeferredNode(granks, gen, sig, self._node_seq)
-            self._node_seq += 1
-            self._dpending[key] = node
-        elif node.sig != sig:
-            mismatch = CommError(
-                f"collective mismatch in group {granks} (gen {gen}): "
-                f"rank {rank} called {self._sig_name(sig)!r} but the "
-                f"group already started {self._sig_name(node.sig)!r}"
-            )
-            self._abort(mismatch)
-            raise mismatch
-        arrivals = node.arrivals
-        if rank in arrivals:
-            raise CommError(
-                f"rank {rank} joined generation {gen} of group {granks} "
-                f"twice (sequence counters out of sync?)"
-            )
-        node.links[rank] = (ctx._prev_node, ctx.clock.begin_epoch())
-        arrivals[rank] = ([payload], ctx.clock._now)
-        ctx._prev_node = node
-        ctx._pending += 1
-        if len(arrivals) == node.size:
-            def completer(arrivals: dict[int, Any]):
-                ordered = {g: arrivals[g][0][0] for g in granks}
-                per_rank = finisher_data(ordered)
-                return {g: [per_rank[g]] for g in granks}, (cost_fn(),)
-
-            self._complete_deferred(key, node, completer)
-            return node.results.pop(rank)[0]
-        if local is LOCAL_NONE:
-            return None
-        if local is LOCAL_ECHO:
-            return payload
-        if local is not None:
-            ok, val = local(0, arrivals)
-            if ok:
-                return val
-        evt = self._sched.make_event()
-        node.waiters[rank] = evt
-        self._sched.wait(evt, self.op_timeout, self._fire_deferred_deadlock)
-        if not node.done:
-            self._check_abort()
-            # Backstop (mirrors fused_collective): nothing fired.
-            err = self._fused_deadlock_error(granks, gen, node)
-            self._abort(err)
-            raise err
-        return node.results.pop(rank)[0]
-
     def _local_results(
-        self,
-        node: _DeferredNode,
-        rank: int,
-        local_fns: Sequence[Callable[[int, dict[int, Any]],
-                                     tuple[bool, Any]] | None],
+        self, g: _Gen, rank: int, local_fns: Sequence[Any]
     ) -> list[Any] | None:
         """Per-op results computable from the arrivals so far, else None.
 
-        Entries are :data:`LOCAL_NONE`/:data:`LOCAL_ECHO` sentinels or
-        callables.  A callable receives its op index and the raw arrival
-        map ``{grank: (payloads, t)}`` *by reference* — a fn that only
-        needs this rank's own payload (the symbolic-reduce shape rule)
-        must not pay for a copy of everyone else's; keeping deposits
-        O(ops) is what makes the deferred sweep linear in group size.
+        Entries are :data:`LOCAL_NONE`/:data:`LOCAL_ECHO` sentinels,
+        ``None`` (not computable early) or callables.  A callable receives
+        its op index and the raw arrival map ``{grank: (payloads, t)}``
+        *by reference* — a fn that only needs this rank's own payload (the
+        symbolic-reduce shape rule) must not pay for a copy of everyone
+        else's; keeping deposits O(ops) is what makes the deferred sweep
+        linear in group size.
         """
         vals: list[Any] = []
-        arrivals = node.arrivals
+        arrivals = g.arrivals
         own: list[Any] | None = None
         for k, fn in enumerate(local_fns):
             if fn is None:
@@ -1347,48 +1192,17 @@ class Engine:
             vals.append(val)
         return vals
 
-    def _complete_deferred(
-        self,
-        key: tuple[tuple[int, ...], int],
-        node: _DeferredNode,
-        completer: Callable[
-            [dict[int, Any]], tuple[dict[int, list[Any]], tuple[float, ...]]
-        ],
-    ) -> None:
-        """Last arriver's path: run the completer, wire the node into the
-        resolution DAG, wake parked members."""
-        try:
-            node.results, node.offsets = completer(node.arrivals)
-        except BaseException as exc:
-            self._abort(exc)
-            raise
-        node.done = True
-        del self._dpending[key]
-        inputs = {
-            id(prev): prev
-            for prev, _ in node.links.values()
-            if prev is not None and not prev.resolved
-        }
-        node.unresolved_inputs = len(inputs)
-        for prev in inputs.values():
-            prev.dependents.append(node)
-        if not node.unresolved_inputs:
-            self._resolve_deferred(node)
-        waiters = node.waiters
-        node.waiters = {}
-        for evt in waiters.values():
-            evt.set()
-
-    def _resolve_deferred(self, node: _DeferredNode) -> None:
-        """Compute true completion times for ``node`` and every dependent
+    def _resolve(self, g: _Gen) -> None:
+        """Compute true completion times for ``g`` and every dependent
         that becomes resolvable (iterative worklist, no recursion).
 
-        The arithmetic is the blocking finisher's, performed late: each
-        member's true arrival is its previous node's last completion time
-        folded left-to-right with the member's logged clock deltas; the
-        group arrival is the max; per-op completion is arrival + offset.
+        The arithmetic is the blocking completion's, performed late: each
+        member's true arrival is its previous generation's last
+        completion time folded left-to-right with the member's logged
+        clock deltas; the group arrival is the max; per-op completion is
+        arrival + offset.
         """
-        stack = [node]
+        stack = [g]
         while stack:
             n = stack.pop()
             t_arrive = 0.0
@@ -1423,54 +1237,56 @@ class Engine:
 
         No-op unless the rank has an open deferred epoch.  Called before
         anything that observes real time: ``ctx.now``, p2p send/receive
-        and the end-of-run finalization.  If the
-        rank's pending nodes cannot resolve yet the rank parks; a drained
-        run queue then names the earliest incomplete node, exactly like a
-        blocked collective would.
+        and the end-of-run finalization.  If the rank's pending
+        generations cannot resolve yet the rank parks; a drained run
+        queue then names the earliest incomplete generation, exactly like
+        a blocked collective would.
         """
-        if ctx._prev_node is None:
+        if ctx._prev_gen is None:
             return
         while ctx._pending:
             if self._error is not None:
                 self._check_abort()
             evt = self._sched.make_event()
             ctx._sync_event = evt
-            self._sched.wait(
-                evt, self.op_timeout, self._fire_deferred_deadlock
-            )
+            self._sched.wait(evt, self.op_timeout, self._fire_stall)
             ctx._sync_event = None
             if ctx._pending:
                 self._check_abort()
-                err = self._deferred_deadlock_error()
+                err = self._stall_error()
                 self._abort(err)
                 raise err
-        node = ctx._prev_node
-        ctx._prev_node = None
-        ctx.clock.end_epoch(node.t_ends[-1])
+        g = ctx._prev_gen
+        ctx._prev_gen = None
+        ctx.clock.end_epoch(g.t_ends[-1])
 
-    def _deferred_deadlock_error(self) -> SimulationError:
-        """The earliest incomplete node explains a deferred stall."""
-        node = min(self._dpending.values(), key=lambda n: n.seq)
-        return self._fused_deadlock_error(node.granks, node.gen, node)
+    def _stall_error(self) -> SimulationError | None:
+        """A deferred stall is explained by the earliest incomplete
+        generation in the channel table (None when there is none)."""
+        pending = [g for ch in self._channels.values()
+                   for g in ch.gens.values() if not g.done]
+        if not pending:
+            return None
+        return self._deadlock_error(min(pending, key=lambda g: g.seq))
 
-    def _fire_deferred_deadlock(self) -> None:
-        if self._error is not None or not self._dpending:
-            return
-        self._abort(self._deferred_deadlock_error())
+    def _fire_stall(self) -> None:
+        if self._error is None:
+            err = self._stall_error()
+            if err is not None:
+                self._abort(err)
 
     def _finalize_deferred(self) -> None:
-        """End-of-run pass: flag leftover incomplete nodes as the deadlock
-        they are, then land every rank's clock on true time."""
-        if self._error is None and self._dpending:
-            # Every rank returned, yet a collective never completed — the
-            # blocking backends would have parked its members forever.
-            self._abort(self._deferred_deadlock_error())
+        """End-of-run pass: flag leftover incomplete generations as the
+        deadlock they are (every rank returned, yet a collective never
+        completed — a blocking engine would have parked its members
+        forever), then land every rank's clock on true time."""
+        self._fire_stall()
         if self._error is None:
             for ctx in self.contexts:
-                if ctx._prev_node is not None:
-                    node = ctx._prev_node
-                    ctx._prev_node = None
-                    ctx.clock.end_epoch(node.t_ends[-1])
+                g = ctx._prev_gen
+                if g is not None:
+                    ctx._prev_gen = None
+                    ctx.clock.end_epoch(g.t_ends[-1])
 
     # --- buffered p2p ---------------------------------------------------------------
 

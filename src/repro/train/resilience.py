@@ -929,7 +929,7 @@ def train_resilient(
                     # Availability node ids refer to the launch-0
                     # topology; a fired node with a scheduled repair is
                     # only down until its NodeRepair time.
-                    for node in sorted(getattr(engine, "_fired_nodes", ())):
+                    for node in sorted(engine.fired()[1]):
                         if (sched.repair_time(node) is not None
                                 and node not in lost_nodes):
                             cnt = len(engine.topology.node_ranks(node))

@@ -226,8 +226,9 @@ class TestPoisonedEngineEviction:
         assert len(out) == 1
 
     def test_evicted_engine_holds_no_deferred_nodes(self, monkeypatch):
-        """An abort mid-sweep strands deposited-but-incomplete deferred
-        nodes (and the payloads they hold); eviction must drop them."""
+        """An abort mid-sweep strands deposited-but-incomplete rendezvous
+        generations (and the payloads they hold) in the engine's channel
+        table; eviction must drop them."""
         from repro.comm.communicator import Communicator
 
         def deposit_then_explode(row, batch, seq_len, num_layers):
@@ -243,8 +244,12 @@ class TestPoisonedEngineEviction:
         stranded = []
         real_shutdown = poisoned.shutdown
 
+        def incomplete():
+            return sum(not gen.done for ch in poisoned._channels.values()
+                       for gen in ch.gens.values())
+
         def recording_shutdown():
-            stranded.append(len(poisoned._dpending))
+            stranded.append(incomplete())
             real_shutdown()
 
         monkeypatch.setattr(poisoned, "shutdown", recording_shutdown)
@@ -254,7 +259,7 @@ class TestPoisonedEngineEviction:
                              collect_comm=False)
         assert stranded == [1]  # rank 0 deposited, then aborted the run
         assert poisoned.closed
-        assert not poisoned._dpending
+        assert incomplete() == 0
 
     def test_clear_cache_survives_raising_shutdown(self, monkeypatch):
         engine = engine_for_row(_mrow(2), cache=True)

@@ -75,15 +75,46 @@ def _crash_plan(seed: int, makespan: float) -> FaultPlan:
     return FaultPlan(seed=seed, crashes=crashes)
 
 
+#: (arm, crash seed, backend) -> report, computed once per module run:
+#: the completion tests read it, the determinism tests compare one fresh
+#: run per backend against it
+_REPORTS: dict = {}
+
+
+def _crash_run(serve, makespan, seed, backend, monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
+    plan = _crash_plan(seed, makespan)
+    return serve(fault_plan=plan, max_restarts=len(plan.crashes),
+                 **MODE_KWARGS)
+
+
+def _crash_report(serve, makespan, seed, backend, monkeypatch):
+    key = (serve.__name__, seed, backend)
+    if key not in _REPORTS:
+        _REPORTS[key] = _crash_run(serve, makespan, seed, backend,
+                                   monkeypatch)
+    return _REPORTS[key]
+
+
+def _reruns_agree(serve, makespan, seed, monkeypatch):
+    """Two runs per backend (the cached one and a fresh one), all equal."""
+    reports = []
+    for backend in available_backends():
+        reports.append(_crash_report(serve, makespan, seed, backend,
+                                     monkeypatch))
+        reports.append(_crash_run(serve, makespan, seed, backend,
+                                  monkeypatch))
+    return all(r == reports[0] for r in reports[1:])
+
+
 class TestServeCrashRecovery:
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_recovers_and_completes(self, baseline, seed, backend,
                                     monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
         plan = _crash_plan(seed, baseline["makespan_s"])
-        rep = _serve(fault_plan=plan, max_restarts=len(plan.crashes),
-                     **MODE_KWARGS)
+        rep = _crash_report(_serve, baseline["makespan_s"], seed, backend,
+                            monkeypatch)
         assert rep["completed"] == WORKLOAD.num_requests
         # A restart absorbs every crash that fired before the abort
         # propagated, so a two-crash plan may cost one recovery or two.
@@ -94,23 +125,27 @@ class TestServeCrashRecovery:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_recovery_is_deterministic_across_backends(self, baseline,
                                                        seed, monkeypatch):
-        plan = _crash_plan(seed, baseline["makespan_s"])
-        reports = {}
-        for backend in available_backends():
-            monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-            reports[backend] = [
-                _serve(fault_plan=plan, max_restarts=len(plan.crashes),
-                       **MODE_KWARGS)
-                for _ in range(2)
-            ]
-        flat = [r for pair in reports.values() for r in pair]
-        assert all(r == flat[0] for r in flat[1:]), (
+        assert _reruns_agree(_serve, baseline["makespan_s"], seed,
+                             monkeypatch), (
             "crash-recovery report varies across runs or backends"
         )
 
     def test_no_plan_report_is_unchanged(self, baseline):
         assert "recoveries" not in baseline
         assert baseline == _serve(**MODE_KWARGS)
+
+    def test_a_cascaded_death_keeps_its_own_crash(self, baseline):
+        """The first crash kills every rank (the others cascade), but only
+        the crash that fired leaves the plan: the second one still fires
+        on the restart and costs a recovery of its own."""
+        t = baseline["makespan_s"]
+        plan = FaultPlan(crashes=(RankCrash(0, 0.2 * t),
+                                  RankCrash(1, 0.6 * t)))
+        rep = _serve(fault_plan=plan, max_restarts=2, **MODE_KWARGS)
+        assert rep["recoveries"] == 2
+        assert rep["completed"] == WORKLOAD.num_requests
+        with pytest.raises(RankFailureError):
+            _serve(fault_plan=plan, max_restarts=1, **MODE_KWARGS)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_restart_budget_exhaustion_reraises(self, baseline, backend,
@@ -197,10 +232,9 @@ class TestPagedServeCrashRecovery:
     @pytest.mark.parametrize("seed", range(4))
     def test_recovers_and_completes(self, paged_baseline, seed, backend,
                                     monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
         plan = _crash_plan(seed, paged_baseline["makespan_s"])
-        rep = _serve_paged(fault_plan=plan, max_restarts=len(plan.crashes),
-                           **MODE_KWARGS)
+        rep = _crash_report(_serve_paged, paged_baseline["makespan_s"], seed,
+                            backend, monkeypatch)
         assert rep["completed"] == PAGED_WORKLOAD.num_requests
         assert 1 <= rep["recoveries"] <= len(plan.crashes)
         assert rep["makespan_s"] >= max(c.at for c in plan.crashes)
@@ -212,16 +246,8 @@ class TestPagedServeCrashRecovery:
     @pytest.mark.parametrize("seed", range(2))
     def test_recovery_is_deterministic_across_backends(self, paged_baseline,
                                                        seed, monkeypatch):
-        plan = _crash_plan(seed, paged_baseline["makespan_s"])
-        reports = []
-        for backend in available_backends():
-            monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-            reports.extend(
-                _serve_paged(fault_plan=plan,
-                             max_restarts=len(plan.crashes), **MODE_KWARGS)
-                for _ in range(2)
-            )
-        assert all(r == reports[0] for r in reports[1:]), (
+        assert _reruns_agree(_serve_paged, paged_baseline["makespan_s"],
+                             seed, monkeypatch), (
             "paged crash-recovery report varies across runs or backends"
         )
 

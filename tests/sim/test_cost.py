@@ -247,3 +247,41 @@ class TestEffectiveBandwidth:
         link = topo16.cluster.inter_link
         t = model.p2p(0, 4, 1e9)
         assert t == pytest.approx(link.latency + 1e9 / (25e9 * 0.5))
+
+
+class TestFusedSingleOpIdentity:
+    """Every collective is priced through :meth:`CommCostModel.fused`, so a
+    one-op sequence must price exactly as the kind's own method, whether
+    the memo misses or hits, under every pricing family, with NIC
+    contention on or off, and after a link fault bumps the topology
+    version the memo keys on."""
+
+    KINDS = ("broadcast", "reduce", "all_reduce", "all_gather",
+             "reduce_scatter", "scatter", "gather", "all_to_all", "barrier")
+    SIZES = (0, 1, 4096, 3 * 2**20 + 7, 12345.5)
+    GROUPS = ((0, 1), tuple(ONE_NODE), tuple(TWO_NODES), tuple(FOUR_NODES),
+              (3, 4, 5, 9, 14), tuple(range(16)))
+
+    def _own(self, cost, kind, ranks, n):
+        if kind == "barrier":
+            return cost.barrier(ranks)  # a barrier carries no payload
+        return getattr(cost, kind)(ranks, n)
+
+    def _check(self, cost):
+        for ranks in self.GROUPS:
+            for kind in self.KINDS:
+                for n in self.SIZES:
+                    want = self._own(cost, kind, ranks, n)
+                    for _ in range(2):  # a memo miss, then a hit
+                        got = cost.fused(ranks, [(kind, n)])
+                        assert got == [want], (kind, ranks, n)
+                        assert got[0].hex() == float(want).hex()
+
+    @pytest.mark.parametrize("alg", list(CollectiveAlg))
+    @pytest.mark.parametrize("nic", [0.0, 0.5])
+    def test_one_op_fused_equals_own_method(self, topo16, alg, nic):
+        cost = CommCostModel(topo16, alg=alg, nic_contention=nic)
+        self._check(cost)
+        topo16.degrade_link(0, 4, 3.0)
+        topo16.degrade_link(1, 2, 1.5)
+        self._check(cost)

@@ -8,11 +8,13 @@ every collective kind (all of which now travel through the fused
 group-channel path), the fused batch window, and the p2p receive path.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
-from repro.errors import DeadlockError
+from repro.errors import CommError, DeadlockError
 from repro.sim.engine import Engine
 from repro.sim.schedulers import available_backends
 from repro.varray.varray import VArray
@@ -37,19 +39,33 @@ def _chunks(rank):
     return [_arr(rank + j) for j in range(NRANKS)]
 
 
-_ISSUERS = {
-    "barrier": lambda comm, r: comm.barrier(),
-    "all_reduce": lambda comm, r: comm.all_reduce(_arr(r)),
-    "broadcast": lambda comm, r: comm.broadcast(
-        _arr(r) if comm.rank == 0 else None, root=0),
-    "reduce": lambda comm, r: comm.reduce(_arr(r), root=0),
-    "all_gather": lambda comm, r: comm.all_gather(_arr(r)),
-    "reduce_scatter": lambda comm, r: comm.reduce_scatter(_chunks(r)),
-    "scatter": lambda comm, r: comm.scatter(
-        _chunks(r) if comm.rank == 0 else None, root=0),
-    "gather": lambda comm, r: comm.gather(_arr(r), root=0),
-    "all_to_all": lambda comm, r: comm.all_to_all(_chunks(r)),
-}
+def _sym_arr(rank):
+    return VArray.symbolic((4,), np.float32)
+
+
+def _sym_chunks(rank):
+    return [_sym_arr(rank) for _ in range(NRANKS)]
+
+
+def _issuers(arr, chunks):
+    """One issuing function per collective kind, over payload factories."""
+    return {
+        "barrier": lambda comm, r: comm.barrier(),
+        "all_reduce": lambda comm, r: comm.all_reduce(arr(r)),
+        "broadcast": lambda comm, r: comm.broadcast(
+            arr(r) if comm.rank == 0 else None, root=0),
+        "reduce": lambda comm, r: comm.reduce(arr(r), root=0),
+        "all_gather": lambda comm, r: comm.all_gather(arr(r)),
+        "reduce_scatter": lambda comm, r: comm.reduce_scatter(chunks(r)),
+        "scatter": lambda comm, r: comm.scatter(
+            chunks(r) if comm.rank == 0 else None, root=0),
+        "gather": lambda comm, r: comm.gather(arr(r), root=0),
+        "all_to_all": lambda comm, r: comm.all_to_all(chunks(r)),
+    }
+
+
+_ISSUERS = _issuers(_arr, _chunks)
+_SYM_ISSUERS = _issuers(_sym_arr, _sym_chunks)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -156,3 +172,79 @@ def test_deadlock_message_is_byte_identical_across_backends():
             engine.run(prog)
         messages[backend] = str(exc.value)
     assert len(set(messages.values())) == 1, messages
+
+
+# --- deferred arm ---------------------------------------------------------------
+#
+# A symbolic, untraced engine on the ``event`` backend defers collective
+# timing: ranks deposit and run on, and a stall is named when a rank
+# parks, force-syncs or the run ends.  The same programs on ``threaded``
+# block at every rendezvous.  The error each raises must be the same
+# class with the same text.
+
+
+def _deferred_vs_threaded(prog, expected=DeadlockError, timeout=TIMEOUT):
+    errors = {}
+    for backend in ("threaded", "event"):
+        engine = Engine(nranks=NRANKS, mode="symbolic", trace=False,
+                        op_timeout=timeout, backend=backend)
+        assert engine._deferred == (backend == "event")
+        with pytest.raises(expected) as exc:
+            engine.run(prog)
+        errors[backend] = (type(exc.value), str(exc.value))
+        engine.shutdown()
+    assert errors["event"] == errors["threaded"]
+    return errors["event"][1]
+
+
+@pytest.mark.parametrize("kind", sorted(_SYM_ISSUERS))
+def test_deferred_collective_deadlock_matches_threaded(kind):
+    def prog(ctx):
+        if ctx.rank in MISSING:
+            return "skipped"
+        _SYM_ISSUERS[kind](Communicator(ctx, GROUP), ctx.rank)
+
+    message = _deferred_vs_threaded(prog)
+    assert kind in message
+    assert "2/4 ranks arrived [0, 2]; missing ranks [1, 3]" in message
+
+
+def test_deferred_batch_window_deadlock_matches_threaded():
+    def prog(ctx):
+        if ctx.rank in MISSING:
+            return "skipped"
+        comm = Communicator(ctx, GROUP)
+        with comm.batch():
+            comm.all_reduce(_sym_arr(ctx.rank))
+            comm.gather(_sym_arr(ctx.rank), root=0)
+
+    message = _deferred_vs_threaded(prog)
+    assert "fused[" in message and "missing ranks [1, 3]" in message
+
+
+def _arrivals(engine):
+    """Ranks deposited into the engine's open rendezvous generations."""
+    return sum(len(gen.arrivals) for ch in list(engine._channels.values())
+               for gen in list(ch.gens.values()))
+
+
+def test_deferred_window_mismatch_matches_threaded():
+    """Rank 2 queues a different window.  It is held back until the other
+    three ranks have deposited, so the ``threaded`` message is reported
+    from the same arrival order the event backend runs in (the long
+    timeout keeps the watchdog quiet while it waits)."""
+
+    def prog(ctx):
+        comm = Communicator(ctx, GROUP)
+        if ctx.rank == 2 and ctx.engine.backend == "threaded":
+            while _arrivals(ctx.engine) < NRANKS - 1:
+                time.sleep(0.001)
+        with comm.batch():
+            comm.all_reduce(_sym_arr(ctx.rank))
+            if ctx.rank == 2:
+                comm.barrier()
+            else:
+                comm.all_reduce(_sym_arr(ctx.rank))
+
+    message = _deferred_vs_threaded(prog, expected=CommError, timeout=60.0)
+    assert "rank 2 called 'fused[all_reduce[op=sum], barrier]'" in message

@@ -182,14 +182,19 @@ def _expected_volume(schedule: list[dict], nranks: int) -> dict[int, float]:
 # --------------------------------------------------------------------------
 
 
-def _payload(spec: dict, rank: int) -> VArray:
+def _payload(spec: dict, rank: int, symbolic: bool = False) -> VArray:
     dtype = np.dtype(spec.get("dtype", "float32"))
+    if symbolic:
+        return VArray.symbolic((spec["nelem"],), dtype)
     data = np.full(spec["nelem"], 0.25 * (rank + 1), dtype=dtype)
     return VArray.from_numpy(data)
 
 
-def _chunks(spec: dict, rank: int, g: int) -> list[VArray]:
+def _chunks(spec: dict, rank: int, g: int,
+            symbolic: bool = False) -> list[VArray]:
     dtype = np.dtype(spec.get("dtype", "float32"))
+    if symbolic:
+        return [VArray.symbolic((spec["nelem"],), dtype) for _ in range(g)]
     return [
         VArray.from_numpy(
             np.full(spec["nelem"], 0.5 * (rank + 1) + j, dtype=dtype)
@@ -198,29 +203,29 @@ def _chunks(spec: dict, rank: int, g: int) -> list[VArray]:
     ]
 
 
-def _issue(comm: Communicator, spec: dict, rank: int):
+def _issue(comm: Communicator, spec: dict, rank: int, symbolic: bool = False):
     """Issue one collective; works identically inside a batch window."""
     kind, g, root = spec["kind"], len(spec["granks"]), spec["root"]
+    arr = _payload(spec, rank, symbolic)
     if kind == "barrier":
         return comm.barrier()
     if kind == "all_reduce":
-        return comm.all_reduce(_payload(spec, rank))
+        return comm.all_reduce(arr)
     if kind == "broadcast":
-        arr = _payload(spec, rank) if comm.rank == root else None
-        return comm.broadcast(arr, root=root)
+        return comm.broadcast(arr if comm.rank == root else None, root=root)
     if kind == "reduce":
-        return comm.reduce(_payload(spec, rank), root=root)
+        return comm.reduce(arr, root=root)
     if kind == "all_gather":
-        return comm.all_gather(_payload(spec, rank))
+        return comm.all_gather(arr)
     if kind == "reduce_scatter":
-        return comm.reduce_scatter(_chunks(spec, rank, g))
+        return comm.reduce_scatter(_chunks(spec, rank, g, symbolic))
     if kind == "scatter":
-        chunks = _chunks(spec, rank, g) if comm.rank == root else None
+        chunks = _chunks(spec, rank, g, symbolic) if comm.rank == root else None
         return comm.scatter(chunks, root=root)
     if kind == "gather":
-        return comm.gather(_payload(spec, rank), root=root)
+        return comm.gather(arr, root=root)
     if kind == "all_to_all":
-        return comm.all_to_all(_chunks(spec, rank, g))
+        return comm.all_to_all(_chunks(spec, rank, g, symbolic))
     raise AssertionError(f"unknown kind {kind}")  # pragma: no cover
 
 
@@ -229,11 +234,13 @@ def _digest(value) -> bytes:
     if value is None:
         return b"-"
     if isinstance(value, VArray):
+        if value.is_symbolic:
+            return repr((value.shape, value.dtype.str)).encode()
         return value.numpy().tobytes()
     return b"|".join(_digest(v) for v in value)
 
 
-def _run_schedule(schedule: list[dict]):
+def _run_schedule(schedule: list[dict], symbolic: bool = False):
     def program(ctx):
         digests = []
         for spec in schedule:
@@ -242,7 +249,7 @@ def _run_schedule(schedule: list[dict]):
             elif spec["op"] == "p2p":
                 if ctx.rank == spec["src"]:
                     comm = Communicator(ctx, (spec["src"], spec["dst"]))
-                    comm.send(_payload(spec, ctx.rank), dst=1)
+                    comm.send(_payload(spec, ctx.rank, symbolic), dst=1)
                 elif ctx.rank == spec["dst"]:
                     comm = Communicator(ctx, (spec["src"], spec["dst"]))
                     digests.append(_digest(comm.recv(src=0)))
@@ -251,19 +258,20 @@ def _run_schedule(schedule: list[dict]):
                     comm = Communicator(ctx, spec["granks"])
                     g = len(spec["granks"])
                     digests.append(_digest(comm.sendrecv(
-                        _payload(spec, ctx.rank),
+                        _payload(spec, ctx.rank, symbolic),
                         dst=(comm.rank + 1) % g,
                         src=(comm.rank - 1) % g,
                     )))
             elif spec["op"] == "coll":
                 if ctx.rank in spec["granks"]:
                     comm = Communicator(ctx, spec["granks"])
-                    digests.append(_digest(_issue(comm, spec, ctx.rank)))
+                    digests.append(_digest(
+                        _issue(comm, spec, ctx.rank, symbolic)))
             elif spec["op"] == "batch":
                 if ctx.rank in spec["granks"]:
                     comm = Communicator(ctx, spec["granks"])
                     with comm.batch() as win:
-                        handles = [_issue(comm, sub, ctx.rank)
+                        handles = [_issue(comm, sub, ctx.rank, symbolic)
                                    for sub in spec["ops"]]
                     assert len(win) == len(spec["ops"])
                     digests.extend(_digest(h.value) for h in handles)
@@ -344,6 +352,39 @@ def test_fuzz_schedules(seed_block):
             assert events_c == events_a, (
                 f"seed {seed}: {alt} event streams diverged from threaded"
             )
+
+
+@pytest.mark.parametrize("seed_block", range(4))
+def test_fuzz_schedules_symbolic_deferred(seed_block):
+    """The same corpus with shape-only payloads on untraced engines.
+
+    There the ``event`` backend defers collective timing (ranks deposit
+    and run on; completion times resolve later), while ``threaded``
+    blocks at every rendezvous.  Result shapes and every rank's final
+    clock, read through ``ctx.now`` by the program and from the clock
+    after the run, must agree bit for bit.
+    """
+    engines: dict[tuple[int, str], Engine] = {}
+    block = N_SEEDS // 4
+    for seed in range(seed_block * block, (seed_block + 1) * block):
+        rng = np.random.default_rng(1000 + seed)
+        nranks = int(rng.integers(2, 9))
+        program = _run_schedule(_make_schedule(rng, nranks), symbolic=True)
+        runs = {}
+        for backend in available_backends():
+            engine = engines.get((nranks, backend))
+            if engine is None:
+                engine = engines[(nranks, backend)] = Engine(
+                    nranks=nranks, mode="symbolic", trace=False,
+                    op_timeout=60.0, backend=backend)
+            results = engine.run(program)
+            runs[backend] = (results, [c.clock.now for c in engine.contexts])
+        assert engines[(nranks, "event")]._deferred
+        for backend, run in runs.items():
+            assert run == runs["threaded"], (
+                f"seed {seed}: symbolic {backend} run diverged from threaded"
+            )
+
 
 # --------------------------------------------------------------------------
 # Fault-plan fuzz: identical seeds must reproduce identical failure traces
