@@ -25,7 +25,7 @@ between capacity unlocking and the grid growing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.data.synthetic import SyntheticImageClassification
 from repro.errors import SimulationError
@@ -250,54 +250,34 @@ def run_scenario(
         )
     plan = scenario.fault_plan()
 
-    def survivor_plan() -> FaultPlan | None:
-        # After a crash the replacement cluster is healthy (the failed
-        # part was swapped out).  Straggler and link faults persist —
-        # they are environment, not incidents — except *windowed*
-        # slowdowns (until set): those model recoverable degradation the
-        # quarantine readmits, so relaunches run them at full speed.
-        if plan is None:
-            return None
-        return FaultPlan(
-            seed=plan.seed,
-            slowdowns=tuple(
-                s for s in plan.slowdowns if s.until is None
-            ),
-            link_faults=plan.link_faults,
-            transient_rate=plan.transient_rate,
-            retry=plan.retry,
-            jitter=plan.jitter,
-        )
+    # After a crash the replacement cluster is healthy (the failed part
+    # was swapped out).  Straggler and link faults persist — they are
+    # environment, not incidents — except *windowed* slowdowns (until
+    # set): those model recoverable degradation the quarantine readmits,
+    # so relaunches run them at full speed.
+    survivors = None if plan is None else replace(
+        plan, crashes=(), node_crashes=(), node_repairs=(),
+        spare_arrivals=(),
+        slowdowns=tuple(s for s in plan.slowdowns if s.until is None),
+    )
 
-    def engine_factory(attempt: int) -> Engine:
-        # Attempt 0 carries the fault plan; later attempts are healthy.
-        if attempt == 0 or plan is None:
-            return Engine(nranks=scenario.nranks, fault_plan=plan)
-        return Engine(nranks=scenario.nranks, fault_plan=survivor_plan())
-
-    def elastic_engine_factory(launch: int, world: int | None) -> Engine:
+    def engine_factory(launch: int, world: int | None) -> Engine:
         # ``launch`` counts every engine build: crash restarts and
-        # voluntary grow/quarantine relaunches alike.
+        # voluntary grow/quarantine relaunches alike.  Launch 0 carries
+        # the fault plan; later launches run on the survivor plan.
         nranks = scenario.nranks if world is None else world
         if launch == 0:
             return Engine(nranks=nranks, fault_plan=plan)
-        attempt_plan = survivor_plan()
         if launch == 1 and scenario.recovery_crash is not None:
             # The double fault: the recovery attempt itself loses a rank.
             rank, at = scenario.recovery_crash
-            base = attempt_plan or FaultPlan(seed=scenario.seed)
-            attempt_plan = FaultPlan(
-                seed=base.seed,
+            return Engine(nranks=nranks, fault_plan=replace(
+                survivors or FaultPlan(seed=scenario.seed),
                 crashes=(RankCrash(rank=rank, at=at),),
-                slowdowns=base.slowdowns,
-                link_faults=base.link_faults,
-                transient_rate=base.transient_rate,
-                retry=base.retry,
-                jitter=base.jitter,
-            )
-        return Engine(nranks=nranks, fault_plan=attempt_plan)
+            ))
+        return Engine(nranks=nranks, fault_plan=survivors)
 
-    def build_model(ctx, q: int, d: int):
+    def setup(ctx, shape):
         from repro.nn.optim import Adam
 
         if scenario.mode == "serial":
@@ -309,53 +289,34 @@ def run_scenario(
             from repro.grid.context import ParallelContext
             from repro.models.vit import TesseractViT
 
+            q, d = (shape.q, shape.d) if shape else (scenario.q, scenario.d)
             pc = ParallelContext.tesseract(ctx, q=q, d=d)
             model = TesseractViT(pc, CHAOS_VIT)
         opt = Adam(model.parameter_list(), lr=3e-3)
         return model, opt, pc
 
-    def setup(ctx):
-        return build_model(ctx, scenario.q, scenario.d)
-
-    def elastic_setup(ctx, shape):
-        if shape is None:
-            return build_model(ctx, scenario.q, scenario.d)
-        return build_model(ctx, shape.q, shape.d)
-
-    resilience = ResilienceConfig(
-        snapshot_every=scenario.snapshot_every, max_restarts=max_restarts
-    )
+    elastic = None
     if scenario.elastic:
-        has_availability = plan is not None and (
-            plan.node_repairs or plan.spare_arrivals
-            or any(s.until is not None for s in plan.slowdowns)
+        elastic = ElasticPolicy(
+            spares=scenario.spares,
+            min_world=1,
+            quarantine_factor=scenario.quarantine_factor,
+            min_steps_between_reshapes=scenario.min_steps_between_reshapes,
         )
-        run = train_resilient(
-            elastic_engine_factory,
-            elastic_setup,
-            dataset,
-            epochs=scenario.epochs,
-            batch_size=scenario.batch_size,
-            resilience=resilience,
-            elastic=ElasticPolicy(
-                spares=scenario.spares,
-                min_world=1,
-                quarantine_factor=scenario.quarantine_factor,
-                min_steps_between_reshapes=(
-                    scenario.min_steps_between_reshapes
-                ),
-            ),
-            availability=plan if has_availability else None,
-        )
-    else:
-        run = train_resilient(
-            engine_factory,
-            setup,
-            dataset,
-            epochs=scenario.epochs,
-            batch_size=scenario.batch_size,
-            resilience=resilience,
-        )
+    run = train_resilient(
+        engine_factory,
+        setup,
+        dataset,
+        epochs=scenario.epochs,
+        batch_size=scenario.batch_size,
+        resilience=ResilienceConfig(
+            snapshot_every=scenario.snapshot_every, max_restarts=max_restarts
+        ),
+        elastic=elastic,
+        # a plan without repairs, arrivals or windowed slowdowns returns
+        # no capacity, so every elastic run can take the whole plan
+        availability=plan if elastic is not None else None,
+    )
     history = run.history
     recs = history.recoveries
     return ChaosResult(

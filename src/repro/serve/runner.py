@@ -88,7 +88,7 @@ scaled-up replica waits behind.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -320,22 +320,11 @@ def run_serving(
         try:
             reports = engine.run(fn)
         except RankFailureError as exc:
-            lost = engine.lost_ranks()
-            fired_nodes = engine.fired()[1]
+            plan = plan.without_fired(engine.lost_ranks(), engine.fired()[1])
             engine.shutdown()
             if recoveries >= max_restarts:
                 raise
             recoveries += 1
-            # Each planned crash fires at most once across restarts; a
-            # node crash is one event covering all its member ranks.  A
-            # rank that only cascaded dead keeps its crash for later.
-            plan = replace(
-                plan,
-                crashes=tuple(c for c in plan.crashes
-                              if c.rank not in lost),
-                node_crashes=tuple(nc for nc in plan.node_crashes
-                                   if nc.node not in fired_nodes),
-            )
             # nothing published yet: restart the configured initial fleet
             snapshot = dict(snap_box.get("snap") or _empty_snapshot())
             snapshot["now"] = max(snapshot["now"], exc.t)

@@ -73,7 +73,7 @@ Message delay jitter (``jitter``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
 from repro.util.rng import rng_for
@@ -315,6 +315,26 @@ class FaultPlan:
                     f"node {nr.node} repair at t={nr.at:g} must come "
                     f"strictly after its crash at t={crash_at:g}"
                 )
+
+    def without_fired(self, lost: set[int], nodes: set[int]) -> FaultPlan:
+        """The plan for a relaunch after a run whose crashes took ``lost``
+        ranks (node-expanded, :meth:`Engine.lost_ranks
+        <repro.sim.engine.Engine.lost_ranks>`) and fired the
+        :class:`NodeCrash` of each of ``nodes``.
+
+        Each planned crash fires at most once across restarts; a fired
+        node's :class:`NodeRepair` goes with its crash (the relaunch
+        already has the node back).  A rank that only cascaded dead
+        keeps its crash for later.
+        """
+        return replace(
+            self,
+            crashes=tuple(c for c in self.crashes if c.rank not in lost),
+            node_crashes=tuple(
+                nc for nc in self.node_crashes if nc.node not in nodes),
+            node_repairs=tuple(
+                nr for nr in self.node_repairs if nr.node not in nodes),
+        )
 
     # --- per-site queries (all pure; all deterministic) ---------------------
 

@@ -29,24 +29,30 @@ failure into an *elastic training* protocol, mirroring what torchelastic
 4. With an *availability schedule* (``train_resilient(availability=...)``
    carrying :class:`~repro.sim.faults.NodeRepair` /
    :class:`~repro.sim.faults.SpareArrival` events), capacity is a
-   time-varying resource: at each snapshot boundary an
-   :class:`ElasticController` — installed into the training loop — checks
-   whether repaired or newly-arrived hardware lets the grid *grow back*
-   to a larger ``p = d*q**2`` shape, and raises a :class:`GrowInterrupt`
-   to stop the attempt snapshot-clean.  The decision happens right after
-   a world barrier (zero bytes, clocks synced to one instant), so every
-   rank raises the same interrupt at the same step on every backend.
-   Hysteresis (``ElasticPolicy.min_steps_between_reshapes``) keeps
-   repair/crash oscillation from thrashing the grid.
+   time-varying resource, tracked by one :class:`Capacity`: at each
+   snapshot boundary an :class:`ElasticController` — installed into the
+   training loop — checks whether repaired or newly-arrived hardware
+   lets the grid *grow back* to a larger ``p = d*q**2`` shape, and
+   raises an :class:`ElasticInterrupt` to stop the attempt
+   snapshot-clean.  The decision happens right after a world barrier
+   (zero bytes, clocks synced to one instant), so every rank raises the
+   same interrupt at the same step on every backend.  Hysteresis
+   (``ElasticPolicy.min_steps_between_reshapes``) keeps repair/crash
+   oscillation from thrashing the grid.
 5. The same controller quarantines *stragglers*: ranks whose accumulated
    local-kernel seconds exceed ``quarantine_factor`` times the fleet
    minimum (an all-gather of per-rank ``compute_seconds``) get their
-   whole node evicted via a :class:`QuarantineInterrupt` — a voluntary
+   whole node evicted by a ``"quarantine"`` interrupt — a voluntary
    shrink, snapshot-clean, zero lost steps — and readmitted once their
    :class:`~repro.sim.faults.ComputeSlowdown` window (``until``) passes.
-4. Each recovery is recorded as a :class:`RecoveryRecord` in
+6. Each recovery is recorded as a :class:`RecoveryRecord` in
    ``TrainHistory.recoveries`` (resume step, lost steps, the dead rank
    and its virtual crash time, and the wall-clock restore latency).
+
+A crash and a voluntary interrupt end an attempt the same way: the
+attempt is recorded, :class:`Capacity` takes the loss or quarantine,
+``ElasticPolicy.choose_shape`` picks the grid for what is left, and a
+changed shape re-shards the last complete snapshot before the relaunch.
 
 Because batches, reduction order, and initial weights are deterministic,
 a recovered run converges to the same final loss as a fault-free run up
@@ -79,8 +85,7 @@ __all__ = [
     "ElasticPolicy",
     "ElasticController",
     "ElasticInterrupt",
-    "GrowInterrupt",
-    "QuarantineInterrupt",
+    "Capacity",
     "ResilientRun",
     "redistribute_payloads",
     "train_resilient",
@@ -234,28 +239,16 @@ class ElasticInterrupt(Exception):
     local choice).  Because the snapshot deposits at that boundary all
     precede the barrier, the step is complete on every rank: the
     orchestrator in :func:`train_resilient` resumes from exactly
-    ``step`` with zero lost work.
+    ``step`` with zero lost work.  ``reason`` is ``"grow"`` (repaired or
+    new capacity admits a larger shape) or ``"quarantine"`` (the nodes
+    of ``slow_ranks`` leave the grid).
     """
 
-    def __init__(self, step: int, now: float, reason: str):
+    def __init__(self, step: int, now: float, reason: str, slow_ranks=()):
         super().__init__(f"elastic {reason} at step {step} (t={now:g})")
         self.step = step
         self.now = now
         self.reason = reason
-
-
-class GrowInterrupt(ElasticInterrupt):
-    """Repaired/new capacity admits a larger ``[q, q, d]`` shape."""
-
-    def __init__(self, step: int, now: float):
-        super().__init__(step, now, "grow")
-
-
-class QuarantineInterrupt(ElasticInterrupt):
-    """Persistent stragglers detected; their nodes leave the grid."""
-
-    def __init__(self, step: int, now: float, slow_ranks):
-        super().__init__(step, now, "quarantine")
         self.slow_ranks = tuple(slow_ranks)
 
 
@@ -305,7 +298,7 @@ class ElasticController:
             comm.barrier("elastic_ctl")  # clocks now identical on all ranks
         if want_grow and step >= self.min_step \
                 and self.base_time + ctx.now >= self.wake_at:
-            raise GrowInterrupt(step, ctx.now)
+            raise ElasticInterrupt(step, ctx.now, "grow")
         if want_quarantine and comm is not None and step >= self.min_step:
             from repro.varray.varray import VArray
 
@@ -321,7 +314,7 @@ class ElasticController:
                     if b > self.quarantine_factor * floor
                 )
                 if slow:
-                    raise QuarantineInterrupt(step, ctx.now, slow)
+                    raise ElasticInterrupt(step, ctx.now, "quarantine", slow)
 
 
 class SnapshotStore:
@@ -612,6 +605,118 @@ def redistribute_payloads(
 
 
 @dataclass
+class Capacity:
+    """Usable ranks over the cumulative virtual timeline of an elastic run.
+
+    Capacity starts at the launch-0 world plus the policy's spares.
+    Permanent losses take ranks away for good; a crashed node with a
+    scheduled :class:`~repro.sim.faults.NodeRepair` is away until its
+    repair, a quarantined node until its slowdowns' ``until`` (forever if
+    any of them is persistent); ``SpareArrival`` events add ranks.
+    Capacity therefore only grows between two losses, so the first
+    ``schedule`` event that admits a larger shape is the earliest one.
+    """
+
+    policy: ElasticPolicy
+    world0: int                       # launch-0 world: schedule node ids
+    schedule: FaultPlan = field(default_factory=FaultPlan)
+    hardware_lost: int = 0            # ranks that never come back
+    lost_nodes: dict[int, int] = field(default_factory=dict)
+    #: node -> (rank count, readmit cumulative time or None = never)
+    quarantined: dict[int, tuple[int, float | None]] = field(
+        default_factory=dict)
+
+    def available(self, t: float) -> int:
+        """Usable rank count at cumulative virtual time ``t``."""
+        n = self.world0 + self.policy.spares - self.hardware_lost
+        n += self.schedule.arrived_spares(t)
+        n -= sum(cnt for node, cnt in self.lost_nodes.items()
+                 if self.schedule.repair_time(node) > t)
+        n -= sum(cnt for cnt, readmit in self.quarantined.values()
+                 if readmit is None or readmit > t)
+        return n
+
+    def _event_times(self) -> list[float]:
+        """Every capacity-returning event on the cumulative timeline."""
+        times = {sa.at for sa in self.schedule.spare_arrivals}
+        times.update(self.schedule.repair_time(n) for n in self.lost_nodes)
+        times.update(r for _, r in self.quarantined.values() if r is not None)
+        return sorted(times)
+
+    def wake_at(self, world: int, t: float) -> float | None:
+        """When a grid larger than ``world`` ranks is due, seen at time
+        ``t``: the first event whose capacity admits a larger
+        ``p = d*q**2``, or ``t`` if that event is already past; ``None``
+        if no event does."""
+        for e in self._event_times():
+            if self.policy.choose_shape(self.available(e)).p > world:
+                return max(e, t)
+        return None
+
+    def unlock_time(self, p: int, t: float) -> float:
+        """Earliest event by ``t`` whose capacity admits a shape of ``p``
+        ranks (``t`` itself if none did)."""
+        for e in self._event_times():
+            if e <= t and self.policy.choose_shape(self.available(e)).p >= p:
+                return e
+        return t
+
+    def lose(self, topology, lost: tuple[int, ...], fired_nodes,
+             world: int) -> None:
+        """Take a crash's ``lost`` ranks (node-expanded).
+
+        A fired node with a scheduled repair is only away until it, but
+        only at the launch-0 ``world``: the schedule's node ids refer to
+        that topology, so losses at a reshaped world are permanent.
+        """
+        repairable = 0
+        if world == self.world0:
+            for node in fired_nodes:
+                if (self.schedule.repair_time(node) is not None
+                        and node not in self.lost_nodes):
+                    self.lost_nodes[node] = len(topology.node_ranks(node))
+                    repairable += self.lost_nodes[node]
+        self.hardware_lost += len(lost) - repairable
+
+    def quarantine(self, topology, slow_ranks: tuple[int, ...]) -> None:
+        """Take the nodes of ``slow_ranks`` out until their slowdowns end."""
+        for r in slow_ranks:
+            node = topology.node_of(r)
+            if node in self.quarantined:
+                continue
+            members = topology.node_ranks(node)
+            untils = [s.until for s in self.schedule.slowdowns
+                      if s.rank in members]
+            readmit = None
+            if untils and all(u is not None for u in untils):
+                readmit = max(untils)
+            self.quarantined[node] = (len(members), readmit)
+
+
+def _reshape(store: SnapshotStore, world: int, shape: TesseractShape | None,
+             new_shape: TesseractShape, **why) -> ReshapeRecord:
+    """Re-shard the last complete snapshot of the ``world``-rank grid at
+    ``shape`` (``None``: the caller's original one) for ``new_shape``,
+    make it the store's only restorable step, and record the resize
+    (``why`` holds the remaining :class:`ReshapeRecord` fields)."""
+    old_qd = (shape.q, shape.d) if shape is not None else None
+    step = store.latest_step(world)
+    old = {} if step is None else {r: store.load(step, r) for r in range(world)}
+    if old_qd is None and "shape" in old.get(0, {}):
+        old_qd = tuple(old[0]["shape"])
+    if old and old[0].get("model") is not None:
+        store.reset_for_world(
+            step, redistribute_payloads(old, new_shape.q, new_shape.d))
+    else:
+        step = 0
+        store.reset_for_world(0, {})
+    return ReshapeRecord(old_world=world, new_world=new_shape.p,
+                         old_shape=old_qd,
+                         new_shape=(new_shape.q, new_shape.d),
+                         resume_step=step, **why)
+
+
+@dataclass
 class ResilientRun:
     """Result of :func:`train_resilient`."""
 
@@ -661,7 +766,7 @@ class ResilientRun:
 
 
 def train_resilient(
-    engine_factory: Callable[..., Any],
+    engine_factory: Callable[[int, int | None], Any],
     setup: Callable[..., tuple],
     dataset,
     epochs: int,
@@ -676,23 +781,22 @@ def train_resilient(
     """Run ``train_classifier`` under fault injection with restart recovery.
 
     Args:
-        engine_factory: ``attempt -> Engine``.  Attempt 0 is the initial
-            run (typically carrying the :class:`~repro.sim.faults.FaultPlan`);
-            later attempts model the post-repair cluster and are usually
-            built without the already-fired crash.  With ``elastic`` set,
-            the signature is ``(launch, world) -> Engine``: ``launch``
-            counts every engine build (crash restarts *and* voluntary
-            reshape relaunches), ``world`` is ``None`` for launch 0
-            ("your default size") and the required rank count afterwards
-            — the factory must build an engine with exactly that many
-            ranks.
-        setup: ``rank_ctx -> (model, optimizer, parallel_context_or_None)``,
-            called inside each engine run to rebuild the (deterministically
-            initialized) model before the snapshot restore overwrites it.
-            With ``elastic`` set, the signature is ``(rank_ctx, shape)``
-            where ``shape`` is ``None`` for the original arrangement or
-            the :class:`~repro.grid.shapes.TesseractShape` to build after
-            a resize.
+        engine_factory: ``(launch, world) -> Engine``.  ``launch`` counts
+            every engine build — crash restarts and voluntary reshape
+            relaunches alike.  Launch 0 is the initial run (typically
+            carrying the :class:`~repro.sim.faults.FaultPlan`); later
+            launches model the repaired cluster and are usually built
+            without the already-fired crash.  ``world`` is ``None`` at
+            launch 0 ("your default size") and afterwards the rank count
+            the engine must have.  Without ``elastic`` every relaunch is
+            a crash restart at the same world.
+        setup: ``(rank_ctx, shape) -> (model, optimizer,
+            parallel_context_or_None)``, called inside each engine run to
+            rebuild the (deterministically initialized) model before the
+            snapshot restore overwrites it.  ``shape`` is ``None`` for the
+            caller's original arrangement (always, without ``elastic``)
+            or the :class:`~repro.grid.shapes.TesseractShape` to build
+            after a resize.
         elastic: treat fired crashes as permanent hardware loss and
             shrink the grid when the survivors no longer fit the current
             shape; with ``quarantine_factor`` set, also evict straggler
@@ -718,128 +822,29 @@ def train_resilient(
 
     cfg = resilience if resilience is not None else ResilienceConfig()
     store = SnapshotStore()
-    attempt = 0                       # crash restarts (budget + records)
-    launch = 0                        # engine builds, incl. voluntary ones
-    attempt_times: list[float] = []
-    attempt_kinds: list[str] = []
-    reshapes: list[ReshapeRecord] = []
-    world: int | None = None          # current world size (known after launch 0)
-    world0: int | None = None         # launch-0 world (availability node ids)
-    cur_shape: TesseractShape | None = None  # None = caller's original shape
-    hardware_lost = 0                 # permanent losses (no repair scheduled)
-    lost_nodes: dict[int, int] = {}   # node -> rank count, repair pending
-    #: node -> (rank count, readmit cumulative time or None = never)
-    quarantined: dict[int, tuple[int, float | None]] = {}
-    last_reshape_step = 0
-    voluntary = 0
-    sched = availability
-
-    def _avail(t: float) -> int:
-        """Usable rank count at cumulative virtual time ``t``."""
-        base = world0 + elastic.spares - hardware_lost
-        if sched is not None:
-            base += sched.arrived_spares(t)
-            for node, cnt in lost_nodes.items():
-                if sched.repair_time(node) > t:
-                    base -= cnt
-        for cnt, readmit in quarantined.values():
-            if readmit is None or readmit > t:
-                base -= cnt
-        return base
-
-    def _event_times() -> list[float]:
-        """Every future-capacity event on the cumulative timeline."""
-        times: set[float] = set()
-        if sched is not None:
-            times.update(sa.at for sa in sched.spare_arrivals)
-            times.update(sched.repair_time(n) for n in lost_nodes)
-        times.update(r for _, r in quarantined.values() if r is not None)
-        return sorted(times)
-
-    def _unlock_time(target_p: int, tnow: float) -> float:
-        """Earliest event time whose capacity admits a shape of ``target_p``."""
-        for t in _event_times():
-            if t <= tnow and elastic.choose_shape(_avail(t)).p >= target_p:
-                return t
-        return tnow
-
-    def _reshape_to(new_shape: TesseractShape, exc_lost: tuple[int, ...],
-                    reason: str, delay: float) -> None:
-        """Re-shard the last complete snapshot and record the resize."""
-        nonlocal cur_shape, world, last_reshape_step
-        snap_step = store.latest_step(world)
-        seeded = 0
-        old_qd = (
-            (cur_shape.q, cur_shape.d) if cur_shape is not None else None
-        )
-        if snap_step is not None:
-            old = {r: store.load(snap_step, r) for r in range(world)}
-            if old_qd is None and "shape" in old[0]:
-                old_qd = tuple(old[0]["shape"])
-            if old[0].get("model") is not None:
-                store.reset_for_world(
-                    snap_step,
-                    redistribute_payloads(old, new_shape.q, new_shape.d),
-                )
-                seeded = snap_step
-            else:
-                store.reset_for_world(0, {})
-        else:
-            store.reset_for_world(0, {})
-        reshapes.append(
-            ReshapeRecord(
-                attempt=attempt,
-                lost_ranks=exc_lost,
-                old_world=world,
-                new_world=new_shape.p,
-                old_shape=old_qd,
-                new_shape=(new_shape.q, new_shape.d),
-                resume_step=seeded,
-                reason=reason,
-                reclaim_delay_s=delay,
-            )
-        )
-        last_reshape_step = seeded
-        cur_shape = new_shape
-        world = new_shape.p
-
+    run = ResilientRun(histories=[], engine=None)
+    capacity: Capacity | None = None  # elastic only, built at launch 0
+    shape: TesseractShape | None = None  # None = caller's original shape
+    world: int | None = None             # known once launch 0 is built
     while True:
-        if elastic is None:
-            engine = engine_factory(attempt)
-        else:
-            engine = engine_factory(launch, world)
+        # every launch ends in exactly one recorded attempt
+        engine = engine_factory(len(run.attempt_times), world)
         world = engine.nranks
-        if world0 is None:
-            world0 = world
-
         controller = None
         if elastic is not None:
-            base_time = sum(attempt_times)
-            wake_at = None
-            if sched is not None:
-                # Arm on the first availability event admitting a larger
-                # p = d*q**2 (capacity is monotone between crashes, so
-                # the first improving event is the earliest one).
-                for t in _event_times():
-                    if elastic.choose_shape(_avail(t)).p > world:
-                        wake_at = t
-                        break
-            min_step = (
-                last_reshape_step + elastic.min_steps_between_reshapes
+            if capacity is None:
+                capacity = Capacity(elastic, world, availability or FaultPlan())
+            tnow = run.total_virtual_time
+            last = run.reshapes[-1].resume_step if run.reshapes else 0
+            controller = ElasticController(
+                base_time=tnow,
+                wake_at=capacity.wake_at(world, tnow),
+                min_step=last + elastic.min_steps_between_reshapes,
+                quarantine_factor=elastic.quarantine_factor,
             )
-            if wake_at is not None or elastic.quarantine_factor is not None:
-                controller = ElasticController(
-                    base_time=base_time,
-                    wake_at=wake_at,
-                    min_step=min_step,
-                    quarantine_factor=elastic.quarantine_factor,
-                )
 
-        def program(rank_ctx, controller=controller):
-            if elastic is None:
-                model, optimizer, pc = setup(rank_ctx)
-            else:
-                model, optimizer, pc = setup(rank_ctx, cur_shape)
+        def program(rank_ctx):
+            model, optimizer, pc = setup(rank_ctx, shape)
             return train_classifier(
                 model,
                 dataset,
@@ -856,41 +861,47 @@ def train_resilient(
 
         try:
             histories = engine.run(program)
-        except ElasticInterrupt as exc:
-            # Voluntary stop: every rank raised at the same snapshot
-            # boundary, so the step is complete — no recovery record, no
-            # lost work, just a new generation and a reshaped relaunch.
-            attempt_times.append(engine.max_time())
-            attempt_kinds.append(exc.reason)
-            launch += 1
-            voluntary += 1
-            if voluntary > 64:
-                raise SimulationError(
-                    "elastic reshape thrash: more than 64 voluntary "
-                    "reshapes — check the availability schedule and "
-                    "min_steps_between_reshapes"
-                )
-            store.pending_recovery = None
+        except (RankFailureError, ElasticInterrupt) as exc:
+            crash = isinstance(exc, RankFailureError)
+            run.attempt_times.append(engine.max_time())
+            run.attempt_kinds.append("crash" if crash else exc.reason)
+            if crash:
+                run.attempts += 1
+                if run.attempts > cfg.max_restarts:
+                    raise
+                store.pending_recovery = {
+                    "attempt": run.attempts,
+                    "failed_rank": exc.rank,
+                    "crash_time": exc.t,
+                    "t_detect": time.perf_counter(),
+                }
+            else:
+                # Voluntary stop: every rank raised at the same snapshot
+                # boundary, so the step is complete — no recovery record.
+                if sum(k != "crash" for k in run.attempt_kinds) > 64:
+                    raise SimulationError(
+                        "elastic reshape thrash: more than 64 voluntary "
+                        "reshapes — check the availability schedule and "
+                        "min_steps_between_reshapes"
+                    )
+                store.pending_recovery = None
+            # New restart generation: the relaunch's re-deposits can never
+            # complete a snapshot step together with leftovers from the
+            # crashed attempt (the crash-during-recovery hazard).
             store.begin_generation()
-            tnow = sum(attempt_times)
-            if isinstance(exc, QuarantineInterrupt):
-                topo = engine.topology
-                for r in exc.slow_ranks:
-                    node = topo.node_of(r)
-                    if node in quarantined:
-                        continue
-                    members = topo.node_ranks(node)
-                    readmit: float | None = None
-                    if sched is not None:
-                        untils = [
-                            s.until for s in sched.slowdowns
-                            if s.rank in members
-                        ]
-                        if untils and all(u is not None for u in untils):
-                            readmit = max(untils)
-                    quarantined[node] = (len(members), readmit)
-            available = _avail(tnow)
+            if capacity is None:
+                continue
+            if crash:
+                lost = tuple(sorted(engine.lost_ranks()))
+                capacity.lose(engine.topology, lost, engine.fired()[1], world)
+            else:
+                lost = exc.slow_ranks
+                capacity.quarantine(engine.topology, lost)
+            tnow = run.total_virtual_time
+            available = capacity.available(tnow)
             if available < elastic.min_world:
+                if crash:
+                    raise
                 raise SimulationError(
                     f"straggler quarantine would drop the world to "
                     f"{available} rank(s), below min_world="
@@ -898,69 +909,20 @@ def train_resilient(
                 )
             new_shape = elastic.choose_shape(available)
             if new_shape.p != world:
-                if isinstance(exc, QuarantineInterrupt):
-                    reason, lost, delay = "quarantine", exc.slow_ranks, 0.0
-                else:
-                    reason, lost = "grow", ()
-                    delay = max(0.0, tnow - _unlock_time(new_shape.p, tnow))
-                _reshape_to(new_shape, tuple(lost), reason, delay)
+                reason = exc.reason if not crash else (
+                    "grow" if new_shape.p > world else "shrink")
+                delay = 0.0
+                if reason == "grow":
+                    delay = max(
+                        0.0, tnow - capacity.unlock_time(new_shape.p, tnow))
+                run.reshapes.append(_reshape(
+                    store, world, shape, new_shape, attempt=run.attempts,
+                    lost_ranks=lost, reason=reason, reclaim_delay_s=delay,
+                ))
+                shape, world = new_shape, new_shape.p
             continue
-        except RankFailureError as exc:
-            attempt_times.append(engine.max_time())
-            attempt_kinds.append("crash")
-            attempt += 1
-            launch += 1
-            if attempt > cfg.max_restarts:
-                raise
-            store.pending_recovery = {
-                "attempt": attempt,
-                "failed_rank": exc.rank,
-                "crash_time": exc.t,
-                "t_detect": time.perf_counter(),
-            }
-            # New restart generation: this attempt's re-deposits can never
-            # complete a snapshot step together with leftovers from the
-            # crashed attempt (the crash-during-recovery hazard).
-            store.begin_generation()
-            if elastic is not None:
-                lost = sorted(engine.lost_ranks())
-                repaired_out = 0
-                if sched is not None and world == world0:
-                    # Availability node ids refer to the launch-0
-                    # topology; a fired node with a scheduled repair is
-                    # only down until its NodeRepair time.
-                    for node in sorted(engine.fired()[1]):
-                        if (sched.repair_time(node) is not None
-                                and node not in lost_nodes):
-                            cnt = len(engine.topology.node_ranks(node))
-                            lost_nodes[node] = cnt
-                            repaired_out += cnt
-                hardware_lost += len(lost) - repaired_out
-                tnow = sum(attempt_times)
-                available = _avail(tnow)
-                if available < elastic.min_world:
-                    raise
-                new_shape = elastic.choose_shape(available)
-                if new_shape.p != world:
-                    if new_shape.p > world:
-                        reason = "grow"
-                        delay = max(
-                            0.0, tnow - _unlock_time(new_shape.p, tnow)
-                        )
-                    else:
-                        reason, delay = "shrink", 0.0
-                    _reshape_to(new_shape, tuple(lost), reason, delay)
-            continue
-        attempt_times.append(engine.max_time())
-        attempt_kinds.append("ok")
-        store.pending_recovery = None
-        return ResilientRun(
-            histories=histories,
-            engine=engine,
-            recoveries=list(histories[0].recoveries),
-            attempts=attempt,
-            attempt_times=attempt_times,
-            reshapes=reshapes,
-            final_world=world,
-            attempt_kinds=attempt_kinds,
-        )
+        run.attempt_times.append(engine.max_time())
+        run.attempt_kinds.append("ok")
+        run.histories, run.engine, run.final_world = histories, engine, world
+        run.recoveries = list(histories[0].recoveries)
+        return run

@@ -34,7 +34,7 @@ from repro.serve import (
 from repro.serve.cache import PagedKVCache
 from repro.serve.scheduler import Scheduler
 from repro.serve.workload import generate_workload
-from repro.sim.faults import FaultPlan, NodeCrash, RankCrash
+from repro.sim.faults import FaultPlan, NodeCrash, NodeRepair, RankCrash
 
 from tests.serve.pins import assert_pinned
 
@@ -215,6 +215,20 @@ class TestFleetCrashRecovery:
         assert rep["recoveries"] == 1
         assert rep == _serve(autoscale=AUTO, fault_plan=plan,
                              max_restarts=1, **MODE_KWARGS)
+
+    def test_node_repair_in_the_plan_is_dropped_with_its_crash(self, fleet):
+        """A restart relaunches the whole grid, so a scheduled repair of
+        the crashed node returns nothing: the report is the repair-free
+        plan's."""
+        crash = NodeCrash(node=0, at=fleet["makespan_s"] / 3)
+        repair = NodeRepair(node=0, at=fleet["makespan_s"])
+        kwargs = dict(autoscale=AUTO, max_restarts=1, **MODE_KWARGS)
+        rep = _serve(fault_plan=FaultPlan(seed=2, node_crashes=(crash,),
+                                          node_repairs=(repair,)), **kwargs)
+        assert rep["recoveries"] == 1
+        assert rep == _serve(fault_plan=FaultPlan(seed=2,
+                                                  node_crashes=(crash,)),
+                             **kwargs)
 
     def test_crash_preserves_scale_history(self, fleet):
         """Scale events from before the crash survive the restore."""

@@ -218,6 +218,23 @@ class TestAvailabilitySchedule:
         spares = desc.index("spares(+1")
         assert crash < repair < spares
 
+    def test_without_fired_drops_fired_crashes_and_their_repairs(self):
+        plan = FaultPlan(
+            seed=3,
+            crashes=(RankCrash(rank=1, at=0.1), RankCrash(rank=6, at=0.4)),
+            node_crashes=(NodeCrash(node=0, at=0.2),
+                          NodeCrash(node=2, at=0.3)),
+            node_repairs=(NodeRepair(node=0, at=0.5),
+                          NodeRepair(node=2, at=0.6)),
+            slowdowns=(ComputeSlowdown(rank=3, factor=2.0),),
+        )
+        # node 0 (ranks 0-3) fired; rank 6 only cascaded dead
+        after = plan.without_fired({0, 1, 2, 3}, {0})
+        assert after.crashes == (RankCrash(rank=6, at=0.4),)
+        assert after.node_crashes == (NodeCrash(node=2, at=0.3),)
+        assert after.node_repairs == (NodeRepair(node=2, at=0.6),)
+        assert (after.seed, after.slowdowns) == (plan.seed, plan.slowdowns)
+
 
 class TestCrashPropagation:
     PLAN = FaultPlan(seed=3, crashes=(RankCrash(rank=2, at=5e-4),))

@@ -10,7 +10,16 @@ from repro.models.configs import ViTConfig
 from repro.models.vit import SerialViT, TesseractViT
 from repro.nn.optim import SGD, Adam
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultPlan, NodeCrash, RankCrash
+from repro.hardware.spec import meluxina
+from repro.hardware.topology import Topology
+from repro.sim.faults import (
+    ComputeSlowdown,
+    FaultPlan,
+    NodeCrash,
+    NodeRepair,
+    RankCrash,
+    SpareArrival,
+)
 from repro.train import (
     ElasticPolicy,
     ResilienceConfig,
@@ -18,7 +27,7 @@ from repro.train import (
     train_classifier,
     train_resilient,
 )
-from repro.train.resilience import redistribute_payloads
+from repro.train.resilience import Capacity, redistribute_payloads
 
 CFG = ViTConfig(image_size=8, patch_size=4, channels=3, hidden=16, nheads=4,
                 num_layers=1, num_classes=4)
@@ -26,8 +35,9 @@ DATA = SyntheticImageClassification(num_classes=4, image_size=8,
                                     train_size=64, test_size=32, seed=3)
 
 
-def _setup(ctx):
-    pc = ParallelContext.tesseract(ctx, q=2, d=1)
+def _setup(ctx, shape):
+    q, d = (shape.q, shape.d) if shape is not None else (2, 1)
+    pc = ParallelContext.tesseract(ctx, q=q, d=d)
     model = TesseractViT(pc, CFG)
     opt = Adam(model.parameter_list(), lr=3e-3)
     return model, opt, pc
@@ -35,7 +45,7 @@ def _setup(ctx):
 
 def _reference(epochs=2):
     def prog(ctx):
-        model, opt, pc = _setup(ctx)
+        model, opt, pc = _setup(ctx, None)
         return train_classifier(model, DATA, opt, epochs=epochs,
                                 batch_size=16, pc=pc)
 
@@ -43,8 +53,8 @@ def _reference(epochs=2):
 
 
 def _factory_with(plan):
-    def factory(attempt):
-        return Engine(nranks=4, fault_plan=plan if attempt == 0 else None)
+    def factory(launch, world):
+        return Engine(nranks=4, fault_plan=plan if launch == 0 else None)
 
     return factory
 
@@ -169,7 +179,7 @@ class TestTrainResilient:
     def test_restart_budget_exhaustion_reraises(self):
         plan = FaultPlan(seed=7, crashes=(RankCrash(rank=1, at=0.35),))
 
-        def always_faulty(attempt):
+        def always_faulty(launch, world):
             return Engine(nranks=4, fault_plan=plan)
 
         with pytest.raises(RankFailureError):
@@ -256,8 +266,9 @@ class TestGenerationTags:
 CFG8 = CFG  # same model; the d=2 grid replicates over depth
 
 
-def _setup8(ctx):
-    pc = ParallelContext.tesseract(ctx, q=2, d=2)
+def _setup8(ctx, shape):
+    q, d = (shape.q, shape.d) if shape is not None else (2, 2)
+    pc = ParallelContext.tesseract(ctx, q=q, d=d)
     model = TesseractViT(pc, CFG8)
     opt = Adam(model.parameter_list(), lr=3e-3)
     return model, opt, pc
@@ -265,7 +276,7 @@ def _setup8(ctx):
 
 def _reference8(epochs=2):
     def prog(ctx):
-        model, opt, pc = _setup8(ctx)
+        model, opt, pc = _setup8(ctx, None)
         return train_classifier(model, DATA, opt, epochs=epochs,
                                 batch_size=16, pc=pc)
 
@@ -277,9 +288,9 @@ class TestNodeCrashRecovery:
 
     PLAN = FaultPlan(seed=5, node_crashes=(NodeCrash(node=1, at=0.25),))
 
-    def _factory(self, attempt):
+    def _factory(self, launch, world):
         return Engine(nranks=8,
-                      fault_plan=self.PLAN if attempt == 0 else None)
+                      fault_plan=self.PLAN if launch == 0 else None)
 
     def test_node_loss_recovers_to_fault_free_loss(self):
         ref = _reference8()
@@ -313,8 +324,8 @@ class TestCrashDuringRecovery:
     """A second crash while the first recovery is replaying."""
 
     def _factory(self, plans):
-        def factory(attempt):
-            plan = plans[attempt] if attempt < len(plans) else None
+        def factory(launch, world):
+            plan = plans[launch] if launch < len(plans) else None
             return Engine(nranks=4, fault_plan=plan)
 
         return factory
@@ -384,20 +395,68 @@ class TestElasticPolicy:
             ElasticPolicy(min_world=0)
 
 
-def _elastic_setup(ctx, shape):
-    q, d = (shape.q, shape.d) if shape is not None else (2, 1)
-    pc = ParallelContext.tesseract(ctx, q=q, d=d)
-    model = TesseractViT(pc, CFG)
-    opt = Adam(model.parameter_list(), lr=3e-3)
-    return model, opt, pc
+class TestCapacity:
+    """The elastic capacity ledger, driven by hand: no engine, no run."""
 
+    TOPO8 = Topology(meluxina(2), nranks=8)  # nodes 0 and 1, 4 ranks each
 
-def _elastic_setup8(ctx, shape):
-    q, d = (shape.q, shape.d) if shape is not None else (2, 2)
-    pc = ParallelContext.tesseract(ctx, q=q, d=d)
-    model = TesseractViT(pc, CFG)
-    opt = Adam(model.parameter_list(), lr=3e-3)
-    return model, opt, pc
+    def test_node_repair_returns_capacity_at_its_time(self):
+        plan = FaultPlan(node_crashes=(NodeCrash(node=1, at=0.25),),
+                         node_repairs=(NodeRepair(node=1, at=0.45),))
+        cap = Capacity(ElasticPolicy(), 8, plan)
+        cap.lose(self.TOPO8, (4, 5, 6, 7), {1}, world=8)
+        assert cap.available(0.3) == 4
+        assert cap.available(0.45) == 8
+        assert cap.wake_at(4, 0.3) == 0.45     # the repair, still ahead
+        assert cap.wake_at(4, 0.6) == 0.6      # already past: due now
+        assert cap.wake_at(8, 0.3) is None     # nothing beats 8 ranks
+        assert cap.unlock_time(8, 0.6) == 0.45
+        assert cap.unlock_time(8, 0.4) == 0.4  # not unlocked by t
+
+    def test_loss_at_a_reshaped_world_is_permanent(self):
+        plan = FaultPlan(node_crashes=(NodeCrash(node=1, at=0.25),),
+                         node_repairs=(NodeRepair(node=1, at=0.45),))
+        cap = Capacity(ElasticPolicy(), 8, plan)
+        cap.lose(self.TOPO8, (4, 5, 6, 7), {1}, world=4)
+        assert cap.available(1.0) == 4
+        assert cap.wake_at(4, 0.0) is None
+
+    def test_spare_arrival_and_spare_pool(self):
+        plan = FaultPlan(spare_arrivals=(SpareArrival(count=4, at=0.3),))
+        cap = Capacity(ElasticPolicy(spares=1), 4, plan)
+        assert cap.available(0.2) == 5
+        assert cap.available(0.3) == 9
+        assert cap.wake_at(4, 0.0) == 0.3
+        assert cap.unlock_time(9, 0.5) == 0.3
+        cap.lose(self.TOPO8, (2,), set(), world=4)  # no repair: for good
+        assert cap.available(0.3) == 8
+
+    def test_wake_at_is_the_first_event_admitting_a_larger_p(self):
+        plan = FaultPlan(spare_arrivals=(SpareArrival(count=2, at=0.1),
+                                         SpareArrival(count=2, at=0.2)))
+        cap = Capacity(ElasticPolicy(), 4, plan)
+        assert cap.available(0.1) == 6  # fits only [2, 2, 1] again
+        assert cap.wake_at(4, 0.0) == 0.2
+        assert cap.unlock_time(8, 0.5) == 0.2
+
+    def test_quarantine_readmits_at_the_slowdown_window_end(self):
+        plan = FaultPlan(slowdowns=(
+            ComputeSlowdown(rank=5, factor=4.0, until=0.6),
+        ))
+        cap = Capacity(ElasticPolicy(), 8, plan)
+        cap.quarantine(self.TOPO8, (5, 6))  # one node, counted once
+        assert cap.quarantined == {1: (4, 0.6)}
+        assert cap.available(0.5) == 4
+        assert cap.available(0.6) == 8
+        assert cap.wake_at(4, 0.5) == 0.6
+        assert cap.unlock_time(8, 0.7) == 0.6
+
+    def test_persistent_straggler_is_never_readmitted(self):
+        plan = FaultPlan(slowdowns=(ComputeSlowdown(rank=5, factor=4.0),))
+        cap = Capacity(ElasticPolicy(), 8, plan)
+        cap.quarantine(self.TOPO8, (5,))
+        assert cap.available(100.0) == 4
+        assert cap.wake_at(4, 0.0) is None
 
 
 class TestElasticReshape:
@@ -410,7 +469,7 @@ class TestElasticReshape:
         store = SnapshotStore()
 
         def prog(ctx):
-            model, opt, pc = _setup(ctx)
+            model, opt, pc = _setup(ctx, None)
             return train_classifier(model, DATA, opt, epochs=1,
                                     batch_size=16, pc=pc,
                                     resilience=self.RES,
@@ -460,7 +519,7 @@ class TestElasticReshape:
         comm volumes: the resize boundary changes *which* grid runs, not
         what the post-reshape steps compute or communicate."""
         name, world, plan, old_qd, new_qd = scenario
-        setup = _elastic_setup if world == 4 else _elastic_setup8
+        setup = _setup if world == 4 else _setup8
 
         def factory(attempt, w):
             return Engine(nranks=w if w is not None else world,
@@ -527,7 +586,7 @@ class TestElasticReshape:
                           fault_plan=plan if attempt == 0 else None)
 
         run = train_resilient(
-            factory, _elastic_setup, DATA, epochs=2, batch_size=16,
+            factory, _setup, DATA, epochs=2, batch_size=16,
             resilience=self.RES, elastic=ElasticPolicy(spares=2),
         )
         assert run.reshapes == []  # the spare pool absorbed the loss
@@ -543,7 +602,7 @@ class TestElasticReshape:
 
         with pytest.raises(RankFailureError):
             train_resilient(
-                factory, _elastic_setup, DATA, epochs=2, batch_size=16,
+                factory, _setup, DATA, epochs=2, batch_size=16,
                 resilience=self.RES,
                 elastic=ElasticPolicy(min_world=4),
             )
