@@ -5,15 +5,13 @@
 * :mod:`repro.perf.memory` — Eq. 7-10 per-GPU memory for a distributed
   matmul, plus transformer-level per-GPU parameter/activation counts;
 * :mod:`repro.perf.isoefficiency` — Eq. 1-5 communication lower bounds and
-  Eq. 11-12 efficiency/isoefficiency analysis;
-* :mod:`repro.perf.flops` — transformer-layer flop counts feeding the
-  auto-parallel planner's roofline pricing (:mod:`repro.plan`).
+  Eq. 11-12 efficiency/isoefficiency analysis.
 
 The benchmark harness prints these closed forms next to quantities
 *measured* from the simulator trace, so every analytic claim in the paper
 is cross-checked against the executable system.
 """
 
-from repro.perf import commvolume, flops, isoefficiency, memory
+from repro.perf import commvolume, isoefficiency, memory
 
-__all__ = ["commvolume", "flops", "memory", "isoefficiency"]
+__all__ = ["commvolume", "memory", "isoefficiency"]

@@ -13,8 +13,11 @@ against simulated step times (``repro plan``'s validation column).
 Modules:
 
 * :mod:`~repro.plan.space`  — model specs and candidate enumeration;
-* :mod:`~repro.plan.cost`   — analytic step-time model (compute roofline
-  + priced collective schedules + pipeline bubble + dp sync);
+* :mod:`~repro.plan.inventory` — one layer's declared kernels and
+  collectives per layer family, checked op for op against the layer code;
+* :mod:`~repro.plan.cost`   — analytic step-time model (the inventory
+  priced by the roofline and the collective model + pipeline bubble + dp
+  sync);
 * :mod:`~repro.plan.memory` — peak per-GPU footprint (params, grads,
   optimizer under ZeRO, live activations per schedule);
 * :mod:`~repro.plan.search` — the enumerate / prune / rank driver;

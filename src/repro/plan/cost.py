@@ -9,35 +9,42 @@ The model composes the *same* primitives the simulator executes with:
 * collectives are priced by :class:`~repro.sim.cost.CommCostModel` on the
   *actual* world-rank groups the config would use — built from the same
   :class:`~repro.grid.context.GridLayout` rank algebra, so leader
-  placement, node spans and the NIC-contention knob all behave exactly as
-  they do in a simulated run;
+  placement and node spans behave exactly as they do in a simulated run
+  (batch windows through :meth:`~repro.sim.cost.CommCostModel.fused`,
+  as the engine prices them);
 * the pipeline contributes the synchronous-schedule bubble,
   ``(M + pp - 1)`` slots per step for both GPipe and 1F1B.
 
-Each scheme's per-layer schedule replays the *kernel inventory* of the
-corresponding layer implementation — every GEMM with its min_dim and
-every elementwise/LayerNorm/bias kernel the modules launch.  The small
-kernels matter more than their flop counts suggest: the roofline's
-saturating utilization means any nonzero-flop kernel costs at least
-``half_util_flops / (peak * max_util)`` (~46 us on the A100 spec), so a
-transformer layer's ~30 elementwise launches per pass are a first-order
-term, not noise.  Collective schedules follow the implementations too:
+One layer's schedule is the declared op inventory of its layer family
+(:func:`repro.plan.inventory.layer_ops`): every kernel the modules launch
+with its flops, bytes and ``min_dim``, every collective with its group
+axis and per-rank bytes, checked op for op against a traced pass of the
+layer code by ``tests/plan/test_inventory.py``.  :meth:`PlanCostModel.
+layer_times` is one loop over it.  The small kernels matter more than
+their flop counts suggest: the roofline's saturating utilization puts a
+floor of ``launch_overhead + half_util_flops / (peak * max_util)``
+(~54 us on the A100 spec) under any nonzero-flop kernel, so a layer's
+~30 elementwise launches per pass are a first-order term, not noise.
+The collective schedules the inventory declares:
 
 =========  ==================================================================
 serial     four GEMMs + attention core, no collectives
-megatron   column/row GEMMs at 1/tp width, one row all-reduce per matmul
-           pair forward (two per layer), two more backward (§2.5)
-optimus    six SUMMA linears forward (q steps of row/col broadcasts and a
-           local GEMM each), four combined AB^T/A^T B linears backward
-           with row/col reduces (§2.2, Alg. 2), row all-reduces for the
-           LayerNorm statistics (§3.2.2)
+megatron   column/row GEMMs at 1/tp width, one tensor all-reduce per
+           row-parallel linear forward and per column-parallel linear
+           backward (two each per layer, §2.5)
+optimus    four SUMMA linears forward (fused QKV, proj, fc1, fc2: q steps
+           of row/col broadcasts and a local GEMM each), their AB^T/A^T B
+           pairs backward with row/col reduces (§2.2, Alg. 2), batched
+           row all-reduces for the LayerNorm statistics (§3.2.2) and
+           column all-reduces for bias and LayerNorm parameter gradients
 tesseract  the same SUMMA schedule on the depth slice, plus the paper's
-           depth all-reduce of every weight gradient (§3.1)
+           depth all-reduce of every weight gradient (§3.1) and of the
+           bias and LayerNorm parameter gradients
 =========  ==================================================================
 
-The result is a closed-form price — microseconds of Python per candidate
-instead of a full engine run — validated against the symbolic simulator
-by :mod:`repro.plan.validate`.
+The result is a closed-form price — about half a millisecond of Python
+per candidate instead of a full engine run — validated against the
+symbolic simulator by :mod:`repro.plan.validate`.
 """
 
 from __future__ import annotations
@@ -48,16 +55,13 @@ from repro.errors import GridError
 from repro.grid.context import GridLayout
 from repro.grid.shapes import TesseractShape
 from repro.hardware.spec import ClusterSpec
-from repro.hardware.topology import Placement, Topology
-from repro.perf.flops import attention_core_flops, matmul_flops
+from repro.hardware.topology import Topology
 from repro.perf.memory import per_gpu_layer_params
+from repro.plan.inventory import DTYPE_BYTES, Kernel, layer_ops
 from repro.plan.space import CandidateConfig, ModelSpec
-from repro.sim.cost import CollectiveAlg, CommCostModel, ComputeCostModel
+from repro.sim.cost import CommCostModel, ComputeCostModel
 
 __all__ = ["StepCost", "PlanGroups", "PlanCostModel", "DTYPE_BYTES"]
-
-#: The simulator's training dtype (float32) in bytes.
-DTYPE_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class PlanGroups:
     row: tuple[int, ...]
     col: tuple[int, ...]
     depth: tuple[int, ...]
-    col_depth: tuple[int, ...]
     tensor: tuple[int, ...]
     dp: tuple[int, ...]
     pipe_src: int
@@ -101,258 +104,54 @@ def plan_groups(cfg: CandidateConfig) -> PlanGroups:
         row = tuple(wr(0, 0, rank_of(0, j, 0)) for j in range(cfg.q))
         col = tuple(wr(0, 0, rank_of(i, 0, 0)) for i in range(cfg.q))
         depth = tuple(wr(0, 0, rank_of(0, 0, k)) for k in range(cfg.d))
-        col_depth = tuple(sorted(
-            wr(0, 0, rank_of(i, 0, k))
-            for i in range(cfg.q) for k in range(cfg.d)
-        ))
         tensor = tuple(wr(0, 0, t) for t in range(cfg.tp))
         dp = tuple(wr(x, 0, 0) for x in range(cfg.dp))
     else:
         tensor = tuple(range(cfg.tp))
-        row = col = depth = col_depth = (0,)
+        row = col = depth = (0,)
         dp = tuple((x * cfg.pp) * cfg.tp for x in range(cfg.dp))
     pipe_src = tensor[0]
     pipe_dst = pipe_src + cfg.tp if cfg.pp > 1 else pipe_src
-    return PlanGroups(row=row, col=col, depth=depth, col_depth=col_depth,
-                      tensor=tensor, dp=dp, pipe_src=pipe_src,
-                      pipe_dst=pipe_dst)
+    return PlanGroups(row=row, col=col, depth=depth, tensor=tensor, dp=dp,
+                      pipe_src=pipe_src, pipe_dst=pipe_dst)
 
 
 class PlanCostModel:
-    """Prices candidate configs on a cluster without running the engine."""
+    """Prices candidate configs on a cluster without running the engine.
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        world: int,
-        placement: Placement = Placement.BLOCK,
-        alg: CollectiveAlg = CollectiveAlg.AUTO,
-        nic_contention: float = 0.0,
-        gamma: float | None = None,
-    ):
-        self.cluster = cluster
-        self.world = world
-        self.topology = Topology(cluster, nranks=world, placement=placement)
-        self.comm = CommCostModel(self.topology, alg=alg, gamma=gamma,
-                                  nic_contention=nic_contention)
+    The topology and pricing are the ones every validation engine uses
+    (BLOCK placement, :attr:`~repro.sim.cost.CollectiveAlg.AUTO`, no NIC
+    contention): :func:`plan_groups` prices the corner replica, which
+    stands for the whole grid only under BLOCK placement.
+    """
+
+    def __init__(self, cluster: ClusterSpec, world: int):
+        self.comm = CommCostModel(Topology(cluster, nranks=world))
         self.compute = ComputeCostModel(cluster.gpu)
-
-    # --- kernel-inventory helpers ------------------------------------------
-
-    def _ew(self, elems: float, byte_factor: float = 2.0) -> float:
-        """One elementwise kernel over ``elems`` outputs (bias, LN term,
-        residual, ...).  Pays the utilization floor like the real thing."""
-        return self.compute.op_time(elems, byte_factor * elems * DTYPE_BYTES)
-
-    def _move(self, nbytes: float) -> float:
-        """One zero-flop data-movement kernel (reshape, head split/merge)."""
-        return self.compute.op_time(0.0, nbytes)
-
-    def _attn_core(self, batch_heads_flops: float, act_bytes: float,
-                   scores_bytes: float, seq: int, head_dim: float):
-        """(fwd_s, bwd_s) of the attention-core GEMMs + softmax chain.
-
-        Forward: QK^T and AV GEMMs, the scale and softmax kernels.
-        Backward: dV, dP, dQ, dK GEMMs, the softmax and scale gradients.
-        """
-        md = min(seq, head_dim)
-        mm = self.compute.op_time(
-            batch_heads_flops, 2 * act_bytes + scores_bytes, min_dim=md
-        )
-        s_elems = scores_bytes / DTYPE_BYTES
-        fwd = 2 * mm + self._ew(5 * s_elems) + self._ew(s_elems)
-        bwd = 4 * mm + self._ew(2 * s_elems, 3.0) + self._ew(s_elems)
-        return fwd, bwd
-
-    # --- scheme-level layer schedules --------------------------------------
-
-    def _summa_fwd(self, groups: PlanGroups, rows: float, k_in: int,
-                   k_out: int, q: int, seq: int) -> tuple[float, float]:
-        """One forward SUMMA linear (Alg. 2 AB): (time_s, comm_s).
-
-        q steps, each a row broadcast of the local A block, a column
-        broadcast of a B block, and a local [rows, k/q, n/q] GEMM.
-        """
-        kq, nq = k_in / q, k_out / q
-        a_bytes = rows * kq * DTYPE_BYTES
-        b_bytes = kq * nq * DTYPE_BYTES
-        c_bytes = rows * nq * DTYPE_BYTES
-        mm = self.compute.op_time(
-            matmul_flops(rows, kq, nq), a_bytes + b_bytes + c_bytes,
-            min_dim=min(seq, kq, nq),
-        )
-        comm = q * (self.comm.broadcast(groups.row, a_bytes)
-                    + self.comm.broadcast(groups.col, b_bytes))
-        return q * mm + comm, comm
-
-    def _summa_bwd(self, groups: PlanGroups, rows: float, k_in: int,
-                   k_out: int, q: int, d: int, seq: int):
-        """One backward SUMMA linear: (time_s, comm_s).
-
-        dX = dY W^T runs the AB^T variant (column broadcast of the W
-        block, row reduce of the partial dX); dW = X^T dY runs A^T B (row
-        broadcast of X, column reduce of the partial dW), followed by the
-        §3.1 depth all-reduce of dW when d > 1.
-        """
-        kq, nq = k_in / q, k_out / q
-        a_bytes = rows * kq * DTYPE_BYTES
-        b_bytes = kq * nq * DTYPE_BYTES
-        c_bytes = rows * nq * DTYPE_BYTES
-        mm_dx = self.compute.op_time(
-            matmul_flops(rows, nq, kq), c_bytes + b_bytes + a_bytes,
-            min_dim=min(seq, kq, nq),
-        )
-        mm_dw = self.compute.op_time(
-            matmul_flops(kq, rows, nq), a_bytes + c_bytes + b_bytes,
-            min_dim=min(kq, rows, nq),
-        )
-        comm = q * (self.comm.broadcast(groups.col, b_bytes)
-                    + self.comm.reduce(groups.row, a_bytes)
-                    + self.comm.broadcast(groups.row, a_bytes)
-                    + self.comm.reduce(groups.col, b_bytes))
-        if d > 1:
-            comm += self.comm.all_reduce(groups.depth, b_bytes)
-        return q * (mm_dx + mm_dw) + comm, comm
-
-    def _grid_layer(self, model: ModelSpec, cfg: CandidateConfig,
-                    mb: int, seq: int):
-        """Per-microbatch (fwd_s, bwd_s, comm_s) of one optimus/tesseract
-        layer, mirroring :mod:`repro.parallel.tesseract.layers`."""
-        groups = plan_groups(cfg)
-        h, r, q, d = model.hidden, model.mlp_ratio, cfg.q, cfg.d
-        rows = mb * seq / (d * q)              # local activation rows
-        n_loc = rows * (h / q)                 # local activation elements
-        s_loc = (mb / (d * q)) * (model.nheads / q) * seq * seq
-        head_dim = h / model.nheads
-        fwd = bwd = comm = 0.0
-
-        # Forward: six SUMMA linears (q/k/v separately, proj, fc1, fc2).
-        for k_in, k_out in ((h, h), (h, h), (h, h), (h, h),
-                            (h, r * h), (r * h, h)):
-            t, c = self._summa_fwd(groups, rows, k_in, k_out, q, seq)
-            fwd += t
-            comm += c
-        # Backward: four combined linears (qkv gradients fuse into one
-        # AB^T/A^T B pair, as the implementation does).
-        for k_in, k_out in ((h, 3 * h), (h, h), (h, r * h), (r * h, h)):
-            t, c = self._summa_bwd(groups, rows, k_in, k_out, q, d, seq)
-            bwd += t
-            comm += c
-
-        core = attention_core_flops(mb, seq, h) / (2 * d * q * q)
-        act_bytes = n_loc * DTYPE_BYTES
-        cf, cb = self._attn_core(core, act_bytes, s_loc * DTYPE_BYTES,
-                                 seq, head_dim)
-        fwd += cf
-        bwd += cb
-
-        # Forward elementwise: 4 biases, 2 residuals, GELU, and the two
-        # distributed LayerNorms (18 tile kernels + 10 row-stat kernels).
-        for out in (3, 1, r, 1):
-            fwd += self._ew(out * n_loc)
-        fwd += 2 * self._ew(n_loc, 3.0) + self._ew(8 * r * n_loc)
-        fwd += 18 * self._ew(0.75 * n_loc, 1.5) + 10 * self._ew(rows, 2.0)
-        # LayerNorm statistics: one batched row all-reduce per LN (Eq. 13).
-        ln_stats = 2 * rows * DTYPE_BYTES
-        c = 2 * self.comm.all_reduce(groups.row, ln_stats)
-        fwd += c
-        comm += c
-        # Forward movers: reshapes, head split/merge.
-        fwd += 4 * self._move(0.0) + 3 * self._move(2 * act_bytes) \
-            + self._move(6 * act_bytes) + self._move(2 * act_bytes)
-
-        # Backward elementwise (trace inventory of the tln_*/bias chain).
-        bwd += 6 * self._ew(n_loc, 1.0)                 # tln_dg reductions
-        for out in (3, 1, r, 1):
-            bwd += self._ew(out * n_loc, 1.0)           # bias gradients
-        bwd += 4 * self._ew(n_loc, 2.5) + 4 * self._ew(0.75 * n_loc, 1.0) \
-            + 8 * self._ew(0.5 * n_loc, 1.0)            # sub/db/m1/m2
-        bwd += 8 * self._ew(n_loc, 2.5)                 # dxhat/xdx/proj/dx
-        bwd += 2 * self._ew(n_loc, 3.0)                 # residual grads
-        bwd += self._ew(2.5 * r * n_loc, 3.0)           # GELU backward
-        # LayerNorm backward stats (Eq. 14) + dg/db col+depth reduction,
-        # plus the four bias-gradient col+depth all-reduces.
-        c = 2 * self.comm.all_reduce(groups.row, ln_stats) \
-            + 2 * self.comm.all_reduce(groups.col_depth,
-                                       2 * (h / q) * DTYPE_BYTES)
-        for out in (3, 1, r, 1):
-            c += self.comm.all_reduce(groups.col_depth,
-                                      out * (h / q) * DTYPE_BYTES)
-        bwd += c
-        comm += c
-        # Backward movers.
-        bwd += 12 * self._move(0.0) + 3 * self._move(2 * act_bytes) \
-            + self._move(6 * act_bytes) + self._move(2 * act_bytes)
-        return fwd, bwd, comm
-
-    def _megatron_layer(self, model: ModelSpec, cfg: CandidateConfig,
-                        mb: int, seq: int):
-        """Per-microbatch (fwd_s, bwd_s, comm_s) of one 1-D layer (§2.5);
-        the serial scheme is the tp = 1 special case."""
-        groups = plan_groups(cfg)
-        h, r, tp = model.hidden, model.mlp_ratio, cfg.tp
-        rows = mb * seq
-        n = rows * h                           # full local activation elems
-        s_elems = mb * (model.nheads / tp) * seq * seq
-        head_dim = h / model.nheads
-        fwd = bwd = 0.0
-
-        # Four sharded GEMMs: qkv and fc1 column-parallel, proj and fc2
-        # row-parallel.  Backward adds the dX and dW GEMMs.
-        for k_in, k_out in ((h, 3 * h / tp), (h / tp, h),
-                            (h, r * h / tp), (r * h / tp, h)):
-            io_bytes = (rows * k_in + k_in * k_out + rows * k_out) \
-                * DTYPE_BYTES
-            f = matmul_flops(rows, k_in, k_out)
-            fwd += self.compute.op_time(f, io_bytes,
-                                        min_dim=min(seq, k_in, k_out))
-            bwd += self.compute.op_time(f, io_bytes,
-                                        min_dim=min(seq, k_in, k_out))
-            bwd += self.compute.op_time(f, io_bytes,
-                                        min_dim=min(k_in, rows, k_out))
-
-        core = attention_core_flops(mb, seq, h) / (2 * tp)
-        cf, cb = self._attn_core(core, n * DTYPE_BYTES / tp,
-                                 s_elems * DTYPE_BYTES, seq, head_dim)
-        fwd += cf
-        bwd += cb
-
-        # Forward elementwise: 4 biases (column-sharded outputs are 1/tp
-        # wide, row-parallel outputs are full), 2 residuals, GELU, two
-        # replicated LayerNorms (14 full-size kernels + 6 row-stat ones).
-        for out in (3.0 / tp, 1.0, r / tp, 1.0):
-            fwd += self._ew(out * n)
-        fwd += 2 * self._ew(n, 3.0) + self._ew(8 * r * n / tp)
-        fwd += 14 * self._ew(n) + 6 * self._ew(rows)
-        shard_bytes = 2 * n * DTYPE_BYTES / tp
-        fwd += 4 * self._move(0.0) + 3 * self._move(shard_bytes) \
-            + self._move(1.5 * shard_bytes) + self._move(0.5 * shard_bytes)
-
-        # Backward elementwise.
-        bwd += 6 * self._ew(n, 1.0)                     # ln_dg reductions
-        for out in (3.0 / tp, 1.0, r / tp, 1.0):
-            bwd += self._ew(out * n, 1.0)               # bias gradients
-        bwd += 4 * self._ew(0.5 * n, 0.5) + 16 * self._ew(n, 2.5)
-        bwd += 2 * self._ew(n, 3.0)                     # residual grads
-        bwd += self._ew(2.5 * r * n / tp, 3.0)          # GELU backward
-        bwd += 12 * self._move(0.0) + 3 * self._move(shard_bytes) \
-            + self._move(1.5 * shard_bytes) + self._move(0.5 * shard_bytes)
-
-        # Row all-reduces of the full activation: attention proj + MLP fc2
-        # forward, the two column-parallel input gradients backward.
-        comm = 0.0
-        if tp > 1:
-            comm = 4 * self.comm.all_reduce(groups.tensor, n * DTYPE_BYTES)
-            fwd += comm / 2
-            bwd += comm / 2
-        return fwd, bwd, comm
 
     def layer_times(self, model: ModelSpec, cfg: CandidateConfig,
                     mb: int, seq: int) -> tuple[float, float, float]:
-        """(fwd_s, bwd_s, comm_s) of one layer for one microbatch."""
-        if cfg.scheme in ("optimus", "tesseract"):
-            return self._grid_layer(model, cfg, mb, seq)
-        return self._megatron_layer(model, cfg, mb, seq)
+        """(fwd_s, bwd_s, comm_s) of one layer for one microbatch: the
+        roofline over the declared kernels plus each collective priced on
+        its group, the comm share of both phases reported apart."""
+        groups = plan_groups(cfg)
+        comm_s = 0.0
+        phases = []
+        for ops in layer_ops(model, cfg, mb, seq):
+            t = 0.0
+            for op in ops:
+                if isinstance(op, Kernel):
+                    t += op.count * self.compute.op_time(
+                        op.flops, op.nbytes, op.min_dim)
+                else:
+                    c = op.count * self.comm.fused(
+                        getattr(groups, op.axis),
+                        [(op.kind, b) for b in op.nbytes])[-1]
+                    t += c
+                    comm_s += c
+            phases.append(t)
+        fwd_s, bwd_s = phases
+        return fwd_s, bwd_s, comm_s
 
     # --- the step-level composition ---------------------------------------
 

@@ -9,7 +9,7 @@ the budget (a fraction of the GPU's device memory by default), and
 step time.  Ties break on the candidate's sort order, so two runs of the
 same search always produce the same ranking, byte for byte.
 
-The search is *analytic* — a few hundred candidates price in
+The search is *analytic* — a hundred candidates price in tens of
 milliseconds — which is what lets ``repro plan`` sweep model sizes
 interactively, with :mod:`repro.plan.validate` available to spot-check
 the top of the ranking against the symbolic simulator.
@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 from repro.errors import GridError
 from repro.hardware.spec import ClusterSpec, meluxina
-from repro.hardware.topology import Placement
 from repro.plan.cost import PlanCostModel, StepCost
 from repro.plan.memory import MemoryEstimate, estimate_memory
 from repro.plan.space import CandidateConfig, ModelSpec, enumerate_configs
-from repro.sim.cost import CollectiveAlg
 from repro.util.mathutil import ceil_div
 from repro.util.tables import Table
 
@@ -108,22 +106,12 @@ class SearchResult:
 class Planner:
     """Searches the dp x pp x scheme x d x M space for one cluster."""
 
-    def __init__(
-        self,
-        world: int,
-        cluster: ClusterSpec | None = None,
-        placement: Placement = Placement.BLOCK,
-        alg: CollectiveAlg = CollectiveAlg.AUTO,
-        nic_contention: float = 0.0,
-    ):
+    def __init__(self, world: int, cluster: ClusterSpec | None = None):
         if cluster is None:
             cluster = meluxina(ceil_div(world, 4))
         self.world = world
         self.cluster = cluster
-        self.cost_model = PlanCostModel(
-            cluster, world, placement=placement, alg=alg,
-            nic_contention=nic_contention,
-        )
+        self.cost_model = PlanCostModel(cluster, world)
 
     def search(
         self,

@@ -9,9 +9,9 @@ mode, then compare simulated step times with the analytic predictions.
 The headline statistic is the Spearman rank correlation between
 predicted and simulated step times: the planner's job is to *order*
 configurations correctly, so rank agreement (not absolute error) is the
-acceptance bar.  Under a multiplex-capable scheduler backend (``event``)
-all validation engines run on one shared backend instance through
-:func:`repro.sim.engine.run_engines`, exactly like the bench harness.
+acceptance bar.  All validation engines run on one shared backend
+instance through :func:`repro.sim.engine.run_engines`, exactly like the
+bench harness.
 
 The validated subset is chosen for diversity (best candidate per
 (scheme, pp) bucket, then best remaining) so the correlation is measured
@@ -273,9 +273,9 @@ def validate_topk(
 ) -> ValidationReport:
     """Simulate a diverse top-k of a search and report rank agreement.
 
-    Under a deferred-sync backend (``event``) the candidate engines are
-    multiplexed on one shared scheduler instance via ``run_engines``;
-    the threaded backend falls back to sequential runs.  Results are
+    Every candidate engine is built on one scheduler backend instance and
+    run through ``run_engines``: the event backend multiplexes them on
+    one loop, the threaded backend runs them back to back.  Results are
     identical either way (the backend note in docs/paper-mapping.md).
     """
     chosen = diverse_topk(result, k)
@@ -283,8 +283,7 @@ def validate_topk(
         return ValidationReport(rows=())
     if cluster is None:
         cluster = meluxina(ceil_div(result.world, 4))
-    probe = resolve_backend(None)
-    shared = probe if getattr(probe, "supports_deferred_sync", False) else None
+    shared = resolve_backend(None)
     engines = [
         Engine(cluster=cluster, nranks=pc.config.world, mode="symbolic",
                trace=False, backend=shared)
@@ -300,10 +299,7 @@ def validate_topk(
                                  result.seq_len, result.schedule))
             for eng, pc, mb in zip(engines, chosen, mb_of)
         ]
-        if shared is not None:
-            per_engine = run_engines(jobs)
-        else:
-            per_engine = [eng.run(prog) for eng, prog in jobs]
+        per_engine = run_engines(jobs)
     finally:
         for eng in engines:
             try:

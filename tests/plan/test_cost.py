@@ -31,7 +31,6 @@ class TestGroups:
         g = plan_groups(CandidateConfig("tesseract", dp=2, pp=1, tp=8,
                                         q=2, d=2))
         assert len(g.row) == 2 and len(g.col) == 2 and len(g.depth) == 2
-        assert len(g.col_depth) == 4          # q * d ranks share dW sums
         assert len(g.tensor) == 8
         assert len(g.dp) == 2
 
