@@ -12,7 +12,7 @@ import pytest
 from repro.grid.context import ParallelContext
 from repro.nn.checkpoint import ActivationCheckpoint
 from repro.nn.module import Sequential
-from repro.parallel.tesseract.layers import TesseractTransformerLayer
+from repro.parallel.layers import TransformerLayer
 from repro.sim.engine import Engine
 from repro.util.formatting import format_bytes, format_seconds
 from repro.util.tables import Table
@@ -34,8 +34,7 @@ def _run(checkpointed: bool):
         pc = ParallelContext.tesseract(ctx, q=Q, d=D)
         layers = Sequential(ctx)
         for idx in range(LAYERS):
-            layer = TesseractTransformerLayer(pc, H, NH,
-                                              init_tags=("ck", idx))
+            layer = TransformerLayer(pc, H, NH, init_tags=("ck", idx))
             layers.append(
                 ActivationCheckpoint(layer) if checkpointed else layer
             )

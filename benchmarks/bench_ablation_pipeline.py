@@ -12,7 +12,7 @@ import pytest
 
 from repro.nn.module import Sequential
 from repro.parallel.pipeline import PipelineStage
-from repro.parallel.serial import SerialTransformerLayer
+from repro.parallel.layers import TransformerLayer
 from repro.sim.engine import Engine
 from repro.util.formatting import format_bytes, format_seconds
 from repro.util.tables import Table
@@ -32,7 +32,7 @@ def _run(schedule: str):
 
     def prog(ctx):
         s = ctx.rank
-        layer = SerialTransformerLayer(ctx, H, NH, init_tags=("pp", s))
+        layer = TransformerLayer(ctx, H, NH, init_tags=("pp", s))
         model = Sequential(ctx, layer)
         stage = PipelineStage(
             ctx, model,

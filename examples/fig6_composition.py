@@ -17,8 +17,8 @@ import numpy as np
 from repro.grid import GridLayout, ParallelContext, TesseractShape
 from repro.nn.module import Sequential
 from repro.parallel import PipelineStage, dp_batch_slice, sync_gradients
-from repro.parallel.serial import SerialTransformerLayer
-from repro.parallel.tesseract import TesseractTransformerLayer, local_block_a
+from repro.parallel.layers import TransformerLayer
+from repro.parallel.tesseract import local_block_a
 from repro.sim import Engine
 from repro.sim.timeline import analyze, gantt
 from repro.util.formatting import format_seconds
@@ -41,8 +41,8 @@ def main() -> None:
     def serial(ctx):
         model = Sequential(
             ctx,
-            SerialTransformerLayer(ctx, H, NH, init_tags=("fig6", 0)),
-            SerialTransformerLayer(ctx, H, NH, init_tags=("fig6", 1)),
+            TransformerLayer(ctx, H, NH, init_tags=("fig6", 0)),
+            TransformerLayer(ctx, H, NH, init_tags=("fig6", 1)),
         )
         model.forward(VArray.from_numpy(x))
         model.backward(VArray.from_numpy(dy))
@@ -52,8 +52,7 @@ def main() -> None:
 
     def composed(ctx):
         pc = ParallelContext(ctx, layout)
-        layer = TesseractTransformerLayer(pc, H, NH,
-                                          init_tags=("fig6", pc.pp_idx))
+        layer = TransformerLayer(pc, H, NH, init_tags=("fig6", pc.pp_idx))
         stage = PipelineStage(ctx, layer,
                               prev_rank=pc.pipeline_neighbor(-1),
                               next_rank=pc.pipeline_neighbor(+1))

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.synthetic import random_token_batch
 from repro.grid import ParallelContext
-from repro.models import SerialTransformerLM, TesseractTransformerLM, TransformerConfig
+from repro.models import TransformerConfig, TransformerLM
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.optim import Adam
 from repro.nn.serialize import save_checkpoint
@@ -38,10 +38,10 @@ CKPT_DIR = Path(tempfile.gettempdir()) / "repro_lm_checkpoints"
 def train(ctx, parallel: bool):
     if parallel:
         pc = ParallelContext.tesseract(ctx, q=Q, d=D)
-        model = TesseractTransformerLM(pc, CFG)
+        model = TransformerLM(pc, CFG)
     else:
         pc = None
-        model = SerialTransformerLM(ctx, CFG)
+        model = TransformerLM(ctx, CFG)
     opt = Adam(model.parameter_list(), lr=LR)
     losses = []
     for step in range(STEPS):

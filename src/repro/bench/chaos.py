@@ -280,18 +280,17 @@ def run_scenario(
     def setup(ctx, shape):
         from repro.nn.optim import Adam
 
-        if scenario.mode == "serial":
-            from repro.models.vit import SerialViT
+        from repro.models.vit import ViT
 
-            model = SerialViT(ctx, CHAOS_VIT)
+        if scenario.mode == "serial":
             pc = None
+            model = ViT(ctx, CHAOS_VIT)
         else:
             from repro.grid.context import ParallelContext
-            from repro.models.vit import TesseractViT
 
             q, d = (shape.q, shape.d) if shape else (scenario.q, scenario.d)
             pc = ParallelContext.tesseract(ctx, q=q, d=d)
-            model = TesseractViT(pc, CHAOS_VIT)
+            model = ViT(pc, CHAOS_VIT)
         opt = Adam(model.parameter_list(), lr=3e-3)
         return model, opt, pc
 

@@ -15,7 +15,7 @@ from repro.bench.experiments import Fig7Config
 from repro.data.synthetic import SyntheticImageClassification
 from repro.grid.context import ParallelContext
 from repro.models.configs import ViTConfig
-from repro.models.vit import SerialViT, TesseractViT
+from repro.models.vit import ViT
 from repro.nn.optim.adam import Adam
 from repro.sim.engine import Engine
 from repro.train.trainer import TrainHistory, train_classifier
@@ -80,11 +80,11 @@ def run_fig7(cfg: Fig7Config, tolerance: float = 1e-2) -> Fig7Result:
 
         def program(ctx, q=q, d=d, nranks=nranks):
             if nranks == 1:
-                model = SerialViT(ctx, vit_cfg)
+                model = ViT(ctx, vit_cfg)
                 pc = None
             else:
                 pc = ParallelContext.tesseract(ctx, q=q, d=d)
-                model = TesseractViT(pc, vit_cfg)
+                model = ViT(pc, vit_cfg)
             opt = Adam(
                 model.parameter_list(), lr=cfg.lr, weight_decay=cfg.weight_decay
             )

@@ -1,52 +1,35 @@
-"""Transformer encoder language model, serial and Tesseract-sharded.
+"""Transformer encoder language model, one class for every scheme.
 
 The LM is: token embedding + learned positions -> ``num_layers`` pre-LN
-transformer layers -> final LayerNorm -> vocabulary head.  As with the ViT
-(:mod:`repro.models.vit`), the serial and sharded variants share all
-logical weights.
+transformer layers -> final LayerNorm -> vocabulary head.  It is built over
+the group the caller passes, whose layout (:mod:`repro.parallel.layers`)
+shards the layers; every layout shares all logical weights, as with the
+ViT (:mod:`repro.models.vit`).
 
 Sharding note: the paper parallelizes the transformer *layers* (its
-evaluation measures layer stacks); embeddings are outside its scope.  The
-Tesseract variant therefore computes the embedding replicated on every
-rank and hands each rank its A-layout block of the embedded activations
-("embedding bridge").  The bridge is exact; its cost is an all-gather of
-the activation gradient in the backward pass, charged like any other
-collective.
+evaluation measures layer stacks); embeddings are outside its scope.  Every
+rank therefore computes the embedding replicated and keeps its layout's
+block of the embedded activations ("embedding bridge": the A-layout block
+on the Tesseract grid, everything where activations are replicated).  The
+bridge is exact; on the grid its cost is an all-gather of the activation
+gradient in the backward pass, charged like any other collective.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.communicator import Communicator
 from repro.errors import SimulationError
-from repro.grid.context import ParallelContext
 from repro.models.configs import TransformerConfig
 from repro.nn.embedding import Embedding
 from repro.nn.module import Module
-from repro.nn.normalization import LayerNorm
-from repro.parallel.common import gather_a_layout
-from repro.parallel.megatron.layers import (
-    MegatronClassifierHead,
-    MegatronTransformerLayer,
-)
-from repro.parallel.serial import SerialClassifierHead, SerialTransformerLayer
-from repro.parallel.tesseract.layers import (
-    TesseractClassifierHead,
-    TesseractLayerNorm,
-    TesseractTransformerLayer,
-    local_block_a,
-)
+from repro.parallel.layers import ClassifierHead, TransformerLayer, layout_of
 from repro.sim.engine import RankContext
 from repro.util.mathutil import check_divides
 from repro.varray import ops, vinit
 from repro.varray.varray import VArray
 
-__all__ = [
-    "SerialTransformerLM",
-    "MegatronTransformerLM",
-    "TesseractTransformerLM",
-]
+__all__ = ["TransformerLM"]
 
 _TAGS = ("lm",)
 
@@ -82,11 +65,9 @@ def _cached_pass(
     positions: VArray | None,
     past_kv: list,
     extra_mask: VArray | None = None,
-    pc: ParallelContext | None = None,
 ) -> tuple[VArray, list]:
-    """The pass behind every LM's ``prefill`` (``positions`` None: ``0 ..
-    s-1``) and ``decode_step``; ``pc`` keeps this rank's A-layout block of
-    the embedded batch (the Tesseract bridge).
+    """The pass behind ``prefill`` (``positions`` None: ``0 .. s-1``) and
+    ``decode_step``, on this rank's block of the embedded batch.
 
     It goes through :meth:`RankContext.replay`, keyed by the model, the
     entry point and every operand's signature: symbolic weights carry no
@@ -103,9 +84,7 @@ def _cached_pass(
         if pos is None:
             pos = VArray.from_numpy(
                 np.arange(tokens.shape[1], dtype=np.int64))
-        x = _embed_positions(model, tokens, pos)
-        if pc is not None:
-            x = _slice_a_layout(pc, x)
+        x = model.layout.scatter(_embed_positions(model, tokens, pos))
         new_kv: list = []
         for block, pkv in zip(model.blocks, past_kv):
             x, layer_kv = block.forward_cached(x, pkv, extra_mask)
@@ -123,14 +102,24 @@ def _cached_pass(
     return model.ctx.replay(key, run)
 
 
-class SerialTransformerLM(Module):
-    """Single-rank LM; ``forward(tokens [b, s]) -> logits [b, s, vocab]``."""
+class TransformerLM(Module):
+    """``forward(tokens [b, s]) -> logits`` on the layout of ``group``.
 
-    def __init__(self, ctx: RankContext, cfg: TransformerConfig):
-        super().__init__(ctx)
+    The embedding and positions are replicated (see the module docstring);
+    the logits cover this rank's batch band, ``[b/(dq), s, vocab]`` on the
+    Tesseract grid and ``[b, s, vocab]`` elsewhere.
+    """
+
+    def __init__(self, group, cfg: TransformerConfig):
+        layout = layout_of(group)
+        super().__init__(layout.ctx)
         if cfg.vocab <= 0:
-            raise ValueError("SerialTransformerLM needs cfg.vocab > 0")
+            raise ValueError("TransformerLM needs cfg.vocab > 0")
+        check_divides(layout.tp, cfg.vocab, "vocab vs tensor ranks")
+        self.layout = layout
+        self.pc = layout.pc
         self.cfg = cfg
+        ctx = layout.ctx
         self.embed = self.add_module(
             "embed", Embedding(ctx, cfg.vocab, cfg.hidden, init_tags=(*_TAGS, "tok"))
         )
@@ -138,37 +127,50 @@ class SerialTransformerLM(Module):
         self.blocks = [
             self.add_module(
                 f"block{idx}",
-                SerialTransformerLayer(
-                    ctx, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
+                TransformerLayer(
+                    group, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
                     init_tags=(*_TAGS, "layer", idx),
                     causal=cfg.causal,
                 ),
             )
             for idx in range(cfg.num_layers)
         ]
-        self.final_ln = self.add_module("final_ln", LayerNorm(ctx, cfg.hidden))
+        self.final_ln = self.add_module("final_ln", layout.layernorm(cfg.hidden))
         self.head = self.add_module(
             "head",
-            SerialClassifierHead(ctx, cfg.hidden, cfg.vocab,
-                                 init_tags=(*_TAGS, "head")),
+            ClassifierHead(group, cfg.hidden, cfg.vocab,
+                           init_tags=(*_TAGS, "head")),
         )
 
+    @property
+    def param_owner(self) -> str:
+        return f"{self.layout.family}TransformerLM"
+
     def local_tokens(self, tokens: np.ndarray) -> VArray:
+        """The embedding bridge is replicated: every rank takes all tokens."""
         return VArray.from_numpy(tokens.astype(np.int64))
+
+    def local_labels(self, labels: np.ndarray) -> VArray:
+        """This rank's batch band of the [b, s] label matrix."""
+        return VArray.from_numpy(self.layout.rows(labels.astype(np.int64)))
 
     def forward(self, tokens: VArray) -> VArray:
         ctx = self.ctx
         x = self.embed.forward(tokens)
         x = ops.add(ctx, x, self.pos.value, tag="lm_pos")
+        x = self.layout.scatter(x)
         for block in self.blocks:
             x = block.forward(x)
         x = self.final_ln.forward(x)
         return self.head.forward(x)
 
     def prefill(self, tokens: VArray) -> tuple[VArray, list]:
-        """Run the prompt ``[B, s]`` through the causal stack, returning
-        ``(logits [B, s, vocab], kv)`` where ``kv[i]`` is layer ``i``'s
-        ``(k, v)`` tensors ``[B, s, hidden]`` for the caller's cache."""
+        """Run the global prompt batch ``[B, s]`` through the causal stack,
+        returning ``(logits, kv)`` for this rank's block: logits ``[B/(dq),
+        s, vocab]`` on the grid (``[B, s, vocab]`` elsewhere); ``kv[i]`` is
+        layer ``i``'s ``(k, v)`` for the caller's cache, each ``[B/(dq), s,
+        hidden/q]`` on the grid, ``[B, s, hidden/p]`` on Megatron's group
+        (this rank's heads) and ``[B, s, hidden]`` serial."""
         return _cached_pass(self, "prefill", tokens, None,
                             [None] * len(self.blocks))
 
@@ -181,10 +183,11 @@ class SerialTransformerLM(Module):
     ) -> tuple[VArray, list]:
         """One incremental decode step.
 
-        ``tokens [B, 1]`` are the newest token ids, ``positions [B, 1]``
-        their absolute positions, ``past_kv`` the per-layer ``(k, v)``
-        history.  Returns ``(logits [B, 1, vocab], new_kv)`` with
-        ``new_kv[i]`` holding only this step's keys/values.
+        ``tokens [B, 1]`` are the newest token ids (global), ``positions
+        [B, 1]`` their absolute positions, ``past_kv`` the per-layer ``(k,
+        v)`` history.  Returns ``(logits, new_kv)`` for this rank's block
+        (see :meth:`prefill`) with ``new_kv[i]`` holding only this step's
+        keys/values.
         """
         return _cached_pass(self, "decode_step", tokens, positions, past_kv,
                             extra_mask)
@@ -195,186 +198,14 @@ class SerialTransformerLM(Module):
         dx = self.final_ln.backward(dx)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
+        # Bridge backward: the global activation gradient, so the replicated
+        # embedding computes identical gradients on every rank.
+        dx = self.layout.gather(dx, tag="lm_bridge")
         dpos = ops.reduce_sum(ctx, dx, axis=0, keepdims=False, tag="lm_dpos")
         self.pos.accumulate(dpos)
         return self.embed.backward(dx)
 
 
-class MegatronTransformerLM(Module):
-    """Megatron-sharded LM: replicated embedding/positions, tensor-parallel
-    layers, replicated final LayerNorm, vocab-parallel head that all-gathers
-    to full logits on every rank."""
-
-    def __init__(self, comm: Communicator, cfg: TransformerConfig):
-        super().__init__(comm.ctx)
-        if cfg.vocab <= 0:
-            raise ValueError("MegatronTransformerLM needs cfg.vocab > 0")
-        check_divides(comm.size, cfg.vocab, "vocab vs group size")
-        self.comm = comm
-        self.cfg = cfg
-        ctx = comm.ctx
-        self.embed = self.add_module(
-            "embed", Embedding(ctx, cfg.vocab, cfg.hidden, init_tags=(*_TAGS, "tok"))
-        )
-        self.pos = self.add_param("pos", _pos_global(ctx, cfg.seq_len, cfg.hidden))
-        self.blocks = [
-            self.add_module(
-                f"block{idx}",
-                MegatronTransformerLayer(
-                    comm, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
-                    init_tags=(*_TAGS, "layer", idx),
-                    causal=cfg.causal,
-                ),
-            )
-            for idx in range(cfg.num_layers)
-        ]
-        self.final_ln = self.add_module("final_ln", LayerNorm(ctx, cfg.hidden))
-        self.head = self.add_module(
-            "head",
-            MegatronClassifierHead(comm, cfg.hidden, cfg.vocab,
-                                   init_tags=(*_TAGS, "head")),
-        )
-
-    def local_tokens(self, tokens: np.ndarray) -> VArray:
-        """Activations are replicated: every rank takes all tokens."""
-        return VArray.from_numpy(tokens.astype(np.int64))
-
-    def forward(self, tokens: VArray) -> VArray:
-        ctx = self.ctx
-        x = self.embed.forward(tokens)
-        x = ops.add(ctx, x, self.pos.value, tag="lm_pos")
-        for block in self.blocks:
-            x = block.forward(x)
-        x = self.final_ln.forward(x)
-        return self.head.forward(x)
-
-    def prefill(self, tokens: VArray) -> tuple[VArray, list]:
-        """See :meth:`SerialTransformerLM.prefill`; KV blocks here are this
-        rank's head slice ``[B, s, hidden / group]``."""
-        return _cached_pass(self, "prefill", tokens, None,
-                            [None] * len(self.blocks))
-
-    def decode_step(
-        self,
-        tokens: VArray,
-        positions: VArray,
-        past_kv: list,
-        extra_mask: VArray | None = None,
-    ) -> tuple[VArray, list]:
-        """See :meth:`SerialTransformerLM.decode_step`."""
-        return _cached_pass(self, "decode_step", tokens, positions, past_kv,
-                            extra_mask)
-
-
-class TesseractTransformerLM(Module):
-    """Tesseract-sharded LM; layers are sharded, the embedding bridge is
-    replicated (see module docstring)."""
-
-    def __init__(
-        self,
-        pc: ParallelContext,
-        cfg: TransformerConfig,
-        layer_cls: type = TesseractTransformerLayer,
-    ):
-        super().__init__(pc.ctx)
-        if cfg.vocab <= 0:
-            raise ValueError("TesseractTransformerLM needs cfg.vocab > 0")
-        check_divides(pc.q, cfg.vocab, "vocab vs q")
-        self.pc = pc
-        self.cfg = cfg
-        self.embed = self.add_module(
-            "embed",
-            Embedding(pc.ctx, cfg.vocab, cfg.hidden, init_tags=(*_TAGS, "tok")),
-        )
-        self.pos = self.add_param(
-            "pos", _pos_global(pc.ctx, cfg.seq_len, cfg.hidden)
-        )
-        self.blocks = [
-            self.add_module(
-                f"block{idx}",
-                layer_cls(
-                    pc, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
-                    init_tags=(*_TAGS, "layer", idx),
-                    causal=cfg.causal,
-                ),
-            )
-            for idx in range(cfg.num_layers)
-        ]
-        self.final_ln = self.add_module(
-            "final_ln", TesseractLayerNorm(pc, cfg.hidden)
-        )
-        self.head = self.add_module(
-            "head",
-            TesseractClassifierHead(pc, cfg.hidden, cfg.vocab,
-                                    init_tags=(*_TAGS, "head")),
-        )
-
-    def local_tokens(self, tokens: np.ndarray) -> VArray:
-        """The embedding bridge is replicated: every rank takes all tokens."""
-        return VArray.from_numpy(tokens.astype(np.int64))
-
-    def local_labels(self, labels: np.ndarray) -> VArray:
-        """This rank's batch band of the [b, s] label matrix."""
-        pc = self.pc
-        rows = check_divides(pc.d * pc.q, labels.shape[0], "batch size")
-        h = pc.block_row
-        return VArray.from_numpy(
-            np.ascontiguousarray(labels[h * rows : (h + 1) * rows]).astype(np.int64)
-        )
-
-    def forward(self, tokens: VArray) -> VArray:
-        ctx, pc = self.ctx, self.pc
-        x_global = self.embed.forward(tokens)
-        x_global = ops.add(ctx, x_global, self.pos.value, tag="lm_pos")
-        # Bridge: keep this rank's A-layout block of the embedded batch.
-        x = _slice_a_layout(pc, x_global)
-        for block in self.blocks:
-            x = block.forward(x)
-        x = self.final_ln.forward(x)
-        return self.head.forward(x)
-
-    def prefill(self, tokens: VArray) -> tuple[VArray, list]:
-        """Causal prefill on this rank's A-layout block.
-
-        ``tokens`` is the *global* ``[B, s]`` prompt batch (the embedding
-        bridge is replicated); the returned logits and KV blocks cover this
-        rank's batch band / hidden slice: logits ``[B/(dq), s, vocab]``, KV
-        ``[B/(dq), s, hidden/q]`` per layer.
-        """
-        return _cached_pass(self, "prefill", tokens, None,
-                            [None] * len(self.blocks), pc=self.pc)
-
-    def decode_step(
-        self,
-        tokens: VArray,
-        positions: VArray,
-        past_kv: list,
-        extra_mask: VArray | None = None,
-    ) -> tuple[VArray, list]:
-        """One decode step; ``tokens``/``positions`` are global ``[B, 1]``,
-        the returned logits/KV are this rank's blocks (see :meth:`prefill`).
-        """
-        return _cached_pass(self, "decode_step", tokens, positions, past_kv,
-                            extra_mask, pc=self.pc)
-
-    def backward(self, dlogits: VArray) -> VArray:
-        ctx, pc = self.ctx, self.pc
-        dx = self.head.backward(dlogits)
-        dx = self.final_ln.backward(dx)
-        for block in reversed(self.blocks):
-            dx = block.backward(dx)
-        # Bridge backward: reassemble the global activation gradient so the
-        # replicated embedding computes identical gradients on every rank.
-        dx_global = gather_a_layout(pc, dx, tag="lm_bridge")
-        dpos = ops.reduce_sum(ctx, dx_global, axis=0, keepdims=False, tag="lm_dpos")
-        self.pos.accumulate(dpos)
-        return self.embed.backward(dx_global)
-
-
-def _slice_a_layout(pc: ParallelContext, x: VArray) -> VArray:
-    """This rank's A-layout block of a full activation tensor (device side)."""
-    ctx = pc.ctx
-    bands = ops.split(ctx, x, pc.d * pc.q, axis=0, tag="a_slice")
-    band = bands[pc.block_row]
-    cols = ops.split(ctx, band, pc.q, axis=-1, tag="a_slice")
-    return cols[pc.j]
+#: the one LM under the names ``benchmarks/e2e/e2e_tracer.py`` wraps
+SerialTransformerLM = MegatronTransformerLM = TransformerLM
+TesseractTransformerLM = TransformerLM

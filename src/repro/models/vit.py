@@ -1,108 +1,107 @@
-"""Vision Transformer, serial and Tesseract-sharded (the Fig. 7 model).
-
-Both variants:
+"""Vision Transformer, one class for every scheme (the Fig. 7 model).
 
 * patchify -> linear patch projection -> +learned position embedding,
 * ``num_layers`` pre-LN transformer layers,
 * final LayerNorm -> mean-pool over patches -> linear classifier head,
 
-and draw every weight from the same named streams, so for identical inputs
-they produce identical logits, losses and gradients — the paper's §4.3
-claim ("Tesseract does not introduce any approximations") in executable
-form.
+built over the group the caller passes, whose layout
+(:mod:`repro.parallel.layers`) shards it.  Every layout draws each weight
+from the same named streams, so for identical inputs they produce
+identical logits, losses and gradients — the paper's §4.3 claim
+("Tesseract does not introduce any approximations") in executable form.
 
-Sharding notes (Tesseract variant):
+Sharding notes:
 
-* each rank receives its *batch band* of raw images ``[b/dq, C, H, W]``
-  (host-side split by ``local_images``), patchifies locally, and keeps its
-  ``j``-th column slice of the patch features — making the patch
-  projection a regular :class:`TesseractLinear`;
-* the position embedding holds the ``[num_patches, h/q]`` column slice,
-  replicated along columns/depth, with the matching gradient all-reduce;
-* the classifier head all-gathers logits along the grid row so every rank
-  evaluates the loss on its own batch shard.
+* each rank receives its *batch band* of raw images (host-side split by
+  ``local_images``: ``[b/dq, C, H, W]`` on the Tesseract grid, the whole
+  batch where activations are replicated), patchifies locally, and keeps
+  its ``1/tp`` slice of the patch features — the grid's column ``j``, so
+  the patch projection is a regular :class:`TesseractLinear`; Megatron's
+  rank slice, the input of a row-parallel projection;
+* the position embedding holds the activation's hidden slice
+  (``[num_patches, h/q]`` on the grid, replicated along columns/depth, with
+  the matching gradient all-reduce);
+* the classifier head all-gathers logits over the layout's head group so
+  every rank evaluates the loss on its own batch shard.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
-from repro.grid.context import ParallelContext
 from repro.models.configs import ViTConfig
 from repro.nn.embedding import patchify
-from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.nn.normalization import LayerNorm
-from repro.parallel.common import allreduce_col_depth
-from repro.parallel.serial import SerialClassifierHead, SerialTransformerLayer
-from repro.parallel.tesseract.layers import (
-    TesseractClassifierHead,
-    TesseractLayerNorm,
-    TesseractLinear,
-    TesseractTransformerLayer,
-)
+from repro.parallel.layers import ClassifierHead, TransformerLayer, layout_of
 from repro.sim.engine import RankContext
 from repro.util.mathutil import check_divides
 from repro.varray import ops, vinit
 from repro.varray.varray import VArray
 
-__all__ = ["SerialViT", "TesseractViT"]
+__all__ = ["ViT"]
 
 _TAGS = ("vit",)
 
 
-def _pos_embedding_global(ctx: RankContext, num_patches: int, hidden: int):
-    """The global [num_patches, hidden] position table (None if symbolic)."""
-    if ctx.symbolic:
-        return None
-    return vinit.normal(ctx.rng(*_TAGS, "pos"), (num_patches, hidden), std=0.02)
+class ViT(Module):
+    """``forward(images) -> logits`` for this rank's batch band."""
 
-
-class SerialViT(Module):
-    """Single-rank ViT; ``forward(images) -> logits``."""
-
-    def __init__(self, ctx: RankContext, cfg: ViTConfig):
-        super().__init__(ctx)
+    def __init__(self, group, cfg: ViTConfig):
+        layout = layout_of(group)
+        super().__init__(layout.ctx)
+        self.layout = layout
         self.cfg = cfg
+        ctx = layout.ctx
+        for dim, what in ((cfg.patch_dim, "patch dim"), (cfg.hidden, "hidden"),
+                          (cfg.nheads, "heads"), (cfg.num_classes, "classes")):
+            check_divides(layout.tp, dim, f"{what} vs tensor ranks")
         self.patch_proj = self.add_module(
             "patch_proj",
-            Linear(ctx, cfg.patch_dim, cfg.hidden, init_tags=(*_TAGS, "patch")),
+            layout.linear(cfg.patch_dim, cfg.hidden, (*_TAGS, "patch"),
+                          row=True),
         )
-        pos = _pos_embedding_global(ctx, cfg.num_patches, cfg.hidden)
-        self.pos = self.add_param(
-            "pos",
-            VArray.symbolic((cfg.num_patches, cfg.hidden))
-            if ctx.symbolic
-            else VArray.from_numpy(pos),
-        )
+        if ctx.symbolic:
+            pos = VArray.symbolic((cfg.num_patches, cfg.hidden // layout.cols))
+        else:
+            pos = VArray.from_numpy(layout.columns(vinit.normal(
+                ctx.rng(*_TAGS, "pos"), (cfg.num_patches, cfg.hidden),
+                std=0.02)))
+        self.pos = self.add_param("pos", pos, layout=layout.slice_layout)
         self.blocks = [
             self.add_module(
                 f"block{idx}",
-                SerialTransformerLayer(
-                    ctx, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
+                TransformerLayer(
+                    group, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
                     init_tags=(*_TAGS, "layer", idx),
                 ),
             )
             for idx in range(cfg.num_layers)
         ]
-        self.final_ln = self.add_module("final_ln", LayerNorm(ctx, cfg.hidden))
+        self.final_ln = self.add_module("final_ln", layout.layernorm(cfg.hidden))
         self.head = self.add_module(
             "head",
-            SerialClassifierHead(ctx, cfg.hidden, cfg.num_classes,
-                                 init_tags=(*_TAGS, "head")),
+            ClassifierHead(group, cfg.hidden, cfg.num_classes,
+                           init_tags=(*_TAGS, "head")),
         )
 
+    @property
+    def param_owner(self) -> str:
+        return f"{self.layout.family}ViT"
+
     def local_images(self, images: np.ndarray) -> VArray:
-        """Serial model consumes the full batch."""
-        return VArray.from_numpy(images)
+        """This rank's batch band of the global image batch."""
+        return VArray.from_numpy(self.layout.rows(images))
+
+    def local_labels(self, labels: np.ndarray) -> VArray:
+        """This rank's batch band of the global label vector."""
+        return VArray.from_numpy(self.layout.rows(labels))
 
     def forward(self, images: VArray) -> VArray:
         ctx, cfg = self.ctx, self.cfg
         patches = patchify(ctx, images, cfg.patch_size)
-        x = self.patch_proj.forward(patches)
+        x = self.patch_proj.forward(self.layout.take(patches, "vit_patch_slice"))
         x = ops.add(ctx, x, self.pos.value, tag="vit_pos")
-        self.save_for_backward(x.shape)
+        self.save_for_backward(None)
         for block in self.blocks:
             x = block.forward(x)
         x = self.final_ln.forward(x)
@@ -110,7 +109,7 @@ class SerialViT(Module):
         return self.head.forward(pooled)
 
     def backward(self, dlogits: VArray) -> VArray:
-        (x_shape,) = self.saved()
+        self.saved()
         ctx, cfg = self.ctx, self.cfg
         dpooled = self.head.backward(dlogits)
         # d(mean over seq): broadcast /seq over the patch axis.
@@ -122,103 +121,12 @@ class SerialViT(Module):
         dpos = dx
         while dpos.ndim > 2:
             dpos = ops.reduce_sum(ctx, dpos, axis=0, keepdims=False, tag="vit_dpos")
-        self.pos.accumulate(dpos)
+        self.pos.accumulate(self.layout.sync(dpos, tag="vit_dpos"))
         return self.patch_proj.backward(dx)
 
 
-class TesseractViT(Module):
-    """Tesseract-sharded ViT; consumes this rank's batch band of images."""
-
-    def __init__(self, pc: ParallelContext, cfg: ViTConfig):
-        super().__init__(pc.ctx)
-        self.pc = pc
-        self.cfg = cfg
-        check_divides(pc.q, cfg.patch_dim, "patch dim vs q")
-        check_divides(pc.q, cfg.hidden, "hidden vs q")
-        check_divides(pc.q, cfg.nheads, "heads vs q")
-        check_divides(pc.q, cfg.num_classes, "classes vs q")
-        self.patch_proj = self.add_module(
-            "patch_proj",
-            TesseractLinear(pc, cfg.patch_dim, cfg.hidden,
-                            init_tags=(*_TAGS, "patch")),
-        )
-        h_local = cfg.hidden // pc.q
-        if pc.ctx.symbolic:
-            pos_local = VArray.symbolic((cfg.num_patches, h_local))
-        else:
-            pos_global = _pos_embedding_global(pc.ctx, cfg.num_patches, cfg.hidden)
-            pos_local = VArray.from_numpy(
-                np.ascontiguousarray(
-                    pos_global[:, pc.j * h_local : (pc.j + 1) * h_local]
-                )
-            )
-        self.pos = self.add_param("pos", pos_local, layout="col_slice")
-        self.blocks = [
-            self.add_module(
-                f"block{idx}",
-                TesseractTransformerLayer(
-                    pc, cfg.hidden, cfg.nheads, cfg.mlp_ratio,
-                    init_tags=(*_TAGS, "layer", idx),
-                ),
-            )
-            for idx in range(cfg.num_layers)
-        ]
-        self.final_ln = self.add_module(
-            "final_ln", TesseractLayerNorm(pc, cfg.hidden)
-        )
-        self.head = self.add_module(
-            "head",
-            TesseractClassifierHead(pc, cfg.hidden, cfg.num_classes,
-                                    init_tags=(*_TAGS, "head")),
-        )
-
-    def local_images(self, images: np.ndarray) -> VArray:
-        """This rank's batch band ``h = i + k*q`` of the global image batch."""
-        pc = self.pc
-        rows = check_divides(pc.d * pc.q, images.shape[0], "batch size")
-        h = pc.block_row
-        return VArray.from_numpy(
-            np.ascontiguousarray(images[h * rows : (h + 1) * rows])
-        )
-
-    def local_labels(self, labels: np.ndarray) -> VArray:
-        """This rank's batch band of the global label vector."""
-        pc = self.pc
-        rows = check_divides(pc.d * pc.q, labels.shape[0], "batch size")
-        h = pc.block_row
-        return VArray.from_numpy(
-            np.ascontiguousarray(labels[h * rows : (h + 1) * rows])
-        )
-
-    def forward(self, images: VArray) -> VArray:
-        ctx, cfg, pc = self.ctx, self.cfg, self.pc
-        patches = patchify(ctx, images, cfg.patch_size)
-        # Keep this rank's column slice of the patch features (A-layout).
-        patches_local = ops.split(ctx, patches, pc.q, axis=-1,
-                                  tag="vit_patch_slice")[pc.j]
-        x = self.patch_proj.forward(patches_local)
-        x = ops.add(ctx, x, self.pos.value, tag="vit_pos")
-        self.save_for_backward(None)
-        for block in self.blocks:
-            x = block.forward(x)
-        x = self.final_ln.forward(x)
-        pooled = ops.reduce_mean(ctx, x, axis=1, keepdims=False, tag="vit_pool")
-        return self.head.forward(pooled)
-
-    def backward(self, dlogits: VArray) -> VArray:
-        self.saved()
-        ctx, cfg, pc = self.ctx, self.cfg, self.pc
-        dpooled = self.head.backward(dlogits)
-        dseq = ops.scale(ctx, dpooled, 1.0 / cfg.num_patches, tag="vit_dpool")
-        dx = _broadcast_axis1(ctx, dseq, cfg.num_patches)
-        dx = self.final_ln.backward(dx)
-        for block in reversed(self.blocks):
-            dx = block.backward(dx)
-        dpos = dx
-        while dpos.ndim > 2:
-            dpos = ops.reduce_sum(ctx, dpos, axis=0, keepdims=False, tag="vit_dpos")
-        self.pos.accumulate(allreduce_col_depth(pc, dpos, tag="vit_dpos"))
-        return self.patch_proj.backward(dx)
+#: the one ViT under the names ``benchmarks/e2e/e2e_tracer.py`` wraps
+SerialViT = TesseractViT = ViT
 
 
 def _broadcast_axis1(ctx: RankContext, x: VArray, n: int) -> VArray:

@@ -7,9 +7,9 @@ code).  All math flows through :mod:`repro.varray.ops`, so the same modules
 run in real mode (numerics) and symbolic mode (paper-scale timing), and
 every flop lands on the owning rank's virtual clock.
 
-Serial reference layers live here; the Megatron/Optimus/Tesseract sharded
-counterparts live in :mod:`repro.parallel` and implement the same
-:class:`Module` interface.
+The building blocks live here; the transformer layer, MLP, attention block
+and classifier head are written once in :mod:`repro.parallel.layers` and
+run serial or sharded (Megatron/Optimus/Tesseract) over a layout.
 """
 
 from repro.nn.parameter import Parameter
@@ -17,7 +17,7 @@ from repro.nn.module import Module, Sequential
 from repro.nn.linear import Linear
 from repro.nn.activation import GELU, ReLU, Dropout
 from repro.nn.normalization import LayerNorm
-from repro.nn.attention import MultiHeadAttention, attention_core, attention_core_backward
+from repro.nn.attention import attention_core, attention_core_backward
 from repro.nn.embedding import Embedding, PatchEmbedding
 from repro.nn.checkpoint import ActivationCheckpoint
 from repro.nn.serialize import (
@@ -37,7 +37,6 @@ __all__ = [
     "ReLU",
     "Dropout",
     "LayerNorm",
-    "MultiHeadAttention",
     "attention_core",
     "attention_core_backward",
     "Embedding",

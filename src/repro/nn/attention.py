@@ -1,23 +1,23 @@
-"""Scaled dot-product attention core + the serial multi-head layer.
+"""The scaled dot-product attention core.
 
 :func:`attention_core` / :func:`attention_core_backward` implement the
-head-batched attention math (Eq. 6 of the paper) on *local* tensors.  Both
-the serial layer here and every parallel attention layer reuse them: in the
-Tesseract layout each rank simply holds ``n/q`` heads of dimension ``h/n``
-(§3.2.1), so the identical kernel runs on a narrower tensor — which is
-precisely why the attention inner loop needs no communication.
+head-batched attention math (Eq. 6 of the paper) on *local* tensors, and
+:func:`attention_cached` its forward against a KV cache.  The one attention
+block (:class:`repro.parallel.layers.SelfAttention`) runs them in every
+layout: in the Tesseract layout each rank simply holds ``n/q`` heads of
+dimension ``h/n`` (§3.2.1), so the identical kernel runs on a narrower
+tensor — which is precisely why the attention inner loop needs no
+communication.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError, SimulationError
-from repro.nn.linear import Linear
-from repro.nn.module import Module
+from repro.errors import ShapeError
 from repro.sim.engine import RankContext
 from repro.util.mathutil import check_divides
-from repro.varray import ops
+from repro.varray import ops, vinit
 from repro.varray.varray import VArray
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "attention_cached",
     "causal_mask",
     "fused_qkv_weight",
-    "MultiHeadAttention",
 ]
 
 
@@ -36,14 +35,10 @@ def fused_qkv_weight(ctx: RankContext, hidden: int, init_tags: tuple):
     Each component is an independent Xavier draw from a named stream, so
     any sharding can re-materialize exactly the columns it owns.
     """
-    import numpy as np
-
-    from repro.varray import vinit
-
-    wq = vinit.xavier_uniform(ctx.rng(*init_tags, "wq"), (hidden, hidden))
-    wk = vinit.xavier_uniform(ctx.rng(*init_tags, "wk"), (hidden, hidden))
-    wv = vinit.xavier_uniform(ctx.rng(*init_tags, "wv"), (hidden, hidden))
-    return np.concatenate([wq, wk, wv], axis=1)
+    return np.concatenate([
+        vinit.xavier_uniform(ctx.rng(*init_tags, name), (hidden, hidden))
+        for name in ("wq", "wk", "wv")
+    ], axis=1)
 
 
 def _to_heads(ctx: RankContext, x: VArray, nheads: int) -> VArray:
@@ -191,104 +186,3 @@ def attention_core_backward(
     dq_h = ops.matmul(ctx, dscores, kh, tag="attn_dq")
     dk_h = ops.matmul(ctx, dscores, qh, transpose_a=True, tag="attn_dk")
     return _from_heads(ctx, dq_h), _from_heads(ctx, dk_h), _from_heads(ctx, dv_h)
-
-
-class MultiHeadAttention(Module):
-    """Serial multi-head self-attention (§2.4's formulation).
-
-    One fused QKV projection ``[h, 3h]``, the attention core, then the
-    output projection ``[h, h]`` — matching the operator count the paper's
-    §3.2.1 parallelizes.
-    """
-
-    def __init__(
-        self,
-        ctx: RankContext,
-        hidden: int,
-        nheads: int,
-        init_tags: tuple = ("attn",),
-        causal: bool = False,
-    ):
-        super().__init__(ctx)
-        self.hidden = hidden
-        self.nheads = nheads
-        self.causal = causal
-        #: local head count — the serial layer owns all heads; kept under
-        #: the same name as the parallel layers so cached decode is uniform.
-        self.local_heads = nheads
-        head_dim = check_divides(nheads, hidden, "hidden size vs heads")
-        self.scale = 1.0 / float(head_dim) ** 0.5
-        # The fused QKV weight is the concatenation of three independently
-        # Xavier-initialized [h, h] matrices (streams "wq"/"wk"/"wv").  The
-        # parallel attention layers slice the *same* three matrices, so
-        # serial and sharded models share identical logical weights.
-        qkv_weight = None
-        if not ctx.symbolic:
-            qkv_weight = fused_qkv_weight(ctx, hidden, (*init_tags, "qkv"))
-        self.qkv = self.add_module(
-            "qkv",
-            Linear(
-                ctx, hidden, 3 * hidden, init_tags=(*init_tags, "qkv"),
-                weight=qkv_weight,
-            ),
-        )
-        self.proj = self.add_module(
-            "proj", Linear(ctx, hidden, hidden, init_tags=(*init_tags, "proj"))
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        qkv = self.qkv.forward(x)
-        q, k, v = ops.split(ctx, qkv, 3, axis=-1, tag="attn_split")
-        out, cache = attention_core(ctx, q, k, v, self.nheads, self.scale,
-                                    causal=self.causal)
-        self.save_for_backward(cache)
-        return self.proj.forward(out)
-
-    def forward_cached(
-        self,
-        x: VArray,
-        past_kv: tuple[VArray, VArray] | None = None,
-        extra_mask: VArray | None = None,
-    ) -> tuple[VArray, tuple[VArray, VArray]]:
-        """Incremental (inference-only) forward against a KV cache.
-
-        ``x [B, s_new, H_local]`` are the newest positions; ``past_kv`` is
-        this layer's ``(k, v)`` history, each ``[B, s_prev, H_local]``.
-        Returns ``(out, (k_new, v_new))`` where ``k_new/v_new`` are only
-        the *new* positions' keys/values — the caller owns cache storage.
-        """
-        return _attention_forward_cached(self, x, past_kv, extra_mask)
-
-    def backward(self, dy: VArray) -> VArray:
-        (cache,) = self.saved()
-        ctx = self.ctx
-        dout = self.proj.backward(dy)
-        dq, dk, dv = attention_core_backward(ctx, cache, dout)
-        dqkv = ops.concat(ctx, [dq, dk, dv], axis=-1, tag="attn_dsplit")
-        return self.qkv.backward(dqkv)
-
-
-def _attention_forward_cached(layer, x, past_kv, extra_mask):
-    """Shared cached-decode forward for every attention flavor.
-
-    ``layer`` needs ``.ctx``, ``.qkv``, ``.proj``, ``.local_heads``,
-    ``.scale`` and must be in inference mode (the projections'
-    ``save_for_backward`` must not stash activations across steps).
-    """
-    if layer.training:
-        raise SimulationError(
-            f"{type(layer).__name__}.forward_cached requires eval() mode"
-        )
-    ctx = layer.ctx
-    qkv = layer.qkv.forward(x)
-    q, k, v = ops.split(ctx, qkv, 3, axis=-1, tag="attn_split")
-    if past_kv is not None:
-        pk, pv = past_kv
-        k_all = ops.concat(ctx, [pk, k], axis=1, tag="kv_concat")
-        v_all = ops.concat(ctx, [pv, v], axis=1, tag="kv_concat")
-    else:
-        k_all, v_all = k, v
-    out = attention_cached(ctx, q, k_all, v_all, layer.local_heads,
-                           layer.scale, extra_mask=extra_mask)
-    return layer.proj.forward(out), (k, v)

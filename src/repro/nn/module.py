@@ -35,13 +35,18 @@ class Module:
 
     # --- registration -----------------------------------------------------------
 
+    @property
+    def param_owner(self) -> str:
+        """The prefix of this module's parameter names (``Linear.w``)."""
+        return type(self).__name__
+
     def add_param(self, name: str, value: VArray,
                   layout: str = "full", parts: int = 1) -> Parameter:
         """Create and register a parameter (``layout``/``parts`` per
         Parameter docs)."""
         if name in self._params:
             raise SimulationError(f"duplicate parameter name {name!r}")
-        p = Parameter(self.ctx, f"{type(self).__name__}.{name}", value,
+        p = Parameter(self.ctx, f"{self.param_owner}.{name}", value,
                       layout=layout, parts=parts)
         self._params[name] = p
         return p

@@ -12,7 +12,6 @@ from repro.varray.varray import VArray
 
 __all__ = [
     "global_xavier",
-    "fused_qkv_global",
     "block_2d",
     "col_shard",
     "row_shard",
@@ -30,16 +29,6 @@ def global_xavier(ctx: RankContext, shape: tuple[int, int], init_tags: tuple):
     if ctx.symbolic:
         return None
     return vinit.xavier_uniform(ctx.rng(*init_tags, "w"), shape)
-
-
-def fused_qkv_global(ctx: RankContext, hidden: int, init_tags: tuple):
-    """The three global attention matrices (Wq, Wk, Wv), or None if symbolic."""
-    if ctx.symbolic:
-        return None
-    return tuple(
-        vinit.xavier_uniform(ctx.rng(*init_tags, name), (hidden, hidden))
-        for name in ("wq", "wk", "wv")
-    )
 
 
 def block_2d(weight: np.ndarray, q: int, i: int, j: int) -> np.ndarray:

@@ -1,19 +1,9 @@
 """Megatron-LM style 1-D tensor-parallel layers (§2.5 of the paper)."""
 
 from repro.parallel.megatron.layers import (
-    MegatronClassifierHead,
     MegatronColumnLinear,
-    MegatronMLP,
+    MegatronLayout,
     MegatronRowLinear,
-    MegatronSelfAttention,
-    MegatronTransformerLayer,
 )
 
-__all__ = [
-    "MegatronColumnLinear",
-    "MegatronRowLinear",
-    "MegatronMLP",
-    "MegatronSelfAttention",
-    "MegatronTransformerLayer",
-    "MegatronClassifierHead",
-]
+__all__ = ["MegatronColumnLinear", "MegatronRowLinear", "MegatronLayout"]

@@ -1,4 +1,4 @@
-"""Megatron-LM 1-D tensor-parallel transformer layers.
+"""Megatron-LM 1-D tensor parallelism: its two linears and its layout.
 
 The 1-D scheme (§2.5, Fig. 2): activations are **replicated** on all ``p``
 ranks; each block's first weight is column-sharded and its second weight is
@@ -8,27 +8,24 @@ whose ``a*b`` activation-memory term Eq. 9/10 charges against.
 
 LayerNorm and residuals run replicated and identical on every rank, so no
 communication (and no gradient sync — every rank computes the same affine
-gradients from the same replicated activations).
+gradients from the same replicated activations).  The layer itself is
+:mod:`repro.parallel.layers`' one skeleton over :class:`MegatronLayout`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.comm.communicator import Communicator
-from repro.errors import ShapeError
-from repro.nn.attention import (
-    _attention_forward_cached,
-    attention_core,
-    attention_core_backward,
-)
+from repro.nn.attention import fused_qkv_weight
 from repro.nn.module import Module
-from repro.nn.normalization import LayerNorm
 from repro.parallel.common import (
     col_shard,
     fused_col_shard,
-    fused_qkv_global,
     global_xavier,
     row_shard,
 )
+from repro.parallel.layers import Layout, TransformerLayer
 from repro.util.mathutil import check_divides, prod
 from repro.varray import ops, vinit
 from repro.varray.varray import VArray
@@ -36,10 +33,8 @@ from repro.varray.varray import VArray
 __all__ = [
     "MegatronColumnLinear",
     "MegatronRowLinear",
-    "MegatronMLP",
-    "MegatronSelfAttention",
+    "MegatronLayout",
     "MegatronTransformerLayer",
-    "MegatronClassifierHead",
 ]
 
 
@@ -71,7 +66,8 @@ class MegatronColumnLinear(Module):
             full = global_xavier(self.ctx, (in_features, out_features), init_tags)
             w = VArray.from_numpy(col_shard(full, p, r))
         else:
-            parts = fused_qkv_global(self.ctx, in_features, init_tags)
+            parts = np.split(
+                fused_qkv_weight(self.ctx, in_features, init_tags), 3, axis=1)
             w = VArray.from_numpy(fused_col_shard(parts, p, r))
         self.w = self.add_param("w", w, layout="sharded")
         if bias:
@@ -172,180 +168,30 @@ class MegatronRowLinear(Module):
         return ops.matmul(ctx, dy, self.w.value, transpose_b=True, tag="mrow_dx")
 
 
-class MegatronMLP(Module):
-    """MLP block: column-parallel [h, 4h] + GELU + row-parallel [4h, h]."""
+class MegatronLayout(Layout):
+    """Megatron-LM's 1-D group in the one layer skeleton
+    (:mod:`repro.parallel.layers`): each block's first linear is
+    column-parallel and its second row-parallel, each rank owns ``n/p``
+    whole heads, the head is vocab-parallel, and activations and LayerNorm
+    stay replicated, so the activation bridge is the identity."""
 
-    def __init__(
-        self,
-        comm: Communicator,
-        hidden: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("mlp",),
-    ):
+    family = "Megatron"
+    tag = "mattn"
+
+    def __init__(self, comm: Communicator):
         super().__init__(comm.ctx)
-        self.fc1 = self.add_module(
-            "fc1",
-            MegatronColumnLinear(comm, hidden, mlp_ratio * hidden,
-                                 init_tags=(*init_tags, "fc1")),
-        )
-        self.fc2 = self.add_module(
-            "fc2",
-            MegatronRowLinear(comm, mlp_ratio * hidden, hidden,
-                              init_tags=(*init_tags, "fc2")),
-        )
+        self.comm = self.head_comm = comm
+        self.tp, self.index = comm.size, comm.rank
 
-    def forward(self, x: VArray) -> VArray:
-        h = self.fc1.forward(x)
-        self.save_for_backward(h)
-        return self.fc2.forward(ops.gelu(self.ctx, h, tag="mlp_gelu"))
-
-    def backward(self, dy: VArray) -> VArray:
-        (h,) = self.saved()
-        da = self.fc2.backward(dy)
-        return self.fc1.backward(
-            ops.gelu_grad(self.ctx, h, da, tag="mlp_gelu_bwd")
-        )
+    def linear(self, in_features: int, out_features: int, init_tags: tuple,
+               row: bool = False, fused_parts: int = 1) -> Module:
+        if row:
+            return MegatronRowLinear(self.comm, in_features, out_features,
+                                     init_tags=init_tags)
+        return MegatronColumnLinear(self.comm, in_features, out_features,
+                                    init_tags=init_tags,
+                                    fused_parts=fused_parts)
 
 
-class MegatronSelfAttention(Module):
-    """Self-attention: column-parallel QKV, local heads, row-parallel proj.
-
-    Each rank owns ``n/p`` whole attention heads (requires ``p | n``), so
-    the attention core runs without communication — Megatron-LM's key
-    observation, shared by Tesseract's §3.2.1.
-    """
-
-    def __init__(
-        self,
-        comm: Communicator,
-        hidden: int,
-        nheads: int,
-        init_tags: tuple = ("attn",),
-        causal: bool = False,
-    ):
-        super().__init__(comm.ctx)
-        self.causal = causal
-        self.local_heads = check_divides(comm.size, nheads, "heads vs ranks")
-        head_dim = check_divides(nheads, hidden, "hidden vs heads")
-        self.scale = 1.0 / float(head_dim) ** 0.5
-        self.qkv = self.add_module(
-            "qkv",
-            MegatronColumnLinear(comm, hidden, 3 * hidden,
-                                 init_tags=(*init_tags, "qkv"), fused_parts=3),
-        )
-        self.proj = self.add_module(
-            "proj",
-            MegatronRowLinear(comm, hidden, hidden,
-                              init_tags=(*init_tags, "proj")),
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        qkv = self.qkv.forward(x)
-        q, k, v = ops.split(ctx, qkv, 3, axis=-1, tag="mattn_split")
-        out, cache = attention_core(ctx, q, k, v, self.local_heads, self.scale,
-                                    causal=self.causal)
-        self.save_for_backward(cache)
-        return self.proj.forward(out)
-
-    def forward_cached(self, x, past_kv=None, extra_mask=None):
-        """Inference forward against this rank's KV-cache slice.
-
-        The cache holds only this rank's ``n/p`` heads (``[B, s, h/p]``), so
-        decode — like the training forward — needs no attention-time
-        communication; only the row-parallel projection all-reduces.
-        """
-        return _attention_forward_cached(self, x, past_kv, extra_mask)
-
-    def backward(self, dy: VArray) -> VArray:
-        (cache,) = self.saved()
-        ctx = self.ctx
-        dout = self.proj.backward(dy)
-        dq, dk, dv = attention_core_backward(ctx, cache, dout)
-        return self.qkv.backward(
-            ops.concat(ctx, [dq, dk, dv], axis=-1, tag="mattn_dsplit")
-        )
-
-
-class MegatronTransformerLayer(Module):
-    """Pre-LN layer with replicated LayerNorm and local residuals."""
-
-    def __init__(
-        self,
-        comm: Communicator,
-        hidden: int,
-        nheads: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("layer",),
-        causal: bool = False,
-    ):
-        super().__init__(comm.ctx)
-        self.ln1 = self.add_module("ln1", LayerNorm(comm.ctx, hidden))
-        self.attn = self.add_module(
-            "attn",
-            MegatronSelfAttention(comm, hidden, nheads,
-                                  init_tags=(*init_tags, "attn"),
-                                  causal=causal),
-        )
-        self.ln2 = self.add_module("ln2", LayerNorm(comm.ctx, hidden))
-        self.mlp = self.add_module(
-            "mlp",
-            MegatronMLP(comm, hidden, mlp_ratio, init_tags=(*init_tags, "mlp")),
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        a = self.attn.forward(self.ln1.forward(x))
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual")
-
-    def forward_cached(self, x, past_kv=None, extra_mask=None):
-        """Inference forward against a KV cache (replicated activations)."""
-        ctx = self.ctx
-        a, kv = self.attn.forward_cached(self.ln1.forward(x), past_kv,
-                                         extra_mask)
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual"), kv
-
-    def backward(self, dy: VArray) -> VArray:
-        ctx = self.ctx
-        dm = self.ln2.backward(self.mlp.backward(dy))
-        dx = ops.add(ctx, dy, dm, tag="residual_bwd")
-        da = self.ln1.backward(self.attn.backward(dx))
-        return ops.add(ctx, dx, da, tag="residual_bwd")
-
-
-class MegatronClassifierHead(Module):
-    """Column-parallel classifier + all-gather to full logits."""
-
-    def __init__(
-        self,
-        comm: Communicator,
-        hidden: int,
-        num_classes: int,
-        init_tags: tuple = ("head",),
-    ):
-        super().__init__(comm.ctx)
-        self.comm = comm
-        self.num_classes = num_classes
-        self.fc = self.add_module(
-            "fc", MegatronColumnLinear(comm, hidden, num_classes,
-                                       init_tags=init_tags)
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        local = self.fc.forward(x)
-        gathered = self.comm.all_gather(local, tag="head_gather")
-        return ops.concat(self.ctx, gathered, axis=-1, tag="head_concat")
-
-    def backward(self, dlogits: VArray) -> VArray:
-        if dlogits.shape[-1] != self.num_classes:
-            raise ShapeError(
-                f"head backward expected last dim {self.num_classes}, got "
-                f"{dlogits.shape}"
-            )
-        local = ops.split(self.ctx, dlogits, self.comm.size, axis=-1,
-                          tag="head_slice")[self.comm.rank]
-        return self.fc.backward(local)
+#: the one layer under the name ``benchmarks/e2e/e2e_tracer.py`` wraps
+MegatronTransformerLayer = TransformerLayer

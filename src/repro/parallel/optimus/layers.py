@@ -3,11 +3,10 @@
 The paper's own framing (§3.1): "d = 1 makes Tesseract a 2-D algorithm like
 SUMMA".  Optimus *is* the depth-1 special case of the Tesseract layout —
 activations in ``[q, q]`` blocks, weights in ``[q, q]`` blocks, SUMMA for
-every matmul — so these classes are the Tesseract layers constrained to a
-depth-1 :class:`~repro.grid.context.ParallelContext`.  Keeping them as
-distinct named types (a) mirrors how the baselines are distinct codebases
-in the paper's evaluation, and (b) lets the benchmark harness and tests
-refer to the 2-D scheme explicitly.
+every matmul — so the ``optimus`` mode builds the one layer skeleton
+(:mod:`repro.parallel.layers`) over the grid layout at ``d = 1``, and these
+classes are that skeleton, the Tesseract linear and LayerNorm behind a
+guard that rejects a deeper :class:`~repro.grid.context.ParallelContext`.
 
 The communication behaviour (2 broadcasts + accumulate per SUMMA step,
 ``2*beta*b*s*h^2*q*log(p)/p``-style volume) is exactly Optimus'.
@@ -17,14 +16,13 @@ from __future__ import annotations
 
 from repro.errors import GridError
 from repro.grid.context import ParallelContext
-from repro.parallel.tesseract.layers import (
-    TesseractClassifierHead,
-    TesseractLayerNorm,
-    TesseractLinear,
-    TesseractMLP,
-    TesseractSelfAttention,
-    TesseractTransformerLayer,
+from repro.parallel.layers import (
+    MLP,
+    ClassifierHead,
+    SelfAttention,
+    TransformerLayer,
 )
+from repro.parallel.tesseract.layers import TesseractLayerNorm, TesseractLinear
 
 __all__ = [
     "OptimusLinear",
@@ -59,28 +57,28 @@ class OptimusLayerNorm(TesseractLayerNorm):
         super().__init__(_require_2d(pc, "OptimusLayerNorm"), *args, **kwargs)
 
 
-class OptimusMLP(TesseractMLP):
+class OptimusMLP(MLP):
     """Feed-forward block with SUMMA matmuls on a [q, q] grid."""
 
     def __init__(self, pc: ParallelContext, *args, **kwargs):
         super().__init__(_require_2d(pc, "OptimusMLP"), *args, **kwargs)
 
 
-class OptimusSelfAttention(TesseractSelfAttention):
+class OptimusSelfAttention(SelfAttention):
     """Self-attention with SUMMA projections on a [q, q] grid."""
 
     def __init__(self, pc: ParallelContext, *args, **kwargs):
         super().__init__(_require_2d(pc, "OptimusSelfAttention"), *args, **kwargs)
 
 
-class OptimusTransformerLayer(TesseractTransformerLayer):
+class OptimusTransformerLayer(TransformerLayer):
     """Pre-LN transformer layer on a [q, q] grid."""
 
     def __init__(self, pc: ParallelContext, *args, **kwargs):
         super().__init__(_require_2d(pc, "OptimusTransformerLayer"), *args, **kwargs)
 
 
-class OptimusClassifierHead(TesseractClassifierHead):
+class OptimusClassifierHead(ClassifierHead):
     """Classifier head with a row all-gather of logits on a [q, q] grid."""
 
     def __init__(self, pc: ParallelContext, *args, **kwargs):

@@ -1,123 +1,16 @@
-"""Serial reference blocks matching the parallel layers' init streams.
+"""The serial transformer layer, under the name the benchmark tracer wraps.
 
-These single-rank modules mirror :class:`TesseractTransformerLayer` (and
-the Megatron/Optimus variants) layer-for-layer and draw from the *same*
-named weight streams, so a serial model and any sharding of it have
-identical logical weights.  They are the "single GPU" baseline of Fig. 7
-and the ground truth for every equivalence test.
+The serial model is :mod:`repro.parallel.layers`' one skeleton over the
+base :class:`~repro.parallel.layers.Layout` (a
+:class:`~repro.sim.engine.RankContext` group): every parallel layout slices
+the same named weight streams, so it is the "single GPU" baseline of Fig. 7
+and the reference of every parallel == serial test, itself checked against
+an independent numpy layer (``tests/parallel/oracle.py``).
 """
 
-from __future__ import annotations
+from repro.parallel.layers import TransformerLayer
 
-from repro.nn.attention import MultiHeadAttention
-from repro.nn.linear import Linear
-from repro.nn.module import Module
-from repro.nn.normalization import LayerNorm
-from repro.sim.engine import RankContext
-from repro.varray import ops
-from repro.varray.varray import VArray
+__all__ = ["SerialTransformerLayer"]
 
-__all__ = ["SerialMLP", "SerialTransformerLayer", "SerialClassifierHead"]
-
-
-class SerialMLP(Module):
-    """[h -> 4h] GELU [4h -> h], streams matching the parallel MLPs."""
-
-    def __init__(
-        self,
-        ctx: RankContext,
-        hidden: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("mlp",),
-    ):
-        super().__init__(ctx)
-        self.fc1 = self.add_module(
-            "fc1", Linear(ctx, hidden, mlp_ratio * hidden,
-                          init_tags=(*init_tags, "fc1"))
-        )
-        self.fc2 = self.add_module(
-            "fc2", Linear(ctx, mlp_ratio * hidden, hidden,
-                          init_tags=(*init_tags, "fc2"))
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        h = self.fc1.forward(x)
-        self.save_for_backward(h)
-        return self.fc2.forward(ops.gelu(self.ctx, h, tag="mlp_gelu"))
-
-    def backward(self, dy: VArray) -> VArray:
-        (h,) = self.saved()
-        da = self.fc2.backward(dy)
-        return self.fc1.backward(ops.gelu_grad(self.ctx, h, da,
-                                               tag="mlp_gelu_bwd"))
-
-
-class SerialTransformerLayer(Module):
-    """Pre-LN transformer layer, the serial twin of every parallel layer."""
-
-    def __init__(
-        self,
-        ctx: RankContext,
-        hidden: int,
-        nheads: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("layer",),
-        causal: bool = False,
-    ):
-        super().__init__(ctx)
-        self.ln1 = self.add_module("ln1", LayerNorm(ctx, hidden))
-        self.attn = self.add_module(
-            "attn",
-            MultiHeadAttention(ctx, hidden, nheads,
-                               init_tags=(*init_tags, "attn"), causal=causal),
-        )
-        self.ln2 = self.add_module("ln2", LayerNorm(ctx, hidden))
-        self.mlp = self.add_module(
-            "mlp", SerialMLP(ctx, hidden, mlp_ratio, init_tags=(*init_tags, "mlp"))
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        a = self.attn.forward(self.ln1.forward(x))
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual")
-
-    def forward_cached(self, x, past_kv=None, extra_mask=None):
-        """Inference forward against a KV cache; see
-        :meth:`repro.nn.attention.MultiHeadAttention.forward_cached`."""
-        ctx = self.ctx
-        a, kv = self.attn.forward_cached(self.ln1.forward(x), past_kv,
-                                         extra_mask)
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual"), kv
-
-    def backward(self, dy: VArray) -> VArray:
-        ctx = self.ctx
-        dm = self.ln2.backward(self.mlp.backward(dy))
-        dx = ops.add(ctx, dy, dm, tag="residual_bwd")
-        da = self.ln1.backward(self.attn.backward(dx))
-        return ops.add(ctx, dx, da, tag="residual_bwd")
-
-
-class SerialClassifierHead(Module):
-    """Plain linear classifier, stream-matched to the parallel heads."""
-
-    def __init__(
-        self,
-        ctx: RankContext,
-        hidden: int,
-        num_classes: int,
-        init_tags: tuple = ("head",),
-    ):
-        super().__init__(ctx)
-        self.fc = self.add_module(
-            "fc", Linear(ctx, hidden, num_classes, init_tags=init_tags)
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        return self.fc.forward(x)
-
-    def backward(self, dy: VArray) -> VArray:
-        return self.fc.backward(dy)
+#: the one layer under the name ``benchmarks/e2e/e2e_tracer.py`` wraps
+SerialTransformerLayer = TransformerLayer

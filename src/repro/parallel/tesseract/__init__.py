@@ -1,21 +1,16 @@
-"""Tesseract (2.5-D) sharded transformer layers (§3.2 of the paper)."""
+"""Tesseract (2.5-D) tensor parallelism (§3.2 of the paper): its linear,
+its LayerNorm and its layout."""
 
 from repro.parallel.tesseract.layers import (
-    TesseractClassifierHead,
     TesseractLayerNorm,
+    TesseractLayout,
     TesseractLinear,
-    TesseractMLP,
-    TesseractSelfAttention,
-    TesseractTransformerLayer,
     local_block_a,
 )
 
 __all__ = [
     "TesseractLinear",
     "TesseractLayerNorm",
-    "TesseractMLP",
-    "TesseractSelfAttention",
-    "TesseractTransformerLayer",
-    "TesseractClassifierHead",
+    "TesseractLayout",
     "local_block_a",
 ]

@@ -1,4 +1,4 @@
-"""Tesseract transformer layers — the paper's §3.2 in code.
+"""Tesseract's linear, LayerNorm and layout — what §3.2 changes in a layer.
 
 Data layouts on the ``[q, q, d]`` grid (rank coordinates (i, j, k)):
 
@@ -10,10 +10,11 @@ Data layouts on the ``[q, q, d]`` grid (rank coordinates (i, j, k)):
 * biases / LayerNorm affine parameters hold the ``[h/q]`` slice ``j``,
   replicated along columns and depth.
 
-Every layer's forward/backward is the serial math routed through
-:mod:`repro.pblas.tesseract` for matmuls, a row all-reduce for LayerNorm
-statistics (§3.2.2), and a column+depth all-reduce for the gradients of
-column-replicated parameters.
+The layer is the serial skeleton of :mod:`repro.parallel.layers` over
+:class:`TesseractLayout`: matmuls routed through :mod:`repro.pblas.tesseract`
+(:class:`TesseractLinear`), a row all-reduce for LayerNorm statistics
+(§3.2.2, :class:`TesseractLayerNorm`), and a column+depth all-reduce for the
+gradients of column-replicated parameters.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.grid.context import ParallelContext
-from repro.nn.attention import (
-    _attention_forward_cached,
-    attention_core,
-    attention_core_backward,
-)
+from repro.nn.attention import fused_qkv_weight
 from repro.nn.module import Module
 from repro.parallel.common import (
     allreduce_batch,
@@ -34,9 +31,11 @@ from repro.parallel.common import (
     allreduce_col_depth_many,
     block_2d,
     fused_block_2d,
-    fused_qkv_global,
+    gather_a_layout,
     global_xavier,
 )
+from repro.parallel.layers import Layout, TransformerLayer
+from repro.pblas.layouts import combine_c
 from repro.pblas.tesseract import tesseract_ab, tesseract_abt, tesseract_atb
 from repro.util.mathutil import check_divides, prod
 from repro.varray import ops, vinit
@@ -46,21 +45,14 @@ __all__ = [
     "local_block_a",
     "TesseractLinear",
     "TesseractLayerNorm",
-    "TesseractMLP",
-    "TesseractSelfAttention",
+    "TesseractLayout",
     "TesseractTransformerLayer",
-    "TesseractClassifierHead",
 ]
 
 
 def local_block_a(pc: ParallelContext, x: np.ndarray) -> np.ndarray:
     """This rank's A-layout block of a global activation tensor (host side)."""
-    rows = check_divides(pc.d * pc.q, x.shape[0], "batch dim")
-    cols = check_divides(pc.q, x.shape[-1], "hidden dim")
-    h = pc.block_row
-    return np.ascontiguousarray(
-        x[h * rows : (h + 1) * rows, ..., pc.j * cols : (pc.j + 1) * cols]
-    )
+    return TesseractLayout(pc).block(x)
 
 
 class TesseractLinear(Module):
@@ -107,7 +99,8 @@ class TesseractLinear(Module):
                     f"fused linear expects square parts, got in={in_features} "
                     f"part_out={part_out}"
                 )
-            parts = fused_qkv_global(self.ctx, in_features, init_tags)
+            parts = np.split(
+                fused_qkv_weight(self.ctx, in_features, init_tags), 3, axis=1)
             w = VArray.from_numpy(fused_block_2d(parts, q, pc.i, pc.j))
         self.w = self.add_param("w", w, layout="grid_block",
                                 parts=fused_parts)
@@ -170,13 +163,6 @@ class TesseractLayerNorm(Module):
             b = VArray.from_numpy(vinit.zeros((local,)))
         self.g = self.add_param("g", g, layout="col_slice")
         self.b = self.add_param("b", b, layout="col_slice")
-
-    def _row_mean(self, v: VArray, tag: str) -> VArray:
-        """Mean over the *global* hidden dim: local sum + row all-reduce."""
-        ctx, pc = self.ctx, self.pc
-        local_sum = ops.reduce_sum(ctx, v, axis=-1, keepdims=True, tag=tag)
-        total = pc.row_comm.all_reduce(local_sum, tag=tag)
-        return ops.scale(ctx, total, 1.0 / self.dim, tag=tag)
 
     def _row_means(self, pairs: list[tuple[VArray, str]]) -> list[VArray]:
         """Several row means in one fused batch window (same bytes, one
@@ -244,206 +230,54 @@ class TesseractLayerNorm(Module):
         return ops.mul(ctx, inner, inv_std, tag="tln_dx")
 
 
-class TesseractMLP(Module):
-    """The feed-forward block (§3.2.1): [h -> 4h] GELU [4h -> h].
-
-    Both projections are Tesseract linears with B-layout weight blocks
-    ``[h/q, 4h/q]`` and ``[4h/q, h/q]`` — Fig. 5a.
-    """
-
-    def __init__(
-        self,
-        pc: ParallelContext,
-        hidden: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("mlp",),
-    ):
-        super().__init__(pc.ctx)
-        self.fc1 = self.add_module(
-            "fc1",
-            TesseractLinear(pc, hidden, mlp_ratio * hidden,
-                            init_tags=(*init_tags, "fc1")),
-        )
-        self.fc2 = self.add_module(
-            "fc2",
-            TesseractLinear(pc, mlp_ratio * hidden, hidden,
-                            init_tags=(*init_tags, "fc2")),
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        h = self.fc1.forward(x)
-        self.save_for_backward(h)
-        a = ops.gelu(self.ctx, h, tag="mlp_gelu")
-        return self.fc2.forward(a)
-
-    def backward(self, dy: VArray) -> VArray:
-        (h,) = self.saved()
-        da = self.fc2.backward(dy)
-        dh = ops.gelu_grad(self.ctx, h, da, tag="mlp_gelu_bwd")
-        return self.fc1.backward(dh)
-
-
-class TesseractSelfAttention(Module):
-    """Multi-head self-attention (§3.2.1, Fig. 5b).
-
-    The fused QKV projection gives this rank ``[b/dq, s, 3h/q]``; splitting
-    yields its Q/K/V column slices, which hold exactly ``n/q`` whole heads
-    of dimension ``h/n`` (requires ``q | n``).  The attention core then
-    runs with *zero* communication, and the output projection is another
-    Tesseract linear.
-    """
-
-    def __init__(
-        self,
-        pc: ParallelContext,
-        hidden: int,
-        nheads: int,
-        init_tags: tuple = ("attn",),
-        causal: bool = False,
-    ):
-        super().__init__(pc.ctx)
-        self.pc = pc
-        self.hidden = hidden
-        self.nheads = nheads
-        self.causal = causal
-        self.local_heads = check_divides(pc.q, nheads, "attention heads vs q")
-        head_dim = check_divides(nheads, hidden, "hidden vs heads")
-        self.scale = 1.0 / float(head_dim) ** 0.5
-        self.qkv = self.add_module(
-            "qkv",
-            TesseractLinear(pc, hidden, 3 * hidden, init_tags=(*init_tags, "qkv"),
-                            fused_parts=3),
-        )
-        self.proj = self.add_module(
-            "proj",
-            TesseractLinear(pc, hidden, hidden, init_tags=(*init_tags, "proj")),
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        qkv = self.qkv.forward(x)
-        q, k, v = ops.split(ctx, qkv, 3, axis=-1, tag="tattn_split")
-        out, cache = attention_core(ctx, q, k, v, self.local_heads, self.scale,
-                                    causal=self.causal)
-        self.save_for_backward(cache)
-        return self.proj.forward(out)
-
-    def forward_cached(self, x, past_kv=None, extra_mask=None):
-        """Inference forward against this rank's KV-cache block.
-
-        The cache holds the A-layout block ``[b/dq, s, h/q]`` — this rank's
-        batch band and its ``n/q`` heads — so cache reads, like the training
-        attention core, need no communication; only the QKV/output
-        projections run SUMMA steps.
-        """
-        return _attention_forward_cached(self, x, past_kv, extra_mask)
-
-    def backward(self, dy: VArray) -> VArray:
-        (cache,) = self.saved()
-        ctx = self.ctx
-        dout = self.proj.backward(dy)
-        dq, dk, dv = attention_core_backward(ctx, cache, dout)
-        dqkv = ops.concat(ctx, [dq, dk, dv], axis=-1, tag="tattn_dsplit")
-        return self.qkv.backward(dqkv)
-
-
-class TesseractTransformerLayer(Module):
-    """Pre-LN transformer layer: x + attn(ln1(x)), then x + mlp(ln2(x)).
-
-    Residual adds are purely local (§3.2.2: "these kinds of sections will
-    conduct operations locally on individual GPUs").
-    """
-
-    def __init__(
-        self,
-        pc: ParallelContext,
-        hidden: int,
-        nheads: int,
-        mlp_ratio: int = 4,
-        init_tags: tuple = ("layer",),
-        causal: bool = False,
-    ):
-        super().__init__(pc.ctx)
-        self.ln1 = self.add_module(
-            "ln1", TesseractLayerNorm(pc, hidden)
-        )
-        self.attn = self.add_module(
-            "attn",
-            TesseractSelfAttention(pc, hidden, nheads,
-                                   init_tags=(*init_tags, "attn"),
-                                   causal=causal),
-        )
-        self.ln2 = self.add_module(
-            "ln2", TesseractLayerNorm(pc, hidden)
-        )
-        self.mlp = self.add_module(
-            "mlp",
-            TesseractMLP(pc, hidden, mlp_ratio, init_tags=(*init_tags, "mlp")),
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx = self.ctx
-        a = self.attn.forward(self.ln1.forward(x))
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual")
-
-    def forward_cached(self, x, past_kv=None, extra_mask=None):
-        """Inference forward against a KV cache (A-layout activations)."""
-        ctx = self.ctx
-        a, kv = self.attn.forward_cached(self.ln1.forward(x), past_kv,
-                                         extra_mask)
-        x = ops.add(ctx, x, a, tag="residual")
-        m = self.mlp.forward(self.ln2.forward(x))
-        return ops.add(ctx, x, m, tag="residual"), kv
-
-    def backward(self, dy: VArray) -> VArray:
-        ctx = self.ctx
-        dm = self.ln2.backward(self.mlp.backward(dy))
-        dx = ops.add(ctx, dy, dm, tag="residual_bwd")
-        da = self.ln1.backward(self.attn.backward(dx))
-        return ops.add(ctx, dx, da, tag="residual_bwd")
-
-
-class TesseractClassifierHead(Module):
-    """Final classifier: Tesseract linear + row all-gather of logits.
-
-    Input ``[b/dq, h/q]`` (pooled features); output the *full* logits
-    ``[b/dq, num_classes]`` on every rank of the row, so the loss can be
-    evaluated locally on this rank's batch shard.  The backward pass keeps
-    only this rank's column slice of the incoming gradient.
-    """
-
-    def __init__(
-        self,
-        pc: ParallelContext,
-        hidden: int,
-        num_classes: int,
-        init_tags: tuple = ("head",),
-    ):
-        super().__init__(pc.ctx)
-        self.pc = pc
-        self.num_classes = num_classes
-        self.fc = self.add_module(
-            "fc", TesseractLinear(pc, hidden, num_classes, init_tags=init_tags)
-        )
-
-    def forward(self, x: VArray) -> VArray:
-        ctx, pc = self.ctx, self.pc
-        logits_local = self.fc.forward(x)
-        gathered = pc.row_comm.all_gather(logits_local, tag="head_gather")
-        return ops.concat(ctx, gathered, axis=-1, tag="head_concat")
-
-    def backward(self, dlogits: VArray) -> VArray:
-        ctx, pc = self.ctx, self.pc
-        if dlogits.shape[-1] != self.num_classes:
-            raise ShapeError(
-                f"head backward expected last dim {self.num_classes}, got "
-                f"{dlogits.shape}"
-            )
-        local = ops.split(ctx, dlogits, pc.q, axis=-1, tag="head_slice")[pc.j]
-        return self.fc.backward(local)
-
-
 def _eps_const(ref: VArray, eps: float) -> VArray:
     return VArray.full((1,), eps, dtype=ref.dtype, symbolic=ref.is_symbolic)
+
+
+class TesseractLayout(Layout):
+    """The ``[q, q, d]`` grid in the one layer skeleton
+    (:mod:`repro.parallel.layers`); Optimus is its ``d = 1`` case.
+
+    Activations are A-layout blocks (batch band ``i + k*q`` of ``d*q``,
+    hidden slice ``j`` of ``q``), every linear is a :class:`TesseractLinear`,
+    LayerNorm reduces its statistics along the row, each rank holds ``n/q``
+    whole heads, and the head all-gathers its logits along the row.
+    """
+
+    family = "Tesseract"
+    tag = "tattn"
+    slice_layout = "col_slice"
+
+    def __init__(self, pc: ParallelContext):
+        super().__init__(pc.ctx)
+        self.pc = pc
+        self.head_comm = pc.row_comm
+        self.tp = self.cols = pc.q
+        self.index = self.col = pc.j
+        self.bands, self.band = pc.d * pc.q, pc.block_row
+
+    def linear(self, in_features: int, out_features: int, init_tags: tuple,
+               row: bool = False, fused_parts: int = 1) -> Module:
+        return TesseractLinear(self.pc, in_features, out_features,
+                               init_tags=init_tags, fused_parts=fused_parts)
+
+    def layernorm(self, dim: int) -> Module:
+        return TesseractLayerNorm(self.pc, dim)
+
+    def scatter(self, x: VArray) -> VArray:
+        ctx = self.ctx
+        band = ops.split(ctx, x, self.bands, axis=0, tag="a_slice")[self.band]
+        return ops.split(ctx, band, self.cols, axis=-1, tag="a_slice")[self.col]
+
+    def gather(self, dx: VArray, tag: str) -> VArray:
+        return gather_a_layout(self.pc, dx, tag=tag)
+
+    def sync(self, grad: VArray, tag: str) -> VArray:
+        return allreduce_col_depth(self.pc, grad, tag=tag)
+
+    def combine(self, blocks: dict) -> np.ndarray:
+        return combine_c(blocks, self.pc.q, self.pc.d)
+
+
+#: the one layer under the name ``benchmarks/e2e/e2e_tracer.py`` wraps
+TesseractTransformerLayer = TransformerLayer

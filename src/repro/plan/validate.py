@@ -23,16 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.communicator import Communicator
-from repro.grid.context import GridLayout, ParallelContext
-from repro.grid.shapes import TesseractShape
 from repro.hardware.spec import ClusterSpec, meluxina
 from repro.nn.module import Sequential
 from repro.parallel.dp import sync_gradients
-from repro.parallel.megatron.layers import MegatronTransformerLayer
-from repro.parallel.optimus.layers import OptimusTransformerLayer
+from repro.parallel.factory import tensor_group
+from repro.parallel.layers import TransformerLayer, layout_of
 from repro.parallel.pipeline import PipelineStage
-from repro.parallel.serial import SerialTransformerLayer
-from repro.parallel.tesseract.layers import TesseractTransformerLayer
 from repro.plan.search import PlannedConfig, SearchResult
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.sim.engine import Engine, run_engines
@@ -137,42 +133,22 @@ def _stage_program(model: ModelSpec, cfg: CandidateConfig, mb: int,
     def program(ctx):
         group, tensor_rank = divmod(ctx.rank, cfg.tp)
         dp_idx, pp_idx = divmod(group, cfg.pp)
-        pc: ParallelContext | None = None
-        if cfg.scheme in ("optimus", "tesseract"):
-            pc = ParallelContext(ctx, GridLayout(
-                TesseractShape(q=cfg.q, d=cfg.d),
-                dp_size=cfg.dp, pp_size=cfg.pp,
-            ))
-            layer_cls = (OptimusTransformerLayer if cfg.scheme == "optimus"
-                         else TesseractTransformerLayer)
-            layers = [
-                layer_cls(pc, h, nh, r,
-                          init_tags=("plan", "stage", pp_idx, "layer", i))
-                for i in range(layers_local)
-            ]
+        tensor = tensor_group(ctx, cfg.scheme, cfg.q, cfg.d, world=cfg.tp,
+                              dp_size=cfg.dp, pp_size=cfg.pp)
+        layout = layout_of(tensor)
+        pc = layout.pc
+        layers = [
+            TransformerLayer(tensor, h, nh, r,
+                             init_tags=("plan", "stage", pp_idx, "layer", i))
+            for i in range(layers_local)
+        ]
+        if pc is not None:
             prev_rank = pc.pipeline_neighbor(-1)
             next_rank = pc.pipeline_neighbor(+1)
-            local_shape = (mb // (cfg.d * cfg.q), seq, h // cfg.q)
         else:
-            if cfg.scheme == "megatron":
-                base = group * cfg.tp
-                comm = Communicator(ctx, range(base, base + cfg.tp))
-                layers = [
-                    MegatronTransformerLayer(
-                        comm, h, nh, r,
-                        init_tags=("plan", "stage", pp_idx, "layer", i))
-                    for i in range(layers_local)
-                ]
-            else:
-                layers = [
-                    SerialTransformerLayer(
-                        ctx, h, nh, r,
-                        init_tags=("plan", "stage", pp_idx, "layer", i))
-                    for i in range(layers_local)
-                ]
             prev_rank = ctx.rank - cfg.tp if pp_idx > 0 else None
             next_rank = ctx.rank + cfg.tp if pp_idx < cfg.pp - 1 else None
-            local_shape = (mb, seq, h)
+        local_shape = layout.local_shape(mb, seq, h)
         module = Sequential(ctx, *layers)
         stage = PipelineStage(ctx, module, prev_rank, next_rank,
                               stage_index=pp_idx, num_stages=cfg.pp)

@@ -8,44 +8,14 @@ width, batch-band replication factor) without building anything.
 
 from __future__ import annotations
 
-from repro.comm.communicator import Communicator
 from repro.errors import GridError
-from repro.grid.context import ParallelContext
 from repro.models.configs import TransformerConfig
-from repro.models.transformer import (
-    MegatronTransformerLM,
-    SerialTransformerLM,
-    TesseractTransformerLM,
-)
-from repro.parallel.factory import MODES
-from repro.parallel.optimus.layers import OptimusTransformerLayer
+from repro.models.transformer import TransformerLM
+from repro.parallel.factory import grid_shape, tensor_group
 from repro.sim.engine import RankContext
 from repro.util.mathutil import check_divides
 
 __all__ = ["build_lm", "serving_nranks", "grid_shape", "local_kv_width"]
-
-
-def grid_shape(
-    mode: str,
-    q: int | None = None,
-    d: int | None = None,
-    world: int | None = None,
-) -> tuple[int, int]:
-    """``(q, d)`` as the batch-band layout sees them.
-
-    Serial and Megatron replicate activations, so their band layout is the
-    trivial ``(1, 1)``; optimus is the ``d = 1`` special case.
-    """
-    if mode not in MODES:
-        raise GridError(f"unknown parallel mode {mode!r}; valid: {MODES}")
-    if mode in ("serial", "megatron"):
-        return (1, 1)
-    if q is None:
-        raise GridError(f"mode {mode!r} requires the grid dimension q")
-    depth = 1 if d is None else d
-    if mode == "optimus" and depth != 1:
-        raise GridError(f"optimus is the d=1 special case; got d={depth}")
-    return (q, depth)
 
 
 def serving_nranks(
@@ -78,9 +48,7 @@ def local_kv_width(
         if world is None:
             raise GridError("megatron requires the group size (world)")
         return check_divides(world, cfg.hidden, "hidden vs world")
-    if q is None:
-        raise GridError(f"mode {mode!r} requires the grid dimension q")
-    return check_divides(q, cfg.hidden, "hidden vs q")
+    return check_divides(grid_shape(mode, q)[0], cfg.hidden, "hidden vs q")
 
 
 def build_lm(
@@ -92,13 +60,4 @@ def build_lm(
     world: int | None = None,
 ):
     """Build the mode's causal LM on this rank (call inside ``engine.run``)."""
-    if mode == "serial":
-        return SerialTransformerLM(ctx, cfg)
-    if mode == "megatron":
-        size = world if world is not None else ctx.nranks
-        return MegatronTransformerLM(Communicator(ctx, range(size)), cfg)
-    gq, gd = grid_shape(mode, q, d)
-    pc = ParallelContext.tesseract(ctx, q=gq, d=gd)
-    if mode == "optimus":
-        return TesseractTransformerLM(pc, cfg, layer_cls=OptimusTransformerLayer)
-    return TesseractTransformerLM(pc, cfg)
+    return TransformerLM(tensor_group(ctx, mode, q=q, d=d, world=world), cfg)

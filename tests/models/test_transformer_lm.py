@@ -1,11 +1,16 @@
-"""Tests for the serial and Tesseract transformer language models."""
+"""Tests for the transformer language model: serial, Megatron and Tesseract."""
 
 import numpy as np
 import pytest
 
+from repro.comm.communicator import Communicator
 from repro.grid.context import ParallelContext
 from repro.models.configs import TransformerConfig
-from repro.models.transformer import SerialTransformerLM, TesseractTransformerLM
+from repro.models.transformer import (
+    MegatronTransformerLM,
+    SerialTransformerLM,
+    TesseractTransformerLM,
+)
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
@@ -108,3 +113,44 @@ class TestTesseractLM:
 
         for g in Engine(nranks=q * q * d).run(par):
             assert np.allclose(g, ref, atol=1e-3)
+
+
+def _megatron_shard(name: str, g: np.ndarray, p: int, r: int) -> np.ndarray:
+    """Rank ``r``'s shard of the serial gradient ``g`` of parameter ``name``:
+    column shards for the first linear of a block and the head ([Q|K|V]
+    column shards for the fused QKV), row shards for the second linear's
+    weight, the whole tensor for everything replicated."""
+    if name.endswith(("qkv.w", "qkv.b")):
+        return np.concatenate([np.split(part, p, axis=-1)[r]
+                               for part in np.split(g, 3, axis=-1)], axis=-1)
+    if name.endswith(("fc1.w", "fc1.b", "head.fc.w", "head.fc.b")):
+        return np.split(g, p, axis=-1)[r]
+    if name.endswith(("proj.w", "fc2.w")):
+        return np.split(g, p, axis=0)[r]
+    return g
+
+
+@pytest.mark.parametrize("tp", [2, 4])
+def test_megatron_lm_backward_matches_serial(tp, rng):
+    """dx and every parameter gradient, embedding and positions included."""
+    tokens = rng.integers(0, 8, size=(4, 6)).astype(np.int64)
+    dy = rng.normal(size=(4, 6, 8)).astype(np.float32)
+
+    def run(model):
+        model.forward(model.local_tokens(tokens))
+        dx = model.backward(VArray.from_numpy(dy))
+        return dx.numpy(), {n: p.grad.numpy() for n, p in model.parameters()}
+
+    dx_ref, grads_ref = Engine(nranks=1).run(
+        lambda ctx: run(SerialTransformerLM(ctx, CFG)))[0]
+
+    def par(ctx):
+        comm = Communicator(ctx, range(tp))
+        return comm.rank, run(MegatronTransformerLM(comm, CFG))
+
+    for r, (dx, grads) in Engine(nranks=tp).run(par):
+        assert np.allclose(dx, dx_ref, atol=1e-3), f"dx rank {r}"
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            expect = _megatron_shard(name, grads_ref[name], tp, r)
+            assert np.allclose(g, expect, atol=1e-3), f"{name} rank {r}"

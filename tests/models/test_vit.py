@@ -1,11 +1,12 @@
-"""Tests for the serial and Tesseract Vision Transformers."""
+"""Tests for the Vision Transformer: serial, Megatron and Tesseract."""
 
 import numpy as np
 import pytest
 
+from repro.comm.communicator import Communicator
 from repro.grid.context import ParallelContext
 from repro.models.configs import ViTConfig
-from repro.models.vit import SerialViT, TesseractViT
+from repro.models.vit import SerialViT, TesseractViT, ViT
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
@@ -112,3 +113,28 @@ class TestTesseractViTValidation:
 
         with pytest.raises(Exception):
             Engine(nranks=4).run(prog)
+
+
+@pytest.mark.parametrize("tp", [2, 4])
+def test_megatron_vit_matches_serial(tp, rng):
+    """Logits, and the gradient of every replicated parameter (positions,
+    LayerNorms, the row-parallel biases), equal the serial ViT's."""
+    imgs = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+    dlogits = rng.normal(size=(4, CFG.num_classes)).astype(np.float32)
+
+    def run(model):
+        logits = model.forward(model.local_images(imgs))
+        model.backward(VArray.from_numpy(dlogits))
+        return logits.numpy(), {n: (p.layout, p.grad.numpy())
+                                for n, p in model.parameters()}
+
+    logits_ref, grads_ref = Engine(nranks=1).run(
+        lambda ctx: run(ViT(ctx, CFG)))[0]
+    for logits, grads in Engine(nranks=tp).run(
+            lambda ctx: run(ViT(Communicator(ctx, range(tp)), CFG))):
+        assert np.allclose(logits, logits_ref, atol=1e-3)
+        replicated = [n for n, (layout, _) in grads.items() if layout == "full"]
+        assert "pos" in replicated and "final_ln.g" in replicated
+        for name in replicated:
+            assert np.allclose(grads[name][1], grads_ref[name][1],
+                               atol=1e-3), name

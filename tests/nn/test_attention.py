@@ -5,11 +5,11 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.nn.attention import (
-    MultiHeadAttention,
     attention_core,
     attention_core_backward,
     fused_qkv_weight,
 )
+from repro.parallel.layers import SelfAttention
 from repro.varray.varray import VArray
 
 
@@ -115,7 +115,7 @@ class TestFusedQKVWeight:
 
 class TestMultiHeadAttention:
     def test_output_shape(self, ctx1, rng):
-        mha = MultiHeadAttention(ctx1, hidden=8, nheads=2)
+        mha = SelfAttention(ctx1, hidden=8, nheads=2)
         x = _v(rng.normal(size=(2, 5, 8)))
         y = mha.forward(x)
         assert y.shape == (2, 5, 8)
@@ -124,7 +124,7 @@ class TestMultiHeadAttention:
     def test_permutation_equivariance(self, ctx1, rng):
         """Self-attention without positions commutes with permuting the
         sequence — a structural invariant of Eq. 6."""
-        mha = MultiHeadAttention(ctx1, hidden=8, nheads=2)
+        mha = SelfAttention(ctx1, hidden=8, nheads=2)
         x = rng.normal(size=(1, 5, 8)).astype(np.float32)
         perm = np.array([3, 1, 4, 0, 2])
         y = mha.forward(_v(x)).numpy()
@@ -135,10 +135,10 @@ class TestMultiHeadAttention:
 
     def test_heads_must_divide(self, ctx1):
         with pytest.raises(ShapeError):
-            MultiHeadAttention(ctx1, hidden=10, nheads=3)
+            SelfAttention(ctx1, hidden=10, nheads=3)
 
     def test_backward_accumulates_param_grads(self, ctx1, rng):
-        mha = MultiHeadAttention(ctx1, hidden=4, nheads=2)
+        mha = SelfAttention(ctx1, hidden=4, nheads=2)
         x = _v(rng.normal(size=(1, 3, 4)))
         mha.forward(x)
         mha.backward(_v(rng.normal(size=(1, 3, 4))))

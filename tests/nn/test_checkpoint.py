@@ -7,7 +7,7 @@ from repro.nn.activation import GELU
 from repro.nn.checkpoint import ActivationCheckpoint
 from repro.nn.linear import Linear
 from repro.nn.module import Sequential
-from repro.parallel.serial import SerialMLP
+from repro.parallel.layers import MLP
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
@@ -17,7 +17,7 @@ H = 8
 
 
 def _model(ctx, checkpointed: bool):
-    inner = SerialMLP(ctx, H, init_tags=("ck",))
+    inner = MLP(ctx, H, init_tags=("ck",))
     return ActivationCheckpoint(inner) if checkpointed else inner
 
 

@@ -3,7 +3,8 @@
 The paper's §4.3 ("Tesseract does not introduce any approximations") and §4
 ("to guarantee outputs are the same") demand that Megatron-1D, Optimus-2D
 and Tesseract-2.5D stacks produce the serial model's outputs and gradients
-bit-for-bit up to float32 reassociation.
+bit-for-bit up to float32 reassociation.  The serial model itself is first
+checked against an independent numpy layer (:mod:`tests.parallel.oracle`).
 """
 
 import numpy as np
@@ -14,27 +15,45 @@ from repro.pblas.layouts import combine_c
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
+from tests.parallel import oracle
+
 B, S, H, NH, NL = 8, 5, 16, 4, 2
 ATOL = 5e-4
 
 
+def _serial(x, dy, causal):
+    """The serial stack's output, input gradient, gradients and weights."""
+
+    def prog(ctx):
+        handle = build_transformer_stack(ctx, "serial", NL, H, NH,
+                                         causal=causal)
+        y = handle.layers.forward(VArray.from_numpy(x))
+        dx = handle.layers.backward(VArray.from_numpy(dy))
+        params = dict(handle.layers.parameters())
+        grads = {name: p.grad.numpy().copy() for name, p in params.items()}
+        weights = {name: p.value.numpy().copy() for name, p in params.items()}
+        return y.numpy(), dx.numpy(), grads, weights
+
+    return Engine(nranks=1).run(prog)[0]
+
+
 @pytest.fixture(scope="module")
 def reference():
+    """The serial stack, first checked against the independent numpy layer
+    (causal and not), which shares no code with the skeleton every layout
+    runs."""
     rng = np.random.default_rng(99)
     x = rng.normal(size=(B, S, H)).astype(np.float32)
     dy = rng.normal(size=(B, S, H)).astype(np.float32)
 
-    def prog(ctx):
-        handle = build_transformer_stack(ctx, "serial", NL, H, NH)
-        y = handle.layers.forward(VArray.from_numpy(x))
-        dx = handle.layers.backward(VArray.from_numpy(dy))
-        grads = {
-            name: p.grad.numpy().copy()
-            for name, p in handle.layers.parameters()
-        }
-        return y.numpy(), dx.numpy(), grads
-
-    y, dx, grads = Engine(nranks=1).run(prog)[0]
+    for causal in (True, False):
+        y, dx, grads, weights = _serial(x, dy, causal)
+        y_np, dx_np, grads_np = oracle.stack(weights, x, dy, NL, NH, causal)
+        assert np.allclose(y, y_np, atol=ATOL), f"serial fwd, causal={causal}"
+        assert np.allclose(dx, dx_np, atol=ATOL), f"serial bwd, causal={causal}"
+        assert grads.keys() == grads_np.keys()
+        for name, g in grads.items():
+            assert np.allclose(g, grads_np[name], atol=ATOL), (name, causal)
     return x, dy, y, dx, grads
 
 

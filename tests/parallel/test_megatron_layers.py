@@ -5,14 +5,11 @@ import pytest
 
 from repro.comm.communicator import Communicator
 from repro.nn.linear import Linear
+from repro.parallel.layers import MLP, ClassifierHead, SelfAttention
 from repro.parallel.megatron.layers import (
-    MegatronClassifierHead,
     MegatronColumnLinear,
-    MegatronMLP,
     MegatronRowLinear,
-    MegatronSelfAttention,
 )
-from repro.parallel.serial import SerialMLP
 from repro.pblas import layouts
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
@@ -103,13 +100,13 @@ class TestMLPAndAttention:
         x = rng.normal(size=(2, 3, 8)).astype(np.float32)
         dy = rng.normal(size=(2, 3, 8)).astype(np.float32)
         ctx = _serial_ctx()
-        ref = SerialMLP(ctx, 8, init_tags=("mm",))
+        ref = MLP(ctx, 8, init_tags=("mm",))
         y_ref = ref.forward(VArray.from_numpy(x)).numpy()
         dx_ref = ref.backward(VArray.from_numpy(dy)).numpy()
 
         def prog(rctx):
             comm = Communicator(rctx, range(P))
-            mlp = MegatronMLP(comm, 8, init_tags=("mm",))
+            mlp = MLP(comm, 8, init_tags=("mm",))
             y = mlp.forward(VArray.from_numpy(x))
             dx = mlp.backward(VArray.from_numpy(dy))
             return y.numpy(), dx.numpy()
@@ -123,7 +120,7 @@ class TestMLPAndAttention:
         (column linear) per block."""
         def prog(rctx):
             comm = Communicator(rctx, range(P))
-            mlp = MegatronMLP(comm, 8)
+            mlp = MLP(comm, 8)
             y = mlp.forward(VArray.symbolic((2, 8)))
             mlp.backward(VArray.symbolic((2, 8)))
 
@@ -133,8 +130,8 @@ class TestMLPAndAttention:
     def test_attention_local_heads(self, rng):
         def prog(rctx):
             comm = Communicator(rctx, range(P))
-            attn = MegatronSelfAttention(comm, hidden=8, nheads=4,
-                                         init_tags=("ma",))
+            attn = SelfAttention(comm, hidden=8, nheads=4,
+                                 init_tags=("ma",))
             y = attn.forward(VArray.from_numpy(
                 rng.normal(size=(1, 3, 8)).astype(np.float32)))
             return attn.local_heads, y.shape
@@ -149,7 +146,7 @@ class TestClassifierHead:
 
         def prog(rctx):
             comm = Communicator(rctx, range(P))
-            head = MegatronClassifierHead(comm, 8, 8, init_tags=("mh",))
+            head = ClassifierHead(comm, 8, 8, init_tags=("mh",))
             logits = head.forward(VArray.from_numpy(x))
             return logits.numpy()
 

@@ -7,13 +7,10 @@ from repro.errors import ShapeError
 from repro.grid.context import ParallelContext
 from repro.nn.linear import Linear
 from repro.nn.normalization import LayerNorm
-from repro.parallel.serial import SerialMLP
+from repro.parallel.layers import MLP, ClassifierHead, SelfAttention
 from repro.parallel.tesseract.layers import (
-    TesseractClassifierHead,
     TesseractLayerNorm,
     TesseractLinear,
-    TesseractMLP,
-    TesseractSelfAttention,
     local_block_a,
 )
 from repro.pblas.layouts import combine_c, split_a
@@ -144,13 +141,13 @@ class TestTesseractMLPAndAttention:
         x = rng.normal(size=(8, 2, 8)).astype(np.float32)
         dy = rng.normal(size=(8, 2, 8)).astype(np.float32)
         ctx = _serial_ctx()
-        ref = SerialMLP(ctx, 8, init_tags=("tm",))
+        ref = MLP(ctx, 8, init_tags=("tm",))
         y_ref = ref.forward(VArray.from_numpy(x)).numpy()
         dx_ref = ref.backward(VArray.from_numpy(dy)).numpy()
 
         def prog(rctx):
             pc = ParallelContext.tesseract(rctx, q=Q, d=D)
-            mlp = TesseractMLP(pc, 8, init_tags=("tm",))
+            mlp = MLP(pc, 8, init_tags=("tm",))
             y = mlp.forward(VArray.from_numpy(local_block_a(pc, x)))
             dx = mlp.backward(VArray.from_numpy(local_block_a(pc, dy)))
             return (pc.i, pc.j, pc.k), y.numpy(), dx.numpy()
@@ -164,7 +161,7 @@ class TestTesseractMLPAndAttention:
     def test_attention_heads_must_divide_q(self):
         def prog(rctx):
             pc = ParallelContext.tesseract(rctx, q=2, d=1)
-            TesseractSelfAttention(pc, hidden=8, nheads=3)
+            SelfAttention(pc, hidden=8, nheads=3)
 
         with pytest.raises(ShapeError):
             Engine(nranks=4).run(prog)
@@ -174,8 +171,8 @@ class TestTesseractMLPAndAttention:
         only the two projections do."""
         def prog(rctx):
             pc = ParallelContext.tesseract(rctx, q=Q, d=1)
-            attn = TesseractSelfAttention(pc, hidden=8, nheads=4,
-                                          init_tags=("ac",))
+            attn = SelfAttention(pc, hidden=8, nheads=4,
+                                 init_tags=("ac",))
             before = len([e for e in rctx.trace.comm_events(rctx.rank)])
             y = attn.forward(VArray.symbolic((2, 3, 8 // Q)))
             return y.shape
@@ -194,7 +191,7 @@ class TestClassifierHead:
 
         def prog(rctx):
             pc = ParallelContext.tesseract(rctx, q=Q, d=D)
-            head = TesseractClassifierHead(pc, 12, 8, init_tags=("hd",))
+            head = ClassifierHead(pc, 12, 8, init_tags=("hd",))
             logits = head.forward(VArray.from_numpy(local_block_a(pc, x)))
             return (pc.i, pc.j, pc.k), logits.numpy()
 
@@ -208,7 +205,7 @@ class TestClassifierHead:
     def test_backward_validates_width(self):
         def prog(rctx):
             pc = ParallelContext.tesseract(rctx, q=Q, d=1)
-            head = TesseractClassifierHead(pc, 12, 8)
+            head = ClassifierHead(pc, 12, 8)
             head.forward(VArray.symbolic((2, 12 // Q)))
             head.backward(VArray.symbolic((2, 5)))
 

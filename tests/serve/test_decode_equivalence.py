@@ -22,7 +22,6 @@ from repro.models.transformer import (
     SerialTransformerLM,
     TesseractTransformerLM,
 )
-from repro.parallel.optimus.layers import OptimusTransformerLayer
 from repro.serve.cache import PagedKVCache
 from repro.serve.model import build_lm, local_kv_width
 from repro.sim.engine import Engine
@@ -51,8 +50,6 @@ def _build(ctx, mode):
     if mode == "megatron":
         return MegatronTransformerLM(Communicator(ctx, range(4)), CFG)
     pc = ParallelContext.tesseract(ctx, q=q, d=d)
-    if mode == "optimus":
-        return TesseractTransformerLM(pc, CFG, layer_cls=OptimusTransformerLayer)
     return TesseractTransformerLM(pc, CFG)
 
 
