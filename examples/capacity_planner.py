@@ -1,23 +1,23 @@
 #!/usr/bin/env python
 """Capacity planner: which parallelization fits your model on your GPUs?
 
-Uses the paper's analytic models (Eq. 7-10 memory, §3.1 communication) plus
-the simulator to answer the practical question the paper's §3.1 poses: for
-a given transformer and GPU budget, which arrangement fits in device memory
-and which is fastest?  Also demonstrates §3.4: composing Tesseract with
-data and pipeline parallelism (Fig. 6's 32-GPU layout).
+Uses the planner's memory model plus the simulator to answer the practical
+question the paper's §3.1 poses: for a given transformer and GPU budget,
+which arrangement fits in device memory and which is fastest?  The memory
+model walks each layer's declared parameter shards and saved tensors, so on
+a 2-layer probe it equals the simulator's measured peak.  Also demonstrates
+§3.4: composing Tesseract with data and pipeline parallelism (Fig. 6's
+32-GPU layout).
 
 Run:  python examples/capacity_planner.py
 """
 
+from dataclasses import replace
+
 from repro.bench.experiments import BenchRow
 from repro.bench.runner import run_row
 from repro.grid import GridLayout, TesseractShape
-from repro.perf.memory import (
-    elements_to_bytes,
-    per_gpu_activation,
-    per_gpu_layer_params,
-)
+from repro.plan import CandidateConfig, ModelSpec, estimate_memory
 from repro.util.formatting import format_bytes, format_seconds
 from repro.util.tables import Table
 
@@ -34,40 +34,38 @@ CANDIDATES = [
 ]
 
 
-def estimate(scheme: str, shape) -> float:
-    """Analytic per-GPU bytes: weights + one activation per layer."""
-    if scheme == "megatron":
-        params = per_gpu_layer_params(HIDDEN, "megatron", p=GPUS)
-        acts = per_gpu_activation(BATCH, SEQ, HIDDEN, "megatron", p=GPUS)
-    else:
-        q = shape[0]
-        d = shape[2] if len(shape) == 3 else 1
-        params = per_gpu_layer_params(HIDDEN, scheme, q=q, d=d)
-        acts = per_gpu_activation(BATCH, SEQ, HIDDEN, scheme, q=q, d=d)
-    # weights for all layers + ~4 live activation tensors per layer
-    return elements_to_bytes(LAYERS * params + 4 * LAYERS * acts)
+MODEL = ModelSpec("capacity", hidden=HIDDEN, num_layers=LAYERS,
+                  nheads=HEADS, seq_len=SEQ)
+
+
+def candidate(scheme: str, shape) -> CandidateConfig:
+    """The planner's name for one arrangement: tensor parallelism only."""
+    q = shape[0] if scheme != "megatron" else 1
+    d = shape[2] if len(shape) == 3 else 1
+    return CandidateConfig(scheme, dp=1, pp=1, tp=GPUS, q=q, d=d)
 
 
 def main() -> None:
     table = Table(
-        ["scheme", "shape", "analytic mem/GPU", "fits 40GB?",
-         "simulated fwd", "simulated mem/GPU"],
+        ["scheme", "shape", "planned mem/GPU", "fits 40GB?",
+         "simulated fwd", "2-layer peak: planned", "simulated"],
         title=f"Planning: {LAYERS}x(h={HIDDEN}) transformer, batch {BATCH}, "
-        f"seq {SEQ}, on {GPUS} A100s",
+        f"seq {SEQ}, on {GPUS} A100s (Adam state included in the plan)",
     )
     best = None
+    probe = replace(MODEL, num_layers=2)
     for scheme, shape in CANDIDATES:
-        analytic = estimate(scheme, shape)
+        cfg = candidate(scheme, shape)
+        planned = estimate_memory(MODEL, cfg, BATCH).total_bytes
         row = BenchRow("plan", scheme, GPUS, shape, BATCH, HIDDEN, HEADS,
                        0, 1, 1, 1)
         measured = run_row(row, seq_len=SEQ, num_layers=2)
-        # Scale the 2-layer probe to the full depth for the memory estimate.
-        sim_mem = measured.peak_memory_bytes * LAYERS / 2
-        fits = analytic < GPU_MEMORY
+        fits = planned < GPU_MEMORY
         table.add_row([
-            scheme, str(list(shape)), format_bytes(analytic),
+            scheme, str(list(shape)), format_bytes(planned),
             "yes" if fits else "NO", format_seconds(measured.forward),
-            format_bytes(sim_mem),
+            format_bytes(estimate_memory(probe, cfg, BATCH).step_peak_bytes),
+            format_bytes(measured.peak_memory_bytes),
         ])
         if fits and (best is None or measured.forward < best[2]):
             best = (scheme, shape, measured.forward)

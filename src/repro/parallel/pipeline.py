@@ -17,7 +17,8 @@ paper cites are implemented:
 Both schedules compute *exactly* the unpipelined gradients (synchronous
 pipelining with a flush; gradient accumulation order differs only by
 float reassociation) — asserted by the tests, along with the 1F1B memory
-advantage.
+advantage.  :func:`pipeline_order` states both orders once: the stage runs
+it, and the planner's memory model walks it.
 
 The stage communicates over a dedicated pairwise group per link so the
 p2p sequence numbers cannot collide with tensor-parallel traffic; sends
@@ -35,10 +36,36 @@ from repro.sim.engine import RankContext
 from repro.varray import ops
 from repro.varray.varray import VArray
 
-__all__ = ["PipelineStage"]
+__all__ = ["PipelineStage", "pipeline_order"]
 
 _FWD_TAG = 7001
 _BWD_TAG = 7002
+
+
+def pipeline_order(schedule: str, micro: int, stage: int | None,
+                   stages: int | None) -> list[tuple[bool, int]]:
+    """The ``(is_forward, microbatch)`` steps stage ``stage`` of ``stages``
+    runs in one synchronous pipeline step of ``micro`` microbatches.
+
+    GPipe runs every forward, then every backward in reverse.  1F1B runs
+    ``min(M, S-1-s)`` warm-up forwards, alternates one forward with one
+    backward, then drains the remaining backwards.
+    """
+    if schedule == "gpipe":
+        return ([(True, m) for m in range(micro)]
+                + [(False, m) for m in reversed(range(micro))])
+    if schedule != "1f1b":
+        raise SimulationError(f"unknown pipeline schedule {schedule!r}")
+    if stage is None or stages is None:
+        raise SimulationError(
+            "the 1f1b schedule needs stage_index and num_stages at "
+            "PipelineStage construction"
+        )
+    warmup = min(micro, stages - 1 - stage)
+    order = [(True, m) for m in range(warmup)]
+    for m in range(warmup, micro):
+        order += [(True, m), (False, m - warmup)]
+    return order + [(False, m) for m in range(micro - warmup, micro)]
 
 
 class PipelineStage:
@@ -101,7 +128,7 @@ class PipelineStage:
         other = 1 - comm.rank
         return comm.recv(other, p2p_tag=tag)
 
-    # --- the GPipe schedule ----------------------------------------------------
+    # --- one pipeline step -------------------------------------------------------
 
     def run_step(
         self,
@@ -144,8 +171,8 @@ class PipelineStage:
             raise ShapeError("need at least one microbatch")
         if self.is_last and loss_grad_fn is None:
             raise SimulationError("the last stage needs a loss_grad_fn")
-        if schedule not in ("gpipe", "1f1b"):
-            raise SimulationError(f"unknown pipeline schedule {schedule!r}")
+        order = pipeline_order(schedule, n_micro, self.stage_index,
+                               self.num_stages)
 
         # The Module re-entrancy guard allows one outstanding forward, so a
         # multi-microbatch schedule needs per-microbatch activation caches.
@@ -177,25 +204,10 @@ class PipelineStage:
             if not self.is_first:
                 self._send(self._prev_comm, dx, _BWD_TAG)
 
-        if schedule == "gpipe":
-            for m in range(n_micro):
+        for forward, m in order:
+            if forward:
                 forward_micro(m)
-            for m in reversed(range(n_micro)):
-                backward_micro(m)
-        else:
-            if self.stage_index is None or self.num_stages is None:
-                raise SimulationError(
-                    "the 1f1b schedule needs stage_index and num_stages at "
-                    "PipelineStage construction"
-                )
-            # Synchronous 1F1B: warmup forwards, steady 1F1B, drain.
-            warmup = min(n_micro, self.num_stages - 1 - self.stage_index)
-            for m in range(warmup):
-                forward_micro(m)
-            for m in range(warmup, n_micro):
-                forward_micro(m)
-                backward_micro(m - warmup)
-            for m in range(n_micro - warmup, n_micro):
+            else:
                 backward_micro(m)
         return state["loss"]
 

@@ -88,11 +88,6 @@ class ZeroOptimizer:
         """The DP group rank that owns parameter ``index``."""
         return self._owner[index]
 
-    @property
-    def owned_count(self) -> int:
-        """Number of parameters whose state lives on this rank."""
-        return sum(1 for o in self._owner if o == self.dp_comm.rank)
-
     def step(self) -> None:
         """Owners update their shard, then broadcast the new values.
 

@@ -1,7 +1,9 @@
-"""Per-GPU memory models (the paper's Eq. 7-10) and transformer extensions.
+"""Per-GPU memory of one distributed matmul (the paper's Eq. 7-10).
 
 All functions return *element counts*; multiply by the dtype size for
-bytes (:func:`elements_to_bytes`).
+bytes (:func:`elements_to_bytes`).  A whole transformer layer's footprint
+is not a closed form here: :func:`repro.plan.memory.estimate_memory`
+derives it from the layer's declared parameter shards and saved tensors.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ __all__ = [
     "megatron_matmul_memory",
     "summa_matmul_memory",
     "solomonik_matmul_memory",
-    "transformer_layer_params",
-    "per_gpu_layer_params",
-    "per_gpu_activation",
-    "per_gpu_layer_saved_activation",
     "elements_to_bytes",
 ]
 
@@ -63,91 +61,6 @@ def solomonik_matmul_memory(a: int, b: int, c: int, q: int, d: int) -> float:
     if d < 1 or q < 1:
         raise GridError(f"invalid grid [{q},{q},{d}]")
     return a * b / (q * q) + b * c / (q * q) + a * c / (q * q)
-
-
-def transformer_layer_params(h: int, mlp_ratio: int = 4) -> int:
-    """Global parameter elements in one pre-LN transformer layer.
-
-    QKV ``3h^2`` + proj ``h^2`` + MLP ``2*mlp_ratio*h^2`` weights, plus
-    biases and two LayerNorms (lower-order terms included for exactness).
-    """
-    weights = (3 + 1 + 2 * mlp_ratio) * h * h
-    biases = 3 * h + h + mlp_ratio * h + h
-    layernorms = 4 * h
-    return weights + biases + layernorms
-
-
-def per_gpu_layer_params(h: int, mode: str, p: int = 1, q: int = 1, d: int = 1,
-                         mlp_ratio: int = 4) -> float:
-    """Per-GPU parameter elements of one layer under each scheme.
-
-    * serial: everything;
-    * megatron: weights / p, LayerNorm replicated;
-    * optimus/tesseract: weights / q^2 (B-layout is replicated over depth),
-      biases and LayerNorm / q.
-    """
-    weights = (3 + 1 + 2 * mlp_ratio) * h * h
-    biases = (3 + 1 + mlp_ratio + 1) * h
-    layernorms = 4 * h
-    if mode == "serial":
-        return float(weights + biases + layernorms)
-    if mode == "megatron":
-        return weights / p + biases / p + layernorms
-    if mode in ("optimus", "tesseract"):
-        return weights / (q * q) + (biases + layernorms) / q
-    raise GridError(f"unknown mode {mode!r}")
-
-
-def per_gpu_activation(b: int, s: int, h: int, mode: str, p: int = 1,
-                       q: int = 1, d: int = 1) -> float:
-    """Per-GPU elements of one [b, s, h] activation tensor under each scheme.
-
-    Megatron replicates activations (the dominant term of Eq. 9);
-    Optimus divides by q^2; Tesseract by d*q^2 = p.
-    """
-    full = float(b) * s * h
-    if mode in ("serial", "megatron"):
-        return full
-    if mode == "optimus":
-        return full / (q * q)
-    if mode == "tesseract":
-        return full / (d * q * q)
-    raise GridError(f"unknown mode {mode!r}")
-
-
-def per_gpu_layer_saved_activation(b: int, s: int, h: int, mode: str,
-                                   p: int = 1, q: int = 1, d: int = 1,
-                                   mlp_ratio: int = 4) -> float:
-    """Per-GPU elements *saved for backward* by one transformer layer.
-
-    This is the quantity that actually sits on the device between the
-    forward and backward passes — what the pipeline schedules multiply by
-    the number of live microbatch sets — as charged to the memory
-    tracker's ``activations`` category by the layer implementations
-    (cross-checked against ``ctx.mem.peak("activations")`` in
-    ``tests/plan/test_memory.py``).  With ``N = b*s*h`` and ``r`` the MLP
-    ratio:
-
-    * serial saves ``(5+2r) N + 2 b s`` (QKV inputs, attention output,
-      both MLP intermediates, residuals, plus LayerNorm statistics);
-    * megatron saves ``4 N + 2 b s`` *replicated* (the LN inputs and
-      residual streams live on every rank — the Eq. 9 story) plus
-      ``(1+2r) N / p`` sharded;
-    * optimus/tesseract shard everything: ``((5+2r) N + 4 b s) / (d q^2)``
-      (the LN statistics are per row-group, hence the ``4 b s``).
-
-    The attention score matrices contribute no ``b·nh·s^2`` term: the
-    attention core recomputes the softmax in backward instead of saving
-    the probabilities.
-    """
-    full = float(b) * s * h
-    if mode == "serial":
-        return (5 + 2 * mlp_ratio) * full + 2.0 * b * s
-    if mode == "megatron":
-        return 4 * full + 2.0 * b * s + (1 + 2 * mlp_ratio) * full / p
-    if mode in ("optimus", "tesseract"):
-        return ((5 + 2 * mlp_ratio) * full + 4.0 * b * s) / (d * q * q)
-    raise GridError(f"unknown mode {mode!r}")
 
 
 def elements_to_bytes(elements: float, dtype=np.float32) -> float:

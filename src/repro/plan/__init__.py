@@ -18,8 +18,9 @@ Modules:
 * :mod:`~repro.plan.cost`   — analytic step-time model (the inventory
   priced by the roofline and the collective model + pipeline bubble + dp
   sync);
-* :mod:`~repro.plan.memory` — peak per-GPU footprint (params, grads,
-  optimizer under ZeRO, live activations per schedule);
+* :mod:`~repro.plan.memory` — peak per-GPU footprint: the inventory's
+  parameter shards and saved tensors walked through the pipeline schedule
+  (params, grads, optimizer under ZeRO, activations);
 * :mod:`~repro.plan.search` — the enumerate / prune / rank driver;
 * :mod:`~repro.plan.validate` — simulator cross-check and Spearman rank
   agreement of the top of the ranking.

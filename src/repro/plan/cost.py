@@ -50,13 +50,13 @@ symbolic simulator by :mod:`repro.plan.validate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from repro.errors import GridError
 from repro.grid.context import GridLayout
 from repro.grid.shapes import TesseractShape
 from repro.hardware.spec import ClusterSpec
 from repro.hardware.topology import Topology
-from repro.perf.memory import per_gpu_layer_params
 from repro.plan.inventory import DTYPE_BYTES, Kernel, layer_ops
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.sim.cost import CommCostModel, ComputeCostModel
@@ -135,9 +135,10 @@ class PlanCostModel:
         roofline over the declared kernels plus each collective priced on
         its group, the comm share of both phases reported apart."""
         groups = plan_groups(cfg)
+        layer = layer_ops(model, cfg, mb, seq)
         comm_s = 0.0
         phases = []
-        for ops in layer_ops(model, cfg, mb, seq):
+        for ops in (layer.fwd, layer.bwd):
             t = 0.0
             for op in ops:
                 if isinstance(op, Kernel):
@@ -175,6 +176,7 @@ class PlanCostModel:
         layers_local = model.num_layers // cfg.pp
         groups = plan_groups(cfg)
 
+        layer = layer_ops(model, cfg, mb, seq)
         lf, lb, lcomm = self.layer_times(model, cfg, mb, seq)
         fwd_slot = layers_local * lf
         bwd_slot = layers_local * lb
@@ -186,10 +188,7 @@ class PlanCostModel:
         # Pipeline boundary p2p: one activation block each way per slot.
         p2p_slot = 0.0
         if cfg.pp > 1:
-            if cfg.scheme in ("optimus", "tesseract"):
-                boundary = mb * seq * model.hidden * DTYPE_BYTES / cfg.tp
-            else:
-                boundary = mb * seq * model.hidden * DTYPE_BYTES
+            boundary = prod(layer.block) * DTYPE_BYTES
             p2p_slot = 2 * self.comm.p2p(groups.pipe_src, groups.pipe_dst,
                                          boundary)
 
@@ -201,10 +200,7 @@ class PlanCostModel:
         # Data-parallel gradient sync: one coalesced all-reduce of every
         # local gradient byte (the batched window prices exactly this),
         # plus the ZeRO-1 owner broadcast of the updated parameters.
-        grad_bytes = per_gpu_layer_params(
-            model.hidden, cfg.scheme, p=cfg.tp, q=cfg.q, d=cfg.d,
-            mlp_ratio=model.mlp_ratio,
-        ) * layers_local * DTYPE_BYTES
+        grad_bytes = layer.param_bytes * layers_local
         dp_sync = 0.0
         if cfg.dp > 1:
             dp_sync = self.comm.all_reduce(groups.dp, grad_bytes)

@@ -27,15 +27,28 @@ PlanGroups` it runs on and its per-rank bytes, one entry per op it
 fuses: a plain collective has one entry, a batch window (the LayerNorm
 statistics, the dg/db sums) one per queued op, and both are priced the
 way the engine prices them, by :meth:`~repro.sim.cost.CommCostModel.fused`.
+
+The same builders say what the layer *holds*: one :class:`Held` record
+per module with its parameter shards and its ``save_for_backward`` set,
+in the order the modules' forwards return.  Every module's backward
+releases its set and then accumulates its own gradients, so the modules
+run backward in the reverse order.  :func:`repro.plan.memory.
+estimate_memory` walks these records through the pipeline schedule, and
+``tests/plan/test_memory.py`` checks them name for name against
+``module.parameters()`` and each module's charged ``_saved_bytes``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from math import prod
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.plan.space import CandidateConfig, ModelSpec
+if TYPE_CHECKING:
+    from repro.plan.space import CandidateConfig, ModelSpec
 
-__all__ = ["DTYPE_BYTES", "Kernel", "Collective", "layer_ops"]
+__all__ = ["DTYPE_BYTES", "Kernel", "Collective", "Held", "LayerOps",
+           "layer_ops"]
 
 #: The simulator's training dtype (float32) in bytes.
 DTYPE_BYTES = 4
@@ -59,6 +72,29 @@ class Collective(NamedTuple):
     axis: str                  #: a :class:`~repro.plan.cost.PlanGroups` field
     nbytes: tuple[float, ...]  #: per-rank bytes of each fused op
     count: int
+
+
+class Held(NamedTuple):
+    """What one module of the layer holds on this rank (local shapes)."""
+
+    name: str                                  #: path in the layer
+    params: tuple[tuple[str, tuple], ...]      #: (name, shape) per shard
+    saved: tuple[tuple[int, ...], ...]         #: its save_for_backward set
+
+    @property
+    def saved_bytes(self) -> int:
+        return sum(prod(s) for s in self.saved) * DTYPE_BYTES
+
+
+class LayerOps(NamedTuple):
+    """One layer on one rank for one microbatch."""
+
+    fwd: tuple            #: kernels and collectives of the forward
+    bwd: tuple            #: ... and of the backward
+    held: tuple           #: :class:`Held` records, in forward-return order
+    block: tuple          #: shape of the activation block entering the layer
+    param_bytes: int      #: every parameter shard (= the gradients)
+    saved_bytes: int      #: every saved set of one forward
 
 
 class _Pass(list):
@@ -97,21 +133,32 @@ class _Pass(list):
 
 
 def layer_ops(model: ModelSpec, cfg: CandidateConfig, mb: int,
-              seq: int) -> tuple[list, list]:
-    """(forward, backward) records of one layer for one microbatch."""
-    grid = cfg.scheme in ("optimus", "tesseract")
-    h, r = model.hidden, model.mlp_ratio
-    split = cfg.q if grid else cfg.tp        # hidden/head split
-    b = mb // (cfg.d * cfg.q) if grid else mb  # local batch
-    width = h // cfg.q if grid else h          # local activation width
+              seq: int) -> LayerOps:
+    """The records of one layer for one microbatch of ``mb`` sequences.
+
+    Memoized per scheme and local shape: the time loop and the memory walk
+    of a search read the same records for every candidate that shares them.
+    """
+    return _layer_ops(cfg.scheme, cfg.tp, cfg.q, cfg.d, model.hidden,
+                      model.nheads, model.mlp_ratio, mb, seq)
+
+
+@lru_cache(maxsize=1024)
+def _layer_ops(scheme, tp, q, d, h, nheads, r, mb, seq) -> LayerOps:
+    grid = scheme in ("optimus", "tesseract")
+    split = q if grid else tp                # hidden/head split
+    b = mb // (d * q) if grid else mb        # local batch
+    width = h // q if grid else h            # local activation width
     rows = b * seq
     n = rows * width
-    heads, hd = model.nheads // split, h // model.nheads
+    heads, hd = nheads // split, h // nheads
     qkv_w, ff_w = 3 * h // split, r * h // split
-    fwd, bwd = _Pass(), _Pass()
+    fwd, bwd, held = _Pass(), _Pass(), []
+
+    def hold(name, params=(), saved=()):
+        held.append(Held(name, tuple(params), tuple(saved)))
 
     if grid:
-        q, d = cfg.q, cfg.d
         split_tag = "tattn"
 
         def linear(k, o, _row_parallel):
@@ -176,8 +223,7 @@ def layer_ops(model: ModelSpec, cfg: CandidateConfig, mb: int,
             bwd.binary("tln_sub", n, n)
             bwd.binary("tln_dx", n, rows)
     else:
-        tp = cfg.tp
-        serial = cfg.scheme == "serial"
+        serial = scheme == "serial"
         split_tag = "attn" if serial else "mattn"
 
         def linear(k, o, row_parallel):
@@ -220,13 +266,26 @@ def layer_ops(model: ModelSpec, cfg: CandidateConfig, mb: int,
             bwd.binary("ln_sub2", n, n)
             bwd.binary("ln_dx", n, rows)
 
+    def dense(name, k, o, row_parallel=False):
+        linear(k, o, row_parallel)
+        # The input is saved.  The bias spans the local output width: a
+        # grid's 1/q column slice, Megatron's full width (so replicated)
+        # after a row-parallel all-reduce.
+        hold(name, [("w", (k, o)), ("b", (o,))], [(b, seq, k)])
+
+    def norm(name):
+        layernorm()
+        # Gain and bias span the local width; x-hat and 1/std are saved.
+        hold(name, [("g", (width,)), ("b", (width,))],
+             [(b, seq, width), (b, seq, 1)])
+
     # The pre-LN layer both families share: x + attn(ln1(x)), then
     # x + mlp(ln2(x)); the attention core runs on this rank's heads alone.
     bh = b * heads
     head_elems = rows * (h // split)         # one of the local q/k/v
     scores = bh * seq * seq
-    layernorm()
-    linear(width, qkv_w, False)
+    norm("ln1")
+    dense("attn.qkv", width, qkv_w)
     fwd.move(f"{split_tag}_split", rows * qkv_w)
     fwd.reshape(3)
     fwd.move("attn_heads", head_elems, count=3)
@@ -247,14 +306,21 @@ def layer_ops(model: ModelSpec, cfg: CandidateConfig, mb: int,
     bwd.move("attn_merge", head_elems, count=3)
     bwd.reshape(3)
     bwd.move(f"{split_tag}_dsplit", rows * qkv_w)
-    linear(h // split, width, True)
+    dense("attn.proj", h // split, width, row_parallel=True)
+    # The attention cache is one tuple argument, which save_for_backward
+    # charges nothing for (it counts VArray arguments only).
+    hold("attn")
     fwd.binary("residual", n, n)
     bwd.binary("residual_bwd", n, n)
-    layernorm()
-    linear(width, ff_w, False)
+    norm("ln2")
+    dense("mlp.fc1", width, ff_w)
     fwd.unary("mlp_gelu", rows * ff_w, 8.0)
     bwd.binary("mlp_gelu_bwd", rows * ff_w, rows * ff_w, 10.0)
-    linear(ff_w, width, True)
+    dense("mlp.fc2", ff_w, width, row_parallel=True)
+    hold("mlp", saved=[(b, seq, ff_w)])      # fc1's output, for the GELU
     fwd.binary("residual", n, n)
     bwd.binary("residual_bwd", n, n)
-    return fwd, bwd
+    return LayerOps(
+        tuple(fwd), tuple(bwd), tuple(held), (b, seq, width),
+        sum(prod(s) for m in held for _, s in m.params) * DTYPE_BYTES,
+        sum(m.saved_bytes for m in held))

@@ -1,40 +1,40 @@
 """Per-GPU memory model: prunes infeasible candidates before pricing.
 
-Four categories, mirroring the simulator's memory tracker:
+The estimate replays what the simulator's memory tracker sees on the
+worst pipeline stage, from the layer records of :func:`repro.plan.
+inventory.layer_ops` (each module's parameter shards and
+``save_for_backward`` set) walked through the stage's own schedule,
+:func:`repro.parallel.pipeline.pipeline_order`:
 
-* **params** — per-GPU parameter elements from the paper's sharding
-  algebra (:func:`repro.perf.memory.per_gpu_layer_params`);
-* **grads** — one gradient per parameter (accumulated across
-  microbatches, so independent of M);
-* **optimizer** — Adam's two moments; divided by the data-parallel
-  degree under ZeRO stage 1 (cited [16]);
-* **activations** — saved-for-backward tensors per layer
-  (:func:`repro.perf.memory.per_gpu_layer_saved_activation`, calibrated
-  against ``ctx.mem.peak("activations")``), multiplied by the live
-  microbatch sets of the pipeline schedule: all ``M`` sets under GPipe,
-  ``min(M, pp)`` on the deepest stage under 1F1B — the schedule's whole
-  point.  Activation checkpointing (cited [4]) keeps only each layer's
-  boundary input plus one in-flight layer's set, paying recompute in the
-  cost model instead.
+* **params** — every layer's shards, charged once when the stage is built;
+* **activations** — each module's saved set, charged on every forward and
+  released when that module's backward begins;
+* **grads** — each parameter's gradient, charged when its module first
+  runs backward and accumulated in place after that;
+* **optimizer** — Adam's two moments per parameter, divided by the
+  data-parallel degree under ZeRO stage 1 (cited [16]).  They live across
+  steps, so they add to the step's peak.
 
-The estimates are cross-checked against measured simulator peaks in
-``tests/plan/test_memory.py``.
+Each category's peak and the step's ``peak_total`` are read off one
+running sum, so they equal ``MemoryTracker``'s maximum over ranks
+(``tests/plan/test_memory.py``, to 1e-9).  Stage 0 is the worst stage:
+it runs the most warm-up forwards and the same layers as every other
+stage.  Activation checkpointing (cited [4]) keeps each layer's input
+block in place of its saved set and rebuilds one layer's set while that
+layer runs backward; the cost model pays the recompute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from repro.errors import GridError
-from repro.perf.memory import (
-    per_gpu_activation,
-    per_gpu_layer_params,
-    per_gpu_layer_saved_activation,
-)
-from repro.plan.cost import DTYPE_BYTES
+from repro.parallel.pipeline import pipeline_order
+from repro.plan.inventory import DTYPE_BYTES, layer_ops
 from repro.plan.space import CandidateConfig, ModelSpec
 
-__all__ = ["MemoryEstimate", "estimate_memory", "live_microbatch_sets"]
+__all__ = ["MemoryEstimate", "estimate_memory"]
 
 #: Adam keeps two moment tensors per parameter.
 OPTIMIZER_STATES = 2
@@ -48,35 +48,16 @@ class MemoryEstimate:
     grads_bytes: float
     optimizer_bytes: float
     activation_bytes: float
+    #: peak of params + grads + activations during one step
+    step_peak_bytes: float
 
     @property
     def total_bytes(self) -> float:
-        """Budget-pruning total: the sum of all four categories.
-
-        A *conservative* peak — the activation peak (end of forward) and
-        the gradient peak (end of backward) do not fully co-occur, so the
-        simulator's ``peak_total`` can come in below this sum.  Pruning
-        against the sum never admits a config that would not fit.
-        """
-        return (self.params_bytes + self.grads_bytes
-                + self.optimizer_bytes + self.activation_bytes)
+        """The budget-pruning total: the step's peak plus optimizer state."""
+        return self.step_peak_bytes + self.optimizer_bytes
 
     def fits(self, budget_bytes: float) -> bool:
         return self.total_bytes <= budget_bytes
-
-
-def live_microbatch_sets(cfg: CandidateConfig, schedule: str) -> int:
-    """Concurrent saved-activation sets on the worst (first) stage.
-
-    GPipe runs every forward before any backward, so all ``M`` sets are
-    live at the peak.  Synchronous 1F1B caps stage ``s`` at
-    ``min(M, S-1-s) + 1`` sets; stage 0 is the worst with ``min(M, pp)``.
-    """
-    if schedule == "gpipe" or cfg.pp == 1:
-        return cfg.microbatches
-    if schedule == "1f1b":
-        return min(cfg.microbatches, cfg.pp)
-    raise GridError(f"unknown pipeline schedule {schedule!r}")
 
 
 def estimate_memory(
@@ -96,36 +77,51 @@ def estimate_memory(
             f"M={cfg.microbatches}"
         )
     mb = global_batch // (cfg.dp * cfg.microbatches)
-    layers_local = model.num_layers // cfg.pp
+    layers = model.num_layers // cfg.pp
+    layer = layer_ops(model, cfg, mb, seq)
+    saved, grad = layer.saved_bytes, layer.param_bytes
+    boundary = prod(layer.block) * DTYPE_BYTES
+    # The highest point of one layer's first backward above its start:
+    # each module frees its saved set, then charges its gradients.
+    run, rise = 0.0, float("-inf")
+    for m in reversed(layer.held):
+        run -= m.saved_bytes
+        for _, shape in m.params:
+            run += prod(shape) * DTYPE_BYTES
+            rise = max(rise, run)
 
-    params = per_gpu_layer_params(
-        model.hidden, cfg.scheme, p=cfg.tp, q=cfg.q, d=cfg.d,
-        mlp_ratio=model.mlp_ratio,
-    ) * layers_local * DTYPE_BYTES
-    grads = params
-    optimizer = OPTIMIZER_STATES * params / (cfg.dp if zero else 1)
-
-    live = live_microbatch_sets(cfg, schedule)
-    boundary = per_gpu_activation(
-        mb, seq, model.hidden, cfg.scheme, p=cfg.tp, q=cfg.q, d=cfg.d,
-    ) * DTYPE_BYTES
-    if checkpoint:
-        # Each layer keeps only its input block; one layer's full set is
-        # live while its backward recomputes.
-        saved_layer = per_gpu_layer_saved_activation(
-            mb, seq, model.hidden, cfg.scheme, p=cfg.tp, q=cfg.q, d=cfg.d,
-            mlp_ratio=model.mlp_ratio,
-        ) * DTYPE_BYTES
-        activations = (layers_local * boundary) * live + saved_layer
-    else:
-        activations = per_gpu_layer_saved_activation(
-            mb, seq, model.hidden, cfg.scheme, p=cfg.tp, q=cfg.q, d=cfg.d,
-            mlp_ratio=model.mlp_ratio,
-        ) * DTYPE_BYTES * layers_local * live + boundary
+    params = layers * grad
+    grads = acts = peak_acts = 0.0
+    peak = params
+    first = True
+    for forward, _ in pipeline_order(schedule, cfg.microbatches, 0, cfg.pp):
+        if forward:
+            if checkpoint:   # the last layer's full set, then its input kept
+                top = acts + (layers - 1) * boundary + saved
+                acts += layers * boundary
+            else:
+                top = acts = acts + layers * saved
+            peak_acts = max(peak_acts, top)
+            peak = max(peak, params + grads + top)
+            continue
+        if not (first or checkpoint):    # frees only: no new peak
+            acts -= layers * saved
+            continue
+        for _ in range(layers):      # backward, last layer first
+            if checkpoint:           # drop the input, rebuild the set
+                acts += saved - boundary
+                peak_acts = max(peak_acts, acts)
+                peak = max(peak, params + grads + acts)
+            if first:
+                peak = max(peak, params + grads + acts + rise)
+                grads += grad
+            acts -= saved
+        first = False
 
     return MemoryEstimate(
         params_bytes=params,
         grads_bytes=grads,
-        optimizer_bytes=optimizer,
-        activation_bytes=activations,
+        optimizer_bytes=OPTIMIZER_STATES * params / (cfg.dp if zero else 1),
+        activation_bytes=peak_acts,
+        step_peak_bytes=peak,
     )

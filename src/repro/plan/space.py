@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import GridError
-from repro.perf.memory import transformer_layer_params
+from repro.plan.inventory import DTYPE_BYTES, layer_ops
 
 __all__ = [
     "ModelSpec",
@@ -51,10 +51,11 @@ class ModelSpec:
 
     @property
     def param_elements(self) -> int:
-        """Total parameter elements across all layers."""
-        return self.num_layers * transformer_layer_params(
-            self.hidden, self.mlp_ratio
-        )
+        """Total parameter elements across all layers: the serial layer's
+        declared shards (:func:`~repro.plan.inventory.layer_ops`)."""
+        serial = CandidateConfig("serial", dp=1, pp=1, tp=1)
+        layer = layer_ops(self, serial, 1, self.seq_len)
+        return self.num_layers * layer.param_bytes // DTYPE_BYTES
 
     def describe(self) -> str:
         return (f"{self.name}: {self.num_layers} layers, hidden "

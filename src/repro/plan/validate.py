@@ -78,11 +78,16 @@ class ValidationRow:
 
     planned: PlannedConfig
     simulated_step_s: float
-    peak_memory_bytes: float
+    peak_memory_bytes: float     #: the simulated ``peak_total``, over ranks
 
     @property
     def predicted_step_s(self) -> float:
         return self.planned.predicted_step_s
+
+    @property
+    def predicted_peak_bytes(self) -> float:
+        """The planner's step peak (the simulated step builds no optimizer)."""
+        return self.planned.memory.step_peak_bytes
 
     @property
     def rel_error(self) -> float:
@@ -118,6 +123,8 @@ class ValidationReport:
                     "predicted_step_s": r.predicted_step_s,
                     "simulated_step_s": r.simulated_step_s,
                     "rel_error": r.rel_error,
+                    "predicted_peak_bytes": r.predicted_peak_bytes,
+                    "simulated_peak_bytes": r.peak_memory_bytes,
                 }
                 for r in self.rows
             ],

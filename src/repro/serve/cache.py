@@ -398,9 +398,6 @@ class BlockPool:
     def refcount(self, bid: int) -> int:
         return self._blocks[bid].refcount
 
-    def is_registered(self, bid: int) -> bool:
-        return self._blocks[bid].key is not None
-
     def writable(self, bid: int) -> bool:
         """May the holder append in place?  Only when private: one
         reference and not published in the prefix table."""

@@ -389,15 +389,6 @@ class FaultPlan:
             s.rank == rank and s.until is not None for s in self.slowdowns
         )
 
-    def link_factor(self, a: int, b: int) -> float:
-        """Transfer-time multiplier for the (a, b) link (symmetric)."""
-        pair = (min(a, b), max(a, b))
-        factor = 1.0
-        for lf in self.link_faults:
-            if (min(lf.src, lf.dst), max(lf.src, lf.dst)) == pair:
-                factor *= lf.factor
-        return factor
-
     def send_fails(self, src: int, dst: int, tag, seq: int, attempt: int) -> bool:
         """Whether the ``attempt``-th (0-based) try of this send fails.
 

@@ -361,9 +361,6 @@ class _Event:
                     runnable.append(t)
             waiters.clear()
 
-    def is_set(self) -> bool:
-        return self._flag
-
 
 class _Task:
     """One rank's scheduling state under the event backend."""

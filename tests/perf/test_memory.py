@@ -1,4 +1,5 @@
-"""Tests for the Eq. 7-10 memory models."""
+"""Tests for the Eq. 7-10 memory models, and the §3.1 comparison they
+make, read off the planner's per-layer memory model."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from repro.errors import GridError
 from repro.perf.memory import (
     elements_to_bytes,
     megatron_matmul_memory,
-    per_gpu_activation,
-    per_gpu_layer_params,
     solomonik_matmul_memory,
     summa_matmul_memory,
     tesseract_matmul_memory,
-    transformer_layer_params,
 )
+from repro.plan.memory import estimate_memory
+from repro.plan.space import CandidateConfig, ModelSpec
 
 
 class TestMatmulMemory:
@@ -71,38 +71,40 @@ class TestMatmulMemory:
             solomonik_matmul_memory(1, 1, 1, 0, 1)
 
 
+def _estimate(scheme, tp, q=1, d=1, h=256):
+    model = ModelSpec("m", hidden=h, num_layers=1, nheads=16, seq_len=64)
+    cfg = CandidateConfig(scheme, dp=1, pp=1, tp=tp, q=q, d=d)
+    return estimate_memory(model, cfg, global_batch=16)
+
+
 class TestTransformerMemory:
     def test_layer_params_dominated_by_12h2(self):
         h = 1024
-        total = transformer_layer_params(h)
+        total = ModelSpec("m", hidden=h, num_layers=1, nheads=16).param_elements
         assert total == pytest.approx(12 * h * h, rel=0.01)
 
     def test_per_gpu_params_scaling(self):
-        h = 256
-        serial = per_gpu_layer_params(h, "serial")
-        mega = per_gpu_layer_params(h, "megatron", p=16)
-        tess = per_gpu_layer_params(h, "tesseract", q=4, d=4)
+        serial = _estimate("serial", 1).params_bytes
+        mega = _estimate("megatron", 16).params_bytes
+        tess = _estimate("tesseract", 64, q=4, d=4).params_bytes
         assert mega < serial
         assert tess < serial
         # tesseract weights shrink by q^2 = 16 just like megatron's p = 16
         assert tess == pytest.approx(mega, rel=0.05)
 
     def test_per_gpu_activation_hierarchy(self):
-        """Eq. 9 vs Eq. 8: Megatron replicates activations; Optimus divides
-        by q^2; Tesseract by d*q^2."""
-        b, s, h = 16, 64, 256
-        mega = per_gpu_activation(b, s, h, "megatron", p=16)
-        opti = per_gpu_activation(b, s, h, "optimus", q=4)
-        tess = per_gpu_activation(b, s, h, "tesseract", q=4, d=4)
-        assert mega == b * s * h
-        assert opti == b * s * h / 16
-        assert tess == b * s * h / 64
-
-    def test_unknown_mode(self):
-        with pytest.raises(GridError):
-            per_gpu_layer_params(8, "3d")
-        with pytest.raises(GridError):
-            per_gpu_activation(1, 1, 1, "3d")
+        """Eq. 9 vs Eq. 8 on a whole layer's saved tensors: Megatron
+        replicates the LayerNorm and residual-width activations; Optimus
+        divides them by q^2; Tesseract by d*q^2 (all but the per-row
+        LayerNorm statistics, a 1/h share)."""
+        serial = _estimate("serial", 1).activation_bytes
+        mega = _estimate("megatron", 16).activation_bytes
+        opti = _estimate("optimus", 16, q=4).activation_bytes
+        tess = _estimate("tesseract", 64, q=4, d=4).activation_bytes
+        assert opti == pytest.approx(serial / 16, rel=0.01)
+        assert tess == pytest.approx(serial / 64, rel=0.01)
+        assert mega > 0.3 * serial      # 4 of the 13 [b, s, h] units
+        assert mega > opti > tess
 
     def test_elements_to_bytes(self):
         assert elements_to_bytes(10, np.float32) == 40

@@ -3,29 +3,33 @@
 The planner prunes on :func:`repro.plan.memory.estimate_memory`; these
 tests build each candidate for real (the same per-rank program the
 validator runs) and compare the prediction against the engine's memory
-tracker, per category: parameters and gradients must match almost
-exactly, saved activations within a tolerance that covers the odd
-workspace tensor.
-
-The *sum* is asserted only as an upper bound: the activation peak (end
-of forward) and the gradient peak (end of backward) do not co-occur, so
-the tracker's ``peak_total`` legitimately comes in below the sum — the
-estimate must stay conservative, never optimistic.
+tracker, maximum over ranks: parameters, gradients, the activation peak
+and ``peak_total`` must all be equal (optimizer state excluded: the
+step program builds no optimizer).  The records the estimate walks are
+checked first, module by module, against one built layer per scheme.
 """
 
 import pytest
 
-from repro.errors import GridError
+from repro.errors import GridError, SimulationError
 from repro.hardware.spec import meluxina
-from repro.plan.memory import estimate_memory, live_microbatch_sets
+from repro.nn.checkpoint import ActivationCheckpoint
+from repro.parallel.factory import tensor_group
+from repro.parallel.layers import TransformerLayer, layout_of
+from repro.parallel.pipeline import pipeline_order
+from repro.plan import validate
+from repro.plan.inventory import layer_ops
+from repro.plan.memory import estimate_memory
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.plan.validate import _stage_program
 from repro.sim.engine import Engine
 from repro.util.mathutil import ceil_div
+from repro.varray.varray import VArray
 
 SMALL = ModelSpec("mem-s", hidden=128, num_layers=4, nheads=4, seq_len=32)
 MEDIUM = ModelSpec("mem-m", hidden=256, num_layers=4, nheads=4, seq_len=64)
 BATCH = 16
+REL = 1e-9
 
 #: (id, config) covering serial, 1-D, and 2.5-D, with and without a
 #: pipeline, at M = 1 and M > 1.
@@ -63,19 +67,20 @@ def measured_peaks(model, cfg, global_batch, schedule="1f1b"):
     return tuple(max(vals) for vals in zip(*results))
 
 
+def assert_equal_to_tracker(est, measured):
+    params, grads, acts, total = measured
+    assert est.params_bytes == pytest.approx(params, rel=REL)
+    assert est.grads_bytes == pytest.approx(grads, rel=REL)
+    assert est.activation_bytes == pytest.approx(acts, rel=REL)
+    assert est.step_peak_bytes == pytest.approx(total, rel=REL)
+
+
 @pytest.mark.parametrize("model", [SMALL, MEDIUM], ids=lambda m: m.name)
 @pytest.mark.parametrize(
     "cfg", [c for _, c in CONFIGS], ids=[i for i, _ in CONFIGS])
 def test_predicted_vs_measured(model, cfg):
     est = estimate_memory(model, cfg, BATCH, schedule="1f1b")
-    params, grads, acts, total = measured_peaks(model, cfg, BATCH)
-
-    assert est.params_bytes == pytest.approx(params, rel=0.01)
-    assert est.grads_bytes == pytest.approx(grads, rel=0.01)
-    assert est.activation_bytes == pytest.approx(acts, rel=0.10)
-    # Conservative: the summed estimate never understates the true peak.
-    budget_view = est.total_bytes - est.optimizer_bytes
-    assert total <= budget_view * 1.02
+    assert_equal_to_tracker(est, measured_peaks(model, cfg, BATCH))
 
 
 def test_gpipe_keeps_every_microbatch_live():
@@ -85,29 +90,102 @@ def test_gpipe_keeps_every_microbatch_live():
     est_g = estimate_memory(MEDIUM, cfg, BATCH, schedule="gpipe")
     est_f = estimate_memory(MEDIUM, cfg, BATCH, schedule="1f1b")
     assert est_g.activation_bytes > est_f.activation_bytes
-    acts_g = measured_peaks(MEDIUM, cfg, BATCH, schedule="gpipe")[2]
-    acts_f = measured_peaks(MEDIUM, cfg, BATCH, schedule="1f1b")[2]
-    assert acts_g > acts_f
-    assert est_g.activation_bytes == pytest.approx(acts_g, rel=0.10)
+    measured_g = measured_peaks(MEDIUM, cfg, BATCH, schedule="gpipe")
+    measured_f = measured_peaks(MEDIUM, cfg, BATCH, schedule="1f1b")
+    assert measured_g[2] > measured_f[2]
+    assert_equal_to_tracker(est_g, measured_g)
+
+
+@pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
+@pytest.mark.parametrize("cfg", [CONFIGS[0][1], CONFIGS[4][1]],
+                         ids=[CONFIGS[0][0], CONFIGS[4][0]])
+def test_checkpointed_layers_equal_measured(monkeypatch, cfg, schedule):
+    # The same step with every layer wrapped in ActivationCheckpoint.
+    monkeypatch.setattr(
+        validate, "TransformerLayer",
+        lambda *a, **k: ActivationCheckpoint(TransformerLayer(*a, **k)))
+    est = estimate_memory(MEDIUM, cfg, BATCH, schedule=schedule,
+                          checkpoint=True)
+    assert_equal_to_tracker(est, measured_peaks(MEDIUM, cfg, BATCH,
+                                                schedule=schedule))
+
+
+#: one layer per scheme for the record checks
+LAYER_CONFIGS = {
+    "serial": CandidateConfig("serial", dp=1, pp=1, tp=1),
+    "megatron-tp4": CandidateConfig("megatron", dp=1, pp=1, tp=4),
+    "optimus-221": CandidateConfig("optimus", dp=1, pp=1, tp=4, q=2),
+    "tesseract-222": CandidateConfig("tesseract", dp=1, pp=1, tp=8, q=2,
+                                     d=2),
+}
+
+
+def _modules(module, path=""):
+    yield path, module
+    for name, child in module._children.items():
+        yield from _modules(child, f"{path}.{name}" if path else name)
+
+
+@pytest.mark.parametrize("scheme", LAYER_CONFIGS)
+def test_declared_records_match_the_built_layer(scheme):
+    cfg = LAYER_CONFIGS[scheme]
+    mb, seq = 8, 16
+    layer_rec = layer_ops(MEDIUM, cfg, mb, seq)
+    want_params = [(f"{m.name}.{name}", shape)
+                   for m in layer_rec.held for name, shape in m.params]
+    want_saved = {m.name: m.saved_bytes for m in layer_rec.held}
+
+    def program(ctx):
+        group = tensor_group(ctx, cfg.scheme, cfg.q, cfg.d, world=cfg.tp)
+        layer = TransformerLayer(group, MEDIUM.hidden, MEDIUM.nheads,
+                                 MEDIUM.mlp_ratio)
+        params = [(name, p.shape) for name, p in layer.parameters()]
+        block = layout_of(group).local_shape(mb, seq, MEDIUM.hidden)
+        layer.forward(VArray.symbolic(block))
+        saved = {path: m._saved_bytes for path, m in _modules(layer)}
+        return params, saved, block
+
+    engine = Engine(cluster=meluxina(ceil_div(cfg.world, 4)),
+                    nranks=cfg.world, mode="symbolic", trace=False)
+    try:
+        results = engine.run(program)
+    finally:
+        engine.shutdown()
+    for params, saved, block in results:
+        assert params == want_params
+        assert saved.pop("") == 0
+        assert saved == want_saved
+        assert block == layer_rec.block
+
+
+def _live_sets(order):
+    """Most microbatches forwarded and not yet run backward."""
+    live = peak = 0
+    for forward, _ in order:
+        live += 1 if forward else -1
+        peak = max(peak, live)
+    return peak
 
 
 class TestLiveSets:
     def test_gpipe_all_live(self):
-        cfg = CandidateConfig("serial", dp=1, pp=4, tp=1, microbatches=8)
-        assert live_microbatch_sets(cfg, "gpipe") == 8
+        for stage in range(4):
+            assert _live_sets(pipeline_order("gpipe", 8, stage, 4)) == 8
 
     def test_1f1b_caps_at_depth(self):
-        cfg = CandidateConfig("serial", dp=1, pp=4, tp=1, microbatches=8)
-        assert live_microbatch_sets(cfg, "1f1b") == 4
+        # stage s keeps min(M, S - s) sets; stage 0 is the worst
+        assert [_live_sets(pipeline_order("1f1b", 8, s, 4))
+                for s in range(4)] == [4, 3, 2, 1]
+        assert _live_sets(pipeline_order("1f1b", 2, 0, 4)) == 2
 
     def test_no_pipeline_means_all(self):
-        cfg = CandidateConfig("serial", dp=4, pp=1, tp=1)
-        assert live_microbatch_sets(cfg, "1f1b") == 1
+        # One stage runs each microbatch's backward right after its forward.
+        assert _live_sets(pipeline_order("1f1b", 1, 0, 1)) == 1
+        assert _live_sets(pipeline_order("1f1b", 4, 0, 1)) == 1
 
     def test_unknown_schedule(self):
-        cfg = CandidateConfig("serial", dp=1, pp=2, tp=1, microbatches=2)
-        with pytest.raises(GridError):
-            live_microbatch_sets(cfg, "interleaved")
+        with pytest.raises(SimulationError, match="unknown pipeline"):
+            pipeline_order("interleaved", 2, 0, 2)
 
 
 class TestEstimateProperties:
@@ -136,6 +214,7 @@ class TestEstimateProperties:
     def test_fits_is_total_vs_budget(self):
         cfg = CandidateConfig("serial", dp=2, pp=2, tp=1, microbatches=4)
         est = estimate_memory(MEDIUM, cfg, BATCH)
+        assert est.total_bytes == est.step_peak_bytes + est.optimizer_bytes
         assert est.fits(est.total_bytes)
         assert not est.fits(est.total_bytes * 0.99)
 

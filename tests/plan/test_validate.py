@@ -87,7 +87,11 @@ class TestValidateTopk:
         assert len(payload["rows"]) == 2
         for row in payload["rows"]:
             assert set(row) == {"label", "predicted_step_s",
-                                "simulated_step_s", "rel_error"}
+                                "simulated_step_s", "rel_error",
+                                "predicted_peak_bytes",
+                                "simulated_peak_bytes"}
+            assert row["predicted_peak_bytes"] == pytest.approx(
+                row["simulated_peak_bytes"], rel=1e-9)
 
     def test_empty_search_yields_empty_report(self):
         starved = Planner(world=8).search(TINY, global_batch=32,
