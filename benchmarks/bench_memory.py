@@ -15,7 +15,8 @@ from repro.perf.memory import (
     megatron_matmul_memory,
     tesseract_matmul_memory,
 )
-from repro.plan.memory import estimate_memory
+from repro.hardware.spec import meluxina
+from repro.plan.cost import PlanCostModel
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.util.formatting import format_bytes
 from repro.util.tables import Table
@@ -64,7 +65,8 @@ def test_memory_report_and_eq7_eq10(benchmark, capsys):
         "optimus[8, 8]": tesseract_matmul_memory(b_times_s, h, 4 * h, 8, 1),
         "tesseract[4, 4, 4]": tesseract_matmul_memory(b_times_s, h, 4 * h, 4, 4),
     }
-    planned = {label: estimate_memory(STACK, cfg, global_batch=32)
+    cost = PlanCostModel(meluxina(16), 64)
+    planned = {label: cost.estimate(STACK, cfg, global_batch=32)[1]
                for label, cfg in CONFIGS.items()}
     table = Table(
         ["configuration", "Eq.7-10 matmul elems", "Eq bytes (fp32)",

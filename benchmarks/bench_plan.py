@@ -14,8 +14,9 @@ Asserted claims:
 * the recommendation is deterministic: a second search returns the
   identical ranking;
 * on the 350M point, the analytic predictions rank a diverse top-5 the
-  same way the symbolic simulator does (Spearman >= 0.8), and each
-  validated candidate's predicted peak memory equals its simulated peak.
+  same way the symbolic simulator does (Spearman 1.0), and each validated
+  candidate's predicted step time and peak memory equal its simulated
+  ones.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ def test_plan_validation_spearman(benchmark):
     benchmark.extra_info["plan_spearman"] = report.spearman
     benchmark.extra_info["plan_mean_abs_err_frac"] = \
         report.mean_abs_rel_error
-    assert report.spearman >= 0.8
+    assert report.spearman >= 1.0
     for row in report.rows:
+        assert row.predicted_step_s == pytest.approx(
+            row.simulated_step_s, rel=1e-9), row.planned.config.label
         assert row.predicted_peak_bytes == pytest.approx(
             row.peak_memory_bytes, rel=1e-9), row.planned.config.label
 

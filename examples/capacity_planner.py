@@ -17,7 +17,8 @@ from dataclasses import replace
 from repro.bench.experiments import BenchRow
 from repro.bench.runner import run_row
 from repro.grid import GridLayout, TesseractShape
-from repro.plan import CandidateConfig, ModelSpec, estimate_memory
+from repro.hardware.spec import meluxina
+from repro.plan import CandidateConfig, ModelSpec, PlanCostModel
 from repro.util.formatting import format_bytes, format_seconds
 from repro.util.tables import Table
 
@@ -54,9 +55,10 @@ def main() -> None:
     )
     best = None
     probe = replace(MODEL, num_layers=2)
+    cost = PlanCostModel(meluxina(GPUS // 4), GPUS)
     for scheme, shape in CANDIDATES:
         cfg = candidate(scheme, shape)
-        planned = estimate_memory(MODEL, cfg, BATCH).total_bytes
+        planned = cost.estimate(MODEL, cfg, BATCH)[1].total_bytes
         row = BenchRow("plan", scheme, GPUS, shape, BATCH, HIDDEN, HEADS,
                        0, 1, 1, 1)
         measured = run_row(row, seq_len=SEQ, num_layers=2)
@@ -64,7 +66,7 @@ def main() -> None:
         table.add_row([
             scheme, str(list(shape)), format_bytes(planned),
             "yes" if fits else "NO", format_seconds(measured.forward),
-            format_bytes(estimate_memory(probe, cfg, BATCH).step_peak_bytes),
+            format_bytes(cost.estimate(probe, cfg, BATCH)[1].step_peak_bytes),
             format_bytes(measured.peak_memory_bytes),
         ])
         if fits and (best is None or measured.forward < best[2]):

@@ -151,13 +151,6 @@ class ParallelContext:
         return cls(ctx, GridLayout(TesseractShape(q=q, d=d), dp_size, pp_size))
 
     @classmethod
-    def summa_2d(
-        cls, ctx: RankContext, q: int, dp_size: int = 1, pp_size: int = 1
-    ) -> "ParallelContext":
-        """An Optimus-style [q, q] context (Tesseract with depth 1)."""
-        return cls.tesseract(ctx, q=q, d=1, dp_size=dp_size, pp_size=pp_size)
-
-    @classmethod
     def cubic(
         cls, ctx: RankContext, q: int, dp_size: int = 1, pp_size: int = 1
     ) -> "ParallelContext":

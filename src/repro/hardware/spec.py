@@ -17,7 +17,7 @@ overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import GridError
 
@@ -160,10 +160,6 @@ class ClusterSpec:
     def gpu(self) -> GPUSpec:
         """The (homogeneous) GPU spec of every device in the cluster."""
         return self.node.gpu
-
-    def with_nodes(self, num_nodes: int) -> "ClusterSpec":
-        """A copy of this cluster with a different node count."""
-        return replace(self, num_nodes=num_nodes)
 
     def topology(self, nranks: int | None = None, placement=None):
         """A :class:`~repro.hardware.topology.Topology` over this cluster.

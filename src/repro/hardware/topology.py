@@ -9,7 +9,7 @@ GPUs).  The communication cost model only ever asks three questions:
 * :meth:`Topology.worst_link` — the bottleneck link inside a group,
 
 so the topology is kept as plain arrays with a :mod:`networkx` graph built
-lazily for the analysis helpers (bisection bandwidth, path inspection).
+lazily for path inspection.
 """
 
 from __future__ import annotations
@@ -234,35 +234,6 @@ class Topology:
         for u, v in zip(path, path[1:]):
             total += self.graph.edges[u, v]["latency"]
         return total
-
-    def bisection_bandwidth(self, ranks: Sequence[int]) -> float:
-        """Bandwidth across an even rank bisection (first half vs second).
-
-        For a single-node group this is limited by NVLink; for a multi-node
-        group the inter-node fabric bounds it.  Used only for reporting.
-        """
-        n = len(ranks)
-        if n < 2:
-            return float("inf")
-        half = n // 2
-        left, right = set(ranks[:half]), set(ranks[half:])
-        pairs_crossing_nodes = 0
-        pairs_same_node = 0
-        for a in left:
-            for b in right:
-                if self.same_node(a, b):
-                    pairs_same_node += 1
-                else:
-                    pairs_crossing_nodes += 1
-        intra = self.cluster.node.intra_link.bandwidth
-        inter = self.cluster.inter_link.bandwidth
-        if pairs_crossing_nodes == 0:
-            return intra * half
-        # Inter-node traffic shares each node's single fabric uplink.
-        nodes_left = {self.node_of(r) for r in left}
-        nodes_right = {self.node_of(r) for r in right}
-        crossing_nodes = min(len(nodes_left), len(nodes_right))
-        return inter * max(crossing_nodes, 1)
 
     def describe(self) -> str:
         """One-line human description used in bench report headers."""

@@ -18,7 +18,8 @@ Both schedules compute *exactly* the unpipelined gradients (synchronous
 pipelining with a flush; gradient accumulation order differs only by
 float reassociation) — asserted by the tests, along with the 1F1B memory
 advantage.  :func:`pipeline_order` states both orders once: the stage runs
-it, and the planner's memory model walks it.
+it, and the planner's step walk (time and memory) iterates it for every
+stage.
 
 The stage communicates over a dedicated pairwise group per link so the
 p2p sequence numbers cannot collide with tensor-parallel traffic; sends

@@ -3,7 +3,7 @@
 * :mod:`repro.perf.commvolume` — §1/§3.1 GPU-to-GPU transfer counts for
   Cannon, 2.5-D and Tesseract (the "31.5x / 3.75x at p=64" claims);
 * :mod:`repro.perf.memory` — Eq. 7-10 per-GPU memory for a distributed
-  matmul (a whole layer's footprint is :mod:`repro.plan.memory`'s);
+  matmul (a whole layer's footprint is :mod:`repro.plan.cost`'s);
 * :mod:`repro.perf.isoefficiency` — Eq. 1-5 communication lower bounds and
   Eq. 11-12 efficiency/isoefficiency analysis.
 

@@ -2,7 +2,7 @@
 
 All functions return *element counts*; multiply by the dtype size for
 bytes (:func:`elements_to_bytes`).  A whole transformer layer's footprint
-is not a closed form here: :func:`repro.plan.memory.estimate_memory`
+is not a closed form here: :meth:`repro.plan.cost.PlanCostModel.estimate`
 derives it from the layer's declared parameter shards and saved tensors.
 """
 

@@ -15,19 +15,17 @@ Modules:
 * :mod:`~repro.plan.space`  — model specs and candidate enumeration;
 * :mod:`~repro.plan.inventory` — one layer's declared kernels and
   collectives per layer family, checked op for op against the layer code;
-* :mod:`~repro.plan.cost`   — analytic step-time model (the inventory
-  priced by the roofline and the collective model + pipeline bubble + dp
-  sync);
-* :mod:`~repro.plan.memory` — peak per-GPU footprint: the inventory's
-  parameter shards and saved tensors walked through the pipeline schedule
-  (params, grads, optimizer under ZeRO, activations);
+* :mod:`~repro.plan.cost`   — one walk of every stage's pipeline schedule
+  over the inventory: the step time (the roofline and the collective model
+  per layer, boundary transfers, gradient accumulation, dp sync) and the
+  peak per-GPU footprint (params, grads, optimizer under ZeRO,
+  activations);
 * :mod:`~repro.plan.search` — the enumerate / prune / rank driver;
 * :mod:`~repro.plan.validate` — simulator cross-check and Spearman rank
   agreement of the top of the ranking.
 """
 
-from repro.plan.cost import PlanCostModel, StepCost
-from repro.plan.memory import MemoryEstimate, estimate_memory
+from repro.plan.cost import MemoryEstimate, PlanCostModel, StepCost
 from repro.plan.search import PlannedConfig, Planner, SearchResult, render_plan
 from repro.plan.space import (
     MODEL_PRESETS,
@@ -50,7 +48,6 @@ __all__ = [
     "PlanCostModel",
     "StepCost",
     "MemoryEstimate",
-    "estimate_memory",
     "Planner",
     "PlannedConfig",
     "SearchResult",

@@ -1,4 +1,4 @@
-"""Analytic per-config step-time model for the auto-parallel planner.
+"""Analytic step time and memory of one candidate for the planner.
 
 The model composes the *same* primitives the simulator executes with:
 
@@ -12,8 +12,10 @@ The model composes the *same* primitives the simulator executes with:
   placement and node spans behave exactly as they do in a simulated run
   (batch windows through :meth:`~repro.sim.cost.CommCostModel.fused`,
   as the engine prices them);
-* the pipeline contributes the synchronous-schedule bubble,
-  ``(M + pp - 1)`` slots per step for both GPipe and 1F1B.
+* the pipeline is the stages' own schedule,
+  :func:`repro.parallel.pipeline.pipeline_order`, with the boundary
+  transfers priced as :meth:`~repro.comm.communicator.Communicator.send`
+  and ``recv`` charge them.
 
 One layer's schedule is the declared op inventory of its layer family
 (:func:`repro.plan.inventory.layer_ops`): every kernel the modules launch
@@ -25,26 +27,33 @@ their flop counts suggest: the roofline's saturating utilization puts a
 floor of ``launch_overhead + half_util_flops / (peak * max_util)``
 (~54 us on the A100 spec) under any nonzero-flop kernel, so a layer's
 ~30 elementwise launches per pass are a first-order term, not noise.
-The collective schedules the inventory declares:
 
-=========  ==================================================================
-serial     four GEMMs + attention core, no collectives
-megatron   column/row GEMMs at 1/tp width, one tensor all-reduce per
-           row-parallel linear forward and per column-parallel linear
-           backward (two each per layer, §2.5)
-optimus    four SUMMA linears forward (fused QKV, proj, fc1, fc2: q steps
-           of row/col broadcasts and a local GEMM each), their AB^T/A^T B
-           pairs backward with row/col reduces (§2.2, Alg. 2), batched
-           row all-reduces for the LayerNorm statistics (§3.2.2) and
-           column all-reduces for bias and LayerNorm parameter gradients
-tesseract  the same SUMMA schedule on the depth slice, plus the paper's
-           depth all-reduce of every weight gradient (§3.1) and of the
-           bias and LayerNorm parameter gradients
-=========  ==================================================================
+:meth:`PlanCostModel.estimate` prices a candidate by walking every
+stage's ``pipeline_order`` once, advancing a clock per stage:
 
-The result is a closed-form price — about half a millisecond of Python
-per candidate instead of a full engine run — validated against the
-symbolic simulator by :mod:`repro.plan.validate`.
+* a forward costs the stage's layers' forward;
+* a backward costs their backward, plus a recompute of the forward under
+  activation checkpointing (cited [4]); every backward after the stage's
+  first also adds each parameter shard's gradient into its slot (the
+  ``grad+:<name>`` kernel of ``Parameter.accumulate``);
+* a sender pays the link latency (sends are buffered); a receiver waits
+  until the post time plus the transfer.
+
+The step time is the slowest stage plus the data-parallel gradient sync.
+The same loop keeps each stage's memory books from the layer records:
+parameter shards are charged once; each module's ``save_for_backward``
+set is charged on every forward and released when its backward begins
+(under checkpointing a layer keeps its input block instead and rebuilds
+one set while it runs backward); gradients are charged on the stage's
+first backward, the flag that also skips the ``grad+`` adds in time.
+Adam's two moments (divided by dp under ZeRO-1, cited [16]) live across
+steps and add to the peak.  Each category's peak and the step's
+``peak_total`` come off one running sum per stage, the maximum taken
+over stages.  The step time equals :func:`repro.plan.validate.
+simulate_config` and the peaks equal ``MemoryTracker``'s maximum over
+ranks, both to 1e-9 (``tests/plan/test_inventory.py``,
+``tests/plan/test_memory.py``).  ZeRO's owner broadcast is the one priced
+term the simulated step does not run.
 """
 
 from __future__ import annotations
@@ -52,30 +61,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from repro.errors import GridError
 from repro.grid.context import GridLayout
 from repro.grid.shapes import TesseractShape
 from repro.hardware.spec import ClusterSpec
 from repro.hardware.topology import Topology
-from repro.plan.inventory import DTYPE_BYTES, Kernel, layer_ops
+from repro.parallel.pipeline import pipeline_order
+from repro.plan.inventory import DTYPE_BYTES, Kernel, LayerOps, layer_ops
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.sim.cost import CommCostModel, ComputeCostModel
 
-__all__ = ["StepCost", "PlanGroups", "PlanCostModel", "DTYPE_BYTES"]
+__all__ = ["StepCost", "MemoryEstimate", "PlanGroups", "PlanCostModel",
+           "DTYPE_BYTES"]
+
+#: Adam keeps two moment tensors per parameter.
+OPTIMIZER_STATES = 2
 
 
 @dataclass(frozen=True)
 class StepCost:
-    """Predicted timing breakdown of one training step (seconds)."""
+    """Predicted timing of one training step (seconds); the breakdown is
+    the slowest pipeline stage's."""
 
     total_s: float
-    compute_s: float      #: roofline kernel time, one microbatch slot chain
-    comm_s: float         #: tensor-parallel collective time in the slots
-    p2p_s: float          #: pipeline boundary transfers in the slots
-    bubble_s: float       #: (pp - 1) idle slots of the synchronous schedule
+    comm_s: float         #: tensor-parallel collective time of that stage
+    bubble_s: float       #: time that stage waits on its pipeline neighbours
     dp_sync_s: float      #: gradient all-reduce (+ ZeRO broadcast) per step
-    fwd_slot_s: float     #: one stage's forward time for one microbatch
-    bwd_slot_s: float     #: one stage's backward time for one microbatch
+
+
+@dataclass(frozen=True)
+class MemoryEstimate:
+    """Predicted peak per-GPU footprint of one candidate (bytes)."""
+
+    params_bytes: float
+    grads_bytes: float
+    optimizer_bytes: float
+    activation_bytes: float
+    #: peak of params + grads + activations during one step
+    step_peak_bytes: float
+
+    @property
+    def total_bytes(self) -> float:
+        """The budget-pruning total: the step's peak plus optimizer state."""
+        return self.step_peak_bytes + self.optimizer_bytes
+
+    def fits(self, budget_bytes: float) -> bool:
+        return self.total_bytes <= budget_bytes
 
 
 @dataclass(frozen=True)
@@ -129,17 +159,13 @@ class PlanCostModel:
         self.comm = CommCostModel(Topology(cluster, nranks=world))
         self.compute = ComputeCostModel(cluster.gpu)
 
-    def layer_times(self, model: ModelSpec, cfg: CandidateConfig,
-                    mb: int, seq: int) -> tuple[float, float, float]:
-        """(fwd_s, bwd_s, comm_s) of one layer for one microbatch: the
-        roofline over the declared kernels plus each collective priced on
-        its group, the comm share of both phases reported apart."""
-        groups = plan_groups(cfg)
-        layer = layer_ops(model, cfg, mb, seq)
-        comm_s = 0.0
+    def _phases(self, layer: LayerOps, groups: PlanGroups):
+        """(seconds, collective seconds) of one layer's forward and of its
+        backward: the roofline over the declared kernels plus each
+        collective priced on its group."""
         phases = []
         for ops in (layer.fwd, layer.bwd):
-            t = 0.0
+            t = comm = 0.0
             for op in ops:
                 if isinstance(op, Kernel):
                     t += op.count * self.compute.op_time(
@@ -149,71 +175,152 @@ class PlanCostModel:
                         getattr(groups, op.axis),
                         [(op.kind, b) for b in op.nbytes])[-1]
                     t += c
-                    comm_s += c
-            phases.append(t)
-        fwd_s, bwd_s = phases
-        return fwd_s, bwd_s, comm_s
+                    comm += c
+            phases.append((t, comm))
+        return phases
 
-    # --- the step-level composition ---------------------------------------
+    def layer_times(self, model: ModelSpec, cfg: CandidateConfig,
+                    mb: int, seq: int) -> tuple[float, float, float]:
+        """(fwd_s, bwd_s, comm_s) of one layer for one microbatch, the
+        comm share of both phases reported apart."""
+        (fwd_s, fwd_comm), (bwd_s, bwd_comm) = self._phases(
+            layer_ops(model, cfg, mb, seq), plan_groups(cfg))
+        return fwd_s, bwd_s, fwd_comm + bwd_comm
 
-    def step_time(
+    def estimate(
         self,
         model: ModelSpec,
         cfg: CandidateConfig,
         global_batch: int,
         seq_len: int | None = None,
+        schedule: str = "1f1b",
         zero: bool = False,
         checkpoint: bool = False,
-    ) -> StepCost:
-        """Price one fwd+bwd training step (with dp gradient sync)."""
+    ) -> tuple[StepCost, MemoryEstimate]:
+        """One fwd+bwd training step (with dp gradient sync): its time and
+        its peak per-GPU bytes, from one walk of every stage's schedule."""
         seq = model.seq_len if seq_len is None else seq_len
-        if global_batch % (cfg.dp * cfg.microbatches):
-            raise GridError(
-                f"batch {global_batch} does not divide into dp={cfg.dp} x "
-                f"M={cfg.microbatches}"
-            )
-        mb = global_batch // (cfg.dp * cfg.microbatches)
-        layers_local = model.num_layers // cfg.pp
+        mb = cfg.microbatch_size(global_batch)
+        pp, layers = cfg.pp, model.num_layers // cfg.pp
         groups = plan_groups(cfg)
-
         layer = layer_ops(model, cfg, mb, seq)
-        lf, lb, lcomm = self.layer_times(model, cfg, mb, seq)
-        fwd_slot = layers_local * lf
-        bwd_slot = layers_local * lb
-        if checkpoint:
-            # Recompute the forward inside backward (cited [4]).
-            bwd_slot += layers_local * lf
-        comm_slot = layers_local * lcomm
+        (lf, cf), (lb, cb) = self._phases(layer, groups)
+        fwd_s, fwd_comm = layers * lf, layers * cf
+        # Checkpointing recomputes the forward inside the backward.
+        bwd_s = layers * (lb + lf if checkpoint else lb)
+        bwd_comm = layers * (cb + cf if checkpoint else cb)
+        # A later backward adds each gradient shard into its slot: one
+        # elementwise add of two shards (Parameter.accumulate's grad+).
+        accumulate = layers * sum(
+            self.compute.op_time(n, 3 * n * DTYPE_BYTES)
+            for n in (prod(s) for m in layer.held for _, s in m.params))
 
-        # Pipeline boundary p2p: one activation block each way per slot.
-        p2p_slot = 0.0
-        if cfg.pp > 1:
-            boundary = prod(layer.block) * DTYPE_BYTES
-            p2p_slot = 2 * self.comm.p2p(groups.pipe_src, groups.pipe_dst,
-                                         boundary)
+        # Stage s sends its boundary block to the same tensor rank of
+        # stage s +- 1, one pipe_src -> pipe_dst stride away:
+        # (send latency, transfer) per hop.
+        boundary = prod(layer.block) * DTYPE_BYTES
+        stride = groups.pipe_dst - groups.pipe_src
+        rank = [groups.pipe_src + s * stride for s in range(pp)]
+        hop = {}
+        for a in range(pp - 1):
+            for x, y in ((a, a + 1), (a + 1, a)):
+                hop[x, y] = (self.comm.topology.link(rank[x], rank[y]).latency,
+                             self.comm.p2p(rank[x], rank[y], boundary))
 
-        slot = fwd_slot + bwd_slot + p2p_slot
-        slots = cfg.microbatches + cfg.pp - 1
-        pipeline_s = slots * slot
-        bubble_s = (cfg.pp - 1) * slot
+        saved, grad = layer.saved_bytes, layer.param_bytes
+        params = layers * grad
+        # The highest point of one layer's first backward above its start:
+        # each module frees its saved set, then charges its gradients.
+        run, rise = 0.0, float("-inf")
+        for m in reversed(layer.held):
+            run -= m.saved_bytes
+            for _, shape in m.params:
+                run += prod(shape) * DTYPE_BYTES
+                rise = max(rise, run)
+
+        posted = {}      # (forward, stage, microbatch) -> the send's time
+
+        def stage(s):
+            """One stage's walk; yields the message it waits for."""
+            clock = idle = comm = 0.0
+            grads = acts = peak_acts = 0.0
+            peak = params
+            first = True
+            for forward, m in pipeline_order(schedule, cfg.microbatches, s,
+                                             pp):
+                src, dst = (s - 1, s + 1) if forward else (s + 1, s - 1)
+                if 0 <= src < pp:
+                    sent = yield forward, src, m
+                    start = max(clock, sent + hop[src, s][1])
+                    idle += start - clock
+                    clock = start
+                if forward:
+                    clock += fwd_s
+                    comm += fwd_comm
+                    if checkpoint:  # the last layer's full set, inputs kept
+                        top = acts + (layers - 1) * boundary + saved
+                        acts += layers * boundary
+                    else:
+                        top = acts = acts + layers * saved
+                    peak_acts = max(peak_acts, top)
+                    peak = max(peak, params + grads + top)
+                else:
+                    clock += bwd_s if first else bwd_s + accumulate
+                    comm += bwd_comm
+                    if not (first or checkpoint):   # frees only: no new peak
+                        acts -= layers * saved
+                    else:
+                        for _ in range(layers):     # last layer first
+                            if checkpoint:   # drop the input, rebuild the set
+                                acts += saved - boundary
+                                peak_acts = max(peak_acts, acts)
+                                peak = max(peak, params + grads + acts)
+                            if first:
+                                peak = max(peak, params + grads + acts + rise)
+                                grads += grad
+                            acts -= saved
+                    first = False
+                if 0 <= dst < pp:
+                    clock += hop[s, dst][0]
+                    posted[forward, s, m] = clock
+            return clock, idle, comm, grads, peak_acts, peak
+
+        # Advance each stage in turn until it waits on a message not yet
+        # sent; the synchronous schedules cannot deadlock.
+        walks = [stage(s) for s in range(pp)]
+        waiting = dict.fromkeys(range(pp))
+        ends = []
+        while waiting:
+            for s, key in list(waiting.items()):
+                try:
+                    while key is None or key in posted:
+                        key = walks[s].send(posted.get(key))
+                except StopIteration as done:
+                    ends.append(done.value)
+                    del waiting[s]
+                else:
+                    waiting[s] = key
+        clock, idle, comm = max(e[:3] for e in ends)
+        grads, acts, peak = (max(e[i] for e in ends) for i in (3, 4, 5))
 
         # Data-parallel gradient sync: one coalesced all-reduce of every
         # local gradient byte (the batched window prices exactly this),
         # plus the ZeRO-1 owner broadcast of the updated parameters.
-        grad_bytes = layer.param_bytes * layers_local
         dp_sync = 0.0
         if cfg.dp > 1:
-            dp_sync = self.comm.all_reduce(groups.dp, grad_bytes)
+            dp_sync = self.comm.all_reduce(groups.dp, params)
             if zero:
-                dp_sync += self.comm.broadcast(groups.dp, grad_bytes)
+                dp_sync += self.comm.broadcast(groups.dp, params)
 
-        return StepCost(
-            total_s=pipeline_s + dp_sync,
-            compute_s=slot - comm_slot - p2p_slot,
-            comm_s=comm_slot,
-            p2p_s=p2p_slot,
-            bubble_s=bubble_s,
-            dp_sync_s=dp_sync,
-            fwd_slot_s=fwd_slot,
-            bwd_slot_s=bwd_slot,
+        return (
+            StepCost(total_s=clock + dp_sync, comm_s=comm, bubble_s=idle,
+                     dp_sync_s=dp_sync),
+            MemoryEstimate(
+                params_bytes=params,
+                grads_bytes=grads,
+                optimizer_bytes=OPTIMIZER_STATES * params
+                / (cfg.dp if zero else 1),
+                activation_bytes=acts,
+                step_peak_bytes=peak,
+            ),
         )

@@ -32,8 +32,8 @@ The same builders say what the layer *holds*: one :class:`Held` record
 per module with its parameter shards and its ``save_for_backward`` set,
 in the order the modules' forwards return.  Every module's backward
 releases its set and then accumulates its own gradients, so the modules
-run backward in the reverse order.  :func:`repro.plan.memory.
-estimate_memory` walks these records through the pipeline schedule, and
+run backward in the reverse order.  :meth:`repro.plan.cost.PlanCostModel.
+estimate` walks these records through the pipeline schedule, and
 ``tests/plan/test_memory.py`` checks them name for name against
 ``module.parameters()`` and each module's charged ``_saved_bytes``.
 """

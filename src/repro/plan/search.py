@@ -2,12 +2,12 @@
 
 :class:`Planner` ties the pieces together: :func:`~repro.plan.space.
 enumerate_configs` yields every valid (dp, pp, scheme, d, M)
-factorization of the world size, :func:`~repro.plan.memory.
-estimate_memory` prunes candidates whose peak per-GPU footprint exceeds
-the budget (a fraction of the GPU's device memory by default), and
-:class:`~repro.plan.cost.PlanCostModel` ranks the survivors by predicted
-step time.  Ties break on the candidate's sort order, so two runs of the
-same search always produce the same ranking, byte for byte.
+factorization of the world size, and one call of :meth:`~repro.plan.
+cost.PlanCostModel.estimate` per candidate prices both its step time and
+its peak per-GPU footprint: candidates over the budget (a fraction of the
+GPU's device memory by default) are pruned, the survivors ranked by
+predicted step time.  Ties break on the candidate's sort order, so two
+runs of the same search always produce the same ranking, byte for byte.
 
 The search is *analytic* — a hundred candidates price in tens of
 milliseconds — which is what lets ``repro plan`` sweep model sizes
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import GridError
 from repro.hardware.spec import ClusterSpec, meluxina
-from repro.plan.cost import PlanCostModel, StepCost
-from repro.plan.memory import MemoryEstimate, estimate_memory
+from repro.plan.cost import MemoryEstimate, PlanCostModel, StepCost
 from repro.plan.space import CandidateConfig, ModelSpec, enumerate_configs
 from repro.util.mathutil import ceil_div
 from repro.util.tables import Table
@@ -71,6 +70,7 @@ class SearchResult:
     global_batch: int
     seq_len: int
     schedule: str
+    checkpoint: bool                     #: layers activation-checkpointed
     budget_bytes: float
     ranked: tuple[PlannedConfig, ...]    #: feasible, best first
     num_candidates: int                  #: enumerated before pruning
@@ -138,17 +138,13 @@ class Planner:
         feasible: list[PlannedConfig] = []
         pruned = 0
         for cfg in candidates:
-            mem = estimate_memory(
+            cost, mem = self.cost_model.estimate(
                 model, cfg, global_batch, seq_len=seq, schedule=schedule,
                 zero=zero, checkpoint=checkpoint,
             )
             if not mem.fits(budget_bytes):
                 pruned += 1
                 continue
-            cost = self.cost_model.step_time(
-                model, cfg, global_batch, seq_len=seq, zero=zero,
-                checkpoint=checkpoint,
-            )
             feasible.append(PlannedConfig(config=cfg, cost=cost, memory=mem))
         feasible.sort(key=lambda pc: (pc.cost.total_s, pc.config))
         return SearchResult(
@@ -157,6 +153,7 @@ class Planner:
             global_batch=global_batch,
             seq_len=seq,
             schedule=schedule,
+            checkpoint=checkpoint,
             budget_bytes=budget_bytes,
             ranked=tuple(feasible),
             num_candidates=len(candidates),

@@ -115,6 +115,15 @@ class CandidateConfig:
         """Total GPUs the candidate occupies."""
         return self.dp * self.pp * self.tp
 
+    def microbatch_size(self, global_batch: int) -> int:
+        """Sequences per microbatch: ``global_batch / (dp * M)``, exact."""
+        if global_batch % (self.dp * self.microbatches):
+            raise GridError(
+                f"batch {global_batch} does not divide into dp={self.dp} x "
+                f"M={self.microbatches}"
+            )
+        return global_batch // (self.dp * self.microbatches)
+
     @property
     def label(self) -> str:
         """Compact human-readable tag, e.g. ``tesseract[2,2,2] dp2 pp2 M4``."""
@@ -171,7 +180,7 @@ def enumerate_configs(
     Microbatching without a pipeline only adds launch overhead, so pp = 1
     configs carry M = 1; pipelined configs enumerate every divisor of the
     per-replica batch up to ``max_microbatches`` (the bubble-vs-memory
-    trade is left to the cost/memory models to arbitrate).
+    trade is left to the step walk to arbitrate).
     """
     if world < 1 or global_batch < 1:
         raise GridError(

@@ -3,8 +3,10 @@
 The planner's cost model is closed-form; this module is its ground truth
 loop: take the top of a ranking, *actually build* each candidate — the
 full dp x pp x tensor grid with pipeline stages and data-parallel
-gradient sync — and run one training step through the engine in symbolic
+gradient sync, on the search's schedule and with its activation
+checkpointing — and run one training step through the engine in symbolic
 mode, then compare simulated step times with the analytic predictions.
+ZeRO's owner broadcast is the one priced term the step does not run.
 
 The headline statistic is the Spearman rank correlation between
 predicted and simulated step times: the planner's job is to *order*
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.comm.communicator import Communicator
 from repro.hardware.spec import ClusterSpec, meluxina
+from repro.nn.checkpoint import ActivationCheckpoint
 from repro.nn.module import Sequential
 from repro.parallel.dp import sync_gradients
 from repro.parallel.factory import tensor_group
@@ -132,8 +135,10 @@ class ValidationReport:
 
 
 def _stage_program(model: ModelSpec, cfg: CandidateConfig, mb: int,
-                   seq: int, schedule: str):
-    """Per-rank program: one pipelined fwd+bwd step plus dp grad sync."""
+                   seq: int, schedule: str, checkpoint: bool = False):
+    """Per-rank program: one pipelined fwd+bwd step plus dp grad sync,
+    every layer wrapped in :class:`ActivationCheckpoint` if ``checkpoint``.
+    """
     layers_local = model.num_layers // cfg.pp
     h, nh, r = model.hidden, model.nheads, model.mlp_ratio
 
@@ -149,6 +154,8 @@ def _stage_program(model: ModelSpec, cfg: CandidateConfig, mb: int,
                              init_tags=("plan", "stage", pp_idx, "layer", i))
             for i in range(layers_local)
         ]
+        if checkpoint:
+            layers = [ActivationCheckpoint(layer) for layer in layers]
         if pc is not None:
             prev_rank = pc.pipeline_neighbor(-1)
             next_rank = pc.pipeline_neighbor(+1)
@@ -210,7 +217,7 @@ def simulate_config(
 ) -> tuple[float, float]:
     """One simulated training step: (step_seconds, peak_memory_bytes)."""
     seq = model.seq_len if seq_len is None else seq_len
-    mb = global_batch // (cfg.dp * cfg.microbatches)
+    mb = cfg.microbatch_size(global_batch)
     own_engine = engine is None
     if own_engine:
         if cluster is None:
@@ -272,15 +279,13 @@ def validate_topk(
                trace=False, backend=shared)
         for pc in chosen
     ]
-    mb_of = [
-        result.global_batch // (pc.config.dp * pc.config.microbatches)
-        for pc in chosen
-    ]
     try:
         jobs = [
-            (eng, _stage_program(result.model, pc.config, mb,
-                                 result.seq_len, result.schedule))
-            for eng, pc, mb in zip(engines, chosen, mb_of)
+            (eng, _stage_program(
+                result.model, pc.config,
+                pc.config.microbatch_size(result.global_batch),
+                result.seq_len, result.schedule, result.checkpoint))
+            for eng, pc in zip(engines, chosen)
         ]
         per_engine = run_engines(jobs)
     finally:

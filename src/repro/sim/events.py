@@ -230,10 +230,6 @@ class Trace:
         """Total busy compute seconds for a rank."""
         return sum(e.duration for e in self.compute_events(rank))
 
-    def comm_time(self, rank: int) -> float:
-        """Total seconds a rank spent inside collectives (incl. waiting)."""
-        return sum(e.duration for e in self.comm_events(rank))
-
     def total_flops(self, rank: int | None = None) -> float:
         return sum(e.flops for e in self.compute_events(rank))
 

@@ -77,13 +77,6 @@ class TestParallelContextGroups:
 
         assert all(all(r) for r in run_spmd(8, prog))
 
-    def test_summa_2d_constructor(self):
-        def prog(ctx):
-            pc = ParallelContext.summa_2d(ctx, q=2)
-            return pc.d
-
-        assert run_spmd(4, prog) == [1] * 4
-
     def test_cubic_constructor(self):
         """§3.1's best-efficiency special case d = q (3-D arrangement)."""
 

@@ -66,10 +66,6 @@ class TestClusterSpec:
         assert c.node.intra_link.bandwidth == 200e9  # 200 GB/s NVLink
         assert c.inter_link.bandwidth == 25e9  # 200 Gbps IB
 
-    def test_with_nodes(self):
-        c = meluxina(2).with_nodes(8)
-        assert c.total_gpus == 32
-
     def test_rejects_nonpositive_nodes(self):
         with pytest.raises(GridError):
             meluxina(0)

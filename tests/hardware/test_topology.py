@@ -96,16 +96,6 @@ class TestGraphAnalysis:
         assert inter > intra > 0
         assert topo.path_latency(3, 3) == 0.0
 
-    def test_bisection_single_node(self):
-        topo = Topology(meluxina(1), nranks=4)
-        bw = topo.bisection_bandwidth(list(range(4)))
-        assert bw == pytest.approx(200e9 * 2)
-
-    def test_bisection_cross_node_bounded_by_ib(self):
-        topo = Topology(meluxina(2), nranks=8)
-        bw = topo.bisection_bandwidth(list(range(8)))
-        assert bw <= 25e9 * 2
-
     def test_describe_mentions_cluster(self):
         topo = Topology(meluxina(2), nranks=8)
         assert "meluxina" in topo.describe()

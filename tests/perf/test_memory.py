@@ -12,8 +12,10 @@ from repro.perf.memory import (
     summa_matmul_memory,
     tesseract_matmul_memory,
 )
-from repro.plan.memory import estimate_memory
+from repro.hardware.spec import meluxina
+from repro.plan.cost import PlanCostModel
 from repro.plan.space import CandidateConfig, ModelSpec
+from repro.util.mathutil import ceil_div
 
 
 class TestMatmulMemory:
@@ -74,7 +76,8 @@ class TestMatmulMemory:
 def _estimate(scheme, tp, q=1, d=1, h=256):
     model = ModelSpec("m", hidden=h, num_layers=1, nheads=16, seq_len=64)
     cfg = CandidateConfig(scheme, dp=1, pp=1, tp=tp, q=q, d=d)
-    return estimate_memory(model, cfg, global_batch=16)
+    cost = PlanCostModel(meluxina(ceil_div(tp, 4)), tp)
+    return cost.estimate(model, cfg, global_batch=16)[1]
 
 
 class TestTransformerMemory:

@@ -12,8 +12,10 @@ markers, must equal :func:`repro.plan.inventory.layer_ops`:
 * totals: :meth:`PlanCostModel.layer_times` against the traced forward,
   backward and communication seconds, to 1e-9 relative.
 
-With dp = pp = M = 1 the planner's whole step must then equal the
-simulated step of :func:`repro.plan.validate.simulate_config`.
+The planner's whole step, one walk of every pipeline stage's schedule
+over these records, must then equal the simulated step of
+:func:`repro.plan.validate.simulate_config` for any dp, pp, M, schedule
+and checkpointing.
 """
 
 from collections import Counter
@@ -31,7 +33,7 @@ from repro.parallel.tesseract.layers import TesseractTransformerLayer
 from repro.plan.cost import PlanCostModel, plan_groups
 from repro.plan.inventory import Kernel, layer_ops
 from repro.plan.space import CandidateConfig, ModelSpec
-from repro.plan.validate import simulate_config
+from repro.plan.validate import _stage_program, simulate_config
 from repro.sim.engine import Engine
 from repro.sim.events import (
     CommEvent,
@@ -186,12 +188,68 @@ def test_inventory_matches_trace(scheme, shape):
     assert layer_comm_s == pytest.approx(comm_s, rel=REL, abs=0.0)
 
 
-@pytest.mark.parametrize("scheme", ["optimus-221", "tesseract-222"])
-def test_step_time_equals_simulated_step(scheme):
-    cfg = CONFIGS[scheme]
-    model = ModelSpec("step", hidden=256, num_layers=2, nheads=8,
-                      seq_len=64)
-    predicted = PlanCostModel(_cluster(cfg), cfg.world).step_time(
-        model, cfg, global_batch=MB)
-    simulated, _ = simulate_config(model, cfg, global_batch=MB)
+STEP_MODEL = ModelSpec("step", hidden=256, num_layers=4, nheads=8,
+                       seq_len=64)
+#: id -> (config, schedule, checkpoint): every scheme pipelined, dp x pp
+#: x M, a stage boundary across nodes (megatron tp=2 pp=4), microbatches
+#: without a pipeline, both schedules, and checkpointed layers.
+STEP_ARMS = {
+    "optimus-221": (CONFIGS["optimus-221"], "1f1b", False),
+    "tesseract-222": (CONFIGS["tesseract-222"], "1f1b", False),
+    **{
+        f"{name}-{schedule}": (cfg, schedule, False)
+        for name, cfg in {
+            "serial-pp2-m2": CandidateConfig("serial", dp=1, pp=2, tp=1,
+                                             microbatches=2),
+            "megatron-pp2-m4": CandidateConfig("megatron", dp=1, pp=2,
+                                               tp=4, microbatches=4),
+            "optimus-pp2-m2": CandidateConfig("optimus", dp=1, pp=2, tp=4,
+                                              q=2, microbatches=2),
+            "tesseract-pp2-m2": CandidateConfig("tesseract", dp=1, pp=2,
+                                                tp=8, q=2, d=2,
+                                                microbatches=2),
+            "megatron-dp2-pp2-m2": CandidateConfig("megatron", dp=2, pp=2,
+                                                   tp=2, microbatches=2),
+            "serial-pp4-m8": CandidateConfig("serial", dp=1, pp=4, tp=1,
+                                             microbatches=8),
+            "megatron-pp4-m4": CandidateConfig("megatron", dp=1, pp=4,
+                                               tp=2, microbatches=4),
+            "megatron-pp1-m4": CandidateConfig("megatron", dp=1, pp=1,
+                                               tp=4, microbatches=4),
+        }.items()
+        for schedule in ("1f1b", "gpipe")
+    },
+    "serial-pp4-m8-1f1b-ckpt": (
+        CandidateConfig("serial", dp=1, pp=4, tp=1, microbatches=8),
+        "1f1b", True),
+    "tesseract-pp2-m2-gpipe-ckpt": (
+        CandidateConfig("tesseract", dp=1, pp=2, tp=8, q=2, d=2,
+                        microbatches=2), "gpipe", True),
+    "megatron-dp2-pp2-m2-1f1b-ckpt": (
+        CandidateConfig("megatron", dp=2, pp=2, tp=2, microbatches=2),
+        "1f1b", True),
+}
+
+
+def _simulated_step(model, cfg, schedule, checkpoint):
+    """:func:`simulate_config`'s step, its layers checkpointed if asked."""
+    if not checkpoint:
+        return simulate_config(model, cfg, MB, schedule=schedule)[0]
+    engine = Engine(cluster=_cluster(cfg), nranks=cfg.world,
+                    mode="symbolic", trace=False)
+    try:
+        results = engine.run(_stage_program(
+            model, cfg, cfg.microbatch_size(MB), model.seq_len, schedule,
+            checkpoint=True))
+    finally:
+        engine.shutdown()
+    return max(t for t, _ in results)
+
+
+@pytest.mark.parametrize("arm", STEP_ARMS)
+def test_step_time_equals_simulated_step(arm):
+    cfg, schedule, checkpoint = STEP_ARMS[arm]
+    predicted, _ = PlanCostModel(_cluster(cfg), cfg.world).estimate(
+        STEP_MODEL, cfg, MB, schedule=schedule, checkpoint=checkpoint)
+    simulated = _simulated_step(STEP_MODEL, cfg, schedule, checkpoint)
     assert predicted.total_s == pytest.approx(simulated, rel=REL)

@@ -1,11 +1,11 @@
 """Memory-model cross-checks: predicted vs measured simulator peaks.
 
-The planner prunes on :func:`repro.plan.memory.estimate_memory`; these
-tests build each candidate for real (the same per-rank program the
-validator runs) and compare the prediction against the engine's memory
-tracker, maximum over ranks: parameters, gradients, the activation peak
-and ``peak_total`` must all be equal (optimizer state excluded: the
-step program builds no optimizer).  The records the estimate walks are
+The planner prunes on the memory half of :meth:`repro.plan.cost.
+PlanCostModel.estimate`; these tests build each candidate for real (the
+same per-rank program the validator runs) and compare the prediction
+against the engine's memory tracker, maximum over ranks: parameters,
+gradients, the activation peak and ``peak_total`` must all be equal
+(optimizer state excluded: the step program builds no optimizer).  The records the walk reads are
 checked first, module by module, against one built layer per scheme.
 """
 
@@ -13,13 +13,11 @@ import pytest
 
 from repro.errors import GridError, SimulationError
 from repro.hardware.spec import meluxina
-from repro.nn.checkpoint import ActivationCheckpoint
 from repro.parallel.factory import tensor_group
 from repro.parallel.layers import TransformerLayer, layout_of
 from repro.parallel.pipeline import pipeline_order
-from repro.plan import validate
+from repro.plan.cost import PlanCostModel
 from repro.plan.inventory import layer_ops
-from repro.plan.memory import estimate_memory
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.plan.validate import _stage_program
 from repro.sim.engine import Engine
@@ -48,10 +46,17 @@ CONFIGS = [
 ]
 
 
-def measured_peaks(model, cfg, global_batch, schedule="1f1b"):
+def planned_memory(model, cfg, global_batch, **kw):
+    """The MemoryEstimate half of one walk."""
+    cost = PlanCostModel(meluxina(ceil_div(cfg.world, 4)), cfg.world)
+    return cost.estimate(model, cfg, global_batch, **kw)[1]
+
+
+def measured_peaks(model, cfg, global_batch, schedule="1f1b",
+                   checkpoint=False):
     """Max per-category peaks over all ranks of one simulated step."""
-    mb = global_batch // (cfg.dp * cfg.microbatches)
-    inner = _stage_program(model, cfg, mb, model.seq_len, schedule)
+    inner = _stage_program(model, cfg, cfg.microbatch_size(global_batch),
+                           model.seq_len, schedule, checkpoint)
 
     def program(ctx):
         inner(ctx)
@@ -79,7 +84,7 @@ def assert_equal_to_tracker(est, measured):
 @pytest.mark.parametrize(
     "cfg", [c for _, c in CONFIGS], ids=[i for i, _ in CONFIGS])
 def test_predicted_vs_measured(model, cfg):
-    est = estimate_memory(model, cfg, BATCH, schedule="1f1b")
+    est = planned_memory(model, cfg, BATCH, schedule="1f1b")
     assert_equal_to_tracker(est, measured_peaks(model, cfg, BATCH))
 
 
@@ -87,8 +92,8 @@ def test_gpipe_keeps_every_microbatch_live():
     # Same config, same batch: GPipe holds all M activation sets where
     # 1F1B holds min(M, pp) — both predicted and measured.
     cfg = CandidateConfig("serial", dp=2, pp=2, tp=1, microbatches=4)
-    est_g = estimate_memory(MEDIUM, cfg, BATCH, schedule="gpipe")
-    est_f = estimate_memory(MEDIUM, cfg, BATCH, schedule="1f1b")
+    est_g = planned_memory(MEDIUM, cfg, BATCH, schedule="gpipe")
+    est_f = planned_memory(MEDIUM, cfg, BATCH, schedule="1f1b")
     assert est_g.activation_bytes > est_f.activation_bytes
     measured_g = measured_peaks(MEDIUM, cfg, BATCH, schedule="gpipe")
     measured_f = measured_peaks(MEDIUM, cfg, BATCH, schedule="1f1b")
@@ -99,15 +104,13 @@ def test_gpipe_keeps_every_microbatch_live():
 @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
 @pytest.mark.parametrize("cfg", [CONFIGS[0][1], CONFIGS[4][1]],
                          ids=[CONFIGS[0][0], CONFIGS[4][0]])
-def test_checkpointed_layers_equal_measured(monkeypatch, cfg, schedule):
+def test_checkpointed_layers_equal_measured(cfg, schedule):
     # The same step with every layer wrapped in ActivationCheckpoint.
-    monkeypatch.setattr(
-        validate, "TransformerLayer",
-        lambda *a, **k: ActivationCheckpoint(TransformerLayer(*a, **k)))
-    est = estimate_memory(MEDIUM, cfg, BATCH, schedule=schedule,
-                          checkpoint=True)
+    est = planned_memory(MEDIUM, cfg, BATCH, schedule=schedule,
+                         checkpoint=True)
     assert_equal_to_tracker(est, measured_peaks(MEDIUM, cfg, BATCH,
-                                                schedule=schedule))
+                                                schedule=schedule,
+                                                checkpoint=True))
 
 
 #: one layer per scheme for the record checks
@@ -191,29 +194,29 @@ class TestLiveSets:
 class TestEstimateProperties:
     def test_zero_shards_optimizer_over_dp(self):
         cfg = CandidateConfig("serial", dp=4, pp=1, tp=1)
-        plain = estimate_memory(MEDIUM, cfg, BATCH)
-        zero = estimate_memory(MEDIUM, cfg, BATCH, zero=True)
+        plain = planned_memory(MEDIUM, cfg, BATCH)
+        zero = planned_memory(MEDIUM, cfg, BATCH, zero=True)
         assert zero.optimizer_bytes == pytest.approx(
             plain.optimizer_bytes / 4)
         assert zero.params_bytes == plain.params_bytes
 
     def test_checkpoint_trims_activations(self):
         cfg = CandidateConfig("serial", dp=1, pp=2, tp=1, microbatches=8)
-        plain = estimate_memory(MEDIUM, cfg, BATCH)
-        ckpt = estimate_memory(MEDIUM, cfg, BATCH, checkpoint=True)
+        plain = planned_memory(MEDIUM, cfg, BATCH)
+        ckpt = planned_memory(MEDIUM, cfg, BATCH, checkpoint=True)
         assert ckpt.activation_bytes < plain.activation_bytes
         assert ckpt.params_bytes == plain.params_bytes
 
     def test_tensor_split_shrinks_params(self):
-        serial = estimate_memory(
+        serial = planned_memory(
             MEDIUM, CandidateConfig("serial", dp=8, pp=1, tp=1), BATCH)
-        meg = estimate_memory(
+        meg = planned_memory(
             MEDIUM, CandidateConfig("megatron", dp=2, pp=1, tp=4), BATCH)
         assert meg.params_bytes < serial.params_bytes
 
     def test_fits_is_total_vs_budget(self):
         cfg = CandidateConfig("serial", dp=2, pp=2, tp=1, microbatches=4)
-        est = estimate_memory(MEDIUM, cfg, BATCH)
+        est = planned_memory(MEDIUM, cfg, BATCH)
         assert est.total_bytes == est.step_peak_bytes + est.optimizer_bytes
         assert est.fits(est.total_bytes)
         assert not est.fits(est.total_bytes * 0.99)
@@ -221,4 +224,4 @@ class TestEstimateProperties:
     def test_rejects_indivisible_batch(self):
         cfg = CandidateConfig("serial", dp=2, pp=2, tp=1, microbatches=4)
         with pytest.raises(GridError):
-            estimate_memory(MEDIUM, cfg, 12)
+            planned_memory(MEDIUM, cfg, 12)

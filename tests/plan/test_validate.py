@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.errors import GridError
 from repro.plan.search import Planner
-from repro.plan.space import MODEL_PRESETS
+from repro.plan.space import MODEL_PRESETS, CandidateConfig
 from repro.plan.validate import (
     diverse_topk,
     simulate_config,
@@ -67,6 +68,12 @@ class TestSimulateConfig:
         assert step_s > 0.0
         assert peak > 0.0
 
+    def test_rejects_indivisible_batch(self):
+        # 12 sequences do not split into dp=2 x M=4: nothing is floored.
+        cfg = CandidateConfig("serial", dp=2, pp=2, tp=1, microbatches=4)
+        with pytest.raises(GridError, match="batch 12 does not divide"):
+            simulate_config(TINY, cfg, global_batch=12)
+
 
 class TestValidateTopk:
     def test_rank_agreement_on_tiny(self, result):
@@ -92,6 +99,20 @@ class TestValidateTopk:
                                 "simulated_peak_bytes"}
             assert row["predicted_peak_bytes"] == pytest.approx(
                 row["simulated_peak_bytes"], rel=1e-9)
+
+    def test_checkpointed_search_validates_what_it_priced(self):
+        # The validated step runs the search's checkpointing, so time and
+        # peak equal the predictions, not just their order.
+        ckpt = Planner(world=8).search(TINY, global_batch=32,
+                                       checkpoint=True)
+        assert ckpt.checkpoint
+        report = validate_topk(ckpt, k=3)
+        assert len(report.rows) == 3
+        for row in report.rows:
+            assert row.predicted_step_s == pytest.approx(
+                row.simulated_step_s, rel=1e-9)
+            assert row.predicted_peak_bytes == pytest.approx(
+                row.peak_memory_bytes, rel=1e-9)
 
     def test_empty_search_yields_empty_report(self):
         starved = Planner(world=8).search(TINY, global_batch=32,

@@ -28,11 +28,6 @@ class TestTrace:
         tr.record(_compute(1, 0.0, 9.0))
         assert tr.compute_time(0) == pytest.approx(2.0)
 
-    def test_comm_time(self):
-        tr = Trace()
-        tr.record(_comm(0, [0, 1], t0=1.0, t1=4.0))
-        assert tr.comm_time(0) == pytest.approx(3.0)
-
     def test_total_flops(self):
         tr = Trace()
         tr.record(_compute(0, flops=5.0))
