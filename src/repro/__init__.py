@@ -34,6 +34,7 @@ Package layout
 from repro.version import __version__
 from repro.errors import (
     CommError,
+    ConfigError,
     DeadlockError,
     GridError,
     ReproError,
@@ -44,6 +45,7 @@ from repro.errors import (
 __all__ = [
     "__version__",
     "ReproError",
+    "ConfigError",
     "ShapeError",
     "GridError",
     "CommError",

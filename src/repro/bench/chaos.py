@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.data.synthetic import SyntheticImageClassification
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.models.configs import ViTConfig
 from repro.sim.engine import Engine
 from repro.sim.faults import (
@@ -111,21 +111,21 @@ class ChaosScenario:
         crashes = ()
         if self.crash_rank is not None:
             if self.crash_at is None:
-                raise SimulationError(
+                raise ConfigError(
                     f"scenario {self.name!r} sets crash_rank without crash_at"
                 )
             crashes = (RankCrash(rank=self.crash_rank, at=self.crash_at),)
         node_crashes = ()
         if self.node_crash is not None:
             if self.crash_at is None:
-                raise SimulationError(
+                raise ConfigError(
                     f"scenario {self.name!r} sets node_crash without crash_at"
                 )
             node_crashes = (NodeCrash(node=self.node_crash, at=self.crash_at),)
         node_repairs = ()
         if self.node_repair_at is not None:
             if self.node_crash is None:
-                raise SimulationError(
+                raise ConfigError(
                     f"scenario {self.name!r} sets node_repair_at without "
                     f"node_crash"
                 )

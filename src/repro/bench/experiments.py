@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import GridError
+from repro.errors import ConfigError, GridError
 
 __all__ = [
     "BenchRow",
@@ -177,6 +177,10 @@ class Fig7Config:
     noise: float = 2.5  #: class-noise level; higher = slower accuracy rise
     seed: int = 0
     settings: tuple[tuple[int, int], ...] = ((1, 1), (2, 1), (2, 2))  #: (q, d)
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
 FIG7_CONFIG = Fig7Config()

@@ -19,6 +19,7 @@ from repro.bench.experiments import (
     DEFAULT_SEQ_LEN,
     BenchRow,
 )
+from repro.errors import ConfigError
 from repro.hardware.spec import ClusterSpec, meluxina
 from repro.hardware.topology import Placement
 from repro.parallel.factory import build_transformer_stack
@@ -314,6 +315,9 @@ def run_table(
     A row that raises evicts its cached engine (its rank state may be
     wedged mid-rendezvous) before the error propagates.
     """
+    for name, value in (("seq_len", seq_len), ("num_layers", num_layers)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     multiplex = _session_backend() is not None
     collect_comm = kwargs.get("collect_comm", True)
     out: list[MeasuredRow] = []

@@ -1,5 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
+The CLI parses flags and looks up preset and scenario names; every other
+check belongs to the library it calls.  Exit codes: 0 ok, 1 the run
+failed (or the planner found no feasible config), 2 the configuration
+was rejected (a :class:`~repro.errors.ConfigError`, printed as one line
+on stderr).
+
 Commands
 --------
 ``info``     package, cluster-preset and experiment inventory
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigError
 from repro.version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_info() -> int:
+def _cmd_info(args) -> int:
     from repro.bench.experiments import FIG7_CONFIG, TABLE1_ROWS, TABLE2_ROWS
     from repro.hardware.spec import meluxina
 
@@ -157,11 +164,14 @@ def _cmd_info() -> int:
 
 
 def _cmd_matmul(args) -> int:
+    from repro.grid.shapes import TesseractShape
     from repro.pblas.verify import verify_matmul
     from repro.util.formatting import format_seconds
 
-    n = max(args.n // (args.q * args.d) * (args.q * args.d), args.q * args.d)
-    result = verify_matmul("tesseract", q=args.q, d=args.d, m=n, k=n, n=n)
+    shape = TesseractShape(q=args.q, d=args.d)
+    side = shape.q * shape.d
+    n = max(args.n // side * side, side)
+    result = verify_matmul("tesseract", q=shape.q, d=shape.d, m=n, k=n, n=n)
     m, k, nn = result.dims
     print(f"tesseract {result.shape} matmul of [{m},{k}] x [{k},{nn}] on "
           f"{result.shape.p} simulated GPUs")
@@ -173,12 +183,7 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from repro.bench.experiments import (
-        DEFAULT_NUM_LAYERS,
-        DEFAULT_SEQ_LEN,
-        TABLE1_ROWS,
-        TABLE2_ROWS,
-    )
+    from repro.bench.experiments import TABLE1_ROWS, TABLE2_ROWS
     from repro.bench.report import (
         PAPER_HEADLINES_STRONG,
         PAPER_HEADLINES_WEAK,
@@ -188,8 +193,10 @@ def _cmd_tables(args) -> int:
     )
     from repro.bench.runner import run_table
 
-    seq = args.seq_len or DEFAULT_SEQ_LEN
-    layers = args.layers or DEFAULT_NUM_LAYERS
+    # an omitted size keeps run_table's default; run_table checks the rest
+    sizes = {key: value for key, value in (("seq_len", args.seq_len),
+                                           ("num_layers", args.layers))
+             if value is not None}
     jobs = []
     if args.table in ("1", "all"):
         jobs.append(("Table 1 (strong scaling)", TABLE1_ROWS,
@@ -200,7 +207,7 @@ def _cmd_tables(args) -> int:
     all_measured = []
     for name, rows, paper in jobs:
         print(f"\nsimulating {name} ...")
-        measured = run_table(rows, seq_len=seq, num_layers=layers)
+        measured = run_table(rows, **sizes)
         all_measured.extend(measured)
         print(render_comparison(measured, f"{name}: paper vs simulated"))
         print(render_ratio_table(headline_ratios(measured), paper,
@@ -229,7 +236,7 @@ def _cmd_fig7(args) -> int:
     return 0 if result.curves_identical else 1
 
 
-def _cmd_transfers() -> int:
+def _cmd_transfers(args) -> int:
     from repro.perf.commvolume import (
         cannon_transfers,
         solomonik_transfers,
@@ -269,9 +276,8 @@ def _cmd_chaos(args) -> int:
     elif args.scenario in by_name:
         chosen = [by_name[args.scenario]]
     else:
-        print(f"unknown scenario {args.scenario!r}; available: "
-              f"{', '.join(by_name)} or 'all'")
-        return 2
+        raise ConfigError(f"unknown scenario {args.scenario!r}; available: "
+                          f"{', '.join(by_name)} or 'all'")
     results = [run_scenario(s) for s in chosen]
     print(render_chaos(results))
     if args.json:
@@ -312,12 +318,6 @@ def _cmd_serve(args) -> int:
         run_serving,
     )
 
-    if args.kv_block and args.policy != "continuous":
-        print("--kv-block (paged cache) requires --policy continuous")
-        return 2
-    if (args.chunk or args.spec_k) and not args.kv_block:
-        print("--chunk and --spec-k require the paged cache (--kv-block)")
-        return 2
     priorities = ()
     if args.priorities:
         priorities = (
@@ -385,7 +385,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.errors import ReproError
     from repro.plan import MODEL_PRESETS, Planner, render_plan, validate_topk
 
     if args.model == "all":
@@ -393,26 +392,19 @@ def _cmd_plan(args) -> int:
     elif args.model in MODEL_PRESETS:
         models = [MODEL_PRESETS[args.model]]
     else:
-        known = ", ".join(MODEL_PRESETS)
-        print(f"unknown model {args.model!r}; presets: {known}, all",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown model {args.model!r}; presets: "
+                          f"{', '.join(MODEL_PRESETS)}, all")
 
     planner = Planner(world=args.world)
     payloads = {}
     status = 0
     for model in models:
-        try:
-            result = planner.search(
-                model, global_batch=args.global_batch, seq_len=args.seq_len,
-                schedule=args.schedule, budget_fraction=args.budget_fraction,
-                zero=args.zero, checkpoint=args.checkpoint,
-                max_microbatches=args.max_microbatches,
-            )
-        except ReproError as exc:
-            print(f"{model.name}: {exc}", file=sys.stderr)
-            status = 1
-            continue
+        result = planner.search(
+            model, global_batch=args.global_batch, seq_len=args.seq_len,
+            schedule=args.schedule, budget_fraction=args.budget_fraction,
+            zero=args.zero, checkpoint=args.checkpoint,
+            max_microbatches=args.max_microbatches,
+        )
         print(render_plan(result, top=args.top))
         rec = result.recommendation
         if rec is None:
@@ -423,7 +415,7 @@ def _cmd_plan(args) -> int:
         print(f"recommendation: {rec.config.label}  "
               f"(predicted step {rec.predicted_step_s * 1e3:.3f} ms)")
         payloads[model.name] = result.to_payload(top=args.top)
-        if args.validate > 0:
+        if args.validate:
             report = validate_topk(result, k=args.validate)
             for row in report.rows:
                 print(f"  validate {row.planned.config.label:36s} "
@@ -446,23 +438,17 @@ def _cmd_plan(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info()
-    if args.command == "matmul":
-        return _cmd_matmul(args)
-    if args.command == "tables":
-        return _cmd_tables(args)
-    if args.command == "fig7":
-        return _cmd_fig7(args)
-    if args.command == "transfers":
-        return _cmd_transfers()
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+    command = {
+        "info": _cmd_info, "matmul": _cmd_matmul, "tables": _cmd_tables,
+        "fig7": _cmd_fig7, "transfers": _cmd_transfers, "chaos": _cmd_chaos,
+        "serve": _cmd_serve, "plan": _cmd_plan,
+    }[args.command]
+    try:
+        return command(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

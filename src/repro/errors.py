@@ -4,14 +4,21 @@ Every error raised by this package derives from :class:`ReproError`, so
 callers can catch the whole family with one handler.  Sub-classes identify
 the subsystem that failed:
 
+* :class:`ConfigError`    -- a value the caller chose is rejected before
+  anything is built (a config field out of range, two options in
+  conflict); the message names the field or fields.  Each rule has one
+  owner: the config's ``__post_init__`` for a rule about one object, the
+  library entry point (``run_serving``, ``Planner.search``, ``run_table``,
+  ``train_resilient``) for a rule that spans objects.
+* :class:`GridError`      -- a :class:`ConfigError` about the processor
+  arrangement (``p != d*q**2``, ``d > q``, an unknown parallel mode).
 * :class:`ShapeError`     -- an array/matrix shape cannot be partitioned as
-  requested (e.g. a hidden size not divisible by the grid dimension ``q``).
-* :class:`GridError`      -- an invalid processor arrangement (``p != d*q**2``
-  or ``d > q``).
+  requested by a kernel (e.g. a block not divisible by the grid dimension
+  ``q``).
 * :class:`CommError`      -- a communication mis-use detected by the engine
   (mismatched collectives, wrong root, self-send, ...).
-* :class:`SimulationError` -- the SPMD engine failed (a rank raised, ranks
-  returned inconsistent results, ...).
+* :class:`SimulationError` -- a run failed (a rank raised, ranks returned
+  inconsistent results, a deadlock, a cache or tracker misuse, ...).
 * :class:`DeadlockError`  -- the watchdog saw a rendezvous that can never
   complete (some ranks never arrived).
 * :class:`RankFailureError` -- a simulated rank was killed by an injected
@@ -26,12 +33,16 @@ class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration value or combination was rejected before a run."""
+
+
+class GridError(ConfigError):
+    """An invalid processor-grid arrangement was requested."""
+
+
 class ShapeError(ReproError, ValueError):
     """An array shape is incompatible with the requested partitioning."""
-
-
-class GridError(ReproError, ValueError):
-    """An invalid processor-grid arrangement was requested."""
 
 
 class CommError(ReproError, RuntimeError):

@@ -4,18 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ShapeError
-from repro.util.mathutil import check_divides, check_positive
+from repro.errors import ConfigError
+from repro.util.mathutil import check_positive
 
 __all__ = ["TransformerConfig", "ViTConfig"]
+
+
+def _check_divides(cfg, part: str, whole: str) -> None:
+    if getattr(cfg, whole) % getattr(cfg, part):
+        raise ConfigError(f"{whole} {getattr(cfg, whole)} must be divisible "
+                          f"by {part} {getattr(cfg, part)}")
 
 
 @dataclass(frozen=True)
 class TransformerConfig:
     """A Megatron-style transformer encoder stack.
 
-    ``hidden % nheads == 0`` is required; parallel modes add their own
-    divisibility requirements (checked at layer construction).
+    ``hidden % nheads == 0`` is required; a parallel mode's divisibility
+    rules span the config and the grid, so the entry point that gets both
+    checks them (e.g. :func:`~repro.serve.runner.run_serving`).
     """
 
     num_layers: int
@@ -31,9 +38,9 @@ class TransformerConfig:
         check_positive(self.hidden, "hidden")
         check_positive(self.nheads, "nheads")
         check_positive(self.seq_len, "seq_len")
-        check_divides(self.nheads, self.hidden, "hidden vs nheads")
+        _check_divides(self, "nheads", "hidden")
         if self.vocab < 0:
-            raise ShapeError(f"vocab must be >= 0, got {self.vocab}")
+            raise ConfigError(f"vocab must be >= 0, got {self.vocab}")
 
     @property
     def head_dim(self) -> int:
@@ -56,9 +63,10 @@ class ViTConfig:
     def __post_init__(self) -> None:
         check_positive(self.image_size, "image_size")
         check_positive(self.patch_size, "patch_size")
-        check_divides(self.patch_size, self.image_size, "image vs patch size")
-        check_divides(self.nheads, self.hidden, "hidden vs nheads")
+        check_positive(self.nheads, "nheads")
         check_positive(self.num_classes, "num_classes")
+        _check_divides(self, "patch_size", "image_size")
+        _check_divides(self, "nheads", "hidden")
 
     @property
     def num_patches(self) -> int:

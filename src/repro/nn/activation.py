@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.nn.module import Module
 from repro.sim.engine import RankContext
 from repro.varray import ops
@@ -48,7 +49,7 @@ class Dropout(Module):
     def __init__(self, ctx: RankContext, p: float = 0.1):
         super().__init__(ctx)
         if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+            raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self._calls = 0
 

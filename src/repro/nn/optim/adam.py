@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import ConfigError
 from repro.nn.optim.base import Optimizer
 from repro.nn.parameter import Parameter
 from repro.varray import ops
@@ -32,7 +33,7 @@ class Adam(Optimizer):
         super().__init__(params, lr)
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
+            raise ConfigError(f"betas must be in [0, 1), got {betas}")
         self.b1, self.b2 = b1, b2
         self.eps = eps
         self.weight_decay = weight_decay

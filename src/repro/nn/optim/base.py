@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.nn.parameter import Parameter
 
 __all__ = ["Optimizer"]
@@ -20,10 +20,10 @@ class Optimizer:
 
     def __init__(self, params: Sequence[Parameter], lr: float):
         if lr <= 0:
-            raise SimulationError(f"learning rate must be positive, got {lr}")
+            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         if not self.params:
-            raise SimulationError("optimizer needs at least one parameter")
+            raise ConfigError("optimizer needs at least one parameter")
         self.lr = lr
         self.t = 0
 
@@ -43,7 +43,7 @@ class Optimizer:
     def set_lr(self, lr: float) -> None:
         """Set the current learning rate (called by schedules)."""
         if lr <= 0:
-            raise SimulationError(f"learning rate must be positive, got {lr}")
+            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
 
     # --- persistence (checkpoint/restart recovery) ---------------------------

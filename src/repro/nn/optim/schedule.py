@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from repro.errors import ConfigError
+
 __all__ = ["LRSchedule", "ConstantLR", "CosineWithWarmup", "StepDecay"]
 
 
@@ -23,7 +25,7 @@ class ConstantLR(LRSchedule):
 
     def __init__(self, lr: float):
         if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+            raise ConfigError(f"lr must be positive, got {lr}")
         self.lr = lr
 
     def __call__(self, step: int) -> float:
@@ -41,9 +43,9 @@ class CosineWithWarmup(LRSchedule):
         min_lr: float = 0.0,
     ):
         if peak_lr <= 0:
-            raise ValueError(f"peak_lr must be positive, got {peak_lr}")
+            raise ConfigError(f"peak_lr must be positive, got {peak_lr}")
         if warmup_steps < 0 or total_steps <= warmup_steps:
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 <= warmup_steps < total_steps, got "
                 f"{warmup_steps}, {total_steps}"
             )
@@ -67,7 +69,7 @@ class StepDecay(LRSchedule):
 
     def __init__(self, base_lr: float, every: int, gamma: float = 0.1):
         if base_lr <= 0 or every <= 0 or not 0 < gamma <= 1:
-            raise ValueError("invalid StepDecay configuration")
+            raise ConfigError("invalid StepDecay configuration")
         self.base_lr = base_lr
         self.every = every
         self.gamma = gamma

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.errors import ConfigError
 from repro.nn.optim.base import Optimizer
 from repro.nn.parameter import Parameter
 from repro.varray import ops
@@ -24,7 +25,7 @@ class SGD(Optimizer):
     ):
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._buf: dict[int, VArray] = {}

@@ -14,15 +14,16 @@ is built over, supplies only what differs:
 * :mod:`repro.parallel.tesseract` (a
   :class:`~repro.grid.context.ParallelContext`) — the paper's 2.5-D scheme
   (§3): activations blocked over a ``[q, q]`` grid and banded across ``d``
-  depth slices; :mod:`repro.parallel.optimus` (§2.2) is its ``d = 1``
-  guard.
+  depth slices.  Optimus (§2.2) is the same layout at ``d = 1``: the
+  ``optimus`` mode builds these layers on a ``[q, q, 1]`` grid, and
+  :func:`~repro.parallel.factory.grid_shape` rejects any deeper one.
 
 All layouts materialize their local weights by *slicing the same global
 Xavier draws*, so every scheme computes bit-identical logical math
 (checked by the equivalence tests, against a numpy oracle, and Fig. 7).
 """
 
-from repro.parallel import megatron, optimus, tesseract
+from repro.parallel import megatron, tesseract
 from repro.parallel.dp import dp_batch_slice, sync_gradients
 from repro.parallel.factory import build_transformer_stack
 from repro.parallel.layers import (
@@ -39,7 +40,6 @@ from repro.parallel.zero import ZeroOptimizer
 __all__ = [
     "ZeroOptimizer",
     "megatron",
-    "optimus",
     "tesseract",
     "Layout",
     "layout_of",

@@ -18,6 +18,7 @@ import numpy as np
 from repro.comm.communicator import Communicator
 from repro.errors import GridError
 from repro.grid.context import ParallelContext
+from repro.grid.shapes import TesseractShape
 from repro.nn.module import Sequential
 from repro.parallel.layers import Layout, TransformerLayer, layout_of
 from repro.sim.engine import RankContext
@@ -39,18 +40,27 @@ def grid_shape(
     mode name and its grid dimensions.
 
     Serial and Megatron replicate activations, so their band layout is the
-    trivial ``(1, 1)``; optimus is the ``d = 1`` special case.
+    trivial ``(1, 1)``; Megatron needs its group size ``world``.  The grid
+    modes need ``1 <= d <= q`` (:class:`~repro.grid.shapes.TesseractShape`,
+    paper §3.1), and optimus is the ``d = 1`` special case.  Dimensions a
+    mode does not use are not looked at.
     """
     if mode not in MODES:
         raise GridError(f"unknown parallel mode {mode!r}; valid: {MODES}")
-    if mode in ("serial", "megatron"):
+    if mode == "serial":
+        return (1, 1)
+    if mode == "megatron":
+        if world is None or world < 1:
+            raise GridError(
+                f"megatron needs a group size world >= 1, got {world}")
         return (1, 1)
     if q is None:
         raise GridError(f"mode {mode!r} requires the grid dimension q")
     depth = 1 if d is None else d
     if mode == "optimus" and depth != 1:
         raise GridError(f"optimus is the d=1 special case; got d={depth}")
-    return (q, depth)
+    shape = TesseractShape(q=q, d=depth)
+    return (shape.q, shape.d)
 
 
 def tensor_group(
@@ -67,13 +77,14 @@ def tensor_group(
     Megatron group of ``world`` consecutive ranks holding this one
     (default: every rank), or the grid context, optionally inside a
     ``dp_size x pp_size`` arrangement."""
-    gq, gd = grid_shape(mode, q, d)
+    if mode == "megatron" and world is None:
+        world = ctx.nranks
+    gq, gd = grid_shape(mode, q, d, world)
     if mode == "serial":
         return ctx
     if mode == "megatron":
-        size = world if world is not None else ctx.nranks
-        base = ctx.rank - ctx.rank % size
-        return Communicator(ctx, range(base, base + size))
+        base = ctx.rank - ctx.rank % world
+        return Communicator(ctx, range(base, base + world))
     return ParallelContext.tesseract(ctx, q=gq, d=gd, dp_size=dp_size,
                                      pp_size=pp_size)
 

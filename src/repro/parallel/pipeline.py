@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.comm.communicator import Communicator
-from repro.errors import ShapeError, SimulationError
+from repro.errors import ConfigError, ShapeError, SimulationError
 from repro.nn.module import Module
 from repro.sim.engine import RankContext
 from repro.varray import ops
@@ -56,9 +56,10 @@ def pipeline_order(schedule: str, micro: int, stage: int | None,
         return ([(True, m) for m in range(micro)]
                 + [(False, m) for m in reversed(range(micro))])
     if schedule != "1f1b":
-        raise SimulationError(f"unknown pipeline schedule {schedule!r}")
+        raise ConfigError(f"unknown pipeline schedule {schedule!r}; "
+                          f"valid: 'gpipe', '1f1b'")
     if stage is None or stages is None:
-        raise SimulationError(
+        raise ConfigError(
             "the 1f1b schedule needs stage_index and num_stages at "
             "PipelineStage construction"
         )

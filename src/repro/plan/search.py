@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import GridError
+from repro.errors import ConfigError
 from repro.hardware.spec import ClusterSpec, meluxina
+from repro.parallel.pipeline import pipeline_order
 from repro.plan.cost import MemoryEstimate, PlanCostModel, StepCost
 from repro.plan.space import CandidateConfig, ModelSpec, enumerate_configs
 from repro.util.mathutil import ceil_div
@@ -87,6 +88,12 @@ class SearchResult:
                 return pc
         return None
 
+    def leaders(self, top: int) -> tuple[PlannedConfig, ...]:
+        """The ``top`` best feasible candidates."""
+        if top < 0:
+            raise ConfigError(f"top must be >= 0, got {top}")
+        return self.ranked[:top]
+
     def to_payload(self, top: int = 10) -> dict:
         rec = self.recommendation
         return {
@@ -99,7 +106,7 @@ class SearchResult:
             "num_candidates": self.num_candidates,
             "num_pruned": self.num_pruned,
             "recommendation": rec.to_payload() if rec else None,
-            "top": [pc.to_payload() for pc in self.ranked[:top]],
+            "top": [pc.to_payload() for pc in self.leaders(top)],
         }
 
 
@@ -107,6 +114,8 @@ class Planner:
     """Searches the dp x pp x scheme x d x M space for one cluster."""
 
     def __init__(self, world: int, cluster: ClusterSpec | None = None):
+        if world < 1:
+            raise ConfigError(f"world must be >= 1, got {world}")
         if cluster is None:
             cluster = meluxina(ceil_div(world, 4))
         self.world = world
@@ -125,10 +134,19 @@ class Planner:
         checkpoint: bool = False,
         max_microbatches: int = 32,
     ) -> SearchResult:
-        """Enumerate, memory-prune and rank every candidate for a model."""
-        if schedule not in ("gpipe", "1f1b"):
-            raise GridError(f"unknown pipeline schedule {schedule!r}")
+        """Enumerate, memory-prune and rank every candidate for a model.
+
+        Every argument is checked here, before anything is priced.
+        """
         seq = model.seq_len if seq_len is None else seq_len
+        for name, value in (("global_batch", global_batch), ("seq_len", seq),
+                            ("max_microbatches", max_microbatches)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not 0 < budget_fraction <= 1:
+            raise ConfigError(
+                f"budget_fraction must be in (0, 1], got {budget_fraction}")
+        pipeline_order(schedule, 1, 0, 1)  # the schedule names' owner
         if budget_bytes is None:
             budget_bytes = self.cluster.gpu.memory_bytes * budget_fraction
         candidates = enumerate_configs(
@@ -171,7 +189,7 @@ def render_plan(result: SearchResult, top: int = 8) -> str:
                f"({result.schedule}; {result.num_candidates} candidates, "
                f"{result.num_pruned} over budget)"),
     )
-    for idx, pc in enumerate(result.ranked[:top], start=1):
+    for idx, pc in enumerate(result.leaders(top), start=1):
         c = pc.config
         if c.scheme in ("optimus", "tesseract"):
             label = f"{c.scheme}[{c.q},{c.q},{c.d}]"

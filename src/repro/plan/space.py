@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import GridError
+from repro.parallel.factory import MODES as SCHEMES
+from repro.parallel.factory import grid_shape
 from repro.plan.inventory import DTYPE_BYTES, layer_ops
 
 __all__ = [
@@ -33,10 +35,6 @@ __all__ = [
     "enumerate_configs",
     "divisors",
 ]
-
-#: Tensor-parallel scheme names, in presentation order.
-SCHEMES = ("serial", "megatron", "optimus", "tesseract")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -96,19 +94,14 @@ class CandidateConfig:
     microbatches: int = 1
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise GridError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         if min(self.dp, self.pp, self.tp, self.microbatches) < 1:
             raise GridError(f"non-positive dimension in {self}")
-        if self.scheme in ("optimus", "tesseract"):
-            if self.tp != self.d * self.q * self.q:
-                raise GridError(
-                    f"{self.scheme} needs tp == d*q^2, got {self}"
-                )
-            if not 1 <= self.d <= self.q:
-                raise GridError(f"need 1 <= d <= q, got {self}")
-        elif (self.q, self.d) != (1, 1):
+        # serial and megatron have no grid: grid_shape gives them (1, 1)
+        q, d = grid_shape(self.scheme, self.q, self.d, world=self.tp)
+        if (q, d) != (self.q, self.d):
             raise GridError(f"{self.scheme} must have q = d = 1, got {self}")
+        if self.scheme != "megatron" and self.tp != d * q * q:
+            raise GridError(f"{self.scheme} needs tp == d*q^2, got {self}")
 
     @property
     def world(self) -> int:
@@ -180,12 +173,9 @@ def enumerate_configs(
     Microbatching without a pipeline only adds launch overhead, so pp = 1
     configs carry M = 1; pipelined configs enumerate every divisor of the
     per-replica batch up to ``max_microbatches`` (the bubble-vs-memory
-    trade is left to the step walk to arbitrate).
+    trade is left to the step walk to arbitrate).  The arguments are
+    checked by :meth:`~repro.plan.search.Planner.search`.
     """
-    if world < 1 or global_batch < 1:
-        raise GridError(
-            f"need positive world and batch, got {world}, {global_batch}"
-        )
     out: list[CandidateConfig] = []
     for dp in divisors(world):
         if global_batch % dp:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.communicator import Communicator
+from repro.errors import ConfigError
 from repro.hardware.spec import ClusterSpec, meluxina
 from repro.nn.checkpoint import ActivationCheckpoint
 from repro.nn.module import Sequential
@@ -239,6 +240,9 @@ def diverse_topk(result: SearchResult, k: int) -> list[PlannedConfig]:
     the remaining global top fills up to ``k`` — so the validated set
     spans genuinely different configurations instead of k near-ties.
     """
+    if k < 0:
+        raise ConfigError(f"the number of candidates to validate (k) must "
+                          f"be >= 0, got {k}")
     chosen: list[PlannedConfig] = []
     seen_buckets: set[tuple[str, int]] = set()
     for pc in result.ranked:

@@ -8,14 +8,13 @@ width, batch-band replication factor) without building anything.
 
 from __future__ import annotations
 
-from repro.errors import GridError
 from repro.models.configs import TransformerConfig
 from repro.models.transformer import TransformerLM
 from repro.parallel.factory import grid_shape, tensor_group
 from repro.sim.engine import RankContext
-from repro.util.mathutil import check_divides
 
-__all__ = ["build_lm", "serving_nranks", "grid_shape", "local_kv_width"]
+__all__ = ["build_lm", "serving_nranks", "grid_shape", "local_kv_width",
+           "tensor_split"]
 
 
 def serving_nranks(
@@ -25,14 +24,16 @@ def serving_nranks(
     world: int | None = None,
 ) -> int:
     """Number of simulator ranks the mode occupies."""
-    if mode == "serial":
-        return 1
-    if mode == "megatron":
-        if world is None:
-            raise GridError("megatron requires the group size (world)")
-        return world
-    gq, gd = grid_shape(mode, q, d)
-    return gq * gq * gd
+    gq, gd = grid_shape(mode, q, d, world)
+    return world if mode == "megatron" else gq * gq * gd
+
+
+def tensor_split(mode: str, q: int | None = None,
+                 world: int | None = None) -> int:
+    """How many ranks a layer's heads and hidden columns are split over:
+    the Megatron group, the grid's ``q``, or 1 for serial."""
+    gq, _ = grid_shape(mode, q, None, world)
+    return world if mode == "megatron" else gq
 
 
 def local_kv_width(
@@ -41,14 +42,9 @@ def local_kv_width(
     q: int | None = None,
     world: int | None = None,
 ) -> int:
-    """Per-token width of one rank's k (or v) slice."""
-    if mode == "serial":
-        return cfg.hidden
-    if mode == "megatron":
-        if world is None:
-            raise GridError("megatron requires the group size (world)")
-        return check_divides(world, cfg.hidden, "hidden vs world")
-    return check_divides(grid_shape(mode, q)[0], cfg.hidden, "hidden vs q")
+    """Per-token width of one rank's k (or v) slice (``run_serving``
+    checks that the hidden size divides by the tensor split)."""
+    return cfg.hidden // tensor_split(mode, q, world)
 
 
 def build_lm(

@@ -94,7 +94,7 @@ from functools import partial
 import numpy as np
 
 from repro.comm.communicator import Communicator
-from repro.errors import RankFailureError, SimulationError
+from repro.errors import ConfigError, RankFailureError, SimulationError
 from repro.models.configs import TransformerConfig
 from repro.serve.cache import KVCacheManager, PagedKVCache
 from repro.serve.metrics import RequestRecord, summarize
@@ -103,6 +103,7 @@ from repro.serve.model import (
     grid_shape,
     local_kv_width,
     serving_nranks,
+    tensor_split,
 )
 from repro.serve.scheduler import PagedScheduler, Scheduler, SchedulerConfig
 from repro.serve.workload import Request, WorkloadConfig, generate_workload
@@ -134,18 +135,18 @@ class AutoscaleConfig:
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
-            raise SimulationError("min_replicas must be >= 1")
+            raise ConfigError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
-            raise SimulationError(
+            raise ConfigError(
                 f"max_replicas {self.max_replicas} < min_replicas "
                 f"{self.min_replicas}"
             )
         if self.scale_up_queue < 1:
-            raise SimulationError("scale_up_queue must be >= 1")
+            raise ConfigError("scale_up_queue must be >= 1")
         if self.scale_down_patience < 1:
-            raise SimulationError("scale_down_patience must be >= 1")
+            raise ConfigError("scale_down_patience must be >= 1")
         if self.spinup_iters < 0:
-            raise SimulationError("spinup_iters must be >= 0")
+            raise ConfigError("spinup_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,14 +169,14 @@ class ReplicaOutage:
 
     def __post_init__(self) -> None:
         if self.out_at < 0:
-            raise SimulationError("out_at must be >= 0")
+            raise ConfigError("out_at must be >= 0")
         if self.repair_at <= self.out_at:
-            raise SimulationError(
+            raise ConfigError(
                 f"repair_at {self.repair_at} must be after out_at "
                 f"{self.out_at}"
             )
         if self.warmup_iters < 0:
-            raise SimulationError("warmup_iters must be >= 0")
+            raise ConfigError("warmup_iters must be >= 0")
 
 
 @dataclass
@@ -214,38 +215,49 @@ class _Ledger:
 
 
 def _validate(
+    mode: str,
     model_cfg: TransformerConfig,
     workload: WorkloadConfig,
     sched: SchedulerConfig,
+    tp: int,
     bands: int,
 ) -> None:
+    """The rules that span the model, the grid, the scheduler and the
+    workload, checked before any engine is built."""
+    split = "world" if mode == "megatron" else "q"
+    for name in ("nheads", "hidden", "vocab"):
+        if getattr(model_cfg, name) % tp:
+            raise ConfigError(
+                f"model {name} {getattr(model_cfg, name)} must be divisible "
+                f"by the tensor split {split}={tp} of mode {mode!r}"
+            )
     if model_cfg.vocab < workload.vocab:
-        raise SimulationError(
+        raise ConfigError(
             f"model vocab {model_cfg.vocab} < workload vocab {workload.vocab}"
         )
     if model_cfg.seq_len < workload.max_request_tokens:
-        raise SimulationError(
+        raise ConfigError(
             f"model seq_len {model_cfg.seq_len} cannot hold the longest "
             f"request ({workload.max_request_tokens} tokens)"
         )
     if sched.kv_budget_tokens < workload.max_request_tokens:
-        raise SimulationError(
-            f"kv budget {sched.kv_budget_tokens} cannot hold the longest "
-            f"request ({workload.max_request_tokens} tokens)"
+        raise ConfigError(
+            f"kv budget {sched.kv_budget_tokens} (kv_budget_tokens) cannot "
+            f"hold the longest request ({workload.max_request_tokens} tokens)"
         )
     if sched.max_slots % bands:
-        raise SimulationError(
+        raise ConfigError(
             f"max_slots {sched.max_slots} must be divisible by the "
-            f"batch-band count {bands}"
+            f"batch-band count {bands} (d*q of mode {mode!r})"
         )
     if sched.kv_block_tokens:
         nblocks = sched.kv_budget_tokens // sched.kv_block_tokens
         need = -(-workload.max_request_tokens // sched.kv_block_tokens) + 2
         if nblocks < need:
-            raise SimulationError(
-                f"block pool of {nblocks} x {sched.kv_block_tokens}-token "
-                f"blocks cannot hold the longest request plus growth "
-                f"headroom ({need} blocks)"
+            raise ConfigError(
+                f"kv_budget_tokens {sched.kv_budget_tokens} makes {nblocks} "
+                f"blocks of kv_block_tokens {sched.kv_block_tokens}; the "
+                f"longest request plus growth headroom needs {need}"
             )
 
 
@@ -288,14 +300,14 @@ def run_serving(
     """
     gq, gd = grid_shape(mode, q, d, world)
     bands = gq * gd
-    _validate(model_cfg, workload, sched, bands)
+    _validate(mode, model_cfg, workload, sched,
+              tensor_split(mode, gq, world), bands)
     if outages and autoscale is None:
-        raise SimulationError(
-            "outages require an AutoscaleConfig fleet to rejoin"
+        raise ConfigError(
+            "outages require an AutoscaleConfig fleet to rejoin (autoscale)"
         )
     nranks = serving_nranks(mode, q, d, world)
-    kv_width = local_kv_width(mode, model_cfg, q=gq if bands > 1 else None,
-                              world=world)
+    kv_width = local_kv_width(mode, model_cfg, q=gq, world=world)
 
     # drawn once per call, restarts included, and shared by every rank
     # (schedulers copy what they reorder; a Request is frozen)

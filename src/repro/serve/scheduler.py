@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.serve.workload import Request
 
 __all__ = [
@@ -82,11 +82,13 @@ class SpecDecodeConfig:
 
     def __post_init__(self) -> None:
         if self.spec_k < 1:
-            raise SimulationError("spec_k must be >= 1")
+            raise ConfigError(f"spec_k must be >= 1, got {self.spec_k}")
         if not 0.0 <= self.accept_rate <= 1.0:
-            raise SimulationError("accept_rate must be in [0, 1]")
-        if self.draft_step_s < 0:
-            raise SimulationError("draft_step_s must be >= 0")
+            raise ConfigError(
+                f"accept_rate must be in [0, 1], got {self.accept_rate}")
+        if not self.draft_step_s >= 0:
+            raise ConfigError(
+                f"draft_step_s must be >= 0, got {self.draft_step_s}")
 
 
 @dataclass(frozen=True)
@@ -104,31 +106,35 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         if self.max_slots <= 0:
-            raise SimulationError("max_slots must be positive")
+            raise ConfigError(f"max_slots must be positive, got {self.max_slots}")
         if self.kv_budget_tokens <= 0:
-            raise SimulationError("kv_budget_tokens must be positive")
+            raise ConfigError(
+                f"kv_budget_tokens must be positive, got {self.kv_budget_tokens}")
         if self.policy not in POLICIES:
-            raise SimulationError(
+            raise ConfigError(
                 f"unknown policy {self.policy!r}; valid: {POLICIES}"
             )
         if self.kv_block_tokens < 0:
-            raise SimulationError("kv_block_tokens must be >= 0")
+            raise ConfigError(
+                f"kv_block_tokens must be >= 0, got {self.kv_block_tokens}")
         if self.prefill_chunk_tokens < 0:
-            raise SimulationError("prefill_chunk_tokens must be >= 0")
+            raise ConfigError(f"prefill_chunk_tokens must be >= 0, got "
+                              f"{self.prefill_chunk_tokens}")
         if self.kv_block_tokens == 0:
             if self.prefill_chunk_tokens:
-                raise SimulationError(
+                raise ConfigError(
                     "prefill_chunk_tokens requires the paged cache "
                     "(set kv_block_tokens)"
                 )
             if self.spec is not None:
-                raise SimulationError(
-                    "speculative decoding requires the paged cache "
+                raise ConfigError(
+                    "speculative decoding (spec) requires the paged cache "
                     "(set kv_block_tokens)"
                 )
         elif self.policy != "continuous":
-            raise SimulationError(
-                "the paged cache requires the continuous policy"
+            raise ConfigError(
+                f"the paged cache (kv_block_tokens={self.kv_block_tokens}) "
+                f"requires the continuous policy, got policy {self.policy!r}"
             )
 
     @property

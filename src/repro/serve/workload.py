@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.util.rng import rng_for
 
 __all__ = ["PriorityClass", "WorkloadConfig", "Request", "generate_workload"]
@@ -57,11 +57,11 @@ class PriorityClass:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise SimulationError("priority class needs a name")
-        if self.weight <= 0:
-            raise SimulationError("priority class weight must be positive")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise SimulationError("ttft_slo_s must be positive when set")
+            raise ConfigError("priority class needs a name")
+        if not self.weight > 0:
+            raise ConfigError("priority class weight must be positive")
+        if self.ttft_slo_s is not None and not self.ttft_slo_s > 0:
+            raise ConfigError("ttft_slo_s must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -97,36 +97,41 @@ class WorkloadConfig:
 
     def __post_init__(self) -> None:
         if self.num_requests <= 0:
-            raise SimulationError("num_requests must be positive")
-        if self.arrival_rate <= 0:
-            raise SimulationError("arrival_rate must be positive")
+            raise ConfigError(
+                f"num_requests must be positive, got {self.num_requests}")
+        if not self.arrival_rate > 0:
+            raise ConfigError(
+                f"arrival_rate must be positive, got {self.arrival_rate}")
         if self.burst_size <= 0:
-            raise SimulationError("burst_size must be positive")
+            raise ConfigError(
+                f"burst_size must be positive, got {self.burst_size}")
         if not 0.0 <= self.long_frac <= 1.0:
-            raise SimulationError("long_frac must be in [0, 1]")
+            raise ConfigError(
+                f"long_frac must be in [0, 1], got {self.long_frac}")
         for name in ("prompt_len", "output_short", "output_long"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
-                raise SimulationError(f"bad {name} range ({lo}, {hi})")
-        if self.diurnal_period < 0:
-            raise SimulationError("diurnal_period must be >= 0")
+                raise ConfigError(f"bad {name} range ({lo}, {hi})")
+        if not self.diurnal_period >= 0:
+            raise ConfigError("diurnal_period must be >= 0")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise SimulationError(
+            raise ConfigError(
                 "diurnal_amplitude must be in [0, 1) — the instantaneous "
                 "rate must stay positive"
             )
         if self.diurnal_amplitude > 0 and self.diurnal_period <= 0:
-            raise SimulationError(
+            raise ConfigError(
                 "diurnal_amplitude needs a positive diurnal_period"
             )
         if self.prefix_pool < 0:
-            raise SimulationError("prefix_pool must be >= 0")
+            raise ConfigError(
+                f"prefix_pool must be >= 0, got {self.prefix_pool}")
         if self.prefix_pool > 0:
             lo, hi = self.prefix_len
             if not 1 <= lo <= hi:
-                raise SimulationError(f"bad prefix_len range ({lo}, {hi})")
-            if self.prefix_zipf <= 0:
-                raise SimulationError("prefix_zipf must be positive")
+                raise ConfigError(f"bad prefix_len range ({lo}, {hi})")
+            if not self.prefix_zipf > 0:
+                raise ConfigError("prefix_zipf must be positive")
 
     @property
     def max_request_tokens(self) -> int:

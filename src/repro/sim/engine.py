@@ -93,6 +93,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import (
     CommError,
+    ConfigError,
     DeadlockError,
     GridError,
     RankFailureError,
@@ -569,7 +570,7 @@ class Engine:
         backend: str | SchedulerBackend | None = None,
     ):
         if mode not in ("real", "symbolic"):
-            raise SimulationError(f"mode must be 'real' or 'symbolic', got {mode!r}")
+            raise ConfigError(f"mode must be 'real' or 'symbolic', got {mode!r}")
         if nranks is None:
             nranks = cluster.total_gpus if cluster is not None else 1
         if cluster is None:
@@ -589,7 +590,7 @@ class Engine:
         if fault_plan is not None:
             for crash in fault_plan.crashes:
                 if not 0 <= crash.rank < self.nranks:
-                    raise SimulationError(
+                    raise ConfigError(
                         f"fault plan kills rank {crash.rank}, but the engine "
                         f"has only {self.nranks} ranks"
                     )
@@ -598,7 +599,7 @@ class Engine:
                 try:
                     members = self.topology.node_ranks(nc.node)
                 except GridError:
-                    raise SimulationError(
+                    raise ConfigError(
                         f"fault plan kills node {nc.node}, but the engine's "
                         f"topology only uses {self.topology.nodes_used} "
                         f"node(s)"

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.util.rng import rng_for
 
 __all__ = [
@@ -98,8 +98,8 @@ class RankCrash:
     at: float  #: virtual seconds
 
     def __post_init__(self):
-        if self.at < 0:
-            raise SimulationError(f"crash time must be >= 0, got {self.at}")
+        if not self.at >= 0:
+            raise ConfigError(f"crash time must be >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,9 @@ class NodeCrash:
 
     def __post_init__(self):
         if self.node < 0:
-            raise SimulationError(f"node index must be >= 0, got {self.node}")
-        if self.at < 0:
-            raise SimulationError(f"crash time must be >= 0, got {self.at}")
+            raise ConfigError(f"node index must be >= 0, got {self.node}")
+        if not self.at >= 0:
+            raise ConfigError(f"crash time must be >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,9 @@ class NodeRepair:
 
     def __post_init__(self):
         if self.node < 0:
-            raise SimulationError(f"node index must be >= 0, got {self.node}")
-        if self.at < 0:
-            raise SimulationError(f"repair time must be >= 0, got {self.at}")
+            raise ConfigError(f"node index must be >= 0, got {self.node}")
+        if not self.at >= 0:
+            raise ConfigError(f"repair time must be >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,11 @@ class SpareArrival:
 
     def __post_init__(self):
         if self.count < 1:
-            raise SimulationError(
+            raise ConfigError(
                 f"spare arrival count must be >= 1, got {self.count}"
             )
-        if self.at < 0:
-            raise SimulationError(f"arrival time must be >= 0, got {self.at}")
+        if not self.at >= 0:
+            raise ConfigError(f"arrival time must be >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ class LinkFault:
     factor: float
 
     def __post_init__(self):
-        if self.factor < 1.0:
-            raise SimulationError(
+        if not self.factor >= 1.0:
+            raise ConfigError(
                 f"link degradation factor must be >= 1, got {self.factor}"
             )
 
@@ -192,12 +192,12 @@ class ComputeSlowdown:
     until: float | None = None  #: virtual seconds; None = persistent
 
     def __post_init__(self):
-        if self.factor < 1.0:
-            raise SimulationError(
+        if not self.factor >= 1.0:
+            raise ConfigError(
                 f"compute slowdown factor must be >= 1, got {self.factor}"
             )
-        if self.until is not None and self.until <= 0:
-            raise SimulationError(
+        if self.until is not None and not self.until > 0:
+            raise ConfigError(
                 f"slowdown until must be > 0 (or None), got {self.until}"
             )
 
@@ -216,11 +216,11 @@ class RetryPolicy:
 
     def __post_init__(self):
         if self.max_attempts < 1:
-            raise SimulationError(
+            raise ConfigError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay < 0:
-            raise SimulationError(
+        if not self.base_delay >= 0:
+            raise ConfigError(
                 f"base_delay must be >= 0, got {self.base_delay}"
             )
 
@@ -277,41 +277,41 @@ class FaultPlan:
 
     def __post_init__(self):
         if not 0.0 <= self.transient_rate < 1.0:
-            raise SimulationError(
+            raise ConfigError(
                 f"transient_rate must be in [0, 1), got {self.transient_rate}"
             )
-        if self.jitter < 0:
-            raise SimulationError(f"jitter must be >= 0, got {self.jitter}")
+        if not self.jitter >= 0:
+            raise ConfigError(f"jitter must be >= 0, got {self.jitter}")
         seen: set[int] = set()
         for c in self.crashes:
             if c.rank in seen:
-                raise SimulationError(
+                raise ConfigError(
                     f"rank {c.rank} has more than one scheduled crash"
                 )
             seen.add(c.rank)
         seen_nodes: set[int] = set()
         for nc in self.node_crashes:
             if nc.node in seen_nodes:
-                raise SimulationError(
+                raise ConfigError(
                     f"node {nc.node} has more than one scheduled crash"
                 )
             seen_nodes.add(nc.node)
         seen_repairs: set[int] = set()
         for nr in self.node_repairs:
             if nr.node in seen_repairs:
-                raise SimulationError(
+                raise ConfigError(
                     f"node {nr.node} has more than one scheduled repair"
                 )
             seen_repairs.add(nr.node)
             crash_at = self.node_crash_time(nr.node)
             if crash_at is None:
-                raise SimulationError(
+                raise ConfigError(
                     f"NodeRepair(node={nr.node}) references a node with no "
                     f"scheduled NodeCrash — only crashed nodes can be "
                     f"repaired"
                 )
             if nr.at <= crash_at:
-                raise SimulationError(
+                raise ConfigError(
                     f"node {nr.node} repair at t={nr.at:g} must come "
                     f"strictly after its crash at t={crash_at:g}"
                 )

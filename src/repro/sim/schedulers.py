@@ -61,7 +61,7 @@ import time
 from collections import deque
 from typing import Any, Callable
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 __all__ = [
     "SchedulerBackend",
@@ -708,7 +708,7 @@ def resolve_backend(
         return EventScheduler()
     if name == "threaded":
         return ThreadedScheduler()
-    raise ValueError(
+    raise ConfigError(
         f"unknown engine backend {name!r} (from Engine(backend=...) or "
         f"${BACKEND_ENV}); valid backends: 'threaded', 'event'"
     )

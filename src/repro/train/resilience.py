@@ -73,7 +73,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import RankFailureError, SimulationError
+from repro.errors import ConfigError, RankFailureError, SimulationError
 from repro.grid.shapes import TesseractShape
 from repro.sim.faults import FaultPlan
 
@@ -106,11 +106,11 @@ class ResilienceConfig:
 
     def __post_init__(self) -> None:
         if self.snapshot_every < 1:
-            raise SimulationError(
+            raise ConfigError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
             )
         if self.max_restarts < 0:
-            raise SimulationError(
+            raise ConfigError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
 
@@ -187,18 +187,18 @@ class ElasticPolicy:
 
     def __post_init__(self) -> None:
         if self.spares < 0:
-            raise SimulationError(f"spares must be >= 0, got {self.spares}")
+            raise ConfigError(f"spares must be >= 0, got {self.spares}")
         if self.min_world < 1:
-            raise SimulationError(
+            raise ConfigError(
                 f"min_world must be >= 1, got {self.min_world}"
             )
         if self.min_steps_between_reshapes < 0:
-            raise SimulationError(
+            raise ConfigError(
                 f"min_steps_between_reshapes must be >= 0, got "
                 f"{self.min_steps_between_reshapes}"
             )
-        if self.quarantine_factor is not None and self.quarantine_factor <= 1.0:
-            raise SimulationError(
+        if self.quarantine_factor is not None and not self.quarantine_factor > 1:
+            raise ConfigError(
                 f"quarantine_factor must be > 1, got {self.quarantine_factor}"
             )
 
@@ -337,7 +337,7 @@ class SnapshotStore:
 
     def __init__(self, keep: int = 4):
         if keep < 1:
-            raise SimulationError(f"keep must be >= 1, got {keep}")
+            raise ConfigError(f"keep must be >= 1, got {keep}")
         self._lock = threading.Lock()
         #: step -> rank -> (generation, payload)
         self._snaps: dict[int, dict[int, tuple[int, dict]]] = {}
@@ -815,7 +815,7 @@ def train_resilient(
     from repro.train.trainer import train_classifier  # avoid import cycle
 
     if availability is not None and elastic is None:
-        raise SimulationError(
+        raise ConfigError(
             "availability schedules (NodeRepair/SpareArrival) require an "
             "ElasticPolicy — pass elastic= alongside availability="
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
 
 __all__ = [
     "ceil_div",
@@ -57,11 +57,12 @@ def check_divides(divisor: int, value: int, what: str = "value") -> int:
 
 
 def check_positive(value: int, what: str = "value") -> int:
-    """Validate that ``value`` is a positive integer and return it."""
+    """Validate that the configured ``value`` is a positive integer and
+    return it."""
     if not isinstance(value, (int,)) or isinstance(value, bool):
-        raise ShapeError(f"{what} must be an int, got {type(value).__name__}")
+        raise ConfigError(f"{what} must be an int, got {type(value).__name__}")
     if value <= 0:
-        raise ShapeError(f"{what} must be positive, got {value}")
+        raise ConfigError(f"{what} must be positive, got {value}")
     return value
 
 

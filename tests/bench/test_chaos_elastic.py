@@ -17,7 +17,7 @@ from repro.bench.chaos import (
     render_chaos,
     run_scenario,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 
 #: scenario name -> (attempts, reshapes, grows, quarantines, final_world)
 EXPECTED = {
@@ -139,10 +139,10 @@ class TestElasticScenarios:
 
     def test_node_crash_requires_crash_at(self):
         sc = ChaosScenario(name="bad", node_crash=1)
-        with pytest.raises(SimulationError, match="crash_at"):
+        with pytest.raises(ConfigError, match="crash_at"):
             sc.fault_plan()
 
     def test_node_repair_requires_node_crash(self):
         sc = ChaosScenario(name="bad", node_repair_at=0.5)
-        with pytest.raises(SimulationError, match="node_crash"):
+        with pytest.raises(ConfigError, match="node_crash"):
             sc.fault_plan()

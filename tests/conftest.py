@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sim.engine import Engine
+
+#: The configuration property tests (tests/test_config_property.py) run a
+#: small derandomized budget in tier-1; nightly runs them under this
+#: profile with ``--hypothesis-profile config-nightly``.
+settings.register_profile("config-nightly", max_examples=2000,
+                          derandomize=False, deadline=None,
+                          print_blob=True)
 
 
 def run_spmd(nranks: int, fn, mode: str = "real", seed: int = 0, **engine_kwargs):

@@ -3,12 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.errors import GridError
-from repro.parallel.factory import MODES, StackHandle, build_transformer_stack
+from repro.errors import ConfigError, GridError
+from repro.parallel.factory import (
+    MODES,
+    StackHandle,
+    build_transformer_stack,
+    grid_shape,
+)
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
 from tests.conftest import run_spmd
+
+
+class TestGridShape:
+    """grid_shape is the one check of a mode and its grid dimensions."""
+
+    def test_depth_bounded_by_q(self):
+        with pytest.raises(GridError, match=r"d=3 must satisfy 1 <= d <= q=2"):
+            grid_shape("tesseract", q=2, d=3)
+
+    def test_megatron_needs_its_group_size(self):
+        with pytest.raises(GridError, match="world"):
+            grid_shape("megatron")
+        with pytest.raises(GridError, match="world"):
+            grid_shape("megatron", world=0)
+        assert grid_shape("megatron", world=4) == (1, 1)
+
+    def test_unused_dimensions_are_not_read(self):
+        assert grid_shape("serial", q=0, d=-1, world=0) == (1, 1)
+        assert grid_shape("tesseract", q=2, d=2, world=0) == (2, 2)
+
+    def test_a_grid_error_is_a_config_error(self):
+        assert issubclass(GridError, ConfigError)
+        assert issubclass(ConfigError, ValueError)
 
 
 class TestBuild:

@@ -1,18 +1,12 @@
-"""Tests for the Optimus (2-D) layer family."""
+"""Tests for the Optimus (2-D) layers: the one layer skeleton on a d = 1
+grid.  ``grid_shape`` rejects an optimus mode deeper than d = 1
+(``tests/parallel/test_factory.py``, ``tests/plan/test_space.py``)."""
 
 import numpy as np
-import pytest
 
-from repro.errors import GridError
 from repro.grid.context import ParallelContext
-from repro.parallel.optimus.layers import (
-    OptimusLayerNorm,
-    OptimusLinear,
-    OptimusMLP,
-    OptimusSelfAttention,
-    OptimusTransformerLayer,
-)
-from repro.parallel.tesseract.layers import local_block_a
+from repro.parallel.layers import TransformerLayer
+from repro.parallel.tesseract.layers import TesseractLinear, local_block_a
 from repro.pblas.layouts import combine_c
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
@@ -21,25 +15,10 @@ Q = 2
 
 
 class TestDepthOneConstraint:
-    @pytest.mark.parametrize("cls,args", [
-        (OptimusLinear, (8, 8)),
-        (OptimusLayerNorm, (8,)),
-        (OptimusMLP, (8,)),
-        (OptimusSelfAttention, (8, 2)),
-        (OptimusTransformerLayer, (8, 2)),
-    ])
-    def test_rejects_depth_gt_one(self, cls, args):
-        def prog(ctx):
-            pc = ParallelContext.tesseract(ctx, q=Q, d=2)
-            cls(pc, *args)
-
-        with pytest.raises(GridError, match="d=1"):
-            Engine(nranks=Q * Q * 2).run(prog)
-
     def test_accepts_depth_one(self):
         def prog(ctx):
             pc = ParallelContext.tesseract(ctx, q=Q, d=1)
-            lin = OptimusLinear(pc, 8, 8)
+            lin = TesseractLinear(pc, 8, 8)
             return lin.w.value.shape
 
         assert Engine(nranks=Q * Q).run(prog) == [(4, 4)] * 4
@@ -51,7 +30,7 @@ class TestOptimusNumerics:
 
         def prog(ctx):
             pc = ParallelContext.tesseract(ctx, q=Q, d=1)
-            lin = OptimusLinear(pc, 8, 8, bias=False, init_tags=("ol",))
+            lin = TesseractLinear(pc, 8, 8, bias=False, init_tags=("ol",))
             y = lin.forward(VArray.from_numpy(local_block_a(pc, x)))
             lin.backward(VArray.from_numpy(
                 np.zeros(y.shape, dtype=np.float32)))
@@ -67,7 +46,7 @@ class TestOptimusNumerics:
     def test_transformer_layer_runs_symbolically(self):
         def prog(ctx):
             pc = ParallelContext.tesseract(ctx, q=Q, d=1)
-            layer = OptimusTransformerLayer(pc, hidden=8, nheads=2)
+            layer = TransformerLayer(pc, hidden=8, nheads=2)
             y = layer.forward(VArray.symbolic((2, 3, 4)))
             dx = layer.backward(VArray.symbolic((2, 3, 4)))
             return y.shape, dx.shape

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError, SimulationError
+from repro.errors import ConfigError, ShapeError, SimulationError
 from repro.nn.linear import Linear
 from repro.nn.module import Sequential
 from repro.nn.activation import GELU
@@ -179,7 +179,7 @@ class Test1F1BSchedule:
                            loss_grad_fn=lambda y, m: (0.0, y),
                            schedule="1f1b")
 
-        with pytest.raises(SimulationError, match="stage_index"):
+        with pytest.raises(ConfigError, match="stage_index"):
             run_spmd(1, prog, mode="symbolic")
 
     def test_unknown_schedule_rejected(self):
@@ -190,7 +190,7 @@ class Test1F1BSchedule:
                            loss_grad_fn=lambda y, m: (0.0, y),
                            schedule="interleaved")
 
-        with pytest.raises(SimulationError, match="unknown pipeline"):
+        with pytest.raises(ConfigError, match="unknown pipeline"):
             run_spmd(1, prog, mode="symbolic")
 
 

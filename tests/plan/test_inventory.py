@@ -27,7 +27,6 @@ from repro.grid.context import GridLayout, ParallelContext
 from repro.grid.shapes import TesseractShape
 from repro.hardware.spec import meluxina
 from repro.parallel.megatron.layers import MegatronTransformerLayer
-from repro.parallel.optimus.layers import OptimusTransformerLayer
 from repro.parallel.serial import SerialTransformerLayer
 from repro.parallel.tesseract.layers import TesseractTransformerLayer
 from repro.plan.cost import PlanCostModel, plan_groups
@@ -74,9 +73,8 @@ def _layer(ctx, model, cfg):
     if cfg.scheme in ("optimus", "tesseract"):
         pc = ParallelContext(ctx, GridLayout(TesseractShape(q=cfg.q,
                                                             d=cfg.d)))
-        cls = (OptimusTransformerLayer if cfg.scheme == "optimus"
-               else TesseractTransformerLayer)
-        return cls(pc, h, nh, r), (MB // (cfg.d * cfg.q), h // cfg.q)
+        return (TesseractTransformerLayer(pc, h, nh, r),
+                (MB // (cfg.d * cfg.q), h // cfg.q))
     if cfg.scheme == "megatron":
         comm = Communicator(ctx, range(cfg.tp))
         return MegatronTransformerLayer(comm, h, nh, r), (MB, h)

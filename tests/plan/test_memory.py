@@ -11,7 +11,7 @@ checked first, module by module, against one built layer per scheme.
 
 import pytest
 
-from repro.errors import GridError, SimulationError
+from repro.errors import ConfigError, GridError
 from repro.hardware.spec import meluxina
 from repro.parallel.factory import tensor_group
 from repro.parallel.layers import TransformerLayer, layout_of
@@ -187,7 +187,7 @@ class TestLiveSets:
         assert _live_sets(pipeline_order("1f1b", 4, 0, 1)) == 1
 
     def test_unknown_schedule(self):
-        with pytest.raises(SimulationError, match="unknown pipeline"):
+        with pytest.raises(ConfigError, match="unknown pipeline"):
             pipeline_order("interleaved", 2, 0, 2)
 
 

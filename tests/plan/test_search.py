@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import GridError
+from repro.errors import ConfigError
 from repro.plan.search import Planner, render_plan
 from repro.plan.space import MODEL_PRESETS, enumerate_configs
 
@@ -62,7 +62,7 @@ class TestSearch:
         assert all(pc.config != rec.config for pc in tight.ranked)
 
     def test_unknown_schedule(self):
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError, match="unknown pipeline schedule"):
             Planner(world=8).search(TINY, global_batch=32,
                                     schedule="interleaved")
 

@@ -44,6 +44,16 @@ class TestCandidateConfig:
         with pytest.raises(GridError):
             CandidateConfig("serial", dp=1, pp=1, tp=1, q=2, d=1)
 
+    def test_optimus_is_depth_one(self):
+        # grid_shape owns the rule; the config was once labelled
+        # "optimus[2,2,2]" here.
+        with pytest.raises(GridError, match="d=1"):
+            CandidateConfig(scheme="optimus", dp=1, pp=1, tp=8, q=2, d=2)
+
+    def test_serial_has_one_tensor_rank(self):
+        with pytest.raises(GridError, match="tp"):
+            CandidateConfig("serial", dp=1, pp=1, tp=4)
+
     def test_unknown_scheme(self):
         with pytest.raises(GridError):
             CandidateConfig("colossal", dp=1, pp=1, tp=1)

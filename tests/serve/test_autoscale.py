@@ -21,7 +21,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.models.configs import TransformerConfig
 from repro.serve import (
     AutoscaleConfig,
@@ -90,7 +90,7 @@ class TestAutoscaleConfigValidation:
         {"spinup_iters": -1},
     ])
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             AutoscaleConfig(**kwargs)
 
 
@@ -337,9 +337,9 @@ class TestPagedFleet:
         assert sum(audits.values()) > paged_fleet["iterations"]
 
     def test_invalid_combinations_still_raise(self):
-        with pytest.raises(SimulationError, match="requires the paged cache"):
+        with pytest.raises(ConfigError, match="requires the paged cache"):
             SchedulerConfig(prefill_chunk_tokens=4)
-        with pytest.raises(SimulationError, match="requires the paged cache"):
+        with pytest.raises(ConfigError, match="requires the paged cache"):
             SchedulerConfig(spec=SpecDecodeConfig())
-        with pytest.raises(SimulationError, match="continuous policy"):
+        with pytest.raises(ConfigError, match="continuous policy"):
             SchedulerConfig(kv_block_tokens=4, policy="static")

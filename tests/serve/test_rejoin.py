@@ -11,7 +11,7 @@ replica 0 is left.
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.models.configs import TransformerConfig
 from repro.serve import (
     AutoscaleConfig,
@@ -66,11 +66,11 @@ class TestReplicaOutageValidation:
         {"out_at": 0, "repair_at": 5, "warmup_iters": -1},
     ])
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ReplicaOutage(**kwargs)
 
     def test_outages_require_autoscale(self):
-        with pytest.raises(SimulationError, match="AutoscaleConfig"):
+        with pytest.raises(ConfigError, match="AutoscaleConfig"):
             _serve(outages=(OUTAGE,))
 
     def test_empty_outages_change_nothing(self, baseline):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.hardware.spec import GPUSpec
 from repro.models.configs import TransformerConfig
 from repro.serve import (
@@ -193,24 +193,24 @@ class TestHostCostOfAPricedOp:
 class TestValidation:
     def test_seq_len_too_short(self):
         cfg = dataclasses.replace(MODEL, seq_len=8)
-        with pytest.raises(SimulationError, match="seq_len"):
+        with pytest.raises(ConfigError, match="seq_len"):
             run_serving("serial", model_cfg=cfg, workload=WORKLOAD,
                         sched=SCHED)
 
     def test_budget_below_longest_request(self):
         sched = dataclasses.replace(SCHED, kv_budget_tokens=16)
-        with pytest.raises(SimulationError, match="budget"):
+        with pytest.raises(ConfigError, match="budget"):
             run_serving("serial", model_cfg=MODEL, workload=WORKLOAD,
                         sched=sched)
 
     def test_vocab_too_small(self):
         cfg = dataclasses.replace(MODEL, vocab=16)
-        with pytest.raises(SimulationError, match="vocab"):
+        with pytest.raises(ConfigError, match="vocab"):
             run_serving("serial", model_cfg=cfg, workload=WORKLOAD,
                         sched=SCHED)
 
     def test_slots_not_divisible_by_bands(self):
         sched = dataclasses.replace(SCHED, max_slots=5)
-        with pytest.raises(SimulationError, match="divisible"):
+        with pytest.raises(ConfigError, match="divisible"):
             run_serving("tesseract", model_cfg=MODEL, workload=WORKLOAD,
                         sched=sched, q=2, d=2)

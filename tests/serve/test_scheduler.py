@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.cache import KVCacheManager
 from repro.serve.metrics import RequestRecord
 from repro.serve.runner import _preempt_until_fit
@@ -18,11 +18,11 @@ def _req(rid, arrival=0.0, plen=4, olen=8):
 
 class TestSchedulerConfig:
     def test_validation(self):
-        with pytest.raises(SimulationError, match="max_slots"):
+        with pytest.raises(ConfigError, match="max_slots"):
             SchedulerConfig(max_slots=0)
-        with pytest.raises(SimulationError, match="kv_budget"):
+        with pytest.raises(ConfigError, match="kv_budget"):
             SchedulerConfig(kv_budget_tokens=0)
-        with pytest.raises(SimulationError, match="policy"):
+        with pytest.raises(ConfigError, match="policy"):
             SchedulerConfig(policy="nope")
 
 

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.serve.workload import Request, WorkloadConfig, generate_workload
 
 
 class TestWorkloadConfig:
     def test_validation(self):
-        with pytest.raises(SimulationError, match="num_requests"):
+        with pytest.raises(ConfigError, match="num_requests"):
             WorkloadConfig(num_requests=0)
-        with pytest.raises(SimulationError, match="arrival_rate"):
+        with pytest.raises(ConfigError, match="arrival_rate"):
             WorkloadConfig(arrival_rate=0.0)
-        with pytest.raises(SimulationError, match="long_frac"):
+        with pytest.raises(ConfigError, match="long_frac"):
             WorkloadConfig(long_frac=1.5)
-        with pytest.raises(SimulationError, match="prompt_len"):
+        with pytest.raises(ConfigError, match="prompt_len"):
             WorkloadConfig(prompt_len=(5, 3))
 
     def test_max_request_tokens(self):

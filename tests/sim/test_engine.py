@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
-from repro.errors import CommError, DeadlockError, SimulationError
+from repro.errors import CommError, ConfigError, DeadlockError, SimulationError
 from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
@@ -25,7 +25,7 @@ class TestBasicExecution:
         assert out == [(0, 5, 7), (1, 5, 7)]
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             Engine(nranks=1, mode="fake")
 
     def test_default_cluster_sized_to_ranks(self):

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
-from repro.errors import DeadlockError, RankFailureError, SimulationError
+from repro.errors import ConfigError, DeadlockError, RankFailureError
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     ComputeSlowdown,
@@ -72,26 +72,41 @@ def _allreduce_loop(steps=50, flops=1e9):
 
 
 class TestFaultPlanValidation:
+    @pytest.mark.parametrize("build", [
+        lambda nan: RankCrash(rank=0, at=nan),
+        lambda nan: NodeCrash(node=0, at=nan),
+        lambda nan: LinkFault(src=0, dst=1, factor=nan),
+        lambda nan: ComputeSlowdown(rank=0, factor=nan),
+        lambda nan: ComputeSlowdown(rank=0, factor=2.0, until=nan),
+        lambda nan: RetryPolicy(base_delay=nan),
+        lambda nan: FaultPlan(jitter=nan),
+    ])
+    def test_rejects_nan(self, build):
+        # a NaN fails every comparison, so each range check is written
+        # to reject what it does not accept
+        with pytest.raises(ConfigError, match="nan"):
+            build(float("nan"))
+
     def test_rejects_duplicate_crash_ranks(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             FaultPlan(crashes=(RankCrash(rank=1, at=0.1),
                                RankCrash(rank=1, at=0.2)))
 
     def test_rejects_bad_transient_rate(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             FaultPlan(transient_rate=1.0)
 
     def test_rejects_negative_crash_time(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             RankCrash(rank=0, at=-1.0)
 
     def test_rejects_speedup_link_factor(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             LinkFault(src=0, dst=1, factor=0.5)
 
     def test_engine_rejects_out_of_range_crash_rank(self):
         plan = FaultPlan(crashes=(RankCrash(rank=7, at=0.1),))
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             Engine(nranks=4, fault_plan=plan)
 
     def test_retry_delay_is_exponential(self):
@@ -100,15 +115,15 @@ class TestFaultPlanValidation:
         assert policy.delay(3) == pytest.approx(4e-4)
 
     def test_rejects_negative_node_index(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             NodeCrash(node=-1, at=0.1)
 
     def test_rejects_negative_node_crash_time(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             NodeCrash(node=0, at=-0.1)
 
     def test_rejects_duplicate_crash_nodes(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             FaultPlan(node_crashes=(NodeCrash(node=1, at=0.1),
                                     NodeCrash(node=1, at=0.2)))
 
@@ -128,7 +143,7 @@ class TestFaultPlanValidation:
         # 4 ranks pack onto one node under the default placement, so
         # node 1 does not exist in the used topology.
         plan = FaultPlan(node_crashes=(NodeCrash(node=1, at=0.1),))
-        with pytest.raises(SimulationError, match="topology"):
+        with pytest.raises(ConfigError, match="topology"):
             Engine(nranks=4, fault_plan=plan)
 
 
@@ -136,28 +151,28 @@ class TestAvailabilitySchedule:
     """NodeRepair / SpareArrival validation and the describe() timeline."""
 
     def test_rejects_negative_repair_fields(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             NodeRepair(node=-1, at=0.5)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             NodeRepair(node=0, at=-0.5)
 
     def test_rejects_bad_spare_arrival(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             SpareArrival(count=0, at=0.5)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             SpareArrival(count=2, at=-0.1)
 
     def test_rejects_repair_for_never_crashed_node(self):
-        with pytest.raises(SimulationError, match="no scheduled NodeCrash"):
+        with pytest.raises(ConfigError, match="no scheduled NodeCrash"):
             FaultPlan(node_repairs=(NodeRepair(node=3, at=0.5),))
 
     def test_rejects_repair_before_its_crash(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             FaultPlan(node_crashes=(NodeCrash(node=1, at=0.4),),
                       node_repairs=(NodeRepair(node=1, at=0.3),))
 
     def test_rejects_duplicate_repairs(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             FaultPlan(node_crashes=(NodeCrash(node=1, at=0.1),),
                       node_repairs=(NodeRepair(node=1, at=0.2),
                                     NodeRepair(node=1, at=0.3),))
@@ -176,7 +191,7 @@ class TestAvailabilitySchedule:
         assert plan.arrived_spares(1.0) == 5
 
     def test_rejects_nonpositive_slowdown_window(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ComputeSlowdown(rank=0, factor=2.0, until=0.0)
 
     def test_windowed_slowdown_expires(self):

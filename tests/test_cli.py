@@ -97,13 +97,13 @@ class TestCommands:
 
     def test_chaos_rejects_unknown_scenario(self, capsys):
         assert main(["chaos", "--scenario", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().out.lower()
+        assert "unknown scenario" in capsys.readouterr().err.lower()
 
     def test_chaos_elastic_names_are_gated_behind_the_flag(self, capsys):
         # Elastic scenarios are a separate campaign: without --elastic
         # their names are unknown (and vice versa for the default set).
         assert main(["chaos", "--scenario", "elastic-shrink-rank"]) == 2
-        assert "unknown scenario" in capsys.readouterr().out.lower()
+        assert "unknown scenario" in capsys.readouterr().err.lower()
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -150,3 +150,87 @@ class TestCommands:
         assert main(["serve", "--mode", "optimus", "--q", "2",
                      "--requests", "4", "--policy", "continuous"]) == 0
         assert "goodput" in capsys.readouterr().out
+
+    def test_serve_one_rank_grid(self, capsys):
+        # q = d = 1 is a valid [1, 1, 1] grid; it once failed to build
+        assert main(["serve", "--mode", "tesseract", "--q", "1", "--d", "1",
+                     "--requests", "2", "--layers", "1", "--hidden", "8",
+                     "--policy", "continuous"]) == 0
+        assert "2/2 done" in capsys.readouterr().out
+
+    def test_serve_paged_flags(self, capsys, tmp_path):
+        out_json = tmp_path / "paged.json"
+        assert main(["serve", "--requests", "3", "--layers", "1",
+                     "--hidden", "8", "--policy", "continuous",
+                     "--kv-block", "16", "--chunk", "8", "--spec-k", "2",
+                     "--accept-rate", "0.5", "--prefix-pool", "2",
+                     "--priorities", "--json", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert "paged: prefix hit" in out and "tok/step" in out
+        assert "slo" in out
+
+        import json
+
+        rep = json.loads(out_json.read_text())["continuous"]
+        assert rep["completed"] == 3
+        assert {"paged", "spec"} <= set(rep)
+
+
+class TestConfigErrors:
+    """A rejected configuration exits 2 with one stderr line naming the
+    field; the rule's owner, not the CLI, writes the message."""
+
+    @staticmethod
+    def _rejected(capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert len(err.strip().splitlines()) == 1, err
+        return err
+
+    def test_serve_depth_beyond_q(self, capsys):
+        err = self._rejected(capsys, ["serve", "--mode", "tesseract",
+                                      "--q", "2", "--d", "3"])
+        assert "d=3" in err and "q=2" in err
+
+    def test_serve_paged_cache_needs_continuous_policy(self, capsys):
+        err = self._rejected(capsys, ["serve", "--kv-block", "16",
+                                      "--policy", "static"])
+        assert "kv_block_tokens" in err and "continuous policy" in err
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--chunk", "prefill_chunk_tokens"), ("--spec-k", "spec")])
+    def test_serve_chunk_and_spec_need_the_paged_cache(self, capsys, flag,
+                                                       field):
+        err = self._rejected(capsys, ["serve", flag, "4"])
+        assert field in err and "requires the paged cache" in err
+
+    def test_tables_rejects_zero_sizes(self, capsys):
+        # these once ran the default sizes instead
+        err = self._rejected(capsys, ["tables", "--seq-len", "0",
+                                      "--layers", "0"])
+        assert "seq_len" in err
+
+    def test_tables_rejects_zero_layers(self, capsys):
+        err = self._rejected(capsys, ["tables", "--layers", "0"])
+        assert "num_layers" in err
+
+    def test_matmul_rejects_zero_q(self, capsys):
+        err = self._rejected(capsys, ["matmul", "--q", "0"])
+        assert "q must be >= 1" in err
+
+    def test_fig7_rejects_zero_epochs(self, capsys):
+        err = self._rejected(capsys, ["fig7", "--epochs", "0"])
+        assert "epochs" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--seq-len", "0"], "seq_len"),
+        (["--seq-len", "-5"], "seq_len"),
+        (["--world", "0"], "world"),
+        (["--global-batch", "0"], "global_batch"),
+        (["--max-microbatches", "0"], "max_microbatches"),
+        (["--budget-fraction", "0"], "budget_fraction"),
+        (["--top", "-1"], "top"),
+    ])
+    def test_plan_rejections(self, capsys, argv, field):
+        err = self._rejected(capsys, ["plan", "--model", "tiny", *argv])
+        assert field in err

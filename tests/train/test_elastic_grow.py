@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticImageClassification
-from repro.errors import RankFailureError, SimulationError
+from repro.errors import ConfigError, RankFailureError, SimulationError
 from repro.grid.context import ParallelContext
 from repro.grid.shapes import TesseractShape
 from repro.models.configs import ViTConfig
@@ -185,7 +185,7 @@ class TestSpareArrival:
         assert later.history.losses == pytest.approx(base.history.losses)
 
     def test_availability_requires_elastic(self):
-        with pytest.raises(SimulationError, match="elastic"):
+        with pytest.raises(ConfigError, match="elastic"):
             train_resilient(
                 self._factory, _setup4, DATA, epochs=2, batch_size=16,
                 resilience=RES, availability=self.PLAN,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticImageClassification
-from repro.errors import RankFailureError, SimulationError
+from repro.errors import ConfigError, RankFailureError, SimulationError
 from repro.grid.context import ParallelContext
 from repro.models.configs import ViTConfig
 from repro.models.vit import SerialViT, TesseractViT
@@ -126,9 +126,9 @@ class TestSnapshotStore:
         assert store.load(8, 0) == {"s": 8}
 
     def test_config_validation(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ResilienceConfig(snapshot_every=0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ResilienceConfig(max_restarts=-1)
 
 
@@ -389,10 +389,12 @@ class TestElasticPolicy:
             ElasticPolicy(allowed_q=(4,)).choose_shape(3)
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ElasticPolicy(spares=-1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             ElasticPolicy(min_world=0)
+        with pytest.raises(ConfigError, match="quarantine_factor"):
+            ElasticPolicy(quarantine_factor=float("nan"))
 
 
 class TestCapacity:

@@ -12,7 +12,7 @@ complete by the pruner.
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.train import SnapshotStore
 
 
@@ -47,7 +47,7 @@ class TestKeepPruning:
         assert store.load(4, 0) == {"x": (4, 0)}
 
     def test_keep_validation(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             SnapshotStore(keep=0)
 
 

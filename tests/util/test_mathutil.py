@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
 from repro.util.mathutil import (
     ceil_div,
     check_divides,
@@ -64,15 +64,15 @@ class TestCheckPositive:
         assert check_positive(3) == 3
 
     def test_rejects_zero(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             check_positive(0)
 
     def test_rejects_bool(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             check_positive(True)
 
     def test_rejects_float(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             check_positive(2.0)  # type: ignore[arg-type]
 
 
