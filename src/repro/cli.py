@@ -405,8 +405,12 @@ def _cmd_plan(args) -> int:
             zero=args.zero, checkpoint=args.checkpoint,
             max_microbatches=args.max_microbatches,
         )
-        print(render_plan(result, top=args.top))
         rec = result.recommendation
+        # validated before anything is printed, so that a rejected
+        # --validate leaves stdout empty
+        report = (validate_topk(result, k=args.validate)
+                  if rec is not None and args.validate else None)
+        print(render_plan(result, top=args.top))
         if rec is None:
             print(f"{model.name}: no feasible config fits the "
                   f"{result.budget_bytes / 1e9:.1f} GB budget")
@@ -415,8 +419,7 @@ def _cmd_plan(args) -> int:
         print(f"recommendation: {rec.config.label}  "
               f"(predicted step {rec.predicted_step_s * 1e3:.3f} ms)")
         payloads[model.name] = result.to_payload(top=args.top)
-        if args.validate:
-            report = validate_topk(result, k=args.validate)
+        if report is not None:
             for row in report.rows:
                 print(f"  validate {row.planned.config.label:36s} "
                       f"pred {row.predicted_step_s * 1e3:9.3f} ms  "

@@ -34,7 +34,32 @@ join one ``Engine.fused_collective`` generation and are priced by
 :meth:`CommCostModel.fused`, which prices a single op exactly as that
 op's own method.  Whether the completion time is known at once or
 resolved later (deferred timing) is the engine's business; the
-communicator reads no engine state to decide it.
+communicator reads no engine state to decide it.  What does not change
+from call to call — the kind string, the root, the reduce op, the
+check and data functions, the priced offsets per payload size —
+lives in one op spec per group, kind, root and op, built on first use
+and shared by the group's members through their rendezvous channel.
+
+Receive buffers and symbolic shape rules
+----------------------------------------
+A non-root may pass :meth:`Communicator.broadcast` an MPI-style receive
+buffer instead of None: an array of the root payload's shape and dtype
+whose values are never read.  The last member to arrive checks every
+buffer against the root's payload and raises
+:class:`~repro.errors.CommError` naming both signatures on a mismatch,
+whichever side of the root the offending member arrived on.
+
+A symbolic result is fixed by shapes, so wherever the caller's own
+operands fix it, a deferring engine hands it back at the deposit
+instead of parking the rank until a partner arrives: a symbolic
+``all_reduce`` or root ``reduce`` returns the caller's own payload (the
+combine of equal signatures has that signature), a broadcast non-root
+its own symbolic receive buffer, a symbolic ``reduce_scatter`` the shape
+of its own chunk.  A broadcast non-root without a buffer, and
+``scatter``, take the root's deposit once it is there; ``gather``'s
+root, ``all_gather`` and ``all_to_all`` wait for completion.  The last
+arriver still validates every member's payload, so a mismatched member
+fails the run exactly as it does when every rank blocks.
 
 Batch windows
 -------------
@@ -86,12 +111,14 @@ invariant under retries — see "Fault model & recovery" in
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from repro.comm.group import ProcessGroup
 from repro.comm.reduce_ops import ReduceOp, combine
-from repro.errors import CommError, RankFailureError, ShapeError
+from repro.errors import CommError, RankFailureError
 from repro.sim.engine import LOCAL_ECHO, LOCAL_NONE, RankContext
 from repro.sim.events import CommEvent, FusedBatchEvent, RetryEvent
 from repro.varray.varray import VArray
@@ -159,60 +186,245 @@ class PendingResult:
         return self._value
 
 
-class _CollectiveOp:
-    """One issued or queued collective: everything needed to finish,
-    price and account for it (see :meth:`Communicator._issue`)."""
-
-    __slots__ = ("kind", "payload", "finisher_data", "price_kind",
-                 "price_bytes", "nbytes", "tag", "t_post", "handle",
-                 "local_result")
-
-    def __init__(self, kind, payload, finisher_data, price_kind,
-                 price_bytes, nbytes, tag, t_post, local_result):
-        self.kind = kind
-        self.payload = payload
-        self.finisher_data = finisher_data
-        self.price_kind = price_kind  #: base kind for fused pricing
-        self.price_bytes = price_bytes  #: float or zero-arg callable
-        self.nbytes = nbytes  #: trace convention bytes (float or callable)
-        self.tag = tag
-        self.t_post = t_post
-        self.handle: PendingResult | None = None
-        #: deferring-engine early result: a ``LOCAL_NONE``/``LOCAL_ECHO``
-        #: sentinel, a ``(op_index, arrivals) -> (ok, value)`` callable
-        #: over the raw arrival map deposited so far, or None when the
-        #: result cannot be known before the last member arrives
-        self.local_result = local_result
+# --- what the last arriver does, per kind --------------------------------
+#
+# ``check(spec, ordered)`` sees every member's payload in group order,
+# validates them and returns ``(shared, price_bytes)``: what the members'
+# results are cut from, and the size :meth:`CommCostModel.fused` prices.
+# ``data(spec, shared, i)`` is member ``i``'s result.
 
 
-def _barrier_data(ordered: dict[int, Any]) -> dict[int, Any]:
-    """Barrier data pass: every member's result is None."""
-    return {g: None for g in ordered}
+def _sig(arr: VArray) -> str:
+    return f"{arr.dtype.name}{list(arr.shape)}"
+
+
+def _check_broadcast(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    src = ordered[spec.root]
+    for i, buf in enumerate(ordered):
+        if buf is not None and buf is not src and (
+                buf.shape != src.shape or buf.dtype != src.dtype):
+            raise CommError(
+                f"broadcast receive buffer of group rank {i} is "
+                f"{_sig(buf)}, but root {spec.root} sends {_sig(src)}"
+            )
+    return src, src.nbytes
+
+
+def _check_reduce(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    combined = combine(spec.op, ordered)
+    return combined, combined.nbytes
+
+
+def _check_gathered(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    return ordered, sum([p.nbytes for p in ordered])
+
+
+def _check_reduce_scatter(spec: "_OpSpec",
+                          ordered: list[Any]) -> tuple[Any, int]:
+    reduced = [combine(spec.op, [chunks[i] for chunks in ordered])
+               for i in range(len(ordered))]
+    return reduced, sum([c.nbytes for c in reduced])
+
+
+def _check_scatter(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    chunks = ordered[spec.root]
+    return chunks, sum([c.nbytes for c in chunks])
+
+
+def _check_all_to_all(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    return ordered, max([c.nbytes for chunks in ordered for c in chunks])
+
+
+def _check_barrier(spec: "_OpSpec", ordered: list[Any]) -> tuple[Any, int]:
+    return None, 0
+
+
+def _data_shared(spec: "_OpSpec", shared: Any, i: int) -> Any:
+    return shared
+
+
+def _data_at_root(spec: "_OpSpec", shared: Any, i: int) -> Any:
+    return shared if i == spec.root else None
+
+
+def _data_copy(spec: "_OpSpec", shared: Any, i: int) -> Any:
+    return list(shared)
+
+
+def _data_own(spec: "_OpSpec", shared: Any, i: int) -> Any:
+    return shared[i]
+
+
+def _data_transpose(spec: "_OpSpec", shared: Any, i: int) -> Any:
+    return [chunks[i] for chunks in shared]
+
+
+def _others(i: int, arrs: Sequence[VArray]) -> int:
+    return sum([a.nbytes for j, a in enumerate(arrs) if j != i])
+
+
+def _nbytes(spec: "_OpSpec", i: int, payload: Any, result: Any) -> int:
+    """Member ``i``'s traffic per the convention table: what it receives,
+    or what it sends when it receives nothing."""
+    if result is None:  # non-root reduce / gather, barrier
+        return 0 if payload is None else payload.nbytes
+    if type(result) is list:  # all_gather, gather root, all_to_all
+        return _others(i, result)
+    if spec.price_kind == "scatter" and i == spec.root:
+        return _others(i, payload)  # keeps its own chunk, sends the rest
+    return result.nbytes
+
+
+def _from_root(spec: "_OpSpec") -> Callable[..., tuple[bool, Any]]:
+    """Every member's result is the root's payload, there as soon as the
+    root has deposited."""
+    root = spec.root_rank
+
+    def rule(k: int, arrivals: dict[int, Any], rank: int) -> tuple[bool, Any]:
+        dep = arrivals.get(root)
+        return (False, None) if dep is None else (True, dep[k])
+
+    return rule
+
+
+def _root_chunk(spec: "_OpSpec") -> Callable[..., tuple[bool, Any]]:
+    """The caller's chunk exists as soon as the root has deposited."""
+    root, imap = spec.root_rank, spec.imap
+
+    def rule(k: int, arrivals: dict[int, Any], rank: int) -> tuple[bool, Any]:
+        dep = arrivals.get(root)
+        return (False, None) if dep is None else (True, dep[k][imap[rank]])
+
+    return rule
+
+
+def _own_chunk_shape(spec: "_OpSpec") -> Callable[..., tuple[bool, Any]]:
+    """A symbolic reduce-scatter result has the shape of the caller's own
+    chunk ``i`` (the completer aborts if the members disagree)."""
+    imap = spec.imap
+
+    def rule(k: int, arrivals: dict[int, Any], rank: int) -> tuple[bool, Any]:
+        chunk = arrivals[rank][k][imap[rank]]
+        return True, VArray.symbolic(chunk.shape, chunk.dtype)
+
+    return rule
+
+
+#: kind -> (check, data, local rule builder or None)
+_KINDS: dict[str, tuple] = {
+    "broadcast": (_check_broadcast, _data_shared, _from_root),
+    "reduce": (_check_reduce, _data_at_root, None),
+    "all_reduce": (_check_reduce, _data_shared, None),
+    "all_gather": (_check_gathered, _data_copy, None),
+    "reduce_scatter": (_check_reduce_scatter, _data_own, _own_chunk_shape),
+    "scatter": (_check_scatter, _data_own, _root_chunk),
+    "gather": (_check_gathered, _data_at_root, None),
+    "all_to_all": (_check_all_to_all, _data_transpose, None),
+    "barrier": (_check_barrier, _data_shared, None),
+}
+
+
+class _OpSpec:
+    """One collective kind, root and reduce op on one group.
+
+    Everything that does not change from call to call, built on first
+    use and then reused: the interned kind string every member must
+    agree on, the price kind, the root's group and global rank, the
+    kind's check and data functions and its local-result rule (see
+    :data:`_KINDS`), and the priced offsets per payload size.  The
+    group's members share one spec through their rendezvous channel:
+    nothing in it is per rank, and ranks that run ahead of their peers
+    keep thousands of deposits alive, so per-rank copies would add up.
+    """
+
+    __slots__ = ("kind", "sig", "price_kind", "root", "root_rank", "op",
+                 "granks", "imap", "check", "data", "local", "complete",
+                 "_cost", "_priced", "_version")
+
+    #: payload sizes a spec keeps priced offsets for
+    MAX_PRICED = 64
+
+    def __init__(self, comm: "Communicator", name: str, root: int | None,
+                 op: ReduceOp | None):
+        params = [] if root is None else [f"root={root}"]
+        if op is not None:
+            params.append(f"op={op.value}")
+        kind = f"{name}[{','.join(params)}]" if params else name
+        self.kind = sys.intern(kind)
+        self.sig = (self.kind,)
+        self.price_kind = name
+        self.root = root
+        self.root_rank = None if root is None else comm.group.ranks[root]
+        self.op = op
+        self.granks = comm.group.ranks
+        self.imap = comm.group.index_map()
+        self.check, self.data, local = _KINDS[name]
+        self.local = None if local is None else local(self)
+        #: the engine's completion callback for this op issued alone
+        self.complete = partial(_complete, (self,))
+        self._cost = comm._cost
+        self._priced: dict[Any, tuple[float, ...]] = {}
+        self._version = -1
+
+    def offsets(self, nbytes: Any) -> tuple[float, ...]:
+        """Completion offsets of this op alone on ``nbytes``: one
+        :meth:`CommCostModel.fused` call per size and topology state."""
+        cost = self._cost
+        if self._version != cost.topology.version:
+            self._priced.clear()
+            self._version = cost.topology.version
+        out = self._priced.get(nbytes)
+        if out is None:
+            out = tuple(cost.fused(self.granks,
+                                   [(self.price_kind, float(nbytes))]))
+            if len(self._priced) < self.MAX_PRICED:
+                self._priced[nbytes] = out
+        return out
+
+
+def _complete(specs: tuple[_OpSpec, ...], arrivals: dict[int, Any],
+              need: list[int] | None):
+    """The last arriver's pass: validate every member's payload of every
+    op, price the sequence, and build the results of the ranks in
+    ``need`` (``None``: every member), in issue order."""
+    first = specs[0]
+    granks, imap = first.granks, first.imap
+    readers = granks if need is None else need
+    results: dict[int, list[Any]] = {r: [] for r in readers}
+    sizes = []
+    for k, spec in enumerate(specs):
+        shared, nbytes = spec.check(spec, [arrivals[r][k] for r in granks])
+        sizes.append(nbytes)
+        data = spec.data
+        for r in readers:
+            results[r].append(data(spec, shared, imap[r]))
+    if len(specs) == 1:
+        return results, first.offsets(sizes[0])
+    return results, first._cost.fused(granks, [
+        (spec.price_kind, float(n)) for spec, n in zip(specs, sizes)
+    ])
 
 
 def _describe_ops(win: "_BatchWindow") -> str:
     """Human op list for batch-window failure messages: ``kind:tag, ...``."""
     return ", ".join(
-        f"{op.kind}:{op.tag}" if op.tag else op.kind for op in win._ops
+        f"{spec.kind}:{tag}" if tag else spec.kind
+        for spec, _, _, tag, *_ in win._ops
     )
 
 
 class _BatchWindow:
-    """Collects the ops queued inside one ``with comm.batch()`` block."""
+    """Collects the ops queued inside one ``with comm.batch()`` block, as
+    ``(spec, payload, rule, tag, t_post, handle)`` each."""
 
     __slots__ = ("_tag", "_ops")
 
     def __init__(self, tag: str = ""):
         self._tag = tag
-        self._ops: list[_CollectiveOp] = []
+        self._ops: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self._ops)
-
-    def _enqueue(self, op: _CollectiveOp) -> PendingResult:
-        op.handle = PendingResult()
-        self._ops.append(op)
-        return op.handle
 
 
 class Communicator:
@@ -232,6 +444,9 @@ class Communicator:
         self.rank = rank  #: group-relative rank
         self.size = group.size
         self._cost = ctx.engine.comm_model
+        self._channel = ctx.engine.channel(group)
+        #: (kind, root, op) -> the group's :class:`_OpSpec`
+        self._specs: dict[tuple, _OpSpec] = self._channel.specs
         self._window: _BatchWindow | None = None
 
     # --- batch window ---------------------------------------------------------
@@ -263,15 +478,13 @@ class Communicator:
         try:
             yield win
             self._window = None
-            ops = win._ops
-            if ops:
-                results = self._issue(
-                    ops, tuple([op.kind for op in ops]),
-                    [op.payload for op in ops],
-                    [op.local_result for op in ops], win,
-                )
-                for op, value in zip(ops, results):
-                    op.handle._resolve(value)
+            if win._ops:
+                specs, payloads, rules, tags, t_posts, handles = zip(
+                    *win._ops)
+                results = self._issue(specs, payloads, rules, tags,
+                                      t_posts, win._tag)
+                for handle, value in zip(handles, results):
+                    handle._resolve(value)
         except RankFailureError as exc:
             # Fail fast instead of leaving queued handles undrained: a
             # dead partner means this window can never flush, so every
@@ -286,15 +499,15 @@ class Communicator:
                     f"undrained op(s): [{_describe_ops(win)}]"
                 ),
             )
-            for op in win._ops:
-                if op.handle is not None and not op.handle.ready:
-                    op.handle._fail(aug)
+            for *_, handle in win._ops:
+                if not handle.ready:
+                    handle._fail(aug)
             raise aug.clone() from None
         except BaseException as exc:
             self._window = None
-            for op in win._ops:
-                if op.handle is not None and not op.handle.ready:
-                    op.handle._fail(exc)
+            for *_, handle in win._ops:
+                if not handle.ready:
+                    handle._fail(exc)
             raise
 
     def _immediate(self, value: Any) -> Any:
@@ -314,114 +527,90 @@ class Communicator:
 
     # --- internal plumbing ------------------------------------------------------
 
-    def _run(
-        self,
-        kind: str,
-        payload: Any,
-        finisher_data,
-        nbytes,
-        tag: str = "",
-        price_kind: str = "",
-        price_bytes=0.0,
-        local_result=None,
-    ):
-        """Issue one collective: rendezvous now, or queue it on the window.
+    def _spec(self, name: str, root: int | None = None,
+              op: ReduceOp | None = None) -> _OpSpec:
+        key = (name, root, op)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = _OpSpec(self, name, root, op)
+        return spec
 
-        ``finisher_data`` maps the ordered ``{grank: payload}`` of every
-        member to each member's result.  ``price_kind`` and
-        ``price_bytes`` (a number, or a callable read after the data
-        pass, for root-relative ops that only learn the size there) are
-        what :meth:`CommCostModel.fused` prices.  ``nbytes`` is this
-        rank's traffic per the module convention table — either a
-        number, or a callable applied to this rank's *result* (needed
-        e.g. by broadcast, where non-root callers post None).
-        ``local_result`` lets a deferring engine hand a non-last arriver
-        its result early — see ``Engine.fused_collective``.
+    def _run(self, spec: _OpSpec, payload: Any, rule: Any, tag: str) -> Any:
+        """Issue one collective now, or queue it on the open batch window.
+
+        ``rule`` is what a deferring engine hands this rank if it is not
+        the last to arrive: a ``LOCAL_NONE``/``LOCAL_ECHO`` sentinel, a
+        callable (the spec's ``local``), or None to wait for completion
+        — see ``Engine.fused_collective``.
         """
         ctx = self.ctx
         ctx.abandon_recording()
-        op = _CollectiveOp(kind, payload, finisher_data, price_kind,
-                           price_bytes, nbytes, tag, ctx.clock.now,
-                           local_result)
         if self._window is not None:
-            return self._window._enqueue(op)
-        return self._issue([op], (kind,), [payload], [local_result])[0]
+            handle = PendingResult()
+            self._window._ops.append(
+                (spec, payload, rule, tag, ctx.clock.now, handle))
+            return handle
+        return self._issue((spec,), (payload,), (rule,), (tag,))[0]
 
     def _issue(
         self,
-        ops: list[_CollectiveOp],
-        sig: tuple[str, ...],
-        payloads: list[Any],
-        local_fns: list[Any],
-        win: _BatchWindow | None = None,
+        specs: tuple[_OpSpec, ...],
+        payloads: Sequence[Any],
+        rules: Sequence[Any],
+        tags: Sequence[str],
+        t_posts: Sequence[float] | None = None,
+        window: str | None = None,
     ) -> list[Any]:
-        """Rendezvous once for ``ops`` (one collective, or every op queued
-        in ``win``, in issue order) and return their results.
+        """Rendezvous once for ``specs`` (one collective, or every op
+        queued in the batch window tagged ``window``, in issue order, with
+        their post times ``t_posts``) and return their results.
 
-        ``sig``, ``payloads`` and ``local_fns`` are the ops' kind, payload
-        and local-result columns, passed in because a plain call has them
-        at hand: rebuilding them from ``ops`` on every collective is a
-        measurable share of a deferred deposit.  The last arriver runs
-        each op's data pass, then prices the whole sequence with
+        The last arriver runs each op's check and data pass for the
+        ranks that read a result, then prices the whole sequence with
         :meth:`CommCostModel.fused` (a single op prices as its own
-        method; consecutive same-kind ops of a window coalesce).
+        method, through its spec's per-size offsets; consecutive
+        same-kind ops of a window coalesce).
         """
         ctx = self.ctx
-        granks = self.group.ranks
-        cost = self._cost
-
-        def complete(arrivals: dict[int, Any]):
-            # Data first: it fills the byte holders that root-relative
-            # ops like broadcast only learn here.
-            per_op = [
-                op.finisher_data({g: arrivals[g][0][k] for g in granks})
-                for k, op in enumerate(ops)
-            ]
-            offsets = cost.fused(granks, [
-                (op.price_kind,
-                 float(op.price_bytes() if callable(op.price_bytes)
-                       else op.price_bytes))
-                for op in ops
-            ])
-            # per rank, the op results in issue order (plain loops: a
-            # comprehension per member would cost a call per member)
-            results = {g: [v] for g, v in per_op[0].items()}
-            for res in per_op[1:]:
-                for g, v in res.items():
-                    results[g].append(v)
-            return results, offsets
-
+        t_post = ctx.clock.now
+        if window is None:
+            sig, complete = specs[0].sig, specs[0].complete
+        else:
+            sig = tuple([spec.kind for spec in specs])
+            complete = partial(_complete, specs)
         res, t_ends = ctx.engine.fused_collective(
-            self.group, ctx, payloads, sig, complete, local_fns,
+            self._channel, ctx, self.rank, payloads, sig, rules, complete,
         )
         ctx.clock.sync_to(t_ends[-1])
         if ctx.trace.enabled:
-            total = 0.0
-            for k, op in enumerate(ops):
-                value = res[k]
-                nbytes = op.nbytes(value) if callable(op.nbytes) else op.nbytes
+            if t_posts is None:
+                t_posts = (t_post,)
+            granks = self.group.ranks
+            total = 0
+            for k, spec in enumerate(specs):
+                nbytes = _nbytes(spec, self.rank, payloads[k], res[k])
                 total += nbytes
                 ctx.trace.record(
                     CommEvent(
                         rank=ctx.rank,
-                        kind=op.kind,
+                        kind=spec.kind,
                         group=granks,
                         nbytes=nbytes,
-                        t_start=op.t_post,
+                        t_start=t_posts[k],
                         t_end=t_ends[k],
-                        tag=op.tag,
+                        tag=tags[k],
                     )
                 )
-            if win is not None:
+            if window is not None:
                 ctx.trace.record(
                     FusedBatchEvent(
                         rank=ctx.rank,
                         group=granks,
                         kinds=sig,
                         nbytes=total,
-                        t_start=ops[0].t_post,
+                        t_start=t_posts[0],
                         t_end=t_ends[-1],
-                        tag=win._tag,
+                        tag=window,
                     )
                 )
         return res
@@ -439,118 +628,67 @@ class Communicator:
     # --- collectives --------------------------------------------------------------
 
     def broadcast(self, arr: VArray | None, root: int, tag: str = "") -> VArray:
-        """Broadcast ``arr`` from group rank ``root``; non-roots may pass None."""
+        """Broadcast ``arr`` from group rank ``root``.
+
+        At a non-root ``arr`` is an MPI-style receive buffer: pass None,
+        or an array of the root payload's shape and dtype, whose values
+        are never read.  The last member to arrive checks every buffer
+        against the root's payload and raises :class:`CommError` naming
+        both signatures on a mismatch.  A shape-only buffer is also a
+        shape rule: a deferring engine hands a non-root its own symbolic
+        buffer back instead of waiting for the root to arrive.
+        """
         self._check_root(root)
         if self.size == 1:
             return self._immediate(self._expect_varray(arr, "broadcast payload"))
+        spec = self._spec("broadcast", root)
         if self.rank == root:
             self._expect_varray(arr, "broadcast payload at root")
-        root_global = self.group.global_rank(root)
-        holder: dict[str, float] = {}
-
-        def data(ordered: dict[int, Any]):
-            src = ordered[root_global]
-            src = self._expect_varray(src, "broadcast payload at root")
-            holder["nbytes"] = src.nbytes
-            return {g: src for g in ordered}
-
-        nbytes = arr.nbytes if arr is not None else 0
-        result = self._run(
-            kind=f"broadcast[root={root}]",
-            payload=arr if self.rank == root else None,
-            finisher_data=data,
-            nbytes=lambda res: res.nbytes,
-            tag=tag,
-            price_kind="broadcast",
-            price_bytes=lambda: holder.get("nbytes", nbytes),
-            # Every member's result is the root's payload, available as
-            # soon as the root has deposited.
-            local_result=lambda k, arrivals: (
-                (True, arrivals[root_global][0][k])
-                if root_global in arrivals else (False, None)
-            ),
-        )
-        return result
+            rule = LOCAL_ECHO
+        elif arr is not None and self._expect_varray(
+                arr, "broadcast receive buffer").data is None:
+            rule = LOCAL_ECHO
+        else:
+            rule = spec.local  # the root's payload, once it is there
+        return self._run(spec, arr, rule, tag)
 
     def reduce(
         self, arr: VArray, root: int, op: ReduceOp = ReduceOp.SUM, tag: str = ""
     ) -> VArray | None:
-        """Reduce to group rank ``root``; non-roots receive None."""
+        """Reduce to group rank ``root``; non-roots receive None.
+
+        A symbolic combine depends only on shape and dtype, so a
+        deferring engine hands a symbolic root its own payload back (the
+        completer still checks every member's).
+        """
         self._check_root(root)
         self._expect_varray(arr, "reduce payload")
         if self.size == 1:
             return self._immediate(arr)
-        root_global = self.group.global_rank(root)
-
-        def data(ordered: dict[int, Any]):
-            payloads = [self._expect_varray(v, "reduce payload") for v in ordered.values()]
-            combined = combine(op, payloads)
-            return {g: (combined if g == root_global else None) for g in ordered}
-
-        # Root records the combined buffer it receives; non-roots record
-        # their contribution (they receive nothing back).
-        return self._run(
-            kind=f"reduce[root={root},op={op.value}]",
-            payload=arr,
-            finisher_data=data,
-            nbytes=lambda res: res.nbytes if res is not None else arr.nbytes,
-            tag=tag,
-            price_kind="reduce",
-            price_bytes=arr.nbytes,
-            # Non-roots receive nothing; the root needs every payload.
-            local_result=None if self.rank == root else LOCAL_NONE,
-        )
+        if self.rank != root:
+            rule = LOCAL_NONE  # non-roots receive nothing
+        else:
+            rule = LOCAL_ECHO if arr.data is None else None
+        return self._run(self._spec("reduce", root, op), arr, rule, tag)
 
     def all_reduce(self, arr: VArray, op: ReduceOp = ReduceOp.SUM, tag: str = "") -> VArray:
         """All-reduce: every member receives the combined array."""
         self._expect_varray(arr, "all_reduce payload")
         if self.size == 1:
             return self._immediate(arr)
-
-        def data(ordered: dict[int, Any]):
-            payloads = [self._expect_varray(v, "all_reduce payload") for v in ordered.values()]
-            combined = combine(op, payloads)
-            return {g: combined for g in ordered}
-
-        return self._run(
-            kind=f"all_reduce[op={op.value}]",
-            payload=arr,
-            finisher_data=data,
-            nbytes=arr.nbytes,
-            tag=tag,
-            price_kind="all_reduce",
-            price_bytes=arr.nbytes,
-            # Symbolic combine depends only on shape/dtype (uniform across
-            # the group, or the completer aborts), so the result is known
-            # the moment this rank arrives — and is value-identical to the
-            # caller's own symbolic payload.
-            local_result=LOCAL_ECHO if arr.is_symbolic else None,
-        )
+        # Symbolic combine depends only on shape/dtype (uniform across
+        # the group, or the completer aborts), so the result is known
+        # the moment this rank arrives — and is value-identical to the
+        # caller's own symbolic payload.
+        return self._run(self._spec("all_reduce", None, op), arr,
+                         LOCAL_ECHO if arr.data is None else None, tag)
 
     def all_gather(self, arr: VArray, tag: str = "") -> list[VArray]:
         """All-gather: every member receives the list of all contributions."""
         self._expect_varray(arr, "all_gather payload")
         if self.size == 1:
             return self._immediate([arr])
-
-        def data(ordered: dict[int, Any]):
-            gathered = [
-                self._expect_varray(v, "all_gather payload") for v in ordered.values()
-            ]
-            return {g: list(gathered) for g in ordered}
-
-        total = arr.nbytes * self.size
-        return self._run(
-            kind="all_gather",
-            payload=arr,
-            finisher_data=data,
-            nbytes=lambda res: sum(
-                p.nbytes for i, p in enumerate(res) if i != self.rank
-            ),
-            tag=tag,
-            price_kind="all_gather",
-            price_bytes=total,
-        )
+        return self._run(self._spec("all_gather"), arr, None, tag)
 
     def reduce_scatter(
         self, chunks: Sequence[VArray], op: ReduceOp = ReduceOp.SUM, tag: str = ""
@@ -567,30 +705,10 @@ class Communicator:
             self._expect_varray(c, "reduce_scatter chunk")
         if self.size == 1:
             return self._immediate(chunks[0])
-
-        def data(ordered: dict[int, Any]):
-            out = {}
-            for i, g in enumerate(self.group.ranks):
-                out[g] = combine(op, [ordered[src][i] for src in self.group.ranks])
-            return out
-
-        total = sum(c.nbytes for c in chunks)
-        my_chunk = chunks[self.rank]
-        return self._run(
-            kind=f"reduce_scatter[op={op.value}]",
-            payload=list(chunks),
-            finisher_data=data,
-            nbytes=lambda res: res.nbytes,
-            tag=tag,
-            price_kind="reduce_scatter",
-            price_bytes=total,
-            # Symbolic combine of chunk ``self.rank`` is shape/dtype-only.
-            local_result=(
-                (lambda k, arrivals:
-                 (True, VArray.symbolic(my_chunk.shape, my_chunk.dtype)))
-                if my_chunk.is_symbolic else None
-            ),
-        )
+        spec = self._spec("reduce_scatter", None, op)
+        # Symbolic combine of chunk ``self.rank`` is shape/dtype-only.
+        rule = spec.local if chunks[self.rank].data is None else None
+        return self._run(spec, list(chunks), rule, tag)
 
     def scatter(
         self, chunks: Sequence[VArray] | None, root: int, tag: str = ""
@@ -607,40 +725,9 @@ class Communicator:
                 self._expect_varray(c, "scatter chunk")
         if self.size == 1:
             return self._immediate(chunks[0])  # type: ignore[index]
-        root_global = self.group.global_rank(root)
-        holder: dict[str, float] = {}
-
-        def data(ordered: dict[int, Any]):
-            src_chunks = ordered[root_global]
-            holder["nbytes"] = sum(c.nbytes for c in src_chunks)
-            return {g: src_chunks[i] for i, g in enumerate(self.group.ranks)}
-
-        nbytes = sum(c.nbytes for c in chunks) if chunks else 0
-        if self.rank == root:
-            # Root keeps its own chunk; it sends everything else.
-            my_bytes = sum(
-                c.nbytes for i, c in enumerate(chunks) if i != self.rank
-            )
-        else:
-            # Non-roots receive their chunk; its size is only known from
-            # the result (the finisher observes the root's chunks).
-            my_bytes = lambda res: res.nbytes  # noqa: E731
-        return self._run(
-            kind=f"scatter[root={root}]",
-            payload=list(chunks) if self.rank == root else None,
-            finisher_data=data,
-            nbytes=my_bytes,
-            tag=tag,
-            price_kind="scatter",
-            price_bytes=lambda: holder.get("nbytes", nbytes),
-            # Member ``i``'s chunk exists as soon as the root deposits.
-            local_result=(
-                lambda k, arrivals, _i=self.rank: (
-                    (True, arrivals[root_global][0][k][_i])
-                    if root_global in arrivals else (False, None)
-                )
-            ),
-        )
+        spec = self._spec("scatter", root)
+        payload = list(chunks) if self.rank == root else None
+        return self._run(spec, payload, spec.local, tag)
 
     def gather(self, arr: VArray, root: int, tag: str = "") -> list[VArray] | None:
         """Gather: root receives the list of contributions; others get None."""
@@ -648,26 +735,9 @@ class Communicator:
         self._expect_varray(arr, "gather payload")
         if self.size == 1:
             return self._immediate([arr])
-        root_global = self.group.global_rank(root)
-
-        def data(ordered: dict[int, Any]):
-            gathered = [ordered[g] for g in self.group.ranks]
-            return {g: (gathered if g == root_global else None) for g in ordered}
-
-        total = arr.nbytes * self.size
-        return self._run(
-            kind=f"gather[root={root}]",
-            payload=arr,
-            finisher_data=data,
-            nbytes=lambda res: arr.nbytes if res is None else sum(
-                p.nbytes for i, p in enumerate(res) if i != self.rank
-            ),
-            tag=tag,
-            price_kind="gather",
-            price_bytes=total,
-            # Non-roots receive nothing; the root needs every payload.
-            local_result=None if self.rank == root else LOCAL_NONE,
-        )
+        # Non-roots receive nothing; the root needs every payload.
+        rule = None if self.rank == root else LOCAL_NONE
+        return self._run(self._spec("gather", root), arr, rule, tag)
 
     def all_to_all(self, chunks: Sequence[VArray], tag: str = "") -> list[VArray]:
         """All-to-all: member ``j`` receives chunk ``j`` from every member."""
@@ -677,41 +747,14 @@ class Communicator:
             self._expect_varray(c, "all_to_all chunk")
         if self.size == 1:
             return self._immediate([chunks[0]])
-
-        def data(ordered: dict[int, Any]):
-            out = {}
-            for j, g in enumerate(self.group.ranks):
-                out[g] = [ordered[src][j] for src in self.group.ranks]
-            return out
-
-        per_pair = max(c.nbytes for c in chunks)
-        return self._run(
-            kind="all_to_all",
-            payload=list(chunks),
-            finisher_data=data,
-            nbytes=lambda res: sum(
-                p.nbytes for i, p in enumerate(res) if i != self.rank
-            ),
-            tag=tag,
-            price_kind="all_to_all",
-            price_bytes=per_pair,
-        )
+        return self._run(self._spec("all_to_all"), list(chunks), None, tag)
 
     def barrier(self, tag: str = "") -> None:
         """Synchronize all members' virtual clocks."""
         if self.size == 1:
             return self._immediate(None)
-        return self._run(
-            kind="barrier",
-            payload=None,
-            finisher_data=_barrier_data,
-            nbytes=0,
-            tag=tag,
-            price_kind="barrier",
-            price_bytes=0.0,
-            # A barrier carries no data; only its timing is deferred.
-            local_result=LOCAL_NONE,
-        )
+        # A barrier carries no data; only its timing is deferred.
+        return self._run(self._spec("barrier"), None, LOCAL_NONE, tag)
 
     # --- point-to-point -------------------------------------------------------------
 

@@ -26,6 +26,11 @@ class ReduceOp(enum.Enum):
     MIN = "min"
     PROD = "prod"
 
+    # Members are singletons compared by identity, so they may hash by
+    # identity too: ``Enum.__hash__`` hashes the member name in Python,
+    # and every reduction call looks its op spec up by a key holding it.
+    __hash__ = object.__hash__
+
 
 _NUMPY_FN = {
     ReduceOp.SUM: np.add,

@@ -13,6 +13,10 @@ Three variants cover a linear layer's forward and backward passes:
 ``summa_atb``  C = Aᵀ @ B    (backward weight grad:  B' = Aᵀ C', Eq. 3)
 
 Block placement: A and C blocks live at (i, j); B blocks live at (i, j).
+Every block of an operand has one shape, so each rank passes its own
+block to a broadcast: the root's is the payload, everyone else's the
+receive buffer (MPI style) — in symbolic mode the receiver's result is
+then known from its own operand, without waiting for the root.
 ``A`` may carry extra middle dimensions (activations ``[b, s, h]``) for
 ``summa_ab``/``summa_abt``; ``summa_atb`` contracts over the leading axes
 and therefore requires 2-D operands (callers flatten activations first).
@@ -38,8 +42,8 @@ def summa_ab(pc: ParallelContext, a: VArray, b: VArray, tag: str = "summa_ab") -
     q, ctx = pc.q, pc.ctx
     c: VArray | None = None
     for t in range(q):
-        a_t = pc.row_comm.broadcast(a if pc.j == t else None, root=t, tag=tag)
-        b_t = pc.col_comm.broadcast(b if pc.i == t else None, root=t, tag=tag)
+        a_t = pc.row_comm.broadcast(a, root=t, tag=tag)
+        b_t = pc.col_comm.broadcast(b, root=t, tag=tag)
         part = ops.matmul(ctx, a_t, b_t, tag=tag)
         c = part if c is None else ops.add(ctx, c, part, tag=tag)
     assert c is not None
@@ -57,7 +61,7 @@ def summa_abt(pc: ParallelContext, a: VArray, b: VArray, tag: str = "summa_abt")
     q, ctx = pc.q, pc.ctx
     c: VArray | None = None
     for t in range(q):
-        b_t = pc.col_comm.broadcast(b if pc.i == t else None, root=t, tag=tag)
+        b_t = pc.col_comm.broadcast(b, root=t, tag=tag)
         part = ops.matmul(ctx, a, b_t, transpose_b=True, tag=tag)
         red = pc.row_comm.reduce(part, root=t, tag=tag)
         if pc.j == t:
@@ -83,7 +87,7 @@ def summa_atb(pc: ParallelContext, a: VArray, b: VArray, tag: str = "summa_atb")
     q, ctx = pc.q, pc.ctx
     c: VArray | None = None
     for t in range(q):
-        a_t = pc.row_comm.broadcast(a if pc.j == t else None, root=t, tag=tag)
+        a_t = pc.row_comm.broadcast(a, root=t, tag=tag)
         part = ops.matmul(ctx, a_t, b, transpose_a=True, tag=tag)
         red = pc.col_comm.reduce(part, root=t, tag=tag)
         if pc.i == t:

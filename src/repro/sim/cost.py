@@ -410,7 +410,11 @@ class CommCostModel:
         Results are memoized per ``(topology version, group, op
         sequence)``: regular sweeps issue the same window on the same
         group for every layer of every round, and the priced offsets are
-        identical floats each time.
+        identical floats each time.  A lone collective does not come here
+        on every call: the communicator's op spec keeps the offsets this
+        returns per payload size and topology version (see
+        :class:`~repro.comm.communicator.Communicator`), so the memo key
+        is built once per group, kind and size.
         """
         memo_key = (self.topology.version, tuple(ranks), tuple(ops))
         cached = self._fused_memo.get(memo_key)

@@ -122,47 +122,60 @@ class _Gen:
     """One generation of a group channel: one collective or one window.
 
     ``sig`` is the tuple of op kinds every member must agree on,
-    ``arrivals`` maps rank to ``(per-op payload list, arrival time)`` and
-    the last arriver fills ``results``.  A blocking engine then sets the
-    absolute per-op completion times ``t_ends`` at once; a deferring one
-    keeps the cost ``offsets`` and wires the generation into the
-    resolution DAG (``links`` to each member's previous generation plus
-    the clock deltas logged since, dependency counters), which fills
-    ``t_ends`` later.  ``event`` is made only when a rank parks.
+    ``arrivals`` maps rank to its per-op payloads, ``t_arrive`` is the
+    latest arrival time so far, and the last arriver fills ``results``.
+    A blocking engine then sets the absolute per-op completion times
+    ``t_ends`` at once.  A deferring one keeps the cost ``offsets``,
+    drops the payloads and wires the generation into the resolution DAG,
+    which fills ``t_ends`` later; its links are kept by group position:
+    ``prevs[i]`` is member ``i``'s previous generation and ``since[i]``
+    the clock deltas logged since, or ``None`` and the arrival time
+    itself when the member's clock was true at its deposit.  Ranks run
+    ahead of their peers, so thousands of generations can wait at once:
+    each keeps little, and ``results``, ``dependents`` and ``readers``
+    (the ranks that parked for their results) are made on first use.
+    ``event`` is made only when a rank parks.
     """
 
-    __slots__ = ("granks", "gen", "sig", "seq", "arrivals", "results",
-                 "t_ends", "done", "event", "failed", "links", "offsets",
-                 "resolved", "unresolved_inputs", "dependents")
+    __slots__ = ("granks", "gen", "sig", "seq", "arrivals", "t_arrive",
+                 "results", "t_ends", "done", "event", "failed", "prevs",
+                 "since", "offsets", "resolved", "unresolved_inputs",
+                 "dependents", "readers")
 
     def __init__(self, granks: tuple[int, ...], gen: int,
-                 sig: tuple[str, ...], seq: int):
+                 sig: tuple[str, ...], seq: int, deferred: bool):
         self.granks = granks
         self.gen = gen
         self.sig = sig
         self.seq = seq  #: engine-wide creation order (deferred stall naming)
-        self.arrivals: dict[int, tuple[list[Any], float]] = {}
-        self.results: dict[int, list[Any]] = {}
+        self.arrivals: dict[int, Sequence[Any]] | None = {}
+        self.t_arrive = 0.0
+        self.results: dict[int, list[Any]] | None = None
         self.t_ends: tuple[float, ...] = ()
         self.done = False  #: every member deposited and results exist
         self.event: Any = None  #: backend event; set once done or failed
         self.failed: RankFailureError | None = None  #: a member died
-        #: deferred only: rank -> (previous generation or None, deltas)
-        self.links: dict[int, tuple["_Gen | None", tuple[float, ...]]] = {}
+        self.prevs: list["_Gen | None"] | None = None
+        self.since: list[Any] | None = None
+        if deferred:
+            self.prevs = [None] * len(granks)
+            self.since = [None] * len(granks)
         self.offsets: Sequence[float] = ()
         self.resolved = False  #: deferred only: ``t_ends`` computed
         self.unresolved_inputs = 0
-        self.dependents: list["_Gen"] = []
+        self.dependents: list["_Gen"] | None = None
+        self.readers: list[int] | None = None
 
 
-#: Sentinel ``local_fns`` entries for a deferring engine.  The common
-#: early-result shapes need no per-op closure: a timing-only op whose
-#: result is always ``None`` (barrier, non-root reduce/gather) passes
+#: Sentinel local-result rules for a deferring engine.  The common
+#: early-result shapes need no callable: a timing-only op whose result
+#: is always ``None`` (barrier, non-root reduce/gather) passes
 #: ``LOCAL_NONE``; a symbolic op whose result is value-identical to the
-#: caller's own payload (symbolic all_reduce: same shape, same dtype, no
-#: data) passes ``LOCAL_ECHO``.  Anything shape-changing or dependent on
-#: another rank's arrival stays a ``(op_index, arrivals) -> (ok, value)``
-#: callable.
+#: caller's own payload (symbolic all_reduce, a symbolic root reduce, a
+#: broadcast root, a non-root's symbolic broadcast receive buffer: same
+#: shape, same dtype, no data) passes ``LOCAL_ECHO``.  Anything
+#: shape-changing or dependent on another rank's arrival is a
+#: ``(op_index, arrivals, rank) -> (ok, value)`` callable.
 LOCAL_NONE = object()
 LOCAL_ECHO = object()
 
@@ -175,16 +188,23 @@ class _GroupChannel:
     has at most two generations live at once (a rank that completed
     generation ``g`` may arrive for ``g + 1`` while a peer has not yet
     picked up its ``g`` result); a deferring one keeps every incomplete
-    generation its ranks have run past.
+    generation its ranks have run past.  ``seqs[i]`` is the next
+    generation of the member at group index ``i``: every member issues
+    the same collectives in the same order, so the counters agree, and
+    only member ``i`` ever touches its own entry.  ``specs`` is where
+    :class:`~repro.comm.communicator.Communicator` keeps the op specs
+    the group's members share; the engine never reads it.
     """
 
-    __slots__ = ("lock", "granks", "size", "gens")
+    __slots__ = ("lock", "granks", "size", "gens", "seqs", "specs")
 
     def __init__(self, granks: tuple[int, ...], lock: Any):
         self.lock = lock
         self.granks = granks
         self.size = len(granks)
         self.gens: dict[int, _Gen] = {}
+        self.seqs = [0] * len(granks)
+        self.specs: dict[Any, Any] = {}
 
 
 class _Mailbox:
@@ -269,10 +289,6 @@ class RankContext:
         self.mem = MemoryTracker(capacity_bytes=engine.cluster.gpu.memory_bytes)
         #: the compute model's price table, read directly by :meth:`compute`
         self._op_times = engine.compute_model.op_times
-        #: per-group collective sequence counters (consistent across ranks
-        #: because every rank issues the same collectives in the same
-        #: order), keyed by the interned group, whose hash is cached
-        self._group_seq: dict[Any, int] = {}
         #: per-(src, dst, tag) p2p sequence counters
         self._p2p_seq: dict[tuple[int, int, Any], int] = {}
         plan = engine.fault_plan
@@ -941,7 +957,12 @@ class Engine:
 
     # --- group-channel rendezvous ---------------------------------------------
 
-    def _channel(self, group: Any) -> _GroupChannel:
+    def channel(self, group: Any) -> _GroupChannel:
+        """``group``'s rendezvous channel for the current run.
+
+        A :class:`~repro.comm.communicator.Communicator` resolves it once,
+        when it is built, so a deposit never hashes the group.
+        """
         ch = self._channels.get(group)
         if ch is None:
             with self._channels_lock:
@@ -953,25 +974,30 @@ class Engine:
 
     def fused_collective(
         self,
-        group: Any,
+        ch: _GroupChannel,
         ctx: RankContext,
+        index: int,
         payloads: list[Any],
         sig: tuple[str, ...],
+        rules: Sequence[Any],
         complete: Callable[
-            [dict[int, Any]], tuple[dict[int, list[Any]], Sequence[float]]
+            [dict[int, Any], list[int] | None],
+            tuple[dict[int, list[Any]], Sequence[float]],
         ],
-        local_fns: Sequence[Any],
     ) -> tuple[list[Any], tuple[float, ...]]:
-        """Join ``ctx``'s next generation of ``group``'s channel.
+        """Join ``ctx``'s next generation of channel ``ch``.
 
+        ``index`` is the rank's position in the channel's group.
         ``payloads`` holds one entry per op — a plain collective passes
         one, a batch window one per queued op — and ``sig`` their kinds;
         every member of the generation must pass an identical ``sig`` or
         the engine aborts with :class:`CommError`.  ``complete`` runs
         exactly once, on the last arriver, with the full ``{rank:
-        (payloads, arrival time)}`` map, and returns per-rank result
-        lists plus per-op cost offsets from the group's arrival.  Returns
-        this rank's results and the per-op completion times.
+        payloads}`` map and the ranks whose results it must build
+        (``None``: every member); it validates every arrival and returns
+        per-rank result lists plus per-op cost offsets from the group's
+        arrival.  Returns this rank's results and the per-op completion
+        times.
 
         A blocking engine completes at ``max(arrivals) + offset``: every
         non-last rank parks on the generation's one event, and the last
@@ -979,24 +1005,21 @@ class Engine:
         unfaulted, one-runner backend) leaves the rank at its provisional
         arrival time and wires the generation into the resolution DAG
         (see :meth:`_resolve`); a non-last rank takes its results from
-        ``local_fns`` (:meth:`_local_results`) and parks only when they
-        cannot answer.
+        its local ``rules`` (:meth:`_local_results`) and parks only when
+        they cannot answer, and completion builds results only for the
+        last arriver and the ranks that parked.
 
-        The channel and the rank's generation counter are keyed by the
-        group object, whose value hash is cached, so a deposit costs
-        O(ops), not O(members).
+        The generation counter is the channel's entry for ``index``, so a
+        deposit hashes nothing and costs O(ops), not O(members).
         """
         if ctx._crash_at is not None or self._dead:
             ctx.check_faults()
         if self._error is not None:
             self._check_abort()
         rank = ctx.rank
-        seqs = ctx._group_seq
-        gen = seqs.get(group, 0)
-        seqs[group] = gen + 1
-        ch = self._channels.get(group)
-        if ch is None:
-            ch = self._channel(group)
+        seqs = ch.seqs
+        gen = seqs[index]
+        seqs[index] = gen + 1
         clock = ctx.clock
         t = clock._now
         deferred = self._deferred
@@ -1004,7 +1027,8 @@ class Engine:
         with ch.lock:
             g = ch.gens.get(gen)
             if g is None:
-                g = ch.gens[gen] = _Gen(ch.granks, gen, sig, self._gen_seq)
+                g = ch.gens[gen] = _Gen(ch.granks, gen, sig, self._gen_seq,
+                                        deferred)
                 self._gen_seq += 1
             failed = g.failed
             if failed is None and self._dead:
@@ -1027,11 +1051,16 @@ class Engine:
                     f"{ch.granks} twice (sequence counters out of sync?)"
                 )
             else:
-                g.arrivals[rank] = (payloads, t)
+                g.arrivals[rank] = payloads
+                if t > g.t_arrive:
+                    g.t_arrive = t
                 if deferred:
                     # the link carries the clock deltas logged since the
                     # rank's previous deposit; a new epoch starts here
-                    g.links[rank] = (ctx._prev_gen, clock.begin_epoch())
+                    dts = clock.begin_epoch()
+                    prev = ctx._prev_gen
+                    g.prevs[index] = prev
+                    g.since[index] = dts if prev is not None else t
                     ctx._prev_gen = g
                     ctx._pending += 1
                 is_last = len(g.arrivals) == ch.size
@@ -1046,15 +1075,21 @@ class Engine:
             raise mismatch
 
         if is_last:
-            self._complete(ch, g, complete)
+            self._complete(ch, g, complete, rank)
         else:
             if deferred:
-                results = self._local_results(g, rank, local_fns)
+                results = self._local_results(g, rank, rules)
                 if results is not None:
                     return results, (t,) * len(sig)
+                if g.readers is None:
+                    g.readers = []
+                g.readers.append(rank)
             self._park(ch, g, rank)
         if deferred:
-            return g.results.pop(rank), (t,) * len(sig)
+            results = g.results.pop(rank)
+            if not g.results:
+                g.results = None
+            return results, (t,) * len(sig)
         with ch.lock:
             results = g.results.pop(rank)
             g.arrivals.pop(rank, None)
@@ -1069,31 +1104,42 @@ class Engine:
     collective_deferred_single = fused_collective
 
     def _complete(self, ch: _GroupChannel, g: _Gen,
-                  complete: Callable[..., Any]) -> None:
-        """Last arriver: compute results and prices, time the generation
-        (now, or through the resolution DAG), wake any parked member."""
+                  complete: Callable[..., Any], rank: int) -> None:
+        """Last arriver ``rank``: validate, price and build the results
+        that will be read, time the generation (now, or through the
+        resolution DAG), wake any parked member."""
+        if self._deferred:
+            need: list[int] | None = g.readers or []
+            need.append(rank)
+            g.readers = None
+        else:
+            need = None  # every non-last member is parked or about to be
         try:
-            g.results, offsets = complete(g.arrivals)
+            g.results, offsets = complete(g.arrivals, need)
         except BaseException as exc:
             self._abort(exc)
             raise
         if self._deferred:
             g.offsets = offsets
             g.done = True
+            # the payloads were read; a generation waiting on its inputs
+            # to resolve keeps only its links
+            g.arrivals = None
             del ch.gens[g.gen]
             inputs = {
                 id(prev): prev
-                for prev, _ in g.links.values()
+                for prev in g.prevs
                 if prev is not None and not prev.resolved
             }
             g.unresolved_inputs = len(inputs)
             for prev in inputs.values():
+                if prev.dependents is None:
+                    prev.dependents = []
                 prev.dependents.append(g)
             if not g.unresolved_inputs:
                 self._resolve(g)
         else:
-            t_arrive = max([t for _, t in g.arrivals.values()])
-            g.t_ends = tuple([t_arrive + off for off in offsets])
+            g.t_ends = tuple([g.t_arrive + off for off in offsets])
             g.done = True
         if g.event is not None:
             g.event.set()  # one wakeup broadcast for the whole group
@@ -1161,22 +1207,22 @@ class Engine:
     # critical section by construction.
 
     def _local_results(
-        self, g: _Gen, rank: int, local_fns: Sequence[Any]
+        self, g: _Gen, rank: int, rules: Sequence[Any]
     ) -> list[Any] | None:
         """Per-op results computable from the arrivals so far, else None.
 
         Entries are :data:`LOCAL_NONE`/:data:`LOCAL_ECHO` sentinels,
         ``None`` (not computable early) or callables.  A callable receives
-        its op index and the raw arrival map ``{grank: (payloads, t)}``
-        *by reference* — a fn that only needs this rank's own payload (the
-        symbolic-reduce shape rule) must not pay for a copy of everyone
-        else's; keeping deposits O(ops) is what makes the deferred sweep
-        linear in group size.
+        its op index, the raw arrival map ``{grank: payloads}`` *by
+        reference* and the calling rank — a rule that only needs this
+        rank's own payload (the symbolic reduce-scatter shape rule) must
+        not pay for a copy of everyone else's; keeping deposits O(ops) is
+        what makes the deferred sweep linear in group size.
         """
         vals: list[Any] = []
         arrivals = g.arrivals
         own: list[Any] | None = None
-        for k, fn in enumerate(local_fns):
+        for k, fn in enumerate(rules):
             if fn is None:
                 return None
             if fn is LOCAL_NONE:
@@ -1184,10 +1230,10 @@ class Engine:
                 continue
             if fn is LOCAL_ECHO:
                 if own is None:
-                    own = arrivals[rank][0]
+                    own = arrivals[rank]
                 vals.append(own[k])
                 continue
-            ok, val = fn(k, arrivals)
+            ok, val = fn(k, arrivals, rank)
             if not ok:
                 return None
             vals.append(val)
@@ -1207,27 +1253,25 @@ class Engine:
         while stack:
             n = stack.pop()
             t_arrive = 0.0
-            for r in n.granks:
-                prev, dts = n.links[r]
+            for prev, since in zip(n.prevs, n.since):
                 if prev is None:
-                    t = n.arrivals[r][1]  # clock was true at deposit
+                    t = since  # the clock was true at deposit
                 else:
                     t = prev.t_ends[-1]
-                    for dt in dts:
+                    for dt in since:
                         t += dt
                 if t > t_arrive:
                     t_arrive = t
             n.t_ends = tuple(t_arrive + off for off in n.offsets)
             n.resolved = True
-            n.arrivals = {}
-            n.links = {}
+            n.prevs = n.since = None
             for r in n.granks:
                 ctx = self.contexts[r]
                 ctx._pending -= 1
                 if ctx._pending == 0 and ctx._sync_event is not None:
                     ctx._sync_event.set()
-            dependents = n.dependents
-            n.dependents = []
+            dependents = n.dependents or ()
+            n.dependents = None
             for dep in dependents:
                 dep.unresolved_inputs -= 1
                 if not dep.unresolved_inputs:

@@ -101,6 +101,57 @@ class TestEngineOverheadSmoke:
         )
 
 
+class TestDeferredCollectiveStructure:
+    """The deferred sweep's structure, pinned exactly (no wall clocks).
+
+    In a symbolic, untraced event-backend engine every collective a
+    layer issues is answered from the rank's own operands: SUMMA passes
+    each rank's block as the broadcast receive buffer, a symbolic root
+    reduce or all-reduce echoes its own payload.  No rank parks, so a
+    layer that never reads ``ctx.now`` runs with no scheduler hand-off,
+    and deferring must not move a single number against blocking.
+    """
+
+    def test_tesseract_layer_runs_without_handoffs(self):
+        from repro.parallel.factory import build_transformer_stack
+
+        def prog(ctx):
+            handle = build_transformer_stack(
+                ctx, "tesseract", num_layers=1, hidden=64, nheads=4, q=2, d=2)
+            y = handle.layers.forward(handle.symbolic_input(4, 16, 64))
+            handle.layers.backward(VArray.symbolic(y.shape, y.dtype))
+            return ctx.kernels
+
+        engine = Engine(nranks=8, mode="symbolic", trace=False,
+                        backend="event")
+        kernels = engine.run(prog)
+        assert engine._deferred and min(kernels) > 0
+        assert engine.scheduler.handoffs == 0, (
+            f"{engine.scheduler.handoffs} hand-offs: some rank parked at a "
+            f"collective its own operands answer"
+        )
+
+    def test_small_table1_rows_equal_deferred_and_blocking(self):
+        from repro.bench.experiments import TABLE1_ROWS
+        from repro.bench.runner import engine_for_row, run_row
+
+        rows = [row for row in TABLE1_ROWS if row.gpus <= 8]
+        assert len(rows) == 4
+        for row in rows:
+            seen = []
+            for collect_comm in (False, True):
+                engine = engine_for_row(row, collect_comm=collect_comm)
+                assert engine._deferred is (not collect_comm)
+                m = run_row(row, seq_len=128, num_layers=1, engine=engine,
+                            collect_comm=collect_comm)
+                seen.append((
+                    m.forward, m.backward, m.peak_memory_bytes,
+                    [(c.clock.now, c.compute_seconds, c.kernels)
+                     for c in engine.contexts],
+                ))
+            assert seen[0] == seen[1], f"{row.label}: deferred != blocking"
+
+
 class TestPagedServingSmoke:
     """Fast-mode floor for ``benchmarks/bench_serving.py``'s paged arm.
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
-from repro.comm.reduce_ops import ReduceOp
-from repro.errors import CommError
+from repro.comm.reduce_ops import ReduceOp, combine
+from repro.errors import CommError, ShapeError
+from repro.sim.engine import Engine
 from repro.varray.varray import VArray
 
 from tests.conftest import run_spmd, run_spmd_engine
@@ -233,6 +234,96 @@ class TestSymbolicMode:
             return ctx.now
 
         assert all(t > 0 for t in run_spmd(2, prog, mode="symbolic"))
+
+
+def _array(ctx, shape, dtype="float32"):
+    """A rank-valued array, or its shape only in a symbolic engine."""
+    if ctx.symbolic:
+        return VArray.symbolic(shape, dtype)
+    return VArray.from_numpy(np.full(shape, ctx.rank + 1.0, dtype=dtype))
+
+
+#: every backend, real and symbolic; untraced, so that the event backend
+#: defers a symbolic run's collectives (ranks run on past a deposit)
+ENGINES = [(b, m) for b in ("threaded", "event") for m in ("real", "symbolic")]
+
+
+def _engine(nranks, backend, mode):
+    return Engine(nranks=nranks, mode=mode, trace=False, backend=backend,
+                  op_timeout=5.0)
+
+
+@pytest.mark.parametrize("backend,mode", ENGINES)
+class TestReceiveBuffersAndShapeRules:
+    """A broadcast receive buffer must match the root's payload; a
+    symbolic root reduce is its own payload's shape; a mismatched member
+    still fails in an engine whose ranks run on past their deposits."""
+
+    # group rank 1 is the root; the event backend runs rank 0 before it
+    # and rank 2 after it
+    @pytest.mark.parametrize("bad", [0, 2])
+    @pytest.mark.parametrize("shape,dtype,named", [
+        ((3, 2), "float32", "float32[3, 2]"),
+        ((2, 2), "float64", "float64[2, 2]"),
+    ])
+    def test_mismatched_buffer_names_both_signatures(
+            self, backend, mode, bad, shape, dtype, named):
+        def prog(ctx):
+            comm = Communicator(ctx, range(3))
+            if ctx.rank == bad:
+                buf = _array(ctx, shape, dtype)
+            else:
+                buf = _array(ctx, (2, 2))
+            comm.broadcast(buf, root=1)
+
+        with pytest.raises(CommError) as info:
+            _engine(3, backend, mode).run(prog)
+        msg = str(info.value)
+        assert f"group rank {bad} is {named}" in msg
+        assert "root 1 sends float32[2, 2]" in msg
+
+    def test_matching_buffers_receive_the_root_payload(self, backend, mode):
+        def prog(ctx):
+            comm = Communicator(ctx, range(3))
+            out = comm.broadcast(_array(ctx, (2, 2)), root=1)
+            return out.signature(), None if out.is_symbolic else out.numpy()
+
+        for sig, data in _engine(3, backend, mode).run(prog):
+            assert sig == ((2, 2), np.dtype("float32"), mode == "symbolic")
+            if mode == "real":
+                assert (data == 2.0).all()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "int32"])
+    @pytest.mark.parametrize("op", list(ReduceOp))
+    def test_root_reduce_has_the_combined_signature(self, backend, mode,
+                                                    dtype, op):
+        def prog(ctx):
+            comm = Communicator(ctx, range(4))
+            mine = _array(ctx, (3, 5), dtype)
+            out = comm.reduce(mine, root=2, op=op)
+            want = combine(op, [mine] * comm.size)
+            return None if out is None else (out.signature(),
+                                              want.signature())
+
+        res = _engine(4, backend, mode).run(prog)
+        assert [r is None for r in res] == [True, True, False, True]
+        got, want = res[2]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["all_reduce", "reduce"])
+    @pytest.mark.parametrize("odd", [0, 3])
+    def test_mismatched_member_raises_shape_error(self, backend, mode, kind,
+                                                  odd):
+        def prog(ctx):
+            comm = Communicator(ctx, range(4))
+            shape = (2, 3) if ctx.rank == odd else (2, 2)
+            if kind == "all_reduce":
+                comm.all_reduce(_array(ctx, shape))
+            else:
+                comm.reduce(_array(ctx, shape), root=1)
+
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            _engine(4, backend, mode).run(prog)
 
 
 class TestMembership:

@@ -127,6 +127,23 @@ def _make_schedule(rng: np.random.Generator, nranks: int) -> list[dict]:
     return schedule
 
 
+def _with_recv_buffers(schedule: list[dict], seed: int) -> list[dict]:
+    """Let some broadcasts pass a receive buffer at every non-root.
+
+    A buffer has the root payload's shape and dtype (its values differ
+    and are never read), so results, clocks and volumes stay as they
+    were; in a deferring engine the receiver's result then comes from
+    its own buffer.  The choice is drawn from a stream of its own, so no
+    seed's schedule changes.
+    """
+    rng = np.random.default_rng(5000 + seed)
+    for spec in schedule:
+        for sub in spec["ops"] if spec["op"] == "batch" else [spec]:
+            if sub.get("kind") == "broadcast":
+                sub["recv_buf"] = bool(rng.random() < 0.5)
+    return schedule
+
+
 # --------------------------------------------------------------------------
 # Independent volume expectation (the convention table, re-derived)
 # --------------------------------------------------------------------------
@@ -212,7 +229,8 @@ def _issue(comm: Communicator, spec: dict, rank: int, symbolic: bool = False):
     if kind == "all_reduce":
         return comm.all_reduce(arr)
     if kind == "broadcast":
-        return comm.broadcast(arr if comm.rank == root else None, root=root)
+        buffered = comm.rank == root or spec.get("recv_buf", False)
+        return comm.broadcast(arr if buffered else None, root=root)
     if kind == "reduce":
         return comm.reduce(arr, root=root)
     if kind == "all_gather":
@@ -306,7 +324,7 @@ def test_fuzz_schedules(seed_block):
     for seed in range(seed_block * block, (seed_block + 1) * block):
         rng = np.random.default_rng(1000 + seed)
         nranks = int(rng.integers(2, 9))
-        schedule = _make_schedule(rng, nranks)
+        schedule = _with_recv_buffers(_make_schedule(rng, nranks), seed)
         engine = engines.get((nranks, "threaded"))
         if engine is None:
             engine = engines[(nranks, "threaded")] = Engine(
@@ -369,7 +387,9 @@ def test_fuzz_schedules_symbolic_deferred(seed_block):
     for seed in range(seed_block * block, (seed_block + 1) * block):
         rng = np.random.default_rng(1000 + seed)
         nranks = int(rng.integers(2, 9))
-        program = _run_schedule(_make_schedule(rng, nranks), symbolic=True)
+        program = _run_schedule(
+            _with_recv_buffers(_make_schedule(rng, nranks), seed),
+            symbolic=True)
         runs = {}
         for backend in available_backends():
             engine = engines.get((nranks, backend))

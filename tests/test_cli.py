@@ -234,3 +234,12 @@ class TestConfigErrors:
     def test_plan_rejections(self, capsys, argv, field):
         err = self._rejected(capsys, ["plan", "--model", "tiny", *argv])
         assert field in err
+
+    def test_plan_negative_validate_prints_nothing(self, capsys):
+        # the ranking and the recommendation were once printed first
+        assert main(["plan", "--model", "tiny", "--world", "8",
+                     "--global-batch", "32", "--validate", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert "validate (k) must be >= 0, got -1" in err
