@@ -15,6 +15,7 @@ objects:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.comm.communicator import Communicator
@@ -76,6 +77,41 @@ class GridLayout:
         return (dp_idx * self.pp_size + pp_idx) * self.tensor_size + tensor_rank
 
 
+@functools.lru_cache(maxsize=32)
+def _layout_groups(layout: GridLayout) -> list[tuple[ProcessGroup, ...]]:
+    """Per world rank, its (row, col, depth, slice, tensor, dp) groups.
+
+    Every group is a strided range of world ranks (tensor ranks are
+    slice-major, see :meth:`TesseractShape.coords`, and tensor groups are
+    contiguous), so each is built once and shared by its members: the
+    table costs O(world size) per layout, where building every rank's
+    groups member by member cost O(world size) per rank.
+    """
+    shape = layout.shape
+    q, d, t = shape.q, shape.d, shape.p
+    qq = q * q
+    world = layout.world_size
+    replica = layout.pp_size * t  #: world-rank stride between dp replicas
+    dps = [ProcessGroup.of(range(r, world, replica)) for r in range(replica)]
+    out = []
+    for base in range(0, world, t):  # one tensor group per (dp, pp)
+        tensor = ProcessGroup.of(range(base, base + t))
+        slices = [ProcessGroup.of(range(s, s + qq))
+                  for s in range(base, base + t, qq)]
+        rows = [ProcessGroup.of(range(s, s + q))  # by k*q + i
+                for s in range(base, base + t, q)]
+        cols = [ProcessGroup.of(range(s + j, s + qq, q))  # by k*q + j
+                for s in range(base, base + t, qq) for j in range(q)]
+        depths = [ProcessGroup.of(range(base + r, base + t, qq))  # by i*q + j
+                  for r in range(qq)]
+        for tr in range(t):
+            k, r = divmod(tr, qq)
+            i, j = divmod(r, q)
+            out.append((rows[k * q + i], cols[k * q + j], depths[r],
+                        slices[k], tensor, dps[(base + tr) % replica]))
+    return out
+
+
 class ParallelContext:
     """One rank's coordinates and communicators within a :class:`GridLayout`.
 
@@ -95,39 +131,13 @@ class ParallelContext:
         self.dp_idx, self.pp_idx, self.tensor_rank = layout.decompose(ctx.rank)
         self.i, self.j, self.k = shape.coords(self.tensor_rank)
 
-        wr = layout.world_rank
-        dp, pp = self.dp_idx, self.pp_idx
-        q, d = self.q, self.d
-        rank_of = shape.rank_of
-
-        # Row group: fixed (i, k), j varies — ordered by j so group rank == j.
-        self.row_group = ProcessGroup.of(
-            [wr(dp, pp, rank_of(self.i, j, self.k)) for j in range(q)]
-        )
-        # Column group: fixed (j, k), i varies — group rank == i.
-        self.col_group = ProcessGroup.of(
-            [wr(dp, pp, rank_of(i, self.j, self.k)) for i in range(q)]
-        )
-        # Depth group: fixed (i, j), k varies — group rank == k.
-        self.depth_group = ProcessGroup.of(
-            [wr(dp, pp, rank_of(self.i, self.j, k)) for k in range(d)]
-        )
-        # Slice group: all of depth slice k, ordered i-major (group rank i*q+j).
-        self.slice_group = ProcessGroup.of(
-            [
-                wr(dp, pp, rank_of(i, j, self.k))
-                for i in range(q)
-                for j in range(q)
-            ]
-        )
-        # Whole tensor-parallel group, ordered by tensor rank.
-        self.tensor_group = ProcessGroup.of(
-            [wr(dp, pp, t) for t in range(shape.p)]
-        )
-        # Data-parallel group: same (pp_idx, tensor_rank) across dp replicas.
-        self.dp_group = ProcessGroup.of(
-            [wr(x, pp, self.tensor_rank) for x in range(layout.dp_size)]
-        )
+        # Row: fixed (i, k), group rank j.  Column: fixed (j, k), group
+        # rank i.  Depth: fixed (i, j), group rank k.  Slice: depth slice
+        # k, group rank i*q + j.  Tensor: the whole [q, q, d] group by
+        # tensor rank.  Data-parallel: the same (pp_idx, tensor_rank)
+        # across replicas.
+        (self.row_group, self.col_group, self.depth_group, self.slice_group,
+         self.tensor_group, self.dp_group) = _layout_groups(layout)[ctx.rank]
 
         self.row_comm = Communicator(ctx, self.row_group)
         self.col_comm = Communicator(ctx, self.col_group)

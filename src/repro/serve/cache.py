@@ -53,6 +53,18 @@ cache over an *empty* band (``band_slots=range(0)``) fed ``kv=None`` does
 the same admit / append / evict bookkeeping and stores, prices and
 charges nothing.
 
+What a slot or block stores
+---------------------------
+A contiguous slot's region and a paged block's stored KV are one
+:class:`_KV` record each: a token count, plus per-layer ``(k, v)`` numpy
+arrays in real mode.  Every kernel that moves stored KV (``kv_append``,
+``kv_page``, ``kv_frame``) is priced from token counts in the order the
+concatenations and splits it stands for would run, through
+:func:`repro.varray.ops.charge_move`; only the arrays a caller reads — a
+frame's per-layer ``(K, V)`` and what :meth:`PagedKVCache.assemble_slot`
+returns — are built.  A symbolic record is its count, so a shape-only run
+builds no per-token or per-block tensor.
+
 Slots are fixed frame rows: slot ``s`` always occupies decode-frame row
 ``s``, so the band that serves a slot never changes and no cross-band KV
 movement is ever needed.
@@ -83,75 +95,108 @@ from repro.varray.varray import VArray
 __all__ = ["KVCacheManager", "BlockPool", "PagedKVCache"]
 
 
-def _append_kv(ctx: RankContext, owner, entry: list, new: list) -> list:
-    """Per-layer ``(k, v)`` of ``entry`` with ``new``'s pieces appended along
-    the token axis: the per-slot body of both caches' appends.
+class _KV:
+    """The KV one contiguous slot or one paged block stores on this rank.
 
-    Pure ``ops`` calls fixed by the operands' signatures, so it goes through
-    :meth:`RankContext.replay`.  The op order is the one the loops around it
-    always had; the clock's float adds depend on it.
+    Every kernel that moves stored KV is priced from token counts, so a
+    shape-only run keeps nothing but ``ntokens``.  ``data`` is per layer
+    ``(k, v)`` numpy arrays of shape ``[1, ntokens, kv_width]`` in real
+    mode and None in symbolic mode.  An append replaces ``data`` with new
+    arrays and never writes into the old ones, so a copy-on-write copy may
+    start out sharing them.
     """
 
-    def run() -> list:
-        return [
-            (
-                ops.concat(ctx, [k_old, k_new], axis=1, tag="kv_append"),
-                ops.concat(ctx, [v_old, v_new], axis=1, tag="kv_append"),
-            )
-            for (k_old, v_old), (k_new, v_new) in zip(entry, new)
-        ]
+    __slots__ = ("ntokens", "data")
 
-    key = (owner, "append",
-           tuple([(k.signature(), v.signature()) for k, v in entry]),
-           tuple([(k.signature(), v.signature()) for k, v in new]))
-    return ctx.replay(key, run)
+    def __init__(self, ntokens: int, data: list | None):
+        self.ntokens = ntokens
+        self.data = data
+
+    def append(self, ntokens: int, data: list | None) -> None:
+        """Add ``ntokens`` tokens whose KV is ``data`` (see :func:`_rows`)."""
+        self.ntokens += ntokens
+        if data is not None:
+            self.data = [
+                (np.concatenate((k0, k1), axis=1),
+                 np.concatenate((v0, v1), axis=1))
+                for (k0, v0), (k1, v1) in zip(self.data, data)
+            ]
 
 
-def _assemble_frame(ctx: RankContext, num_layers: int, kv_width: int,
+def _rows(kv: list, row: int, start: int, stop: int) -> list | None:
+    """Per layer ``(k, v)`` numpy arrays ``[1, stop - start, kv_width]``:
+    tokens ``start:stop`` of row ``row`` of ``kv``.  None when ``kv`` is
+    shape-only."""
+    if kv[0][0].data is None:
+        return None
+    return [(k.data[row:row + 1, start:stop], v.data[row:row + 1, start:stop])
+            for k, v in kv]
+
+
+def _arrays(ctx: RankContext, num_layers: int, kv_width: int, dtype,
+            rows: list, s_max: int) -> list:
+    """Per layer ``(K, V)`` of shape ``[len(rows), s_max, kv_width]``.
+
+    ``rows[i]`` is ``None`` (an all-zero row) or the :class:`_KV` pieces
+    whose tokens fill row ``i`` in order, zeros after them.  Prices
+    nothing.  On a symbolic rank every array is the same shape-only one.
+    """
+    shape = (len(rows), s_max, kv_width)
+    if ctx.symbolic:
+        frame = VArray.symbolic(shape, dtype)
+        return [(frame, frame) for _ in range(num_layers)]
+    out = []
+    for layer in range(num_layers):
+        k = np.zeros(shape, dtype=dtype)
+        v = np.zeros(shape, dtype=dtype)
+        for i, pieces in enumerate(rows):
+            pos = 0
+            for piece in pieces or ():
+                kp, vp = piece.data[layer]
+                k[i, pos:pos + piece.ntokens] = kp[0]
+                v[i, pos:pos + piece.ntokens] = vp[0]
+                pos += piece.ntokens
+        out.append((VArray.from_numpy(k), VArray.from_numpy(v)))
+    return out
+
+
+def _assemble_frame(ctx: RankContext, num_layers: int, kv_width: int, dtype,
                     rows: list, s_max: int) -> list:
     """Padded past-KV frame for one rank's band rows, either design.
 
-    ``rows[i]`` is ``None`` for a padding row, else ``(parts, ntokens)``
-    with ``parts[layer] = (k_parts, v_parts)``: the stored tensors, each
-    over consecutive tokens, that make up the slot's ``ntokens`` of KV —
-    the one region of a contiguous slot, or a paged slot's blocks in table
-    order.  Returns per-layer ``(K, V)`` of shape ``[len(rows), s_max,
-    kv_width]``: each slot's cache zero-padded to ``s_max`` tokens (padding
-    rows are all zeros).  Padded/empty positions must be masked by the
-    caller's ``extra_mask`` — zeros are *valid* values to the attention
-    kernel.
+    ``rows[i]`` is ``None`` for a padding row, else ``(ntokens, pieces)``:
+    the slot's cached length and the :class:`_KV` pieces that hold it in
+    token order — the one region of a contiguous slot, or a paged slot's
+    blocks in table order.  Returns per-layer ``(K, V)`` of shape
+    ``[len(rows), s_max, kv_width]``: each slot's cache zero-padded to
+    ``s_max`` tokens (padding rows are all zeros).  Padded/empty positions
+    must be masked by the caller's ``extra_mask`` — zeros are *valid*
+    values to the attention kernel.
+
+    Priced as the concatenation it is, per layer: each row made of more
+    than one array (its pieces plus a zero pad) is joined along the token
+    axis, k then v, and the rows are joined into ``K`` and ``V``; every
+    such ``kv_frame`` kernel moves whole ``s_max``-token rows.
     """
-    # one block of zeros per row, shared by its layers and by k and v
-    lengths = [0 if row is None else row[1] for row in rows]
-    pads = [VArray.zeros((1, s_max - n, kv_width), symbolic=ctx.symbolic)
-            if n < s_max else None for n in lengths]
-    out = []
-    for layer in range(num_layers):
-        ks, vs = [], []
-        for row, pad in zip(rows, pads):
-            if row is None:
-                ks.append(pad)
-                vs.append(pad)
-                continue
-            parts_k, parts_v = row[0][layer]
-            if pad is not None:
-                parts_k = (*parts_k, pad)
-                parts_v = (*parts_v, pad)
-            ks.append(
-                parts_k[0] if len(parts_k) == 1
-                else ops.concat(ctx, parts_k, axis=1, tag="kv_frame")
+    joined = 0  #: rows whose pieces and pad are joined before the frame
+    for row in rows:
+        if row is None:
+            continue
+        n, pieces = row
+        held = sum([piece.ntokens for piece in pieces])
+        if held != n or n > s_max:
+            raise SimulationError(
+                f"a frame row stores {held} tokens of KV for a {n}-token "
+                f"slot in an {s_max}-token frame"
             )
-            vs.append(
-                parts_v[0] if len(parts_v) == 1
-                else ops.concat(ctx, parts_v, axis=1, tag="kv_frame")
-            )
-        out.append(
-            (
-                ops.concat(ctx, ks, axis=0, tag="kv_frame"),
-                ops.concat(ctx, vs, axis=0, tag="kv_frame"),
-            )
-        )
-    return out
+        if len(pieces) + (n < s_max) > 1:
+            joined += 1
+    row_bytes = s_max * kv_width * dtype.itemsize
+    for _ in range(num_layers):
+        ops.charge_move(ctx, row_bytes, "kv_frame", 2 * joined)
+        ops.charge_move(ctx, len(rows) * row_bytes, "kv_frame", 2)
+    return _arrays(ctx, num_layers, kv_width, dtype,
+                   [None if row is None else row[1] for row in rows], s_max)
 
 
 class KVCacheManager:
@@ -166,6 +211,8 @@ class KVCacheManager:
         Per-token hidden width of this rank's k/v slice (``hidden`` for
         serial, ``hidden / world`` for Megatron, ``hidden / q`` for the
         grid modes).
+    dtype:
+        Element type of the cached k/v (the model's activations).
     """
 
     def __init__(
@@ -176,7 +223,7 @@ class KVCacheManager:
         band_slots: range,
         kv_width: int,
         budget_tokens: int,
-        dtype_bytes: int = 4,
+        dtype=np.float32,
     ):
         if budget_tokens <= 0:
             raise SimulationError("kv budget must be positive")
@@ -186,11 +233,14 @@ class KVCacheManager:
         self.band_slots = band_slots
         self.kv_width = kv_width
         self.budget_tokens = budget_tokens
+        self.dtype = np.dtype(dtype)
+        #: bytes of one token's k (or v) in one layer on THIS rank
+        self._token_bytes = self.dtype.itemsize * kv_width
         #: bytes per cached token on THIS rank (k and v, all layers)
-        self.bytes_per_token = 2 * dtype_bytes * kv_width * num_layers
+        self.bytes_per_token = 2 * num_layers * self._token_bytes
         self._lens: dict[int, int] = {}  #: slot -> tokens (all slots)
         self._prompts: dict[int, int] = {}  #: slot -> prompt length
-        self._kv: dict[int, list] = {}  #: slot -> per-layer (k, v) (band only)
+        self._kv: dict[int, _KV] = {}  #: slot -> its region (band only)
         self.peak_tokens = 0
 
     # --- bookkeeping (global, rank-identical) --------------------------------
@@ -237,7 +287,7 @@ class KVCacheManager:
         self._prompts.setdefault(slot, ntokens)
         self.peak_tokens = max(self.peak_tokens, self.used_tokens)
         if slot in self.band_slots:
-            self._kv[slot] = list(kv)
+            self._kv[slot] = _KV(ntokens, _rows(kv, 0, 0, ntokens))
             self.ctx.mem.alloc(ntokens * self.bytes_per_token, "kvcache")
 
     def append_prefill(self, slot: int, kv: list | None, ntokens: int) -> None:
@@ -253,23 +303,23 @@ class KVCacheManager:
         ``[len(order), 1, kv_width]``.  Every slot (band or not) grows by
         one token in the bookkeeping via :meth:`grow`; this method only
         handles the tensors.
+
+        Priced as the split of each layer's k and v into frame rows, then
+        per slot and layer the k and the v concatenation of its region
+        and its new row (``kv_append``).
         """
         ctx = self.ctx
-        rows = len(order)
-        split = [
-            (
-                ops.split(ctx, k, rows, axis=0, tag="kv_append"),
-                ops.split(ctx, v, rows, axis=0, tag="kv_append"),
-            )
-            for k, v in new_kv
-        ]
+        layers = self.num_layers
+        t = new_kv[0][0].shape[1]
+        ops.charge_move(ctx, len(order) * t * self._token_bytes, "kv_append",
+                        2 * layers)
         for row, slot in enumerate(order):
             if slot is None:
                 continue
-            self._kv[slot] = _append_kv(
-                ctx, self, self._kv[slot],
-                [(ks[row], vs[row]) for ks, vs in split],
-            )
+            region = self._kv[slot]
+            ops.charge_move(ctx, (region.ntokens + t) * self._token_bytes,
+                            "kv_append", 2 * layers)
+            region.append(t, _rows(new_kv, row, 0, t))
             ctx.mem.alloc(self.bytes_per_token, "kvcache")
 
     def grow(self, slot: int) -> None:
@@ -307,10 +357,9 @@ class KVCacheManager:
         """Build the padded past-KV frame for this rank's band rows (see
         :func:`_assemble_frame`): each slot is its one stored region."""
         rows = [None if slot is None
-                else ([((k,), (v,)) for k, v in self._kv[slot]],
-                      self._lens[slot]) for slot in order]
+                else (self._lens[slot], (self._kv[slot],)) for slot in order]
         return _assemble_frame(self.ctx, self.num_layers, self.kv_width,
-                               rows, s_max)
+                               self.dtype, rows, s_max)
 
 
 # --- paged KV cache -----------------------------------------------------------
@@ -646,7 +695,7 @@ class PagedKVCache:
         kv_width: int,
         budget_tokens: int,
         block_tokens: int,
-        dtype_bytes: int = 4,
+        dtype=np.float32,
     ):
         if budget_tokens <= 0:
             raise SimulationError("kv budget must be positive")
@@ -665,10 +714,13 @@ class PagedKVCache:
         self.kv_width = kv_width
         self.block_tokens = block_tokens
         self.pool = BlockPool(num_blocks, block_tokens)
+        self.dtype = np.dtype(dtype)
+        #: bytes of one token's k (or v) in one layer on THIS rank
+        self._token_bytes = self.dtype.itemsize * kv_width
         #: bytes per cached token on THIS rank (k and v, all layers)
-        self.bytes_per_token = 2 * dtype_bytes * kv_width * num_layers
+        self.bytes_per_token = 2 * num_layers * self._token_bytes
         self._slots: dict[int, _PagedSlot] = {}
-        self._store: dict[int, list] = {}  #: bid -> per-layer (k, v)
+        self._store: dict[int, _KV] = {}  #: bid -> the KV it stores here
         self._stored: dict[int, int] = {}  #: bid -> tokens charged to mem
 
     # --- bookkeeping queries (global, rank-identical) ------------------------
@@ -764,18 +816,22 @@ class PagedKVCache:
             self._stored.pop(bid) * self.bytes_per_token, "kvcache"
         )
 
-    def _append(self, slot: int, tokens, parts, register: bool) -> None:
-        """Append tokens (and optionally their tensors) to a slot.
+    def _append(self, slot: int, tokens, kv, row: int,
+                register: bool) -> None:
+        """Append tokens (and optionally their KV) to a slot.
 
-        ``parts`` is a per-token list — ``parts[i]`` holds layer-indexed
-        ``(k, v)`` pieces of shape ``[1, 1, kv_width]`` — or None when
-        this rank does not store this slot's decode tensors.  The
-        bookkeeping walk (COW, allocation, registration) runs
-        identically on every rank regardless.
+        ``kv`` is per-layer ``(k, v)`` whose row ``row`` holds the tokens'
+        KV, token ``i`` at position ``i`` — or None when this rank does not
+        store this slot's decode KV.  The bookkeeping walk (COW,
+        allocation, registration) runs identically on every rank
+        regardless.  A token appended to a block that already stores KV is
+        priced as the per-layer k and v concatenation of the block and the
+        token (``kv_append``).
         """
         ctx = self.ctx
         st = self._slots[slot]
         pool = self.pool
+        store = self._store
         bs = self.block_tokens
         for i, tok in enumerate(tokens):
             fill = st.ntokens % bs
@@ -788,10 +844,11 @@ class PagedKVCache:
                 if not pool.writable(bid):
                     new_bid, evicted = pool.cow(bid)
                     self._drop(evicted)
-                    if bid in self._store:
-                        # The "copy" re-references the immutable source
-                        # tensors but is charged like a real copy.
-                        self._store[new_bid] = list(self._store[bid])
+                    if bid in store:
+                        # The "copy" shares the immutable source arrays
+                        # but is charged like a real copy.
+                        src = store[bid]
+                        store[new_bid] = _KV(src.ntokens, src.data)
                         copied = self._stored[bid]
                         self._stored[new_bid] = copied
                         ctx.mem.alloc(
@@ -800,12 +857,16 @@ class PagedKVCache:
                     st.table[-1] = bid = new_bid
             pool.append(bid, tok)
             st.ntokens += 1
-            if parts is not None:
-                entry = self._store.get(bid)
-                if entry is None:
-                    self._store[bid] = list(parts[i])
+            if kv is not None:
+                piece = _rows(kv, row, i, i + 1)
+                block = store.get(bid)
+                if block is None:
+                    store[bid] = _KV(1, piece)
                 else:
-                    self._store[bid] = _append_kv(ctx, self, entry, parts[i])
+                    ops.charge_move(ctx,
+                                    (block.ntokens + 1) * self._token_bytes,
+                                    "kv_append", 2 * self.num_layers)
+                    block.append(1, piece)
                 self._stored[bid] = self._stored.get(bid, 0) + 1
                 ctx.mem.alloc(self.bytes_per_token, "kvcache")
             if register and st.ntokens % bs == 0:
@@ -813,23 +874,13 @@ class PagedKVCache:
                 # live sharing (first registration wins).
                 pool.register(st.prompt[:st.ntokens], bid)
 
-    def _split_tokens(self, kv, ntokens: int) -> list:
-        """Per-layer ``(k, v) [1, n, w]`` -> per-token list of per-layer
-        ``(k, v) [1, 1, w]`` pieces."""
-        ctx = self.ctx
-        if ntokens == 1:
-            return [[(k, v) for k, v in kv]]
-        layer_pieces = [
-            (
-                ops.split(ctx, k, ntokens, axis=1, tag="kv_page"),
-                ops.split(ctx, v, ntokens, axis=1, tag="kv_page"),
-            )
-            for k, v in kv
-        ]
-        return [
-            [(ks[i], vs[i]) for ks, vs in layer_pieces]
-            for i in range(ntokens)
-        ]
+    def _price_token_split(self, ntokens: int) -> None:
+        """Price splitting ``ntokens`` tokens of one row of KV into
+        single tokens: per layer, a k and a v ``kv_page`` kernel (none for
+        one token)."""
+        if ntokens > 1:
+            ops.charge_move(self.ctx, ntokens * self._token_bytes, "kv_page",
+                            2 * self.num_layers)
 
     def append_prefill(self, slot: int, kv, ntokens: int) -> None:
         """Store one prefill chunk's KV (``kv`` per-layer ``(k, v)`` of
@@ -842,8 +893,9 @@ class PagedKVCache:
         if st.prefill_pos + ntokens > len(st.prompt):
             raise SimulationError(f"prefill chunk overruns slot {slot}")
         tokens = st.prompt[st.prefill_pos:st.prefill_pos + ntokens]
-        parts = None if kv is None else self._split_tokens(kv, ntokens)
-        self._append(slot, tokens, parts, register=True)
+        if kv is not None:
+            self._price_token_split(ntokens)
+        self._append(slot, tokens, kv, 0, register=True)
         st.prefill_pos += ntokens
 
     def append_decode(self, order: list[int | None], new_kv, counts,
@@ -856,29 +908,24 @@ class PagedKVCache:
         ``t_max`` query tokens are real for that slot and
         ``tokens[slot]`` their ids.  Bookkeeping advances for every slot
         on every rank; tensors are stored band-locally (none, and
-        ``new_kv`` is ignored, on a cache with no band).
+        ``new_kv`` is ignored, on a cache with no band).  Priced as the
+        split of each layer's k and v into band rows (``kv_append``),
+        then per stored row its split into tokens and its appends.
         """
-        ctx = self.ctx
-        rows_local = len(self.band_slots)
-        if rows_local:
+        band = self.band_slots
+        if band:
             t_max = new_kv[0][0].shape[1]
-            row_splits = [
-                (
-                    ops.split(ctx, k, rows_local, axis=0, tag="kv_append"),
-                    ops.split(ctx, v, rows_local, axis=0, tag="kv_append"),
-                )
-                for k, v in new_kv
-            ]
+            ops.charge_move(self.ctx, len(band) * t_max * self._token_bytes,
+                            "kv_append", 2 * self.num_layers)
         for row, slot in enumerate(order):
             if slot is None or slot not in counts:
                 continue
-            a = counts[slot]
-            parts = None
-            if row in self.band_slots:
-                local = row - self.band_slots.start
-                row_kv = [(ks[local], vs[local]) for ks, vs in row_splits]
-                parts = self._split_tokens(row_kv, t_max)[:a]
-            self._append(slot, tokens[slot], parts, register=False)
+            if row in band:
+                self._price_token_split(t_max)
+                self._append(slot, tokens[slot], new_kv, row - band.start,
+                             register=False)
+            else:
+                self._append(slot, tokens[slot], None, 0, register=False)
 
     # --- release -------------------------------------------------------------
 
@@ -932,35 +979,31 @@ class PagedKVCache:
     def assemble_slot(self, slot: int):
         """Per-layer ``(k, v) [1, ntokens, kv_width]`` for one slot — the
         unpadded past used to resume a chunked prefill (every rank holds
-        prompt-block tensors).  None when the slot has no KV yet."""
+        prompt-block tensors).  None when the slot has no KV yet.  Priced
+        as the per-layer k and v concatenation of its blocks (``kv_frame``;
+        none for a one-block table)."""
         st = self._slots[slot]
         if not st.table:
             return None
-        if len(st.table) == 1:
-            return list(self._store[st.table[0]])
-        ctx = self.ctx
-        return [(ops.concat(ctx, ks, axis=1, tag="kv_frame"),
-                 ops.concat(ctx, vs, axis=1, tag="kv_frame"))
-                for ks, vs in self._parts(st.table)]
-
-    def _parts(self, table: list[int]) -> list:
-        """Per layer, the ``(k_parts, v_parts)`` of a block table's
-        tensors in table order."""
-        entries = [self._store[bid] for bid in table]
-        return [([entry[layer][0] for entry in entries],
-                 [entry[layer][1] for entry in entries])
-                for layer in range(self.num_layers)]
+        blocks = [self._store[bid] for bid in st.table]
+        ntokens = sum([block.ntokens for block in blocks])
+        if len(blocks) > 1:
+            ops.charge_move(self.ctx, ntokens * self._token_bytes, "kv_frame",
+                            2 * self.num_layers)
+        return _arrays(self.ctx, self.num_layers, self.kv_width, self.dtype,
+                       [blocks], ntokens)
 
     def assemble(self, order: list[int | None], s_max: int) -> list:
         """Padded past-KV frame for this rank's band rows (see
-        :func:`_assemble_frame`): each slot's past is its blocks' tensors
-        in table order."""
-        slots = self._slots
+        :func:`_assemble_frame`): each slot's past is its blocks' KV in
+        table order."""
+        slots, store = self._slots, self._store
         rows = [None if slot is None
-                else (self._parts(slots[slot].table), slots[slot].ntokens)
+                else (slots[slot].ntokens,
+                      [store[bid] for bid in slots[slot].table])
                 for slot in order]
         return _assemble_frame(self.ctx, self.num_layers, self.kv_width,
-                               rows, s_max)
+                               self.dtype, rows, s_max)
 
     # --- audit ---------------------------------------------------------------
 
@@ -978,8 +1021,13 @@ class PagedKVCache:
             raise SimulationError("tensors stored for an unmapped block")
         if set(self._store) != set(self._stored):
             raise SimulationError("store/memory-charge key mismatch")
-        for bid, entry in self._store.items():
-            n = entry[0][0].shape[1]
+        for bid, block in self._store.items():
+            n = block.ntokens
+            if block.data is not None and block.data[0][0].shape[1] != n:
+                raise SimulationError(
+                    f"block {bid} counts {n} tokens but holds arrays of "
+                    f"{block.data[0][0].shape[1]}"
+                )
             if n != self._stored[bid]:
                 raise SimulationError(
                     f"block {bid} charged for {self._stored[bid]} tokens "

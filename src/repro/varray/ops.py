@@ -470,6 +470,19 @@ def reshape(ctx, a: VArray, shape: Sequence[int], tag: str = "reshape") -> VArra
     return _result(shape, a.dtype, lambda: a.numpy().reshape(shape), a.data is None)
 
 
+def charge_move(ctx, nbytes: int, tag: str, count: int = 1) -> None:
+    """Price ``count`` data-movement kernels that each read ``nbytes`` and
+    write them back: zero flops, ``2 * nbytes`` of memory traffic.
+
+    The one price of :func:`concat` and :func:`split`; a caller that keeps
+    only the token counts of what it moves (the serving KV cache) prices
+    the same kernels here without building their arrays.
+    """
+    bytes_touched = 2 * nbytes
+    for _ in range(count):
+        ctx.compute(0.0, bytes_touched, tag)
+
+
 def concat(ctx, arrays: Sequence[VArray], axis: int = 0, tag: str = "concat") -> VArray:
     """Concatenate along an axis."""
     if not arrays:
@@ -495,7 +508,7 @@ def concat(ctx, arrays: Sequence[VArray], axis: int = 0, tag: str = "concat") ->
         total_bytes += arr.nbytes
         if arr.data is None:
             symbolic = True
-    ctx.compute(0.0, 2 * total_bytes, tag)
+    charge_move(ctx, total_bytes, tag)
     return _result(
         head + (along,) + tail,
         first.dtype,
@@ -515,7 +528,7 @@ def split(
             f"cannot split axis {ax} of {ashape} into {sections} equal parts"
         )
     shape = ashape[:ax] + (ashape[ax] // sections,) + ashape[ax + 1 :]
-    ctx.compute(0.0, 2 * a.nbytes, tag)
+    charge_move(ctx, a.nbytes, tag)
     if a.data is None:
         return [VArray._trusted(shape, a.dtype, None) for _ in range(sections)]
     # equal sections of an array of a's dtype: numpy fixes shape and dtype

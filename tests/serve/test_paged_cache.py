@@ -347,8 +347,8 @@ def test_cow_never_mutates_a_shared_blocks_tensors():
         cache.evict(0)
         src = cache.pool.lookup(prompt[:3])
         assert src is not None
-        k0 = cache._store[src][0][0].numpy().copy()
-        v0 = cache._store[src][0][1].numpy().copy()
+        k0 = cache._store[src].data[0][0].copy()
+        v0 = cache._store[src].data[0][1].copy()
         # Slot 1: same prompt hits the cached tail; resuming prefill must
         # fork it (COW), leaving the original untouched and re-mappable.
         assert cache.admit(1, prompt) == 3
@@ -357,12 +357,12 @@ def test_cow_never_mutates_a_shared_blocks_tensors():
         assert cache.pool.cow_copies == 1
         forked = cache.tables()[1][0]
         assert forked != src
-        assert np.array_equal(cache._store[src][0][0].numpy(), k0)
-        assert np.array_equal(cache._store[src][0][1].numpy(), v0)
+        assert np.array_equal(cache._store[src].data[0][0], k0)
+        assert np.array_equal(cache._store[src].data[0][1], v0)
         assert cache.pool.lookup(prompt[:3]) == src
         # The fork shares the source's first 3 token-tensors bitwise.
         assert np.array_equal(
-            cache._store[forked][0][0].numpy()[:, :3], k0
+            cache._store[forked].data[0][0][:, :3], k0
         )
         cache.check()
         return True

@@ -9,6 +9,7 @@ every replay call site the loop uses is hit many times.  No wall clock.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -24,6 +25,7 @@ from repro.serve import (
     run_serving,
 )
 from repro.sim.engine import Engine, RankContext
+from repro.sim.events import ComputeEvent
 from repro.sim.faults import ComputeSlowdown, FaultPlan, RankCrash
 
 from tests.serve.pins import assert_pinned
@@ -47,13 +49,11 @@ AUTO = AutoscaleConfig(min_replicas=1, max_replicas=3, scale_up_queue=2,
                        scale_down_patience=4, spinup_iters=2)
 #: loop -> (run_serving arguments, the replay call sites it must hit)
 LOOPS = {
-    "contiguous": ({"sched": CONTIGUOUS},
-                   {"prefill", "decode_step", "append"}),
-    "paged": ({"sched": PAGED}, {"decode_step", "append"}),
+    "contiguous": ({"sched": CONTIGUOUS}, {"prefill", "decode_step"}),
+    "paged": ({"sched": PAGED}, {"decode_step"}),
     "fleet": ({"sched": CONTIGUOUS, "autoscale": AUTO},
-              {"prefill", "decode_step", "append"}),
-    "paged_fleet": ({"sched": PAGED, "autoscale": AUTO},
-                    {"decode_step", "append"}),
+              {"prefill", "decode_step"}),
+    "paged_fleet": ({"sched": PAGED, "autoscale": AUTO}, {"decode_step"}),
 }
 
 
@@ -115,10 +115,9 @@ class TestEveryLoopReplaysAndMatchesRealMode:
             assert calls[site, "replayed"] > calls[site, "recorded"] > 0
             assert not calls[site, "never"] and not calls[site, "executed"]
 
-    def test_parallel_lm_is_abandoned_but_its_cache_replays(self, probe):
+    def test_parallel_lm_is_abandoned_and_matches_real_mode(self, probe):
         # a sharded LM reaches a collective inside the pass: recorded once
-        # per key, never replayed; the per-slot appends around it are
-        # communication-free on every rank
+        # per key, never replayed
         calls, engines = probe
         real = _serve("megatron", world=2, sched=CONTIGUOUS,
                       engine_mode="real")
@@ -130,7 +129,6 @@ class TestEveryLoopReplaysAndMatchesRealMode:
         for site in ("prefill", "decode_step"):
             assert calls[site, "never"] > calls[site, "recorded"] > 0
             assert not calls[site, "replayed"]
-        assert calls["append", "replayed"] > calls["append", "recorded"] > 0
 
 
 class TestFaultedServingStaysByteIdentical:
@@ -156,10 +154,6 @@ class TestFaultedServingStaysByteIdentical:
         assert_pinned("replay_parity.crash."
                       + ("paged" if sched.paged else "contiguous"), rep)
         assert rep["recoveries"] == 1 and rep["completed"] == 96
-        # before the crash rank 1 executes and rank 0 replays; after the
-        # restart both are healthy
-        assert calls["append", "executed"] > 0
-        assert calls["append", "replayed"] > calls["append", "recorded"] > 0
 
     def test_slowed_rank(self, probe):
         calls, _ = probe
@@ -187,3 +181,82 @@ class TestFaultedServingStaysByteIdentical:
                       + ("" if mode == "serial" else f".{mode}"), rep)
         assert rep["outages"] == rep["rejoins"] == 1
         assert rep["recoveries"] == 1
+
+
+#: case -> (mode, grid arguments, scheduler): the paged cache over four
+#: batch bands, where prefill blocks are stored on every rank and decode
+#: blocks only on the band's ranks, and the contiguous cache on ranks that
+#: each store every slot
+GRID_CACHES = {
+    "paged_tesseract": ("tesseract", {"q": 2, "d": 2}, SchedulerConfig(
+        max_slots=8, kv_budget_tokens=128, policy="continuous",
+        kv_block_tokens=4, prefill_chunk_tokens=6,
+        spec=SpecDecodeConfig(spec_k=2, accept_rate=0.6))),
+    "contiguous_megatron": ("megatron", {"world": 2}, CONTIGUOUS),
+}
+CACHE_TAGS = ("kv_append", "kv_page", "kv_frame")
+
+
+@pytest.fixture
+def serve_on(monkeypatch):
+    """``serve_on(case, engine_mode, trace)`` -> (report, the engine)."""
+    engines: list[Engine] = []
+    tracing = [False]
+
+    class TracedEngine(Engine):
+        def __init__(self, *args, trace=False, **kwargs):
+            super().__init__(*args, trace=tracing[0], **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr("repro.serve.runner.Engine", TracedEngine)
+
+    def serve_on(case, engine_mode, trace):
+        mode, grid, sched = GRID_CACHES[case]
+        tracing[0] = trace
+        workload = dataclasses.replace(WORKLOAD, num_requests=16)
+        report = run_serving(mode, model_cfg=MODEL, workload=workload,
+                             sched=sched, engine_mode=engine_mode, **grid)
+        return report, engines.pop()
+
+    return serve_on
+
+
+def _cache_kernels(engine: Engine) -> list[list[tuple]]:
+    """Per rank, ``(tag, bytes_touched)`` of every KV-cache kernel."""
+    out: list[list[tuple]] = [[] for _ in range(engine.nranks)]
+    for ev in engine.trace.events:
+        if type(ev) is ComputeEvent and ev.tag in CACHE_TAGS:
+            out[ev.rank].append((ev.tag, ev.bytes_touched))
+    return out
+
+
+class TestCacheKernelsOnAGrid:
+    """Both caches on a grid: a symbolic run prices every cache kernel a
+    real run executes, rank by rank and in the same order."""
+
+    @pytest.mark.parametrize("case", sorted(GRID_CACHES))
+    def test_rank_states_and_cache_kernels(self, case, serve_on):
+        real, real_engine = serve_on(case, "real", trace=False)
+        symbolic, symbolic_engine = serve_on(case, "symbolic", trace=False)
+        assert json.dumps(symbolic, sort_keys=True) == \
+            json.dumps(real, sort_keys=True)
+        assert symbolic["completed"] == 16
+        states = [(ctx.clock.now.hex(), ctx.compute_seconds.hex(),
+                   ctx.kernels, ctx.mem.summary())
+                  for ctx in symbolic_engine.contexts]
+        assert states == [(ctx.clock.now.hex(), ctx.compute_seconds.hex(),
+                           ctx.kernels, ctx.mem.summary())
+                          for ctx in real_engine.contexts]
+
+        traced_real = _cache_kernels(serve_on(case, "real", trace=True)[1])
+        traced_symbolic = _cache_kernels(
+            serve_on(case, "symbolic", trace=True)[1])
+        assert traced_symbolic == traced_real
+        # only a paged cache splits a chunk into per-token pieces
+        tags = set(CACHE_TAGS) if GRID_CACHES[case][2].paged else \
+            {"kv_append", "kv_frame"}
+        for kernels in traced_real:
+            assert {tag for tag, _ in kernels} == tags
+        if GRID_CACHES[case][0] == "tesseract":
+            # decode KV is stored band-locally: the bands differ
+            assert len({tuple(k) for k in traced_real}) > 1
