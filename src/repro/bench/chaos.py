@@ -265,17 +265,18 @@ def run_scenario(
         # ``launch`` counts every engine build: crash restarts and
         # voluntary grow/quarantine relaunches alike.  Launch 0 carries
         # the fault plan; later launches run on the survivor plan.
+        # Nothing reads a chaos run's event log, so no engine keeps one.
         nranks = scenario.nranks if world is None else world
         if launch == 0:
-            return Engine(nranks=nranks, fault_plan=plan)
+            return Engine(nranks=nranks, fault_plan=plan, trace=False)
         if launch == 1 and scenario.recovery_crash is not None:
             # The double fault: the recovery attempt itself loses a rank.
             rank, at = scenario.recovery_crash
-            return Engine(nranks=nranks, fault_plan=replace(
+            return Engine(nranks=nranks, trace=False, fault_plan=replace(
                 survivors or FaultPlan(seed=scenario.seed),
                 crashes=(RankCrash(rank=rank, at=at),),
             ))
-        return Engine(nranks=nranks, fault_plan=survivors)
+        return Engine(nranks=nranks, fault_plan=survivors, trace=False)
 
     def setup(ctx, shape):
         from repro.nn.optim import Adam

@@ -639,34 +639,49 @@ class _Frames:
         t_max = max(counts.values())
         if spec is not None and spec.draft_step_s > 0:
             ctx.clock.sync_to(ctx.now + spec.spec_k * spec.draft_step_s)
-        tokens = np.zeros((rows, t_max), dtype=np.int64)
-        positions = np.zeros((rows, t_max), dtype=np.int64)
-        # extra_mask [rows, 1, t_max, s_max + t_max]: -inf over each slot's
-        # KV padding and over the padding query tokens' keys; padding rows
-        # keep their own new-token columns so every softmax row stays finite.
-        mask = np.zeros((rows, 1, t_max, s_max + t_max), dtype=np.float32)
-        for row, slot in enumerate(order):
-            if slot is None:
-                mask[row, :, :, :s_max] = -np.inf
-                continue
-            toks, held = appended[slot], lens[slot]
-            a = len(toks)
-            for j in range(t_max):
-                jj = j if j < a else a - 1
-                tokens[row, j] = toks[jj]
-                # a decode-ready slot holds prompt + emitted - 1 tokens
-                positions[row, j] = held + jj
-            mask[row, :, :, held:s_max] = -np.inf
-            if a < t_max:
-                mask[row, :, :, s_max + a:] = -np.inf
         past = cache.assemble(order[self.band], s_max)
-        _, new_kv = rep.model.decode_step(
-            VArray.from_numpy(tokens),
-            VArray.from_numpy(positions),
-            past,
-            VArray.from_numpy(mask[self.band]),
-        )
+        if ctx.symbolic:
+            # a shape-only pass reads no token id, position or mask value
+            band_rows = self.band.stop - self.band.start
+            tokens = VArray.symbolic((rows, t_max), np.int64)
+            positions = VArray.symbolic((rows, t_max), np.int64)
+            mask = VArray.symbolic((band_rows, 1, t_max, s_max + t_max))
+        else:
+            tokens, positions, mask = _decode_operands(
+                order, appended, lens, s_max, t_max, self.band)
+        _, new_kv = rep.model.decode_step(tokens, positions, past, mask)
         cache.append_decode(order, new_kv, counts, appended)
+
+
+def _decode_operands(order, appended, lens, s_max, t_max, band):
+    """A real decode frame's ``(tokens, positions, extra_mask)``.
+
+    Row ``r`` feeds ``order[r]``'s newest tokens, padded to ``t_max`` by
+    repeating the last one.  ``extra_mask [rows, 1, t_max, s_max + t_max]``
+    is -inf over each slot's KV padding and over the padding query tokens'
+    keys; padding rows keep their own new-token columns so every softmax
+    row stays finite.  Only the rank's ``band`` of mask rows is returned.
+    """
+    rows = len(order)
+    tokens = np.zeros((rows, t_max), dtype=np.int64)
+    positions = np.zeros((rows, t_max), dtype=np.int64)
+    mask = np.zeros((rows, 1, t_max, s_max + t_max), dtype=np.float32)
+    for row, slot in enumerate(order):
+        if slot is None:
+            mask[row, :, :, :s_max] = -np.inf
+            continue
+        toks, held = appended[slot], lens[slot]
+        a = len(toks)
+        for j in range(t_max):
+            jj = j if j < a else a - 1
+            tokens[row, j] = toks[jj]
+            # a decode-ready slot holds prompt + emitted - 1 tokens
+            positions[row, j] = held + jj
+        mask[row, :, :, held:s_max] = -np.inf
+        if a < t_max:
+            mask[row, :, :, s_max + a:] = -np.inf
+    return (VArray.from_numpy(tokens), VArray.from_numpy(positions),
+            VArray.from_numpy(mask[band]))
 
 
 def _serve_rank(

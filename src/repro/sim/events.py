@@ -9,14 +9,14 @@ counts, and a per-rank timeline.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = ["ComputeEvent", "CommEvent", "FusedBatchEvent", "MarkerEvent",
            "FaultEvent", "RetryEvent", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeEvent:
     """One local kernel on one rank."""
 
@@ -32,7 +32,7 @@ class ComputeEvent:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommEvent:
     """One collective (or p2p message) as seen by one participating rank.
 
@@ -59,7 +59,7 @@ class CommEvent:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedBatchEvent:
     """One fused batch window of same-group collectives, seen by one rank.
 
@@ -89,7 +89,7 @@ class FusedBatchEvent:
         return len(self.kinds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerEvent:
     """A named instant, used to delimit phases (e.g. forward vs backward)."""
 
@@ -98,7 +98,7 @@ class MarkerEvent:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultEvent:
     """An injected fault firing (see :mod:`repro.sim.faults`).
 
@@ -115,7 +115,7 @@ class FaultEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetryEvent:
     """One failed attempt of a transient-faulted send, plus its backoff.
 

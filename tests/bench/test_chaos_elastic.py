@@ -11,6 +11,8 @@ quarantine segments lose no work and cost no recovery time).
 
 import pytest
 
+import repro.bench.chaos as chaos
+import repro.pblas.verify as verify
 from repro.bench.chaos import (
     ELASTIC_SCENARIOS,
     ChaosScenario,
@@ -18,6 +20,7 @@ from repro.bench.chaos import (
     run_scenario,
 )
 from repro.errors import ConfigError
+from repro.sim.engine import Engine
 
 #: scenario name -> (attempts, reshapes, grows, quarantines, final_world)
 EXPECTED = {
@@ -146,3 +149,74 @@ class TestElasticScenarios:
         sc = ChaosScenario(name="bad", node_repair_at=0.5)
         with pytest.raises(ConfigError, match="node_crash"):
             sc.fault_plan()
+
+
+#: (scenario, (attempts, reshapes, grows)): healthy, rank crash, elastic
+#: node loss and node loss + repair on the 8-rank [2, 2, 2] grid, one
+#: epoch (0.33 virtual s healthy); the crashes at 0.2 land past the step-2
+#: snapshot, the node repaired at 0.2 grows the grid back
+INERT_LOG_SCENARIOS = (
+    (ChaosScenario(name="healthy", d=2, epochs=1), (0, 0, 0)),
+    (ChaosScenario(name="rank-crash", d=2, epochs=1,
+                   crash_rank=1, crash_at=0.2), (1, 0, 0)),
+    (ChaosScenario(name="node-loss", d=2, epochs=1, elastic=True,
+                   node_crash=1, crash_at=0.2), (1, 1, 0)),
+    (ChaosScenario(name="node-loss-repair", d=2, epochs=1, elastic=True,
+                   node_crash=1, crash_at=0.1, node_repair_at=0.2),
+     (1, 2, 1)),
+)
+
+#: ChaosResult fields the event log must not move
+LEDGER_FIELDS = ("steps", "attempts", "reshapes", "grows", "final_world",
+                 "virtual_time", "time_to_recover_s", "time_to_reclaim_s")
+
+
+def _spy_engines(monkeypatch, module, **override) -> list:
+    """Route ``module``'s ``Engine(...)`` calls through ``override``;
+    returns the engines built."""
+    built = []
+
+    def engine(*args, **kwargs):
+        built.append(Engine(*args, **{**kwargs, **override}))
+        return built[-1]
+
+    monkeypatch.setattr(module, "Engine", engine)
+    return built
+
+
+class TestEventLogIsInert:
+    """Chaos and verify engines keep no event log.  ``Trace.record`` only
+    appends, so recording one moves no fault, retry, crash, loss or
+    virtual time."""
+
+    @pytest.mark.parametrize(
+        "scenario, ledger", INERT_LOG_SCENARIOS,
+        ids=[sc.name for sc, _ in INERT_LOG_SCENARIOS],
+    )
+    def test_chaos_ledger_does_not_depend_on_the_log(self, monkeypatch,
+                                                     scenario, ledger):
+        plain = run_scenario(scenario)
+        assert (plain.attempts, plain.reshapes, plain.grows) == ledger
+        assert plain.run.engine.trace.enabled is False
+        assert len(plain.run.engine.trace) == 0
+
+        built = _spy_engines(monkeypatch, chaos, trace=True)
+        traced = run_scenario(scenario)
+        assert all(len(engine.trace) > 0 for engine in built)
+        assert traced.final_loss.hex() == plain.final_loss.hex()
+        for name in LEDGER_FIELDS:
+            assert getattr(traced, name) == getattr(plain, name), name
+
+    def test_verify_matmul_does_not_depend_on_the_log(self, monkeypatch):
+        built = _spy_engines(monkeypatch, verify)
+        plain = verify.verify_matmul("tesseract", q=2, d=2)
+        (engine,) = built
+        assert engine.trace.enabled is False
+        assert len(engine.trace) == 0
+
+        built = _spy_engines(monkeypatch, verify, trace=True)
+        traced = verify.verify_matmul("tesseract", q=2, d=2)
+        (engine,) = built
+        assert len(engine.trace) > 0
+        assert traced.max_abs_error == plain.max_abs_error
+        assert traced.simulated_seconds == plain.simulated_seconds
