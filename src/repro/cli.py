@@ -207,7 +207,9 @@ def _cmd_tables(args) -> int:
     all_measured = []
     for name, rows, paper in jobs:
         print(f"\nsimulating {name} ...")
-        measured = run_table(rows, **sizes)
+        # only the exports read the per-kind comm breakdown of a trace
+        measured = run_table(rows, collect_comm=bool(args.json or args.csv),
+                             **sizes)
         all_measured.extend(measured)
         print(render_comparison(measured, f"{name}: paper vs simulated"))
         print(render_ratio_table(headline_ratios(measured), paper,

@@ -69,9 +69,10 @@ def _cached_pass(
     """The pass behind ``prefill`` (``positions`` None: ``0 .. s-1``) and
     ``decode_step``, on this rank's block of the embedded batch.
 
-    It goes through :meth:`RankContext.replay`, keyed by the model, the
-    entry point and every operand's signature: symbolic weights carry no
-    data, so prices, stashes and the shape-only result follow from those.
+    It goes through :meth:`RankContext.replay`, keyed by the model's
+    structure (``_pass_owner``), the entry point and every operand's
+    signature: symbolic weights carry no data, so prices, stashes and the
+    shape-only result follow from those.
     """
     if model.training:
         raise SimulationError(
@@ -92,14 +93,14 @@ def _cached_pass(
         return model.head.forward(model.final_ln.forward(x)), new_kv
 
     key = (
-        model, api, tokens.signature(),
+        model._pass_owner, api, tokens.signature(),
         None if positions is None else positions.signature(),
         tuple([None if pkv is None
                else (pkv[0].signature(), pkv[1].signature())
                for pkv in past_kv]),
         None if extra_mask is None else extra_mask.signature(),
     )
-    return model.ctx.replay(key, run)
+    return model.ctx.replay(key, run, model._modules)
 
 
 class TransformerLM(Module):
@@ -141,6 +142,13 @@ class TransformerLM(Module):
             ClassifierHead(group, cfg.hidden, cfg.vocab,
                            init_tags=(*_TAGS, "head")),
         )
+        #: what fixes a symbolic pass besides its operands (the GPU, rank
+        #: and world size are added by the context), interned once
+        self._pass_owner = ctx.replay_owner(
+            type(self), cfg, layout.family,
+            (layout.tp, layout.index, layout.bands, layout.band,
+             layout.cols, layout.col))
+        self._modules = list(self.modules())  #: where a pass may stash
 
     @property
     def param_owner(self) -> str:

@@ -21,6 +21,9 @@ from repro.varray.varray import VArray
 
 __all__ = ["Module", "Sequential"]
 
+#: the stash :meth:`Module.restash` leaves: a byte count and no tensors
+_REPLAYED = object()
+
 
 class Module:
     """Base class for all layers (serial and parallel)."""
@@ -67,6 +70,12 @@ class Module:
         for cname, child in self._children.items():
             yield from child.parameters(prefix=f"{prefix}{cname}.")
 
+    def modules(self) -> Iterator["Module"]:
+        """This module and every module below it, parents first."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
+
     def parameter_list(self) -> list[Parameter]:
         """All parameters as a flat list (optimizer input)."""
         return [p for _, p in self.parameters()]
@@ -102,8 +111,30 @@ class Module:
         ``forward`` repeatedly without a matching backward, while a lone
         eval-mode backward still sees the latest activations.
         """
+        nbytes = 0
+        for t in tensors:
+            if isinstance(t, VArray):
+                nbytes += t.nbytes
+        ctx = self.ctx
+        before = ctx.mem.changes
+        self.restash(nbytes)
+        self._saved = tensors
+        tape = ctx._tape
+        if tape is not None:
+            if self.training:
+                # a replay keeps no tensors, and a backward reads these
+                ctx.abandon_recording()
+            else:
+                # a pass being recorded (RankContext.replay): a replay
+                # repeats this stash, and these tracker changes with it
+                tape.stashes.append((self, nbytes))
+                tape.mem_changes += ctx.mem.changes - before
+
+    def restash(self, nbytes: float) -> None:
+        """What a stash of ``nbytes`` does to the memory tracker, the
+        tensors left out: a replayed pass (``RankContext.replay``) knows
+        its stashes' byte counts only, and a backward after it raises."""
         mem = self.ctx.mem
-        before = mem.changes
         if self._saved is not None:
             if self.training:
                 raise SimulationError(
@@ -111,19 +142,9 @@ class Module:
                     f"backward consumed the previous activation cache"
                 )
             mem.free(self._saved_bytes, "activations")
-        self._saved = tensors
-        nbytes = 0
-        for t in tensors:
-            if isinstance(t, VArray):
-                nbytes += t.nbytes
+        self._saved = _REPLAYED
         self._saved_bytes = nbytes
         mem.alloc(nbytes, "activations")
-        tape = self.ctx._tape
-        if tape is not None:
-            # a pass being recorded (RankContext.replay): a replay repeats
-            # this call, and these tracker changes are the expected ones
-            tape.stashes.append((self, tensors))
-            tape.mem_changes += mem.changes - before
 
     def saved(self) -> tuple:
         """Retrieve and release the tensors stashed by the forward pass.
@@ -132,11 +153,13 @@ class Module:
         that calls this while ``RankContext.replay`` records it is never
         replayed.)
         """
-        if self._saved is None:
-            raise SimulationError(
-                f"{type(self).__name__}.backward called without a matching forward"
-            )
         tensors = self._saved
+        if tensors is None or tensors is _REPLAYED:
+            raise SimulationError(
+                f"{type(self).__name__}.backward called without a matching "
+                + ("forward" if tensors is None else
+                   "forward (a replayed symbolic pass keeps no activations)")
+            )
         self._saved = None
         self.ctx.mem.free(self._saved_bytes, "activations")
         self._saved_bytes = 0.0

@@ -89,7 +89,8 @@ failure trace on every rerun.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+import itertools
+from typing import Any, Callable, ClassVar, Sequence
 
 from repro.errors import (
     CommError,
@@ -237,8 +238,8 @@ class _Tape:
         #: healthy price of every ``compute``, in program order; one entry
         #: per kernel, never summed, so a replay makes the same float adds
         self.dts: list[float] = []
-        #: ``(module, tensors)`` of every ``Module.save_for_backward``
-        self.stashes: list[tuple[Any, tuple]] = []
+        #: ``(module, bytes)`` of every ``Module.save_for_backward``
+        self.stashes: list[tuple[Any, float]] = []
         #: ``MemoryTracker.changes`` if nothing but those stashes touched
         #: the tracker since the recording began
         self.mem_changes = mem_changes
@@ -268,6 +269,10 @@ def _copy_shapes(x: Any) -> Any:
 
 #: ``RankContext._recordings`` lookup miss (``None`` means "never replay")
 _UNSEEN = object()
+#: structural owner of replayed passes -> its id (see
+#: :meth:`RankContext.replay_owner`)
+_OWNERS: dict[tuple, int] = {}
+_OWNER_IDS = itertools.count()
 
 
 class RankContext:
@@ -316,21 +321,19 @@ class RankContext:
         #: kernels priced on this rank, whether executed or replayed: the
         #: same in a real-mode and a symbolic run of one program
         self.kernels = 0
-        #: :meth:`replay` state.  Only a healthy symbolic rank replays: a
-        #: crash site needs the fault check after every kernel and a
-        #: slow-down (the factor counts windowed entries too) reprices each
-        #: kernel by its start time, so a faulted rank, like a real-mode or
+        #: a healthy rank's kernel costs the table's price and nothing
+        #: else: a crash site needs the fault check after every kernel and
+        #: a slow-down (the factor counts windowed entries too) reprices
+        #: each kernel by its start time.  Only a healthy symbolic rank
+        #: replays (:meth:`replay`), so a faulted rank, like a real-mode or
         #: a traced one, executes every pass.
-        self._replays = (
-            self.mode == "symbolic"
-            and self._crash_at is None
+        self._healthy = (
+            self._crash_at is None
             and self._compute_factor == 1.0
+            and not self._windowed_slowdown
         )
+        self._replays = self.mode == "symbolic" and self._healthy
         self._tape: _Tape | None = None  #: the open recording, if any
-        #: key -> (dts, stashes, result), or None for a key whose pass did
-        #: something that cannot be replayed; cleared when the run ends
-        self._recordings: dict[Any, tuple | None] = {}
-        self._stash_pool: dict[tuple, tuple] = {}  #: see :meth:`_pooled`
         #: deferred-timing state: the last generation this rank deposited
         #: into, how many of its generations are unresolved, and the event
         #: a force-sync is parked on (swept by ``_abort``)
@@ -397,34 +400,88 @@ class RankContext:
         self._tape = None  # reads the clock, like ``now``
         self.trace.record(MarkerEvent(rank=self.rank, t=self.clock.now, name=name))
 
+    def compute_each(self, count: int, flops: float,
+                     bytes_touched: float = 0.0, tag: str = "") -> None:
+        """Charge ``count`` identical kernels: what ``count`` calls of
+        :meth:`compute` do, with one price lookup.
+
+        The clock and ``compute_seconds`` still take one add per kernel,
+        in order, and an open recording one entry per kernel, so every
+        bit is the same.  A traced rank (one event per kernel), a crash
+        site (a fault check per kernel) or a slowed rank (a price per
+        kernel start) charges them one by one.
+        """
+        if self.trace.enabled or not self._healthy:
+            for _ in range(count):
+                self.compute(flops, bytes_touched, tag)
+            return
+        dt = self._op_times.get((flops, bytes_touched, None))
+        if dt is None:
+            dt = self.engine.compute_model.op_time(flops, bytes_touched)
+        dts = [dt] * count
+        self.kernels += count
+        if self._tape is not None:
+            self._tape.dts.extend(dts)
+        self.compute_seconds = self.clock.advance_each(
+            dts, self.compute_seconds)
+
     # --- replaying a symbolic pass ------------------------------------------------
 
-    #: recordings kept per rank; like the price table, a full table stops
-    #: growing and later keys simply execute
-    MAX_RECORDINGS = 1 << 8
+    #: recordings kept by the process (and owner ids interned, see
+    #: :meth:`replay_owner`).  A recording of a serving LM pass takes about
+    #: 3.8 kB (key 1.1, prices 1.1, result 1.0, stashes 0.8), so a full
+    #: table holds about 8 MB; the serving benchmarks fill 618 entries.
+    #: Like the price table, a full one stops growing and later keys
+    #: simply execute.
+    MAX_RECORDINGS = 1 << 11
 
-    def replay(self, key: Any, fn: Callable[[], Any]) -> Any:
+    #: key -> (dts, stash module indices, stash bytes, result), or None
+    #: for a key whose pass did something that cannot be replayed.  One
+    #: table for the process: a key is structural, so a recording serves
+    #: every later run, and it holds no module, context or engine.
+    _recordings: ClassVar[dict[Any, tuple | None]] = {}
+
+    def replay_owner(self, *parts: Any) -> int:
+        """The id that starts the replay keys of one pass owner on this
+        rank: the same wherever this rank's GPU spec, rank and world size
+        and the hashable ``parts`` (the owner's structure: its class, its
+        configuration, its layout) are equal.  The owner computes it once,
+        so a replay hashes a small int, not those objects."""
+        owner = (self.engine.cluster.gpu, self.rank, self.nranks, *parts)
+        oid = _OWNERS.get(owner)
+        if oid is None:
+            oid = next(_OWNER_IDS)
+            if len(_OWNERS) < self.MAX_RECORDINGS:  # past it: never shared
+                _OWNERS[owner] = oid
+        return oid
+
+    def replay(self, key: Any, fn: Callable[[], Any],
+               modules: Sequence[Any] = ()) -> Any:
         """Run the communication-free pass ``fn``, or replay its recording.
 
         The caller guarantees that in symbolic mode everything ``fn``
-        does to this rank is fixed by ``key`` (the owning object, the
-        entry point, the shape, dtype and symbolic flag of every
-        operand).  The first time the rank sees a key the pass executes
-        while a :class:`_Tape` notes each kernel's price, each
-        ``save_for_backward`` stash and the result; afterwards the pass
-        is not run: the same prices are added to the clock and to
-        ``compute_seconds`` one by one, the stashes go through
-        ``save_for_backward`` again (so the memory tracker sees an
-        executed pass) and the result's containers are rebuilt around the
-        recorded shape-only arrays.
+        does to this rank is fixed by ``key``: an id from
+        :meth:`replay_owner`, the entry point, and the shape, dtype and
+        symbolic flag of every operand.  ``modules`` lists every module
+        whose ``save_for_backward`` the pass may call.  The first time
+        the process sees a key the pass executes while a :class:`_Tape`
+        notes each kernel's price, each stash (as an index into
+        ``modules`` and its byte count) and the result; afterwards, in
+        this run or any later one, the pass is not run: the same prices
+        are added to the clock and to ``compute_seconds`` one by one,
+        each stash frees the module's previous one and allocates its
+        bytes again (the memory tracker sees an executed eval-mode pass;
+        the tensors are not kept) and the result's containers are
+        rebuilt around the recorded shape-only arrays.
 
         Whether to replay is decided from what the rank can observe, not
         by an option: real-mode, traced and faulted ranks call ``fn()``.
         A pass that communicates, reads the clock, changes the memory
         tracker other than by stashing (``Module.saved`` frees, so it
-        counts), returns real data or reaches another ``replay`` abandons
-        its recording: it still runs to the end, and its key is never
-        replayed.
+        counts), stashes on a module in training mode or outside
+        ``modules``, returns real data or reaches another ``replay``
+        abandons its recording: it still runs to the end, and its key is
+        never replayed.  A pass that raises leaves no entry.
         """
         if not self._replays or self.trace.enabled:
             return fn()
@@ -436,49 +493,41 @@ class RankContext:
         if rec is _UNSEEN:
             if len(recordings) >= self.MAX_RECORDINGS:
                 return fn()
-            return self._record(key, fn)
-        dts, stashes, result = rec
+            return self._record(key, fn, modules)
+        dts, stashed, nbytes, result = rec
         self.compute_seconds = self.clock.advance_each(
             dts, self.compute_seconds
         )
         self.kernels += len(dts)
-        for module, tensors in stashes:
-            module.save_for_backward(*tensors)
+        for index, size in zip(stashed, nbytes):
+            modules[index].restash(size)
         return _copy_shapes(result)
 
-    def _record(self, key: Any, fn: Callable[[], Any]) -> Any:
+    def _record(self, key: Any, fn: Callable[[], Any],
+                modules: Sequence[Any]) -> Any:
         """Execute ``fn`` under a fresh tape; keep it if nothing abandoned."""
         recordings = self._recordings
         recordings[key] = None  # until the pass proves replayable
         tape = self._tape = _Tape(self.mem.changes)
         try:
             result = fn()
+        except BaseException:
+            recordings.pop(key, None)
+            raise
         finally:
             intact = self._tape is tape
             self._tape = None
         if intact and self.mem.changes == tape.mem_changes:
+            index = {id(m): i for i, m in enumerate(modules)}
             try:
                 kept = _copy_shapes(result)
-            except _NotShapeOnly:
+                stashed = tuple([index[id(m)] for m, _ in tape.stashes])
+            except (_NotShapeOnly, KeyError):
                 return result
-            recordings[key] = (tuple(tape.dts), self._pooled(tape.stashes),
+            recordings[key] = (tuple(tape.dts), stashed,
+                               tuple([size for _, size in tape.stashes]),
                                kept)
         return result
-
-    def _pooled(self, stashes: list[tuple[Any, tuple]]) -> tuple:
-        """``stashes`` as a tuple, shared with every earlier recording that
-        stashed signature-equal arrays on the same modules: passes that
-        differ only in, say, the KV length they attend over stash the same
-        activations, and the stashes are most of a recording's bytes."""
-        try:
-            signature = tuple([
-                (module, tuple([t.signature() if type(t) is VArray else t
-                                for t in tensors]))
-                for module, tensors in stashes
-            ])
-            return self._stash_pool.setdefault(signature, tuple(stashes))
-        except TypeError:  # an unhashable stash member: keep it apart
-            return tuple(stashes)
 
     def abandon_recording(self) -> None:
         """The running pass did something no replay could repeat (called
@@ -742,12 +791,6 @@ class Engine:
             except BaseException as exc:  # noqa: BLE001 - must abort peers
                 errors[rank] = exc
                 self._abort(exc)
-            finally:
-                # recordings die with the program: their keys hold the
-                # modules that hold this context, a cycle that would
-                # otherwise outlive the engine until the collector ran
-                ctx._recordings.clear()
-                ctx._stash_pool.clear()
 
         return worker, results, errors
 

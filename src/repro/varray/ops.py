@@ -476,11 +476,13 @@ def charge_move(ctx, nbytes: int, tag: str, count: int = 1) -> None:
 
     The one price of :func:`concat` and :func:`split`; a caller that keeps
     only the token counts of what it moves (the serving KV cache) prices
-    the same kernels here without building their arrays.
+    the same kernels here without building their arrays.  A batch is
+    priced with one lookup (:meth:`~repro.sim.engine.RankContext.compute_each`).
     """
-    bytes_touched = 2 * nbytes
-    for _ in range(count):
-        ctx.compute(0.0, bytes_touched, tag)
+    if count == 1:
+        ctx.compute(0.0, 2 * nbytes, tag)
+    elif count > 1:
+        ctx.compute_each(count, 0.0, 2 * nbytes, tag)
 
 
 def concat(ctx, arrays: Sequence[VArray], axis: int = 0, tag: str = "concat") -> VArray:

@@ -60,18 +60,20 @@ LOOPS = {
 @pytest.fixture
 def probe(monkeypatch):
     """Count what ``RankContext.replay`` did per call site and keep the
-    engines ``run_serving`` builds, so their ranks can be read afterwards."""
+    engines ``run_serving`` builds, so their ranks can be read afterwards.
+    The recording table starts empty (and the process's is restored
+    after), so the first run of a configuration records its passes."""
     calls: Counter = Counter()
     engines: list[Engine] = []
     replay = RankContext.replay
 
-    def counting(ctx, key, fn):
+    def counting(ctx, key, fn, modules=()):
         rec = ctx._recordings.get(key, "unseen")
         kind = ("executed" if not ctx._replays
                 else "never" if rec is None
                 else "recorded" if rec == "unseen" else "replayed")
         calls[key[1], kind] += 1
-        return replay(ctx, key, fn)
+        return replay(ctx, key, fn, modules)
 
     class KeptEngine(Engine):
         def __init__(self, *args, **kwargs):
@@ -79,6 +81,7 @@ def probe(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(RankContext, "replay", counting)
+    monkeypatch.setattr(RankContext, "_recordings", {})
     monkeypatch.setattr("repro.serve.runner.Engine", KeptEngine)
     return calls, engines
 
@@ -114,6 +117,27 @@ class TestEveryLoopReplaysAndMatchesRealMode:
         for site in sites:
             assert calls[site, "replayed"] > calls[site, "recorded"] > 0
             assert not calls[site, "never"] and not calls[site, "executed"]
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    def test_a_full_table_serves_a_second_run(self, loop, probe):
+        # cold: the first run records; warm: the same configuration again
+        # in the same process executes no pass and changes nothing
+        calls, engines = probe
+        kwargs, sites = LOOPS[loop]
+        cold = _serve(**kwargs)
+        cold_states = _rank_states(engines.pop())
+        table = dict(RankContext._recordings)
+        assert all(calls[site, "recorded"] > 0 for site in sites)
+        calls.clear()
+
+        warm = _serve(**kwargs)
+        assert json.dumps(warm, sort_keys=True) == \
+            json.dumps(cold, sort_keys=True)
+        assert_pinned(f"replay_parity.{loop}", warm)
+        assert _rank_states(engines.pop()) == cold_states
+        assert RankContext._recordings == table
+        assert {kind for _, kind in calls} == {"replayed"}
+        assert {site for site, _ in calls} == sites
 
     def test_parallel_lm_is_abandoned_and_matches_real_mode(self, probe):
         # a sharded LM reaches a collective inside the pass: recorded once

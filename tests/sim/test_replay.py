@@ -1,18 +1,29 @@
-"""``RankContext.replay``: a symbolic pass is recorded once and replayed.
+"""``RankContext.replay``: a symbolic pass is recorded once per process
+and replayed.
 
 Nothing here measures wall time.  The oracle is the repository's own
 real == symbolic contract: a real-mode rank never replays, so every test
 runs one program in both modes and requires the same clock, the same
 ``compute_seconds``, the same kernel count and the same memory peaks, bit
-for bit, while counting how often the pass body actually ran.
+for bit, while counting how often the pass body actually ran.  Each test
+starts from an empty recording table of its own (the ``cold_table``
+fixture), so what it counts does not depend on which tests ran before.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.comm.communicator import Communicator
+from repro.errors import SimulationError
+from repro.hardware.spec import H100_80GB, custom_cluster
+from repro.models.configs import TransformerConfig
+from repro.models.transformer import TransformerLM
 from repro.nn.linear import Linear
 from repro.sim.engine import Engine, RankContext
 from repro.sim.faults import ComputeSlowdown, FaultPlan, RankCrash
@@ -23,6 +34,14 @@ CALLS = 3
 #: input rows per key: different keys stash different byte counts on the
 #: one module, so each pass supersedes the other's stash
 ROWS = {"k": 4, "a": 4, "b": 6, "c": 8}
+
+
+@pytest.fixture(autouse=True)
+def cold_table(monkeypatch):
+    """An empty process-wide recording table for the test, restored after."""
+    table: dict = {}
+    monkeypatch.setattr(RankContext, "_recordings", table)
+    return table
 
 
 def _state(ctx) -> tuple:
@@ -46,6 +65,7 @@ def _program(offender=None, keys=("k",), between=None):
         comm = Communicator(ctx, range(ctx.nranks))
         lin = Linear(ctx, 8, 16)
         lin.eval()
+        owner = ctx.replay_owner("Linear", 8, 16)  # a structural key
         xs = {key: VArray.zeros((ROWS[key], 8), symbolic=ctx.symbolic)
               for key in keys}
         runs = {key: 0 for key in keys}
@@ -60,15 +80,15 @@ def _program(offender=None, keys=("k",), between=None):
 
         for _ in range(CALLS):
             for key in keys:
-                y, rest = ctx.replay((lin, key, xs[key].signature()),
-                                     lambda: body(key))
+                y, rest = ctx.replay((owner, key, xs[key].signature()),
+                                     lambda: body(key), [lin])
                 assert len(rest) == 2  # a fresh container on every call
                 rest.append("the caller may edit what it was handed")
                 seen.append((_shapes((y, rest[:2])), ctx.mem.current_total))
                 if between:
                     between(ctx, comm)
         table = {
-            key: ctx._recordings.get((lin, key, xs[key].signature()),
+            key: ctx._recordings.get((owner, key, xs[key].signature()),
                                      "unseen")
             for key in keys
         }
@@ -83,8 +103,6 @@ def _both_modes(program, nranks=1, **engine_kwargs):
         engine = Engine(nranks=nranks, mode=mode, trace=False,
                         **engine_kwargs)
         out[mode] = engine.run(program)
-        assert all(not ctx._recordings for ctx in engine.contexts), \
-            "recordings must die with the run"
     return out["real"], out["symbolic"]
 
 
@@ -95,9 +113,10 @@ class TestRecordOnceReplayAfterwards:
         (s_runs, s_table, s_seen, s_state), = sym
         assert r_runs == {"k": CALLS} and r_table == {"k": "unseen"}
         assert s_runs == {"k": 1}
-        dts, stashes, _ = s_table["k"]
+        dts, stashed, nbytes, _ = s_table["k"]
         assert len(dts) == 4  # matmul, bias add, gelu, split: one per kernel
-        assert [type(m).__name__ for m, _ in stashes] == ["Linear"]
+        # the Linear (index 0 of the modules passed) stashes its [4, 8] input
+        assert stashed == (0,) and nbytes == (ROWS["k"] * 8 * 4,)
         assert s_seen == r_seen and len(set(map(str, s_seen))) == 1
         assert s_state == r_state
         assert s_state[2] == 4 * CALLS  # kernels: executed or replayed
@@ -119,7 +138,7 @@ class TestRecordOnceReplayAfterwards:
         assert table["c"] == "unseen"
         assert state == real[0][3]
 
-    def test_replay_under_both_backends_and_deferred_timing(self):
+    def test_replay_under_both_backends_and_deferred_timing(self, cold_table):
         # four ranks, a collective between the passes: on the event backend
         # the clocks run provisionally and every replayed price must land
         # in the open epoch log
@@ -130,6 +149,7 @@ class TestRecordOnceReplayAfterwards:
         program = _program(between=between)
         states = {}
         for backend in ("event", "threaded"):
+            cold_table.clear()  # each backend records, then replays
             engine = Engine(nranks=4, mode="symbolic", trace=False,
                             backend=backend, op_timeout=5.0)
             out = engine.run(program)
@@ -191,7 +211,8 @@ def _unknown_result(ctx, comm, lin, y):
 
 
 def _nested(ctx, comm, lin, y):
-    ctx.replay((lin, "inner", y.signature()), lambda: ops.exp(ctx, y))
+    ctx.replay((ctx.replay_owner("inner"), y.signature()),
+               lambda: ops.exp(ctx, y))
 
 
 ABANDON_RULES = [
@@ -221,7 +242,7 @@ class TestAbandonRules:
                 inner_runs.append(ctx.mode)
                 return ops.exp(ctx, y)
 
-            ctx.replay((lin, "inner", y.signature()), inner)
+            ctx.replay((ctx.replay_owner("inner"), y.signature()), inner)
 
         real, sym = _both_modes(_program(nested))
         assert sym[0][0] == {"k": CALLS} and sym[0][3] == real[0][3]
@@ -264,10 +285,11 @@ class TestAbandonRules:
             for _ in range(2):
                 with pytest.raises(KeyError, match="from the pass"):
                     ctx.replay("boom", boom)
-            return ctx._recordings["boom"], ctx.kernels, ctx._tape
+            return (ctx._recordings.get("boom", "unseen"), ctx.kernels,
+                    ctx._tape)
 
         assert Engine(nranks=1, mode="symbolic", trace=False).run(program) \
-            == [(None, 2, None)]
+            == [("unseen", 2, None)]
 
 
 FAULTED_RANK_1 = {
@@ -305,3 +327,193 @@ class TestOnlyHealthySymbolicRanksReplay:
         assert len(events["real"]) == 4 * CALLS
         one_pass = [e[3:] for e in events["real"][:4]]
         assert [e[3:] for e in events["real"]] == one_pass * CALLS
+
+
+class TestStashesKeepBytesOnly:
+    def test_a_backward_after_a_replayed_pass_raises(self):
+        def program(ctx):
+            lin = Linear(ctx, 8, 16).eval()
+            x = VArray.zeros((4, 8), symbolic=ctx.symbolic)
+            for _ in range(2):
+                ctx.replay(("fwd",), lambda: lin.forward(x), [lin])
+            try:
+                lin.backward(VArray.zeros((4, 16), symbolic=ctx.symbolic))
+            except SimulationError as exc:
+                return str(exc)
+            return "ran"
+
+        assert Engine(nranks=1, mode="real", trace=False).run(program) \
+            == ["ran"]
+        (msg,) = Engine(nranks=1, mode="symbolic", trace=False).run(program)
+        assert "replayed symbolic pass keeps no activations" in msg
+
+    def test_a_stash_in_training_mode_abandons(self):
+        def program(ctx):
+            lin = Linear(ctx, 8, 16)  # training mode
+            x = VArray.symbolic((4, 8))
+            ctx.replay(("train",), lambda: lin.forward(x), [lin])
+            lin.backward(VArray.symbolic((4, 16)))  # the tensors are kept
+            return ctx._recordings.get(("train",), "unseen")
+
+        assert Engine(nranks=1, mode="symbolic", trace=False).run(program) \
+            == [None]
+
+    def test_a_stash_outside_the_modules_passed_abandons(self):
+        def program(ctx):
+            lin = Linear(ctx, 8, 16).eval()
+            x = VArray.symbolic((4, 8))
+            for _ in range(2):
+                ctx.replay(("elsewhere",), lambda: lin.forward(x))
+            return ctx._recordings.get(("elsewhere",), "unseen"), ctx.kernels
+
+        assert Engine(nranks=1, mode="symbolic", trace=False).run(program) \
+            == [(None, 4)]
+
+
+class TestOneTablePerProcess:
+    def test_a_later_run_replays_what_an_earlier_one_recorded(
+            self, cold_table):
+        real, cold = _both_modes(_program(keys=("a", "b")))
+        table = dict(cold_table)
+        (warm,) = Engine(nranks=1, mode="symbolic", trace=False).run(
+            _program(keys=("a", "b")))
+        assert cold[0][0] == {"a": 1, "b": 1}
+        assert warm[0] == {"a": 0, "b": 0}  # nothing executed
+        assert warm[1] == cold[0][1] and cold_table == table
+        assert warm[2] == cold[0][2] == real[0][2]
+        assert warm[3] == cold[0][3] == real[0][3]
+
+    def test_nothing_of_a_finished_run_is_kept_alive(self, cold_table):
+        def program(ctx):
+            model = TransformerLM(ctx, LM).eval()
+            tokens = VArray.from_numpy(np.zeros((2, 4), np.int64))
+            _, kv = model.prefill(tokens)
+            step = VArray.from_numpy(np.zeros((2, 1), np.int64))
+            model.decode_step(step, step, kv)
+            return weakref.ref(model)
+
+        engine = Engine(nranks=1, mode="symbolic", trace=False)
+        (model_ref,) = engine.run(program)
+        refs = [weakref.ref(engine), model_ref,
+                *map(weakref.ref, engine.contexts)]
+        del engine
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert len(cold_table) == 2  # prefill and decode_step
+        assert all(rec is not None for rec in cold_table.values())
+
+
+LM = TransformerConfig(num_layers=1, hidden=16, nheads=2, seq_len=8,
+                       vocab=16, causal=True)
+
+
+def _prefill_owner(cfg=LM, layout="serial"):
+    """A rank program: build the LM on ``layout`` and prefill it once."""
+
+    def program(ctx):
+        group = (ctx if layout == "serial"
+                 else Communicator(ctx, [ctx.rank]))  # a one-rank Megatron
+        model = TransformerLM(group, cfg).eval()
+        model.prefill(VArray.from_numpy(np.zeros((2, 4), np.int64)))
+        return model._pass_owner
+
+    return program
+
+
+class TestKeysAreStructural:
+    """LMs that differ in one thing a pass depends on never share a
+    recording; equal ones do."""
+
+    def test_each_difference_records_its_own_pass(self, cold_table):
+        one_rank = {"nranks": 1, "mode": "symbolic", "trace": False}
+        h100 = custom_cluster(1, gpus_per_node=1, gpu=H100_80GB)
+        runs = {
+            "base": (one_rank, _prefill_owner()),
+            "gpu": ({**one_rank, "cluster": h100}, _prefill_owner()),
+            "config": (one_rank, _prefill_owner(
+                dataclasses.replace(LM, causal=False))),
+            "layout": (one_rank, _prefill_owner(layout="megatron")),
+            "rank_and_world": ({**one_rank, "nranks": 2}, _prefill_owner()),
+        }
+        owners, grown = [], []
+        for kwargs, program in runs.values():
+            before = len(cold_table)
+            owners += Engine(**kwargs).run(program)
+            grown.append(len(cold_table) - before)
+        assert len(set(owners)) == len(owners) == 6
+        assert grown == [1, 1, 1, 1, 2]  # one prefill key per rank
+        # the same structure again: the same owner, nothing recorded
+        assert Engine(**one_rank).run(_prefill_owner()) == owners[:1]
+        assert len(cold_table) == 6
+
+
+def _charges(batched):
+    """Charge the same cache kernels batched or one call per kernel, inside
+    a replayed pass and outside one, after a collective (so a deferring
+    engine's clocks run provisionally)."""
+
+    def charge(ctx, nbytes, count):
+        if batched:
+            ops.charge_move(ctx, nbytes, "kv", count)
+        else:
+            for _ in range(count):
+                ops.charge_move(ctx, nbytes, "kv")
+
+    def program(ctx):
+        comm = Communicator(ctx, range(ctx.nranks))
+        comm.all_reduce(VArray.zeros((64,), symbolic=ctx.symbolic))
+
+        def body():
+            ops.exp(ctx, VArray.zeros((4, 4), symbolic=ctx.symbolic))
+            for nbytes, count in ((96, 5), (24, 3), (8, 1), (40, 0)):
+                charge(ctx, nbytes, count)
+
+        key = (ctx.replay_owner("charges"), batched)  # one per rank
+        ctx.replay(key, body)
+        charge(ctx, 72, 4)
+        comm.barrier()
+        rec = ctx._recordings.get(key, "unseen")
+        return (ctx.now.hex(), ctx.compute_seconds.hex(), ctx.kernels,
+                rec if rec in (None, "unseen") else rec[0])
+
+    return program
+
+
+class TestBatchedCharge:
+    @pytest.mark.parametrize("mode", ["real", "symbolic"])
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced",
+                                                          "traced"])
+    @pytest.mark.parametrize("plan", [None, *sorted(FAULTED_RANK_1)])
+    def test_count_n_is_n_single_charges(self, mode, trace, plan,
+                                         monkeypatch):
+        compute, calls = RankContext.compute, []
+
+        def counting(ctx, *args, **kwargs):
+            calls.append(ctx.rank)
+            return compute(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(RankContext, "compute", counting)
+        out, events = {}, {}
+        for batched in (False, True):
+            calls.clear()
+            engine = Engine(nranks=2, mode=mode, trace=trace,
+                            fault_plan=FAULTED_RANK_1.get(plan))
+            out[batched] = engine.run(_charges(batched))
+            events[batched] = [
+                (e.rank, e.t_start.hex(), e.t_end.hex(), e.flops,
+                 e.bytes_touched, e.tag)
+                for e in engine.trace.compute_events()]
+            out[batched].append(sorted(calls))
+        assert out[True][:2] == out[False][:2]
+        assert events[True] == events[False]
+        assert out[True][0][2] == 1 + 5 + 3 + 1 + 4  # kernels, rank 0
+        if mode == "symbolic" and not trace:
+            # the healthy rank recorded one tape entry per kernel ...
+            assert len(out[True][0][3]) == 1 + 5 + 3 + 1
+            # ... and priced each batch in one call, not one per kernel
+            assert out[True][2].count(0) == 2 and \
+                out[False][2].count(0) == 1 + 5 + 3 + 1 + 4
+        if trace:
+            assert len(events[True]) == 2 * (1 + 5 + 3 + 1 + 4)
+        if plan is not None:  # the faulted rank charges one by one
+            assert out[True][2].count(1) == out[False][2].count(1) == 14

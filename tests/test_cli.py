@@ -64,6 +64,31 @@ class TestCommands:
         assert "Table 1" in out
         assert "tesseract" in out
 
+    def test_tables_trace_only_for_an_export(self, capsys, tmp_path,
+                                             monkeypatch):
+        import repro.bench.runner as runner
+
+        traced = []
+        engine_for_row = runner.engine_for_row
+
+        def spying(*args, **kwargs):
+            engine = engine_for_row(*args, **kwargs)
+            traced.append(engine.trace.enabled)
+            return engine
+
+        monkeypatch.setattr(runner, "engine_for_row", spying)
+        small = ["tables", "--table", "1", "--seq-len", "32", "--layers", "1"]
+        assert main(small) == 0
+        plain = capsys.readouterr().out
+        assert traced and not any(traced)
+        traced.clear()
+        out_json = tmp_path / "t1.json"
+        assert main([*small, "--json", str(out_json)]) == 0
+        exported = capsys.readouterr().out
+        assert traced and all(traced)
+        # the printed tables are the same; the export adds one line
+        assert exported == plain + f"wrote {out_json}\n"
+
     def test_chaos_single_scenario(self, capsys, tmp_path):
         out_json = tmp_path / "chaos.json"
         assert main(["chaos", "--scenario", "crash-early-tesseract",
