@@ -6,7 +6,9 @@ forward+backward of a 12-layer transformer stack in symbolic mode at the
 row's exact batch/hidden/heads, and reads the simulated times off the
 virtual clocks.  One iteration suffices: the simulation is deterministic
 and stateless across iterations (the paper averages 20 hardware runs for
-the same reason we don't have to).
+the same reason we don't have to).  A table runs its rows one at a time,
+each through :meth:`~repro.sim.engine.Engine.run` on the cached engine of
+its configuration.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.hardware.spec import ClusterSpec, meluxina
 from repro.hardware.topology import Placement
 from repro.parallel.factory import build_transformer_stack
 from repro.sim.cost import CollectiveAlg
-from repro.sim.engine import Engine, run_engines
-from repro.sim.schedulers import SchedulerBackend, resolve_backend
+from repro.sim.engine import Engine
+from repro.sim.schedulers import resolve_backend
 from repro.util.mathutil import ceil_div
 from repro.varray.varray import VArray
 
@@ -56,24 +58,6 @@ ENGINE_CACHE_MAX = 8
 #: is never evicted, even when it alone exceeds the budget — the caller
 #: is about to use it, so shutting it down would only thrash.
 ENGINE_CACHE_MAX_BYTES = 64 * 1024 * 1024
-
-
-#: One shared scheduler instance per multiplex-capable backend name.
-#: ``run_engines`` requires every multiplexed engine to be built on the
-#: *same* backend instance; caching it here lets every cached engine of a
-#: session join one event-scheduler loop.  The threaded backend keeps
-#: one instance per engine.
-_SHARED_BACKENDS: dict[str, SchedulerBackend] = {}
-
-
-def _session_backend() -> SchedulerBackend | None:
-    """The session-shared backend instance, or None to let each engine
-    resolve its own (the threaded oracle, which cannot multiplex).
-    """
-    probe = resolve_backend(None)
-    if not getattr(probe, "supports_deferred_sync", False):
-        return None
-    return _SHARED_BACKENDS.setdefault(probe.name, probe)
 
 
 def _shutdown_quietly(engine: Engine) -> None:
@@ -208,9 +192,6 @@ def engine_for_row(
         placement=placement,
         comm_alg=comm_alg,
         trace=collect_comm,
-        # Multiplex-capable backends share one instance session-wide so
-        # run_table can drive several engines on a single scheduler loop.
-        backend=_session_backend(),
     )
     if cache:
         _cache_put(key, engine)
@@ -244,7 +225,14 @@ def run_row(
         engine.trace.clear()
 
     results = engine.run(_row_program(row, batch, seq_len, num_layers))
-    return _measured(row, batch, engine, results, collect_comm)
+    return MeasuredRow(
+        row=row,
+        forward=max(t1 - t0 for t0, t1, _, _ in results),
+        backward=max(t2 - t1 for _, t1, t2, _ in results),
+        effective_batch=batch,
+        peak_memory_bytes=max(m for *_, m in results),
+        comm=engine.trace.comm_breakdown() if collect_comm else {},
+    )
 
 
 def _row_program(row: BenchRow, batch: int, seq_len: int, num_layers: int):
@@ -273,44 +261,18 @@ def _row_program(row: BenchRow, batch: int, seq_len: int, num_layers: int):
     return program
 
 
-def _measured(
-    row: BenchRow, batch: int, engine: Engine, results, collect_comm: bool
-) -> MeasuredRow:
-    """Fold one run's per-rank results into a :class:`MeasuredRow`."""
-    fwd = max(t1 - t0 for t0, t1, _, _ in results)
-    bwd = max(t2 - t1 for _, t1, t2, _ in results)
-    peak_mem = max(m for *_, m in results)
-    comm = engine.trace.comm_breakdown() if collect_comm else {}
-    return MeasuredRow(
-        row=row,
-        forward=fwd,
-        backward=bwd,
-        effective_batch=batch,
-        peak_memory_bytes=peak_mem,
-        comm=comm,
-    )
-
-
 def run_table(
     rows, seq_len: int = DEFAULT_SEQ_LEN, num_layers: int = DEFAULT_NUM_LAYERS,
     **kwargs,
 ) -> list[MeasuredRow]:
-    """Run every row of a table; returns measurements in row order.
+    """Run every row of a table, one at a time; returns measurements in
+    row order.
 
     Engines come from the session-scoped cache (:func:`engine_for_row`
     with ``cache=True``): rows with the same GPU count share one engine
     *within* the table, and repeated ``run_table`` calls — the full
     benchmark suite runs many tables at the same cluster sizes — reuse
-    the same engines (and their warm topology/worker-pool state) *across*
-    tables too.
-
-    Under a multiplex-capable backend (``event``) consecutive rows whose
-    engines are *distinct* run together on one scheduler loop
-    (:func:`repro.sim.engine.run_engines`): the whole sweep pays one run
-    cycle per batch instead of one per row.  A row whose engine is
-    already in the current batch — same GPU count, same configuration —
-    flushes the batch first, since one engine can host only one run at a
-    time.  Results and virtual times are identical either way.
+    the same engines *across* tables too.
 
     A row that raises evicts its cached engine (its rank state may be
     wedged mid-rendezvous) before the error propagates.
@@ -318,55 +280,13 @@ def run_table(
     for name, value in (("seq_len", seq_len), ("num_layers", num_layers)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    multiplex = _session_backend() is not None
-    collect_comm = kwargs.get("collect_comm", True)
     out: list[MeasuredRow] = []
-    batch: list[tuple[BenchRow, int, Engine]] = []
-
-    def flush() -> None:
-        if not batch:
-            return
-        pending, batch[:] = list(batch), []
-        if len(pending) == 1 or any(e.closed for *_, e in pending):
-            # A later engine build evicted (and closed) a batch member:
-            # degrade to the sequential path, rebuilding as needed.
-            for row, _, engine in pending:
-                if engine.closed:
-                    engine = engine_for_row(row, cache=True, **kwargs)
-                try:
-                    out.append(run_row(row, seq_len=seq_len,
-                                       num_layers=num_layers, engine=engine))
-                except Exception:
-                    _evict_engine(engine)
-                    raise
-            return
-        for *_, engine in pending:
-            engine.trace.clear()
-        jobs = [
-            (engine, _row_program(row, eff, seq_len, num_layers))
-            for row, eff, engine in pending
-        ]
-        try:
-            per_engine = run_engines(jobs)
-        except Exception:
-            for *_, engine in pending:
-                _evict_engine(engine)
-            raise
-        for (row, eff, engine), results in zip(pending, per_engine):
-            out.append(_measured(row, eff, engine, results, collect_comm))
-
     for row in rows:
         engine = engine_for_row(row, cache=True, **kwargs)
-        if not multiplex:
-            try:
-                out.append(run_row(row, seq_len=seq_len,
-                                   num_layers=num_layers, engine=engine))
-            except Exception:
-                _evict_engine(engine)
-                raise
-            continue
-        if any(e is engine for *_, e in batch):
-            flush()
-        batch.append((row, effective_batch(row), engine))
-    flush()
+        try:
+            out.append(run_row(row, seq_len=seq_len, num_layers=num_layers,
+                               engine=engine, **kwargs))
+        except Exception:
+            _evict_engine(engine)
+            raise
     return out

@@ -69,10 +69,12 @@ def _cached_pass(
     """The pass behind ``prefill`` (``positions`` None: ``0 .. s-1``) and
     ``decode_step``, on this rank's block of the embedded batch.
 
-    It goes through :meth:`RankContext.replay`, keyed by the model's
-    structure (``_pass_owner``), the entry point and every operand's
-    signature: symbolic weights carry no data, so prices, stashes and the
-    shape-only result follow from those.
+    A one-rank layout's pass goes through :meth:`RankContext.replay`,
+    keyed by the model's structure (``_pass_owner``), the entry point and
+    every operand's signature: symbolic weights carry no data, so prices,
+    stashes and the shape-only result follow from those.  A sharded
+    layout's pass reaches a collective, which no replay can repeat, so it
+    just executes.
     """
     if model.training:
         raise SimulationError(
@@ -92,6 +94,8 @@ def _cached_pass(
             new_kv.append(layer_kv)
         return model.head.forward(model.final_ln.forward(x)), new_kv
 
+    if model._pass_owner is None:
+        return run()
     key = (
         model._pass_owner, api, tokens.signature(),
         None if positions is None else positions.signature(),
@@ -143,8 +147,9 @@ class TransformerLM(Module):
                            init_tags=(*_TAGS, "head")),
         )
         #: what fixes a symbolic pass besides its operands (the GPU, rank
-        #: and world size are added by the context), interned once
-        self._pass_owner = ctx.replay_owner(
+        #: and world size are added by the context), interned once; None
+        #: when the heads split over ranks, whose passes never replay
+        self._pass_owner = None if layout.tp > 1 else ctx.replay_owner(
             type(self), cfg, layout.family,
             (layout.tp, layout.index, layout.bands, layout.band,
              layout.cols, layout.col))

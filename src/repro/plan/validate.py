@@ -11,9 +11,8 @@ ZeRO's owner broadcast is the one priced term the step does not run.
 The headline statistic is the Spearman rank correlation between
 predicted and simulated step times: the planner's job is to *order*
 configurations correctly, so rank agreement (not absolute error) is the
-acceptance bar.  All validation engines run on one shared backend
-instance through :func:`repro.sim.engine.run_engines`, exactly like the
-bench harness.
+acceptance bar.  Each candidate runs on its own engine, one after
+another, through :func:`repro.sim.engine.run_engines`.
 
 The validated subset is chosen for diversity (best candidate per
 (scheme, pp) bucket, then best remaining) so the correlation is measured
@@ -36,7 +35,6 @@ from repro.parallel.pipeline import PipelineStage
 from repro.plan.search import PlannedConfig, SearchResult
 from repro.plan.space import CandidateConfig, ModelSpec
 from repro.sim.engine import Engine, run_engines
-from repro.sim.schedulers import resolve_backend
 from repro.util.mathutil import ceil_div
 from repro.varray.varray import VArray
 
@@ -267,20 +265,18 @@ def validate_topk(
 ) -> ValidationReport:
     """Simulate a diverse top-k of a search and report rank agreement.
 
-    Every candidate engine is built on one scheduler backend instance and
-    run through ``run_engines``: the event backend multiplexes them on
-    one loop, the threaded backend runs them back to back.  Results are
-    identical either way (the backend note in docs/paper-mapping.md).
+    Each candidate runs on an engine of its own, back to back through
+    ``run_engines``; every engine is shut down afterwards, even when a
+    run raised.
     """
     chosen = diverse_topk(result, k)
     if not chosen:
         return ValidationReport(rows=())
     if cluster is None:
         cluster = meluxina(ceil_div(result.world, 4))
-    shared = resolve_backend(None)
     engines = [
         Engine(cluster=cluster, nranks=pc.config.world, mode="symbolic",
-               trace=False, backend=shared)
+               trace=False)
         for pc in chosen
     ]
     try:

@@ -610,13 +610,13 @@ class Engine:
         a healthy cluster.
     backend:
         Scheduler backend: ``"event"`` (default: one drive loop, deferred
-        collective timing, multi-engine multiplexing), ``"threaded"``
-        (one OS thread per rank; the reference the test suites compare
-        against), or a :class:`~repro.sim.schedulers.SchedulerBackend`
-        instance.  ``None`` consults ``REPRO_ENGINE_BACKEND``; an
-        unrecognized name raises :class:`ValueError`.  Backends trade
-        wall-clock dispatch cost only; modeled virtual time, results and
-        traces are bit-identical between them.
+        collective timing), ``"threaded"`` (one OS thread per rank; the
+        reference the test suites compare against), or a
+        :class:`~repro.sim.schedulers.SchedulerBackend` instance.
+        ``None`` consults ``REPRO_ENGINE_BACKEND``; an unrecognized name
+        raises :class:`ValueError`.  Backends trade wall-clock dispatch
+        cost only; modeled virtual time, results and traces are
+        bit-identical between them.
 
     Examples
     --------
@@ -744,23 +744,6 @@ class Engine:
         pools, so calling ``run`` repeatedly (the benchmark harness does,
         hundreds of times) does not pay thread spawn/join per call.
         """
-        worker, results, errors = self._prepare_run(fn, args, kwargs)
-        if self.nranks == 1:
-            worker(0)
-        else:
-            self._sched.run(self.nranks, worker)
-        return self._finish_run(results, errors)
-
-    def _prepare_run(
-        self,
-        fn: Callable[..., Any],
-        args: Sequence[Any] = (),
-        kwargs: dict[str, Any] | None = None,
-    ) -> tuple[Callable[[int], None], list[Any], list[BaseException | None]]:
-        """Reset run state and build the rank worker (run = prepare;
-        drive the scheduler; finish).  Split out so :func:`run_engines`
-        can drive several engines' workers on one multiplexed scheduler
-        loop."""
         kwargs = kwargs or {}
         for shard in self._shards:
             shard.mailboxes.clear()
@@ -792,15 +775,10 @@ class Engine:
                 errors[rank] = exc
                 self._abort(exc)
 
-        return worker, results, errors
-
-    def _finish_run(
-        self,
-        results: list[Any],
-        errors: list[BaseException | None],
-    ) -> list[Any]:
-        """Post-scheduler half of :meth:`run`: deferred finalization and
-        error surfacing."""
+        if self.nranks == 1:
+            worker(0)
+        else:
+            self._sched.run(self.nranks, worker)
         if self._deferred:
             self._finalize_deferred()
         for rank, exc in enumerate(errors):
@@ -1490,43 +1468,20 @@ class _AbortedError(SimulationError):
 def run_engines(
     jobs: Sequence[tuple["Engine", Callable[..., Any]]],
 ) -> list[list[Any]]:
-    """Run several engines' programs multiplexed on one scheduler loop.
+    """Run several engines' programs back to back, one :meth:`Engine.run`
+    each.
 
-    ``jobs`` is a sequence of ``(engine, program)`` pairs.  Every engine
-    must have been built on the *same* scheduler backend instance (pass
-    ``backend=<instance>`` to each constructor): the backend's events
-    route through its own run queue, so tasks of a foreign scheduler
-    would never be woken.  With an :class:`~repro.sim.schedulers.
-    EventScheduler` the rank tasks of all engines interleave on one run
-    queue — a sweep over many engines shares a single scheduler loop
-    instead of paying one ``run`` cycle per engine; the threaded backend
-    falls back to running the jobs back to back.
-
-    Results are returned per job, in order.  Errors are surfaced after
-    *every* engine's run has been finalized, first job first — one
-    engine's failure does not leave another's bookkeeping half-done.
+    ``jobs`` is a sequence of ``(engine, program)`` pairs.  Results are
+    returned per job, in order.  Errors are surfaced after *every* job
+    has run, first job first — one engine's failure does not stop the
+    jobs after it.
     """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    sched = jobs[0][0]._sched
-    for engine, _ in jobs:
-        if engine._sched is not sched:
-            raise SimulationError(
-                "run_engines requires all engines to share one scheduler "
-                "backend instance; build them with backend=<the same "
-                "SchedulerBackend object>"
-            )
-    prepared = [engine._prepare_run(fn) for engine, fn in jobs]
-    sched.run_many(
-        [(engine.nranks, prep[0]) for (engine, _), prep in zip(jobs, prepared)]
-    )
     out: list[list[Any]] = []
     failure: BaseException | None = None
-    for (engine, _), (_, results, errors) in zip(jobs, prepared):
+    for engine, fn in jobs:
         try:
-            out.append(engine._finish_run(results, errors))
-        except BaseException as exc:  # noqa: BLE001 - finalize all first
+            out.append(engine.run(fn))
+        except BaseException as exc:  # noqa: BLE001 - run every job first
             out.append([])
             if failure is None:
                 failure = exc

@@ -10,14 +10,12 @@ blocks — is the scheduler backend's business.  There are two:
     rank is runnable at any instant, fresh rank tasks are called inline
     on the loop's thread, and only a task that actually blocks parks its
     stack on a per-task baton lock while the drive role moves on (a
-    directed hand-off, never a broadcast).  Two engine-visible
-    capabilities ride on that: ``run_many`` multiplexes the rank tasks of
-    *several engines* onto one run queue (so ``bench/runner.py`` sweeps
-    share a single scheduler loop), and ``supports_deferred_sync`` lets
-    the engine defer symbolic-mode collective timing entirely — ranks
-    deposit their arrival and run on without blocking, completion times
-    are resolved as a dependency DAG, and a whole sweep executes with
-    zero hand-offs.  Deadlock falls out instantly: a drained run queue
+    directed hand-off, never a broadcast).  One engine-visible
+    capability rides on that: ``supports_deferred_sync`` lets the engine
+    defer symbolic-mode collective timing entirely — ranks deposit their
+    arrival and run on without blocking, completion times are resolved
+    as a dependency DAG, and a whole sweep executes with zero
+    hand-offs.  Deadlock falls out instantly: a drained run queue
     with blocked tasks *is* the deadlock.
 
 ``threaded`` (the reference oracle)
@@ -284,19 +282,6 @@ class SchedulerBackend:
     def run(self, n: int, worker: Callable[[int], None]) -> None:
         raise NotImplementedError
 
-    def run_many(
-        self, jobs: "list[tuple[int, Callable[[int], None]]]"
-    ) -> None:
-        """Run several ``(n, worker)`` jobs; backends may multiplex them.
-
-        The default runs the jobs back to back — correct for any backend.
-        The event backend overrides this to interleave all jobs' rank
-        tasks on one run queue, so a sweep over many engines shares a
-        single scheduler loop.
-        """
-        for n, worker in jobs:
-            self.run(n, worker)
-
     def make_event(self) -> Any:
         raise NotImplementedError
 
@@ -471,9 +456,8 @@ class EventScheduler(SchedulerBackend):
     drains with tasks still blocked, their deadline callbacks fire in
     ``fire_seq`` order, then the force-wake backstop runs; that keeps
     results, traces, clocks and deadlock messages bit-identical to
-    ``threaded`` over the fuzzer corpus.  :meth:`run_many` interleaves
-    several engines' rank tasks on this one loop so ``bench/runner.py``
-    sweeps share a scheduler.
+    ``threaded`` over the fuzzer corpus.  One instance drives one run at
+    a time.
     """
 
     name = "event"
@@ -578,8 +562,7 @@ class EventScheduler(SchedulerBackend):
         if self._live:
             raise SimulationError(
                 "event scheduler is already running a program; one "
-                "scheduler instance drives one run at a time (use "
-                "run_many to multiplex engines)"
+                "scheduler instance drives one run at a time"
             )
         self._tasks = [_Task(i) for i in range(n)]
         self._runnable = deque(self._tasks)
@@ -661,34 +644,6 @@ class EventScheduler(SchedulerBackend):
         task.baton.acquire()  # park until a drive loop resumes us
         self._current = task
         task.state = "running"
-
-    def run_many(
-        self, jobs: "list[tuple[int, Callable[[int], None]]]"
-    ) -> None:
-        """Interleave all jobs' rank tasks on one run loop.
-
-        Task index ``i`` of the combined run maps onto the job covering
-        ``i`` — rank hand-offs then flow freely across engine boundaries,
-        so one engine's ranks progress while another's wait at a
-        rendezvous.  All participating engines must have been built on
-        *this* scheduler instance (their events route through this run
-        queue); :func:`repro.sim.engine.run_engines` enforces that.
-        """
-        if len(jobs) == 1:
-            n, worker = jobs[0]
-            self.run(n, worker)
-            return
-        starts: list[int] = []
-        total = 0
-        for n, _ in jobs:
-            starts.append(total)
-            total += n
-        def dispatch(index: int) -> None:
-            for j in range(len(jobs) - 1, -1, -1):
-                if index >= starts[j]:
-                    jobs[j][1](index - starts[j])
-                    return
-        self.run(total, dispatch)
 
 
 def resolve_backend(

@@ -131,10 +131,13 @@ class TestDeferredCollectiveStructure:
             f"collective its own operands answer"
         )
 
-    def test_small_table1_rows_equal_deferred_and_blocking(self):
+    def test_small_table1_rows_equal_deferred_and_blocking(
+            self, monkeypatch):
         from repro.bench.experiments import TABLE1_ROWS
         from repro.bench.runner import engine_for_row, run_row
 
+        # only the event backend defers
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "event")
         rows = [row for row in TABLE1_ROWS if row.gpus <= 8]
         assert len(rows) == 4
         for row in rows:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import BenchRow
+from repro.bench.experiments import TABLE1_ROWS, BenchRow
 from repro.bench import runner
 from repro.bench.runner import (
     MeasuredRow,
@@ -81,6 +81,35 @@ class TestRunRow:
             _row("tesseract", 8, (2, 2, 2), batch=32, hidden=32, heads=4),
             seq_len=64, num_layers=1)
         assert deep.forward < shallow.forward
+
+
+class TestRunTable:
+    """A table runs row by row on cached engines; each row must read as it
+    does on a fresh engine of its own."""
+
+    def setup_method(self):
+        clear_engine_cache()
+
+    def teardown_method(self):
+        clear_engine_cache()
+
+    @pytest.mark.parametrize("collect_comm", [False, True])
+    def test_table_equals_fresh_engine_rows(self, collect_comm):
+        rows = [r for r in TABLE1_ROWS if r.gpus <= 8]
+        assert len({r.gpus for r in rows}) > 1
+        table = runner.run_table(rows, seq_len=128, num_layers=1,
+                                 collect_comm=collect_comm)
+        for row, got in zip(rows, table, strict=True):
+            engine = engine_for_row(row, collect_comm=collect_comm)
+            try:
+                want = run_row(row, seq_len=128, num_layers=1,
+                               collect_comm=collect_comm, engine=engine)
+            finally:
+                engine.shutdown()
+            assert (got.forward, got.backward, got.peak_memory_bytes,
+                    got.comm) == (want.forward, want.backward,
+                                  want.peak_memory_bytes, want.comm)
+            assert bool(got.comm) == collect_comm
 
 
 def _mrow(gpus):
@@ -228,8 +257,11 @@ class TestPoisonedEngineEviction:
     def test_evicted_engine_holds_no_deferred_nodes(self, monkeypatch):
         """An abort mid-sweep strands deposited-but-incomplete rendezvous
         generations (and the payloads they hold) in the engine's channel
-        table; eviction must drop them."""
+        table; eviction must drop them.  Deferred generations exist only
+        on the event backend, so the test pins it."""
         from repro.comm.communicator import Communicator
+
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "event")
 
         def deposit_then_explode(row, batch, seq_len, num_layers):
             def program(ctx):

@@ -16,7 +16,7 @@ from repro.serve import (
     WorkloadConfig,
     run_serving,
 )
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, RankContext
 from repro.sim.events import ComputeEvent
 
 from tests.serve.pins import assert_pinned
@@ -52,11 +52,14 @@ class TestRunServing:
         [("megatron", {"world": 4}), ("optimus", {"q": 2}),
          ("tesseract", {"q": 2, "d": 2})],
     )
-    def test_parallel_modes_complete(self, mode, kwargs):
+    def test_parallel_modes_complete(self, mode, kwargs, monkeypatch):
+        monkeypatch.setattr(RankContext, "_recordings", {})
         rep = run_serving(mode, model_cfg=MODEL, workload=WORKLOAD,
                           sched=SCHED, **kwargs)
         # run_serving raises if any rank's report diverges from rank 0's.
         assert_pinned(f"runner.{mode}", rep)
+        # a sharded LM's pass reaches a collective: it never records
+        assert not RankContext._recordings
         assert rep["completed"] == 10
         assert rep["mode"] == mode
 

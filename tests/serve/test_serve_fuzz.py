@@ -276,13 +276,12 @@ class TestPagedServeCrashRecovery:
 
 
 class TestEventMultiplexedServing:
-    """Several serving engines on one event-scheduler loop.
+    """Several serving engines built on one event-scheduler instance.
 
-    ``run_engines`` interleaves the rank tasks of every engine on a
-    single shared scheduler; the reports must still be rank-identical
-    per engine and bit-identical to each workload's solo run under the
-    default backend — multiplexing may change *when* ranks run, never
-    what they serve.
+    ``run_engines`` runs the engines back to back on that one scheduler;
+    the reports must still be rank-identical per engine and bit-identical
+    to each workload's solo run on an engine of its own — sharing a
+    scheduler instance may change nothing an engine serves.
     """
 
     @staticmethod

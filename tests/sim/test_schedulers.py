@@ -212,49 +212,6 @@ class TestWatchdogHeapBounded:
             assert not wd._fires
 
 
-class TestEventScheduler:
-    def test_run_many_covers_every_job_rank(self):
-        sched = EventScheduler()
-        seen = []
-        jobs = [
-            (3, lambda r: seen.append(("a", r))),
-            (2, lambda r: seen.append(("b", r))),
-            (4, lambda r: seen.append(("c", r))),
-        ]
-        sched.run_many(jobs)
-        assert sorted(seen) == (
-            [("a", r) for r in range(3)]
-            + [("b", r) for r in range(2)]
-            + [("c", r) for r in range(4)]
-        )
-
-    def test_run_many_single_job_is_plain_run(self):
-        sched = EventScheduler()
-        seen = []
-        sched.run_many([(3, seen.append)])
-        assert sorted(seen) == [0, 1, 2]
-
-    def test_default_run_many_is_sequential_fallback(self):
-        sched = ThreadedScheduler()
-        assert not sched.supports_deferred_sync
-        seen = []
-        sched.run_many([(2, lambda r: seen.append(("a", r))),
-                        (2, lambda r: seen.append(("b", r)))])
-        assert seen == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
-
-    def test_run_many_interleaving_is_deterministic(self):
-        def once():
-            sched = EventScheduler()
-            order = []
-            jobs = [(4, lambda r, j=j: order.append((j, r)))
-                    for j in range(3)]
-            sched.run_many(jobs)
-            return tuple(order)
-
-        runs = {once() for _ in range(3)}
-        assert len(runs) == 1
-
-
 class TestEventDeferredParity:
     """Engine-level spot checks; the fuzz corpus covers the traced paths."""
 
