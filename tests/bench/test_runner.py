@@ -117,6 +117,22 @@ def _mrow(gpus):
     return _row("megatron", gpus, (gpus,))
 
 
+def _spy_engines(monkeypatch, wrap=None):
+    """Record every engine ``run_table`` builds, in row order, through a
+    spy on ``runner.engine_for_row``; ``wrap(engine)`` may patch the
+    engine and returns what is recorded."""
+    built = []
+    engine_for_row = runner.engine_for_row
+
+    def spying(*args, **kwargs):
+        engine = engine_for_row(*args, **kwargs)
+        built.append(engine if wrap is None else wrap(engine))
+        return engine
+
+    monkeypatch.setattr(runner, "engine_for_row", spying)
+    return built
+
+
 class TestEngineCacheLRU:
     """The session engine cache is LRU-bounded and evicts cleanly."""
 
@@ -223,42 +239,44 @@ class TestPoisonedEngineEviction:
 
     def test_failed_row_evicts_and_next_sweep_recovers(self, monkeypatch):
         row = _mrow(4)
-        poisoned = engine_for_row(row, cache=True)
+        built = _spy_engines(monkeypatch)
         with monkeypatch.context() as m:
             self._poison_programs(m)
             with pytest.raises(RuntimeError, match="row exploded"):
                 runner.run_table([row], seq_len=8, num_layers=1)
+        [poisoned] = built
         assert poisoned.closed
-        assert poisoned not in runner._ENGINE_CACHE.values()
         out = runner.run_table([row], seq_len=8, num_layers=1)
         assert len(out) == 1 and isinstance(out[0], MeasuredRow)
-        assert engine_for_row(row, cache=True) is not poisoned
+        assert len(built) == 2 and built[1] is not poisoned
 
     def test_shutdown_error_does_not_mask_row_error(self, monkeypatch):
+        def raising_shutdown(engine):
+            real_shutdown = engine.shutdown
+
+            def bad_shutdown():
+                real_shutdown()
+                raise OSError("half-dead worker state")
+
+            monkeypatch.setattr(engine, "shutdown", bad_shutdown)
+            return engine
+
         row = _mrow(4)
-        poisoned = engine_for_row(row, cache=True)
-
-        real_shutdown = poisoned.shutdown
-
-        def bad_shutdown():
-            real_shutdown()
-            raise OSError("half-dead worker state")
-
-        monkeypatch.setattr(poisoned, "shutdown", bad_shutdown)
+        built = _spy_engines(monkeypatch, raising_shutdown)
         with monkeypatch.context() as m:
             self._poison_programs(m)
             # The row's own error propagates, not the shutdown's.
             with pytest.raises(RuntimeError, match="row exploded"):
                 runner.run_table([row], seq_len=8, num_layers=1)
-        assert poisoned not in runner._ENGINE_CACHE.values()
+        assert built[0].closed
         out = runner.run_table([row], seq_len=8, num_layers=1)
         assert len(out) == 1
 
     def test_evicted_engine_holds_no_deferred_nodes(self, monkeypatch):
         """An abort mid-sweep strands deposited-but-incomplete rendezvous
         generations (and the payloads they hold) in the engine's channel
-        table; eviction must drop them.  Deferred generations exist only
-        on the event backend, so the test pins it."""
+        table; discarding the engine must drop them.  Deferred generations
+        exist only on the event backend, so the test pins it."""
         from repro.comm.communicator import Communicator
 
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "event")
@@ -270,28 +288,32 @@ class TestPoisonedEngineEviction:
                     raise RuntimeError("row exploded")
             return program
 
-        row = _mrow(4)
-        poisoned = engine_for_row(row, cache=True, collect_comm=False)
-        assert poisoned._deferred
-        stranded = []
-        real_shutdown = poisoned.shutdown
-
-        def incomplete():
-            return sum(not gen.done for ch in poisoned._channels.values()
+        def incomplete(engine):
+            return sum(not gen.done for ch in engine._channels.values()
                        for gen in ch.gens.values())
 
-        def recording_shutdown():
-            stranded.append(incomplete())
-            real_shutdown()
+        stranded = []
 
-        monkeypatch.setattr(poisoned, "shutdown", recording_shutdown)
+        def recording_shutdown(engine):
+            assert engine._deferred
+            real_shutdown = engine.shutdown
+
+            def shutdown():
+                stranded.append(incomplete(engine))
+                real_shutdown()
+
+            monkeypatch.setattr(engine, "shutdown", shutdown)
+            return engine
+
+        built = _spy_engines(monkeypatch, recording_shutdown)
         monkeypatch.setattr(runner, "_row_program", deposit_then_explode)
         with pytest.raises(RuntimeError, match="row exploded"):
-            runner.run_table([row], seq_len=8, num_layers=1,
+            runner.run_table([_mrow(4)], seq_len=8, num_layers=1,
                              collect_comm=False)
         assert stranded == [1]  # rank 0 deposited, then aborted the run
+        [poisoned] = built
         assert poisoned.closed
-        assert incomplete() == 0
+        assert incomplete(poisoned) == 0
 
     def test_clear_cache_survives_raising_shutdown(self, monkeypatch):
         engine = engine_for_row(_mrow(2), cache=True)
