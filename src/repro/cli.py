@@ -193,7 +193,7 @@ def _cmd_tables(args) -> int:
     )
     from repro.bench.runner import run_table
 
-    # an omitted size keeps run_table's default; run_table checks the rest
+    # an omitted size keeps run_table's default; run_row checks the rest
     sizes = {key: value for key, value in (("seq_len", args.seq_len),
                                            ("num_layers", args.layers))
              if value is not None}

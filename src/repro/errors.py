@@ -8,7 +8,7 @@ the subsystem that failed:
   anything is built (a config field out of range, two options in
   conflict); the message names the field or fields.  Each rule has one
   owner: the config's ``__post_init__`` for a rule about one object, the
-  library entry point (``run_serving``, ``Planner.search``, ``run_table``,
+  library entry point (``run_serving``, ``Planner.search``, ``run_row``,
   ``train_resilient``) for a rule that spans objects.
 * :class:`GridError`      -- a :class:`ConfigError` about the processor
   arrangement (``p != d*q**2``, ``d > q``, an unknown parallel mode).

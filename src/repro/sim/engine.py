@@ -726,7 +726,7 @@ class Engine:
         self._crashed: set[int] = set()
         self._fired_nodes: set[int] = set()
         self.contexts: list[RankContext] = []
-        self.closed = False  #: set by :meth:`shutdown` (cache eviction)
+        self.closed = False  #: set by :meth:`shutdown`, cleared by :meth:`run`
 
     # --- running programs -------------------------------------------------------
 
@@ -941,35 +941,14 @@ class Engine:
                 return cause
         return None
 
-    def estimated_footprint(self) -> int:
-        """Estimated resident bytes this engine pins while cached.
-
-        Used by the bench engine cache (:mod:`repro.bench.runner`) to
-        evict by memory cost rather than by entry count alone.  The
-        estimate is deliberately simple and monotone in the things that
-        actually grow: per-rank contexts (clock, counters, memory
-        tracker), the topology's per-rank tables, and — dominant after a
-        traced run — the accumulated trace events.
-        """
-        per_rank = 4096       # RankContext + clock + seq counters + tracker
-        # slotted event + list slot + payload floats: 140-145 B measured
-        # (tracemalloc) on a traced 64-rank table row and a chaos run
-        per_event = 145
-        base = 65536          # engine, shards, channels, cost models
-        return int(
-            base
-            + self.nranks * per_rank
-            + len(self.trace) * per_event
-        )
-
     def shutdown(self) -> None:
-        """Release all rendezvous/trace state (engine-cache eviction).
+        """Release all rendezvous/trace state once the caller is done.
 
         The engine stays usable — :meth:`run` rebuilds everything — but a
         shut-down engine holds no payload references (mailboxes, or the
         channel generations an aborted run leaves behind), no trace
-        events and no live rendezvous, so evicting it from a cache
-        actually frees memory.
+        events and no live rendezvous, so an engine someone still
+        references after its last run pins no memory.
         """
         for shard in self._shards:
             with shard.lock:

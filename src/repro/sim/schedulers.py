@@ -96,7 +96,9 @@ class RankPool:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._tasks: deque[Callable[[], None]] = deque()
+        #: queued ``(target, rank, finish)`` calls
+        self._tasks: deque[tuple[Callable[[int], None], int,
+                                 Callable[[], None]]] = deque()
         self._idle = 0
         self._spawned = 0
 
@@ -106,21 +108,15 @@ class RankPool:
         state_lock = threading.Lock()
         pending = [n]
 
-        def task_for(rank: int) -> Callable[[], None]:
-            def task() -> None:
-                try:
-                    target(rank)
-                finally:
-                    with state_lock:
-                        pending[0] -= 1
-                        if pending[0] == 0:
-                            done.set()
-
-            return task
+        def finish() -> None:
+            with state_lock:
+                pending[0] -= 1
+                if pending[0] == 0:
+                    done.set()
 
         with self._cond:
             for rank in range(n):
-                self._tasks.append(task_for(rank))
+                self._tasks.append((target, rank, finish))
             # One worker per queued task; idle workers cover the rest.
             for _ in range(max(0, len(self._tasks) - self._idle)):
                 self._spawned += 1
@@ -141,10 +137,16 @@ class RankPool:
                         if not self._cond.wait(timeout=self._IDLE_TIMEOUT):
                             if not self._tasks:
                                 return
-                    task = self._tasks.popleft()
+                    target, rank, finish = self._tasks.popleft()
                 finally:
                     self._idle -= 1
-            task()  # exceptions are captured inside the task closure
+            try:
+                target(rank)
+            finally:
+                # Drop the run before signalling it: a parked worker
+                # must not keep a finished run's engine alive.
+                target = None
+                finish()
 
 
 class Watchdog:
@@ -584,6 +586,11 @@ class EventScheduler(SchedulerBackend):
             self._live = False
             self._worker_fn = None
             self._done = None
+            # A pool thread may hold this scheduler until it next
+            # drives; the finished tasks (their deadline callbacks) and
+            # errors must not keep the run's engine alive meanwhile.
+            self._tasks = []
+            self._errors = []
             # A stale pointer here would send a later *inline* wait (no
             # run active, e.g. a 1-rank engine sharing this instance)
             # down the park path instead of firing its deadline.

@@ -1,22 +1,46 @@
 """Tests for the benchmark runner (small configurations for speed)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench.experiments import TABLE1_ROWS, BenchRow
 from repro.bench import runner
 from repro.bench.runner import (
     MeasuredRow,
-    clear_engine_cache,
     effective_batch,
     engine_for_row,
     run_row,
 )
+from repro.errors import ConfigError
 
 
 def _row(scheme="tesseract", gpus=4, shape=(2, 2, 1), batch=8, hidden=16,
          heads=4):
     return BenchRow("test", scheme, gpus, shape, batch, hidden, heads,
                     0.1, 0.2, 3.33, 10.0)
+
+
+def _mrow(gpus):
+    """A valid Megatron row on ``gpus`` ranks (shape must multiply out)."""
+    return _row("megatron", gpus, (gpus,))
+
+
+def _spy_engines(monkeypatch, wrap=None):
+    """Record every engine a row builds, in row order, through a spy on
+    ``runner.engine_for_row``; ``wrap(engine)`` may patch the engine and
+    returns what is recorded."""
+    built = []
+    engine_for_row = runner.engine_for_row
+
+    def spying(*args, **kwargs):
+        engine = engine_for_row(*args, **kwargs)
+        built.append(engine if wrap is None else wrap(engine))
+        return engine
+
+    monkeypatch.setattr(runner, "engine_for_row", spying)
+    return built
 
 
 class TestEffectiveBatch:
@@ -82,16 +106,23 @@ class TestRunRow:
             seq_len=64, num_layers=1)
         assert deep.forward < shallow.forward
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("size", ["seq_len", "num_layers"])
+    def test_rejects_sizes_below_one(self, monkeypatch, size, value):
+        """A size below one is refused before any engine is built; it
+        once priced zero tokens, returned all zeros or failed inside the
+        engine."""
+        built = _spy_engines(monkeypatch)
+        sizes = {"seq_len": 8, "num_layers": 1, size: value}
+        with pytest.raises(ConfigError, match=f"{size} must be >= 1"):
+            run_row(_row(), **sizes)
+        assert not built
+
 
 class TestRunTable:
-    """A table runs row by row on cached engines; each row must read as it
-    does on a fresh engine of its own."""
-
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
+    """A table runs row by row, each row on an engine of its own that is
+    shut down after it; each row must read as it does on a fresh engine
+    the caller builds."""
 
     @pytest.mark.parametrize("collect_comm", [False, True])
     def test_table_equals_fresh_engine_rows(self, collect_comm):
@@ -111,123 +142,38 @@ class TestRunTable:
                                   want.peak_memory_bytes, want.comm)
             assert bool(got.comm) == collect_comm
 
+    def test_no_engine_outlives_the_table(self, monkeypatch):
+        rows = [_row(), _mrow(4), _row("tesseract", 8, (2, 2, 2))]
+        refs = _spy_engines(monkeypatch, weakref.ref)
+        table = runner.run_table(rows, seq_len=8, num_layers=1)
+        assert len(refs) == len(table) == len(rows)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(rows)
 
-def _mrow(gpus):
-    """A valid row with a per-``gpus`` cache key (shape must multiply out)."""
-    return _row("megatron", gpus, (gpus,))
+    def test_backend_is_read_per_row(self, monkeypatch):
+        rows = [_row(), _mrow(4)]
+        backends = _spy_engines(monkeypatch, lambda engine: engine.backend)
+        tables = {}
+        for backend in ("threaded", "event"):
+            monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
+            tables[backend] = [
+                (m.forward, m.backward, m.peak_memory_bytes, m.comm)
+                for m in runner.run_table(rows, seq_len=8, num_layers=1)
+            ]
+        assert backends == ["threaded"] * len(rows) + ["event"] * len(rows)
+        assert tables["threaded"] == tables["event"]
 
-
-def _spy_engines(monkeypatch, wrap=None):
-    """Record every engine ``run_table`` builds, in row order, through a
-    spy on ``runner.engine_for_row``; ``wrap(engine)`` may patch the
-    engine and returns what is recorded."""
-    built = []
-    engine_for_row = runner.engine_for_row
-
-    def spying(*args, **kwargs):
-        engine = engine_for_row(*args, **kwargs)
-        built.append(engine if wrap is None else wrap(engine))
-        return engine
-
-    monkeypatch.setattr(runner, "engine_for_row", spying)
-    return built
-
-
-class TestEngineCacheLRU:
-    """The session engine cache is LRU-bounded and evicts cleanly."""
-
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
-
-    def test_hit_returns_same_engine(self):
-        a = engine_for_row(_mrow(4), cache=True)
-        b = engine_for_row(_mrow(4), cache=True)
-        assert a is b
-
-    def test_cache_never_exceeds_bound(self):
-        for gpus in range(1, runner.ENGINE_CACHE_MAX + 5):
-            engine_for_row(_mrow(gpus), cache=True)
-            assert len(runner._ENGINE_CACHE) <= runner.ENGINE_CACHE_MAX
-        assert len(runner._ENGINE_CACHE) == runner.ENGINE_CACHE_MAX
-
-    def test_eviction_shuts_down_oldest(self):
-        first = engine_for_row(_mrow(1), cache=True)
-        for gpus in range(2, runner.ENGINE_CACHE_MAX + 2):
-            engine_for_row(_mrow(gpus), cache=True)
-        assert first.closed  # evicted engine was shut down, not leaked
-        fresh = engine_for_row(_mrow(1), cache=True)
-        assert fresh is not first
-
-    def test_hit_refreshes_lru_position(self):
-        keep = engine_for_row(_mrow(1), cache=True)
-        for gpus in range(2, runner.ENGINE_CACHE_MAX + 1):
-            engine_for_row(_mrow(gpus), cache=True)
-        # Touch the oldest entry, then overflow by one: the *second*
-        # oldest must be the victim, not the refreshed one.
-        assert engine_for_row(_mrow(1), cache=True) is keep
-        engine_for_row(_mrow(runner.ENGINE_CACHE_MAX + 1), cache=True)
-        assert not keep.closed
-        assert engine_for_row(_mrow(1), cache=True) is keep
-
-    def test_clear_shuts_down_everything(self):
-        engines = [engine_for_row(_mrow(g), cache=True) for g in (1, 2)]
-        clear_engine_cache()
-        assert not runner._ENGINE_CACHE
-        assert all(e.closed for e in engines)
-
-
-class TestEngineCacheFootprint:
-    """The byte budget evicts by estimated footprint, not just by count."""
-
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
-
-    def test_budget_evicts_before_entry_bound(self, monkeypatch):
-        # Budget sized to hold roughly two small engines: inserting a
-        # third must evict the oldest even though ENGINE_CACHE_MAX is 8.
-        first = engine_for_row(_mrow(1), cache=True)
-        budget = 2 * first.estimated_footprint() + 1024
-        monkeypatch.setattr(runner, "ENGINE_CACHE_MAX_BYTES", budget)
-        engine_for_row(_mrow(2), cache=True)
-        engine_for_row(_mrow(3), cache=True)
-        assert first.closed
-        assert len(runner._ENGINE_CACHE) < runner.ENGINE_CACHE_MAX
-        assert runner._cache_footprint() <= budget
-
-    def test_sole_entry_survives_a_tiny_budget(self, monkeypatch):
-        monkeypatch.setattr(runner, "ENGINE_CACHE_MAX_BYTES", 1)
-        engine = engine_for_row(_mrow(4), cache=True)
-        assert not engine.closed
-        assert len(runner._ENGINE_CACHE) == 1
-        # and a hit still returns it rather than rebuilding
-        assert engine_for_row(_mrow(4), cache=True) is engine
-
-    def test_footprint_grows_with_rank_count(self):
-        small = engine_for_row(_mrow(2), cache=True)
-        large = engine_for_row(_mrow(16), cache=True)
-        assert large.estimated_footprint() > small.estimated_footprint()
 
 class TestPoisonedEngineEviction:
-    """A row that raises must not leave a wedged engine in the cache.
+    """A row that raises must leave no wedged engine behind.
 
-    Regression for the sweep-cascade bug: eviction used to call
-    ``shutdown()`` unguarded, so an engine whose workers died mid-run
-    (shutdown raises on the half-dead state) would stay cached — or the
-    shutdown error would mask the row's real failure — and every later
-    sweep in the session failed on the same poisoned engine.
+    Regression for the sweep-cascade bug: discarding a failed row's
+    engine used to call ``shutdown()`` unguarded, so an engine whose
+    workers died mid-run (shutdown raises on the half-dead state) would
+    stay in use — or the shutdown error would mask the row's real
+    failure — and every later sweep in the session failed on the same
+    poisoned engine.
     """
-
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
 
     @staticmethod
     def _poison_programs(monkeypatch):
@@ -314,32 +260,3 @@ class TestPoisonedEngineEviction:
         [poisoned] = built
         assert poisoned.closed
         assert incomplete(poisoned) == 0
-
-    def test_clear_cache_survives_raising_shutdown(self, monkeypatch):
-        engine = engine_for_row(_mrow(2), cache=True)
-        monkeypatch.setattr(
-            engine, "shutdown",
-            lambda: (_ for _ in ()).throw(OSError("boom")))
-        clear_engine_cache()
-        assert not runner._ENGINE_CACHE
-
-
-class TestEngineCacheBackendKey:
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
-
-    def test_backend_is_part_of_the_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "threaded")
-        threaded = engine_for_row(_mrow(4), cache=True)
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "event")
-        event = engine_for_row(_mrow(4), cache=True)
-        assert threaded is not event
-        assert threaded.backend == "threaded"
-        assert event.backend == "event"
-        # each variant still hits its own entry
-        assert engine_for_row(_mrow(4), cache=True) is event
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "threaded")
-        assert engine_for_row(_mrow(4), cache=True) is threaded
