@@ -11,8 +11,9 @@ ZeRO's owner broadcast is the one priced term the step does not run.
 The headline statistic is the Spearman rank correlation between
 predicted and simulated step times: the planner's job is to *order*
 configurations correctly, so rank agreement (not absolute error) is the
-acceptance bar.  Each candidate runs on its own engine, one after
-another, through :func:`repro.sim.engine.run_engines`.
+acceptance bar.  Each candidate runs on an engine of its own, one after
+another, through :meth:`repro.sim.engine.Engine.run`
+(:func:`simulate_config`).
 
 The validated subset is chosen for diversity (best candidate per
 (scheme, pp) bucket, then best remaining) so the correlation is measured
@@ -34,7 +35,7 @@ from repro.parallel.layers import TransformerLayer, layout_of
 from repro.parallel.pipeline import PipelineStage
 from repro.plan.search import PlannedConfig, SearchResult
 from repro.plan.space import CandidateConfig, ModelSpec
-from repro.sim.engine import Engine, run_engines
+from repro.sim.engine import Engine
 from repro.util.mathutil import ceil_div
 from repro.varray.varray import VArray
 
@@ -213,8 +214,13 @@ def simulate_config(
     schedule: str = "1f1b",
     cluster: ClusterSpec | None = None,
     engine: Engine | None = None,
+    checkpoint: bool = False,
 ) -> tuple[float, float]:
-    """One simulated training step: (step_seconds, peak_memory_bytes)."""
+    """One simulated training step: (step_seconds, peak_memory_bytes).
+
+    Without ``engine`` the step builds its own and shuts it down after
+    the run, also when the run raised.
+    """
     seq = model.seq_len if seq_len is None else seq_len
     mb = cfg.microbatch_size(global_batch)
     own_engine = engine is None
@@ -224,7 +230,8 @@ def simulate_config(
         engine = Engine(cluster=cluster, nranks=cfg.world, mode="symbolic",
                         trace=False)
     try:
-        results = engine.run(_stage_program(model, cfg, mb, seq, schedule))
+        results = engine.run(_stage_program(model, cfg, mb, seq, schedule,
+                                            checkpoint))
     finally:
         if own_engine:
             engine.shutdown()
@@ -265,41 +272,17 @@ def validate_topk(
 ) -> ValidationReport:
     """Simulate a diverse top-k of a search and report rank agreement.
 
-    Each candidate runs on an engine of its own, back to back through
-    ``run_engines``; every engine is shut down afterwards, even when a
-    run raised.
+    Each candidate runs on an engine of its own (:func:`simulate_config`),
+    one after another.
     """
     chosen = diverse_topk(result, k)
-    if not chosen:
-        return ValidationReport(rows=())
     if cluster is None:
         cluster = meluxina(ceil_div(result.world, 4))
-    engines = [
-        Engine(cluster=cluster, nranks=pc.config.world, mode="symbolic",
-               trace=False)
-        for pc in chosen
-    ]
-    try:
-        jobs = [
-            (eng, _stage_program(
-                result.model, pc.config,
-                pc.config.microbatch_size(result.global_batch),
-                result.seq_len, result.schedule, result.checkpoint))
-            for eng, pc in zip(engines, chosen)
-        ]
-        per_engine = run_engines(jobs)
-    finally:
-        for eng in engines:
-            try:
-                eng.shutdown()
-            except Exception:
-                pass
-    rows = tuple(
-        ValidationRow(
-            planned=pc,
-            simulated_step_s=max(t for t, _ in results),
-            peak_memory_bytes=max(m for _, m in results),
-        )
-        for pc, results in zip(chosen, per_engine)
-    )
-    return ValidationReport(rows=rows)
+    rows = []
+    for pc in chosen:
+        step_s, peak = simulate_config(
+            result.model, pc.config, result.global_batch, result.seq_len,
+            result.schedule, cluster, checkpoint=result.checkpoint)
+        rows.append(ValidationRow(planned=pc, simulated_step_s=step_s,
+                                  peak_memory_bytes=peak))
+    return ValidationReport(rows=tuple(rows))
