@@ -8,17 +8,16 @@ GPUs).  The communication cost model only ever asks three questions:
 * :meth:`Topology.nodes_spanned` — how many nodes a group touches,
 * :meth:`Topology.worst_link` — the bottleneck link inside a group,
 
-so the topology is kept as plain arrays with a :mod:`networkx` graph built
-lazily for path inspection.
+so the topology is kept as plain arrays.  The physical network is a
+two-level tree — each GPU hangs off its node's switch, every node switch off
+one fabric — so the path between two ranks is unique and
+:meth:`Topology.path_latency` adds its hop latencies in closed form.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from repro.errors import GridError
 from repro.hardware.spec import ClusterSpec, LinkSpec
@@ -126,6 +125,11 @@ class Topology:
         self._link_scale[pair] = self._link_scale.get(pair, 1.0) * factor
         self.version += 1
 
+    @property
+    def degraded(self) -> bool:
+        """True once a link fault has degraded any rank pair."""
+        return bool(self._link_scale)
+
     def link_scale(self, a: int, b: int) -> float:
         """Transfer-time multiplier for the (a, b) link (1.0 = healthy)."""
         if not self._link_scale:
@@ -194,46 +198,25 @@ class Topology:
         if not 0 <= rank < self.nranks:
             raise GridError(f"rank {rank} out of range [0, {self.nranks})")
 
-    # --- graph analysis ------------------------------------------------------
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """A networkx graph: GPU vertices, node switches, the IB fabric.
-
-        GPUs on a node connect to a per-node switch vertex with the
-        intra-node link's bandwidth; node switches connect to a single
-        fabric vertex with the inter-node link's bandwidth.  Edge attribute
-        ``bandwidth`` is bytes/s, ``latency`` seconds.
-        """
-        g = nx.Graph()
-        intra = self.cluster.node.intra_link
-        inter = self.cluster.inter_link
-        for r in range(self.nranks):
-            node = self._node_of[r]
-            g.add_edge(
-                ("gpu", r),
-                ("switch", node),
-                bandwidth=intra.bandwidth,
-                latency=intra.latency,
-            )
-        for node in set(self._node_of):
-            g.add_edge(
-                ("switch", node),
-                ("fabric",),
-                bandwidth=inter.bandwidth,
-                latency=inter.latency,
-            )
-        return g
+    # --- path analysis -------------------------------------------------------
 
     def path_latency(self, a: int, b: int) -> float:
-        """Sum of per-hop latencies on the shortest path between two ranks."""
+        """Sum of per-hop latencies on the path between two ranks.
+
+        GPUs reach their node's switch over the intra-node link and node
+        switches reach the fabric over the inter-node link, so on one node
+        the path is GPU, switch, GPU and across nodes it is GPU, switch,
+        fabric, switch, GPU.  Hops are added in path order.
+        """
+        self._check_rank(a)
+        self._check_rank(b)
         if a == b:
             return 0.0
-        path = nx.shortest_path(self.graph, ("gpu", a), ("gpu", b))
-        total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += self.graph.edges[u, v]["latency"]
-        return total
+        intra = self.cluster.node.intra_link.latency
+        if self._node_of[a] == self._node_of[b]:
+            return intra + intra
+        inter = self.cluster.inter_link.latency
+        return intra + inter + inter + intra
 
     def describe(self) -> str:
         """One-line human description used in bench report headers."""

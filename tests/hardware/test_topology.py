@@ -81,20 +81,46 @@ class TestValidation:
             topo.node_of(4)
 
 
-class TestGraphAnalysis:
-    def test_graph_structure(self):
-        topo = Topology(meluxina(2), nranks=8)
-        g = topo.graph
-        assert ("gpu", 0) in g
-        assert ("switch", 0) in g
-        assert ("fabric",) in g
+#: MeluXina hop latencies: NVLink3 GPU <-> node switch, InfiniBand HDR200
+#: node switch <-> fabric, added in path order
+SAME_NODE = 2e-6 + 2e-6
+CROSS_NODE = 2e-6 + 5e-6 + 5e-6 + 2e-6
 
+
+class TestGraphAnalysis:
     def test_path_latency_intra_vs_inter(self):
         topo = Topology(meluxina(2), nranks=8)
         intra = topo.path_latency(0, 1)
         inter = topo.path_latency(0, 4)
         assert inter > intra > 0
         assert topo.path_latency(3, 3) == 0.0
+
+    @pytest.mark.parametrize("nodes, placement, node_of", [
+        (1, Placement.BLOCK, [0, 0, 0, 0]),
+        (1, Placement.ROUND_ROBIN, [0, 0, 0, 0]),
+        (2, Placement.BLOCK, [0, 0, 0, 0, 1, 1, 1, 1]),
+        (2, Placement.ROUND_ROBIN, [0, 1, 0, 1, 0, 1, 0, 1]),
+        (4, Placement.BLOCK,
+         [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]),
+        (4, Placement.ROUND_ROBIN,
+         [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]),
+    ])
+    def test_path_latency_every_pair(self, nodes, placement, node_of):
+        topo = Topology(meluxina(nodes), placement=placement)
+        n = len(node_of)
+        got = [[topo.path_latency(a, b) for b in range(n)] for a in range(n)]
+        want = [[0.0 if a == b
+                 else SAME_NODE if node_of[a] == node_of[b]
+                 else CROSS_NODE
+                 for b in range(n)] for a in range(n)]
+        assert got == want
+
+    @pytest.mark.parametrize("a, b", [(8, 8), (0, 8), (8, 0), (-1, 0),
+                                      (-1, -1)])
+    def test_path_latency_rejects_unknown_ranks(self, a, b):
+        topo = Topology(meluxina(2), nranks=8)
+        with pytest.raises(GridError, match="out of range"):
+            topo.path_latency(a, b)
 
     def test_describe_mentions_cluster(self):
         topo = Topology(meluxina(2), nranks=8)
