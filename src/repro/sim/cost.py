@@ -60,12 +60,17 @@ Fused sequences (a batch window queuing several collectives on one group,
 see :meth:`repro.comm.communicator.Communicator.batch`) are priced by
 :meth:`CommCostModel.fused`: consecutive same-kind ops coalesce into one
 collective on their summed payload, so a bucketed gradient sync pays the
-latency terms once instead of once per tensor.
+latency terms once instead of once per tensor.  Their offsets are a pure
+function of the model's structure and the (group, op sequence), so a model
+on a healthy topology shares them with every other model of the same
+structure in the process: a sweep that builds an engine per row prices each
+window once, not once per row.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Sequence
@@ -151,6 +156,19 @@ class ComputeCostModel:
         return t
 
 
+#: structural owner of healthy-topology prices -> its id (see
+#: :class:`CommCostModel`)
+_PRICE_OWNERS: dict[tuple, int] = {}
+_PRICE_OWNER_IDS = itertools.count()
+#: ``(owner id, group, op sequence) -> offsets`` of :meth:`CommCostModel.fused`
+#: for every model on a healthy topology.  Holds ints, strings and floats
+#: only: no topology, engine or model.
+_FUSED_OFFSETS: dict[tuple, tuple[float, ...]] = {}
+#: bound of both tables: plenty for any sweep's window mix; past it
+#: offsets are computed, not stored, and a new owner is never shared
+MAX_FUSED_OFFSETS = 4096
+
+
 def _log2_steps(g: int) -> int:
     """Number of binomial-tree steps for a group of size g."""
     return max(0, math.ceil(math.log2(g))) if g > 1 else 0
@@ -193,12 +211,18 @@ class CommCostModel:
             gamma if gamma is not None else 1.0 / topology.cluster.gpu.mem_bandwidth
         )
         self.nic_contention = nic_contention
-        #: memoized :meth:`fused` offsets.  Pricing is a pure function of
-        #: (group, op sequence) given a topology state, and symbolic-mode
-        #: sweeps reprice the same few windows thousands of times — one
-        #: per layer per round per row — so "price once, broadcast" turns
-        #: the dominant cost-model work into a dict hit.  Keyed on the
-        #: topology version so an injected link fault invalidates it.
+        #: id of this model's pricing structure: equal ids price every
+        #: (group, op sequence) alike while their topologies are healthy
+        owner = (topology.cluster, topology.placement, topology.nranks,
+                 alg, self.gamma, nic_contention)
+        self._owner = _PRICE_OWNERS.get(owner)
+        if self._owner is None:
+            self._owner = next(_PRICE_OWNER_IDS)
+            if len(_PRICE_OWNERS) < MAX_FUSED_OFFSETS:
+                _PRICE_OWNERS[owner] = self._owner
+        #: :meth:`fused` offsets once a link fault degraded the topology:
+        #: its prices are this model's own, keyed on the topology version
+        #: so a later degradation invalidates them
         self._fused_memo: dict[Any, tuple[float, ...]] = {}
 
     # --- helpers --------------------------------------------------------------
@@ -407,17 +431,25 @@ class CommCostModel:
         A single-op sequence prices identically to the op's own method,
         so the unbatched path and a one-op window agree to the bit.
 
-        Results are memoized per ``(topology version, group, op
-        sequence)``: regular sweeps issue the same window on the same
-        group for every layer of every round, and the priced offsets are
-        identical floats each time.  A lone collective does not come here
+        Results are memoized: regular sweeps issue the same window on the
+        same group for every layer of every round and every row, and the
+        priced offsets are identical floats each time.  On a healthy
+        topology the memo is the process-wide one, keyed on the model's
+        structure (cluster, placement, rank count, algorithm, ``gamma``,
+        ``nic_contention``); a degraded one keeps its own, keyed on the
+        topology version.  A lone collective does not come here
         on every call: the communicator's op spec keeps the offsets this
         returns per payload size and topology version (see
         :class:`~repro.comm.communicator.Communicator`), so the memo key
         is built once per group, kind and size.
         """
-        memo_key = (self.topology.version, tuple(ranks), tuple(ops))
-        cached = self._fused_memo.get(memo_key)
+        if self.topology.degraded:
+            memo = self._fused_memo
+            memo_key = (self.topology.version, tuple(ranks), tuple(ops))
+        else:
+            memo = _FUSED_OFFSETS
+            memo_key = (self._owner, tuple(ranks), tuple(ops))
+        cached = memo.get(memo_key)
         if cached is not None:
             return list(cached)
         dispatch = {
@@ -447,8 +479,8 @@ class CommCostModel:
             t += price(ranks, total)
             offsets.extend([t] * (j - i))
             i = j
-        if len(self._fused_memo) < 4096:  # plenty for any sweep's window mix
-            self._fused_memo[memo_key] = tuple(offsets)
+        if len(memo) < MAX_FUSED_OFFSETS:
+            memo[memo_key] = tuple(offsets)
         return offsets
 
     def barrier(self, ranks: Sequence[int]) -> float:

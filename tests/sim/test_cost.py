@@ -1,11 +1,18 @@
 """Tests for the compute and communication cost models."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.comm.communicator import Communicator
 from repro.errors import CommError
 from repro.hardware.spec import meluxina
-from repro.hardware.topology import Topology
+from repro.hardware.topology import Placement, Topology
+from repro.sim import cost as cost_module
 from repro.sim.cost import CollectiveAlg, CommCostModel, ComputeCostModel
+from repro.sim.engine import Engine
+from repro.varray import VArray
 
 
 @pytest.fixture
@@ -285,3 +292,108 @@ class TestFusedSingleOpIdentity:
         topo16.degrade_link(0, 4, 3.0)
         topo16.degrade_link(1, 2, 1.5)
         self._check(cost)
+
+
+class TestSharedFusedMemo:
+    """Models of one structure on healthy topologies share fused offsets."""
+
+    WINDOWS = (
+        (tuple(ONE_NODE), (("all_reduce", 4096.0),)),
+        (tuple(FOUR_NODES), (("broadcast", 1e6), ("broadcast", 2e6),
+                             ("all_reduce", 3e5))),
+        (tuple(range(16)), (("all_gather", 12345.5), ("reduce", 8.0),
+                            ("barrier", 0.0))),
+        ((3, 4, 5, 9, 14), (("all_to_all", 64.0), ("scatter", 1e4))),
+    )
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        """A cold process: no owner interned and no offsets stored."""
+        monkeypatch.setattr(cost_module, "_PRICE_OWNERS", {})
+        monkeypatch.setattr(cost_module, "_FUSED_OFFSETS", {})
+        return cost_module
+
+    def _price(self, cost):
+        return [[t.hex() for t in cost.fused(ranks, list(ops))]
+                for ranks, ops in self.WINDOWS]
+
+    @pytest.mark.parametrize("alg", list(CollectiveAlg))
+    @pytest.mark.parametrize("nic", [0.0, 0.5])
+    def test_fresh_model_equals_cold_model(self, alg, nic, empty_memo):
+        def model():
+            return CommCostModel(Topology(meluxina(4), nranks=16), alg=alg,
+                                 nic_contention=nic)
+
+        cold = self._price(model())
+        stored = dict(empty_memo._FUSED_OFFSETS)
+        assert len(stored) == len(self.WINDOWS)
+        fresh = model()
+        assert self._price(fresh) == cold
+        assert empty_memo._FUSED_OFFSETS == stored  # every window a hit
+        assert fresh._owner == next(iter(stored))[0]
+
+    def test_structures_do_not_share(self, empty_memo):
+        topo = Topology(meluxina(4), nranks=16)
+        models = [CommCostModel(topo), CommCostModel(topo, nic_contention=0.5),
+                  CommCostModel(topo, alg=CollectiveAlg.FLAT),
+                  CommCostModel(topo, gamma=1e-9),
+                  CommCostModel(Topology(meluxina(4), nranks=13)),
+                  CommCostModel(Topology(
+                      meluxina(4), nranks=16,
+                      placement=Placement.ROUND_ROBIN))]
+        assert len({m._owner for m in models}) == len(models)
+        ranks, ops = self.WINDOWS[1]
+        prices = {tuple(m.fused(ranks, list(ops))) for m in models}
+        assert len(prices) > 1
+        assert len(empty_memo._FUSED_OFFSETS) == len(models)
+
+    def test_degraded_link_never_touches_shared_memo(self, empty_memo):
+        ranks, ops = self.WINDOWS[1]
+        healthy = CommCostModel(Topology(meluxina(4), nranks=16))
+        want = healthy.fused(ranks, list(ops))
+        key = (healthy._owner, ranks, ops)
+        poison = tuple(-1.0 for _ in ops)
+        empty_memo._FUSED_OFFSETS[key] = poison
+        assert CommCostModel(Topology(meluxina(4), nranks=16)).fused(
+            ranks, list(ops)) == list(poison)  # the key is the shared one
+
+        topo = Topology(meluxina(4), nranks=16)
+        faulted = CommCostModel(topo)
+        topo.degrade_link(0, 4, 3.0)
+        got = faulted.fused(ranks, list(ops))
+        assert got != list(poison) and got[-1] > want[-1]
+        assert faulted.fused(ranks, list(ops)) == got  # its own memo's hit
+        assert empty_memo._FUSED_OFFSETS == {key: poison}
+        assert len(faulted._fused_memo) == 1
+
+    def test_memo_holds_no_topology_engine_or_model(self, empty_memo):
+        def prog(ctx):
+            comm = Communicator(ctx, range(ctx.nranks))
+            with comm.batch():
+                comm.all_reduce(VArray.symbolic((8,)))
+                comm.broadcast(VArray.symbolic((4,)), root=0)
+            comm.all_reduce(VArray.symbolic((16,)))
+
+        engine = Engine(nranks=8, mode="symbolic")
+        engine.run(prog)
+        refs = [weakref.ref(engine), weakref.ref(engine.comm_model),
+                weakref.ref(engine.topology)]
+        assert len(empty_memo._FUSED_OFFSETS) == 2
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                for v in x:
+                    yield from leaves(v)
+            else:
+                yield x
+
+        for key, offsets in empty_memo._FUSED_OFFSETS.items():
+            assert {type(v) for v in leaves((key, offsets))} <= {
+                int, float, str}
+        for owner in empty_memo._PRICE_OWNERS:
+            assert not any(isinstance(v, (Topology, CommCostModel, Engine))
+                           for v in leaves(owner))
+        engine.shutdown()
+        del engine
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
