@@ -125,11 +125,6 @@ class Topology:
         self._link_scale[pair] = self._link_scale.get(pair, 1.0) * factor
         self.version += 1
 
-    @property
-    def degraded(self) -> bool:
-        """True once a link fault has degraded any rank pair."""
-        return bool(self._link_scale)
-
     def link_scale(self, a: int, b: int) -> float:
         """Transfer-time multiplier for the (a, b) link (1.0 = healthy)."""
         if not self._link_scale:

@@ -220,9 +220,9 @@ class CommCostModel:
             self._owner = next(_PRICE_OWNER_IDS)
             if len(_PRICE_OWNERS) < MAX_FUSED_OFFSETS:
                 _PRICE_OWNERS[owner] = self._owner
-        #: :meth:`fused` offsets once a link fault degraded the topology:
-        #: its prices are this model's own, keyed on the topology version
-        #: so a later degradation invalidates them
+        #: :meth:`fused` offsets once a link fault degraded the topology
+        #: (its version is above 0): its prices are this model's own, keyed
+        #: on the version so a later degradation invalidates them
         self._fused_memo: dict[Any, tuple[float, ...]] = {}
 
     # --- helpers --------------------------------------------------------------
@@ -443,12 +443,11 @@ class CommCostModel:
         :class:`~repro.comm.communicator.Communicator`), so the memo key
         is built once per group, kind and size.
         """
-        if self.topology.degraded:
-            memo = self._fused_memo
-            memo_key = (self.topology.version, tuple(ranks), tuple(ops))
+        if self.topology.version:  # a link fault degraded it: own prices
+            memo, owner = self._fused_memo, self.topology.version
         else:
-            memo = _FUSED_OFFSETS
-            memo_key = (self._owner, tuple(ranks), tuple(ops))
+            memo, owner = _FUSED_OFFSETS, self._owner
+        memo_key = (owner, tuple(ranks), tuple(ops))
         cached = memo.get(memo_key)
         if cached is not None:
             return list(cached)
